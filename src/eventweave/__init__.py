@@ -19,6 +19,7 @@ from .errors import (
     NotExhaustive,
     OverlappingBackwardLinks,
     PartitionNotUnity,
+    TooManyOutcomePaths,
     UnknownEvent,
     ZeroNormBranch,
     ZeroProbabilityEvent,
@@ -39,6 +40,7 @@ from .dynamics import (
     AlternativeSet,
     CandidateEvent,
     CutState,
+    OutcomeTree,
     cut_state,
     event_probability,
     joint_probability,
@@ -47,6 +49,7 @@ from .dynamics import (
     replica_rng,
     sample_extension,
     sample_many,
+    sample_outcome_tree,
 )
 
 __version__ = "0.1.0"
@@ -70,11 +73,13 @@ __all__ = [
     "NoMatch",
     "NonUnitVector",
     "NotExhaustive",
+    "OutcomeTree",
     "OverlappingBackwardLinks",
     "PartitionNotUnity",
     "ProductBra",
     "Region",
     "SpaceType",
+    "TooManyOutcomePaths",
     "UnknownEvent",
     "ZeroNormBranch",
     "ZeroProbabilityEvent",
@@ -88,6 +93,7 @@ __all__ = [
     "replica_rng",
     "sample_extension",
     "sample_many",
+    "sample_outcome_tree",
     "squared_norm",
     "tensor_product",
 ]

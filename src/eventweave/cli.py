@@ -134,122 +134,44 @@ def cmd_chsh(args) -> tuple[dict, list, list]:
     return results, header, rows
 
 
-def _simulate_results(scenario, runs: int, seed: int, replicas: int = 1) -> dict:
-    history = scenario.build_history()
-    root = dynamics.cut_state(history)
-    stages = scenario.stages
-
-    state_cache: dict[tuple, dynamics.CutState] = {(): root}
-    probs_cache: dict[tuple, np.ndarray] = {}
-
-    def conditional_probs(path: tuple) -> np.ndarray:
-        if path not in probs_cache:
-            probs_cache[path] = dynamics.alternative_probabilities(
-                state_cache[path], stages[len(path)].alternatives
-            )
-        return probs_cache[path]
-
-    def child_state(path: tuple, idx: int) -> dynamics.CutState:
-        key = path + (idx,)
-        if key not in state_cache:
-            cand = stages[len(path)].alternatives.candidates[idx]
-            _, state_cache[key] = dynamics.realized_state(state_cache[path], cand)
-        return state_cache[key]
-
-    # analytic joint probability of every outcome path
-    paths: list[tuple] = [()]
-    for stage in stages:
-        paths = [p + (i,) for p in paths
-                 for i in range(len(stage.alternatives.candidates))]
-    analytic: dict[tuple, float] = {}
-    for path in paths:
-        prob, cur, alive = 1.0, (), True
-        for idx in path:
-            if not alive:
-                prob = 0.0
-                break
-            cp = float(conditional_probs(cur)[idx])
-            prob *= cp
-            if cp <= 1e-15:
-                alive = False
-            else:
-                child_state(cur, idx)
-                cur = cur + (idx,)
-        analytic[path] = prob
-
-    # chain rule self-check: staged conditionals vs one-shot joints
-    checked, max_dev = 0, 0.0
-    for path in paths:
-        if analytic[path] <= 1e-15:
-            continue
-        cands = [stages[d].alternatives.candidates[i] for d, i in enumerate(path)]
-        try:
-            joint = dynamics.joint_probability(root, cands)
-        except EventWeaveError:
-            continue  # stages sharing links have no one-shot form
-        checked += 1
-        max_dev = max(max_dev, abs(joint - analytic[path]))
-
-    counts: dict[tuple, int] = {p: 0 for p in paths}
-    first_path: tuple | None = None
-    for replica in range(replicas):
-        rng = dynamics.replica_rng(seed, replica)
-        for _ in range(runs):
-            cur: tuple = ()
-            for _depth in range(len(stages)):
-                probs = conditional_probs(cur)
-                u = rng.random()
-                idx = int(
-                    np.searchsorted(np.cumsum(probs), u, side="right").clip(
-                        0, len(probs) - 1
-                    )
-                )
-                if float(probs[idx]) > 1e-15:
-                    child_state(cur, idx)
-                cur = cur + (idx,)
-            counts[cur] += 1
-            if first_path is None:
-                first_path = cur
-
-    sample_history = None
-    if first_path is not None and stages:
-        replay = scenario.build_history()
-        for depth, idx in enumerate(first_path):
-            dynamics.realize(
-                replay, None, stages[depth].alternatives.candidates[idx]
-            )
-        sample_history = replay.to_dict()
-
-    def outcome_names(path: tuple) -> list[str]:
-        return [
-            stages[d].alternatives.candidates[i].name or f"c{i}"
-            for d, i in enumerate(path)
-        ]
-
-    return {
-        "stages": [stage.name for stage in stages],
-        "runs": runs,
-        "replicas": replicas,
-        "paths": [
-            {
-                "outcomes": outcome_names(p),
-                "analytic": analytic[p],
-                "empirical": counts[p] / (runs * replicas),
-            }
-            for p in paths
-        ],
-        "chain_rule": {"paths_checked": checked, "max_abs_dev": max_dev},
-        "sample_history": sample_history,
-    }
-
-
 def cmd_simulate(args) -> tuple[dict, list, list]:
     if args.runs < 1:
         raise UsageError("runs must be positive")
     if args.replicas < 1:
         raise UsageError("replicas must be positive")
     scenario = load_scenario(args.scenario)
-    results = _simulate_results(scenario, args.runs, args.seed, args.replicas)
+    stages = [stage.alternatives for stage in scenario.stages]
+    tree = dynamics.sample_outcome_tree(
+        scenario.build_history(), stages, args.runs, args.seed, args.replicas
+    )
+
+    sample_history = None
+    if stages:
+        replay = scenario.build_history()
+        for alts, idx in zip(stages, tree.first_path):
+            dynamics.realize(replay, None, alts.candidates[idx])
+        sample_history = replay.to_dict()
+
+    def outcome_names(path: tuple) -> list[str]:
+        return [
+            stages[d].candidates[i].name or f"c{i}" for d, i in enumerate(path)
+        ]
+
+    n_total = args.runs * args.replicas
+    results = {
+        "stages": [stage.name for stage in scenario.stages],
+        "runs": args.runs,
+        "replicas": args.replicas,
+        "paths": [
+            {"outcomes": outcome_names(p), "analytic": a, "empirical": c / n_total}
+            for p, a, c in zip(tree.paths, tree.analytic, tree.counts)
+        ],
+        "chain_rule": {
+            "paths_checked": tree.chain_rule_checked,
+            "max_abs_dev": tree.chain_rule_max_dev,
+        },
+        "sample_history": sample_history,
+    }
     header = ["outcomes", "analytic", "empirical"]
     rows = [
         ["/".join(p["outcomes"]), repr(p["analytic"]), repr(p["empirical"])]

@@ -15,14 +15,18 @@ probabilities of an exhaustive alternative set sum to one at every step.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    EventWeaveError,
     NotExhaustive,
     OverlappingBackwardLinks,
+    TooManyOutcomePaths,
     ZeroProbabilityEvent,
 )
 from .graph import Cut, History, Region, EVENT_VECTOR_TOL
@@ -41,6 +45,14 @@ EXHAUSTIVE_TOL = 1e-9
 
 #: below this squared norm a branch counts as impossible
 ZERO_PROBABILITY_EPS = 1e-24
+
+#: an outcome-tree branch whose conditional probability is at or below this
+#: is pruned: its subtree is never expanded and a run may not enter it
+PRUNED_BRANCH_PROBABILITY = 1e-15
+
+#: the outcome tree enumerates (and a report lists) every path, so scenarios
+#: whose product of per-stage candidate counts exceeds this are refused
+MAX_OUTCOME_PATHS = 65536
 
 
 @dataclass(frozen=True)
@@ -188,6 +200,21 @@ def _as_generator(rng: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _draw(probs: np.ndarray, u):
+    """Candidate index selected by each uniform in ``u`` (scalar or array).
+
+    A uniform picks the first candidate whose cumulative probability exceeds
+    it.  ``cumsum(probs)`` may end below 1 by up to :data:`EXHAUSTIVE_TOL`;
+    a uniform in that gap goes to the last candidate above
+    :data:`ZERO_PROBABILITY_EPS`, so a candidate that :func:`realize` would
+    refuse is never returned.
+    """
+    possible = np.flatnonzero(probs > ZERO_PROBABILITY_EPS)
+    if possible.size == 0:
+        raise ZeroProbabilityEvent("every candidate has probability zero")
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), possible[-1])
+
+
 def sample_extension(
     state: CutState, alts: AlternativeSet, rng: int | np.random.Generator
 ) -> int:
@@ -199,9 +226,7 @@ def sample_extension(
     generator yields one reproducible stream.
     """
     probs = alternative_probabilities(state, alts)
-    gen = _as_generator(rng)
-    u = gen.random()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+    return int(_draw(probs, _as_generator(rng).random()))
 
 
 def sample_many(
@@ -209,10 +234,7 @@ def sample_many(
 ) -> np.ndarray:
     """Vector of ``n`` draws; stream-equivalent to ``n`` single draws."""
     probs = alternative_probabilities(state, alts)
-    gen = _as_generator(rng)
-    u = gen.random(n)
-    cum = np.cumsum(probs)
-    return np.searchsorted(cum, u, side="right").clip(0, len(probs) - 1)
+    return _draw(probs, _as_generator(rng).random(n))
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
@@ -241,4 +263,150 @@ def realize(
         )
     return history.add_interior_event(
         cand.bra, cand.c, cand.ket, region=cand.region, event_id=event_id
+    )
+
+
+# -- outcome tree ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OutcomeTree:
+    """Staged outcome paths: analytic joints, sampled counts, chain-rule check.
+
+    ``paths`` lists every tuple of candidate indices, one per stage, in
+    lexicographic order; ``analytic``, ``counts`` are aligned with it.
+    ``first_path`` is the path of run 0 of replica 0.  The chain-rule check
+    compares each live path's staged product with :func:`joint_probability`
+    on the root state; paths whose stages share links have no one-shot form
+    and are not counted in ``chain_rule_checked``.
+    """
+
+    paths: list[tuple[int, ...]]
+    analytic: list[float]
+    counts: list[int]
+    first_path: tuple[int, ...]
+    chain_rule_checked: int
+    chain_rule_max_dev: float
+
+
+def _expand(root: CutState, stages: Sequence[AlternativeSet], analytic: np.ndarray):
+    """Expand the live outcome tree depth first; fill ``analytic`` in place.
+
+    Returns one ``(probs, children)`` pair per node, node 0 being the root:
+    the conditional probabilities of its candidates and, per candidate, the
+    child's node id (-1 when the child is pruned or a leaf).  A child whose
+    conditional probability is at or below :data:`PRUNED_BRANCH_PROBABILITY`
+    is not expanded, so every path through it keeps analytic probability 0;
+    a last-stage child gets the product of the conditionals along its path.
+    Only the states of nodes still waiting to be expanded are held, never
+    the whole tree's.
+    """
+    if not stages:
+        analytic[0] = 1.0
+        return []
+    nodes: list[tuple[np.ndarray, np.ndarray]] = []
+    # (parent state, candidate index, depth, path probability, path prefix,
+    # parent node id); the root has no parent
+    stack: list[tuple] = [(root, None, 0, 1.0, 0, -1)]
+    while stack:
+        state, idx, depth, prob, prefix, parent = stack.pop()
+        if idx is not None:
+            _, state = realized_state(state, stages[depth - 1].candidates[idx])
+            nodes[parent][1][idx] = len(nodes)
+        probs = alternative_probabilities(state, stages[depth])
+        nodes.append((probs, np.full(len(probs), -1, dtype=np.intp)))
+        prefix = prefix * len(probs)
+        if depth == len(stages) - 1:
+            analytic[prefix:prefix + len(probs)] = prob * probs
+            continue
+        parent = len(nodes) - 1
+        for i in reversed(range(len(probs))):
+            if probs[i] > PRUNED_BRANCH_PROBABILITY:
+                stack.append((state, i, depth + 1, prob * probs[i], prefix + i, parent))
+    return nodes
+
+
+def _sample_paths(nodes: list[tuple], radix: list[int], u: np.ndarray) -> np.ndarray:
+    """Path index (lexicographic) of each row of uniforms ``u``.
+
+    Row ``r`` walks the tree from the root, consuming ``u[r, d]`` at depth
+    ``d``.  Rows are grouped by their current node so each node draws all its
+    rows with one :func:`_draw`.
+    """
+    runs = u.shape[0]
+    node = np.zeros(runs, dtype=np.intp)
+    path = np.zeros(runs, dtype=np.intp)
+    for depth, width in enumerate(radix):
+        pick = np.empty(runs, dtype=np.intp)
+        order = np.argsort(node, kind="stable")
+        grouped = node[order]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        for rows in np.split(order, starts[1:]):
+            probs, children = nodes[node[rows[0]]]
+            chosen = _draw(probs, u[rows, depth])
+            if np.any(probs[chosen] <= PRUNED_BRANCH_PROBABILITY):
+                raise ZeroProbabilityEvent(
+                    f"a run entered a pruned branch at stage {depth}"
+                )
+            pick[rows] = chosen
+            node[rows] = children[chosen]
+        path = path * width + pick
+    return path
+
+
+def sample_outcome_tree(
+    history: History,
+    stages: Sequence[AlternativeSet],
+    runs: int,
+    seed: int,
+    replicas: int = 1,
+) -> OutcomeTree:
+    """Analytic and sampled outcome paths for staged extensions of a history.
+
+    Each stage is an alternative set over the state left by the stages
+    before it.  Replica ``r`` draws ``replica_rng(seed, r).random((runs,
+    len(stages)))``: the same stream as one uniform per draw, run by run.
+    Raises :class:`TooManyOutcomePaths` before any state is built when the
+    path count exceeds :data:`MAX_OUTCOME_PATHS`.
+    """
+    if runs < 1 or replicas < 1:
+        raise ValueError("runs and replicas must be positive")
+    radix = [len(alts.candidates) for alts in stages]
+    total = math.prod(radix)
+    if total > MAX_OUTCOME_PATHS:
+        raise TooManyOutcomePaths(
+            f"scenario has {total} outcome paths (product of candidate counts "
+            f"per stage); at most {MAX_OUTCOME_PATHS} can be enumerated"
+        )
+    root = cut_state(history)
+    analytic = np.zeros(total)
+    nodes = _expand(root, stages, analytic)
+    paths = list(itertools.product(*(range(n) for n in radix)))
+
+    checked, max_dev = 0, 0.0
+    for path, prob in zip(paths, analytic):
+        if prob <= PRUNED_BRANCH_PROBABILITY:
+            continue
+        cands = [stages[d].candidates[i] for d, i in enumerate(path)]
+        try:
+            joint = joint_probability(root, cands)
+        except EventWeaveError:
+            continue  # stages sharing links have no one-shot form
+        checked += 1
+        max_dev = max(max_dev, abs(joint - float(prob)))
+
+    counts = np.zeros(total, dtype=np.int64)
+    for replica in range(replicas):
+        u = replica_rng(seed, replica).random((runs, len(stages)))
+        ends = _sample_paths(nodes, radix, u)
+        counts += np.bincount(ends, minlength=total)
+        if replica == 0:
+            first = int(ends[0])
+    return OutcomeTree(
+        paths=paths,
+        analytic=[float(p) for p in analytic],
+        counts=[int(c) for c in counts],
+        first_path=paths[first],
+        chain_rule_checked=checked,
+        chain_rule_max_dev=max_dev,
     )

@@ -49,6 +49,10 @@ class ZeroProbabilityEvent(EventWeaveError):
     """Attempt to realize a candidate whose probability vanishes."""
 
 
+class TooManyOutcomePaths(EventWeaveError):
+    """A staged scenario whose outcome paths are too many to enumerate."""
+
+
 class PartitionNotUnity(EventWeaveError):
     """Cell functions do not sum to one at every grid point."""
 

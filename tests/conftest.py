@@ -8,7 +8,9 @@ import pytest
 
 from eventweave.dynamics import CandidateEvent, realize
 from eventweave.epr import singlet_vector
+from eventweave.dynamics import AlternativeSet
 from eventweave.graph import History
+from eventweave.scenario import Scenario, Stage
 from eventweave.tensors import (
     FactorLabel,
     LabeledVector,
@@ -74,6 +76,73 @@ def figure_outcome_candidates(rng=None):
     e4 = CandidateEvent(bra=bra4, c=c4, ket=ket4, name="ev4")
     e5 = CandidateEvent(bra=bra5, c=c5, ket=ket5, name="ev5")
     return e4, e5
+
+
+#: a uniform inside the residual gap of :func:`gap_alternatives`
+STUCK_UNIFORM = 1.0 - 1e-12
+
+#: scales the two live candidates of :func:`gap_alternatives` so their
+#: probabilities sum to 1 - 4e-10, inside the exhaustiveness tolerance
+GAP_WEIGHT = math.sqrt(1.0 - 4e-10)
+
+
+class StuckGenerator(np.random.Generator):
+    """Generator whose every uniform is :data:`STUCK_UNIFORM`."""
+
+    def __init__(self, *_args):
+        super().__init__(np.random.PCG64(0))
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return STUCK_UNIFORM if size is None else np.full(size, STUCK_UNIFORM)
+
+
+def gap_alternatives(link_id: str, out_id: str) -> AlternativeSet:
+    """Three candidates on a |+> spin: up, down, and a zero-weight |->.
+
+    Up and down carry weight ``GAP_WEIGHT``, so ``cumsum(probs)`` ends just
+    below 1 and a uniform of ``STUCK_UNIFORM`` falls past it.
+    """
+    def cand(amps, c, name):
+        return CandidateEvent(
+            bra=ProductBra([unit_factor(link_id, amps)]), c=c,
+            ket=unit_factor(out_id, [1.0], POINTER), name=name,
+        )
+
+    return AlternativeSet([
+        cand([1.0, 0.0], GAP_WEIGHT, "up"),
+        cand([0.0, 1.0], GAP_WEIGHT, "down"),
+        cand([SQRT_HALF, -SQRT_HALF], 1.0, "minus"),
+    ])
+
+
+def spin_alternatives(link_id: str, out_id: str) -> AlternativeSet:
+    return AlternativeSet([
+        CandidateEvent(
+            bra=ProductBra([unit_factor(link_id, amps)]), c=1.0,
+            ket=unit_factor(out_id, [1.0], POINTER), name=name,
+        )
+        for amps, name in (([1.0, 0.0], "up"), ([0.0, 1.0], "down"))
+    ])
+
+
+def zero_branch_scenario() -> Scenario:
+    """Three stages: a residual gap at stage 0, dead subtrees after it.
+
+    Stage 0 is :func:`gap_alternatives` on a |+> spin; stages 1 and 2
+    measure the two halves of a singlet, so half of the stage-2 branches
+    have conditional probability 0.
+    """
+    return Scenario(
+        initial_events=[
+            ("src", unit_factor("s", [SQRT_HALF, SQRT_HALF]), None),
+            ("decay", singlet_vector("alpha", "beta"), None),
+        ],
+        stages=[
+            Stage("tilt", gap_alternatives("s", "o_tilt")),
+            Stage("left", spin_alternatives("alpha", "o_left")),
+            Stage("right", spin_alternatives("beta", "o_right")),
+        ],
+    )
 
 
 class HistoryFactory:

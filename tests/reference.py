@@ -121,3 +121,52 @@ def direct_cell_hat(g, dx, n, offset):
     """Transform of a cell function at one index offset, by direct sum."""
     l = np.arange(n)
     return dx * np.sum(np.asarray(g) * np.exp(2j * np.pi * offset * l / n))
+
+
+# -- staged sampling (one uniform per draw) ------------------------------------
+
+
+def naive_simulate_counts(history, stages, runs, seed, replicas=1):
+    """Per-draw walk of the outcome tree: ``({path: count}, first_path)``.
+
+    This is the loop :func:`eventweave.dynamics.sample_outcome_tree`
+    replaced: one ``rng.random()`` per stage per run, with conditional
+    states and probabilities memoized per path.  It still clips a uniform
+    past ``cumsum(probs)[-1]`` to the last candidate, so it agrees with the
+    engine only while no uniform lands in that residual gap.
+    """
+    from eventweave import dynamics
+
+    state_cache = {(): dynamics.cut_state(history)}
+    probs_cache = {}
+
+    def conditional_probs(path):
+        if path not in probs_cache:
+            probs_cache[path] = dynamics.alternative_probabilities(
+                state_cache[path], stages[len(path)]
+            )
+        return probs_cache[path]
+
+    counts = {}
+    first_path = None
+    for replica in range(replicas):
+        rng = dynamics.replica_rng(seed, replica)
+        for _ in range(runs):
+            cur = ()
+            for _depth in range(len(stages)):
+                probs = conditional_probs(cur)
+                u = rng.random()
+                idx = int(
+                    np.searchsorted(np.cumsum(probs), u, side="right").clip(
+                        0, len(probs) - 1
+                    )
+                )
+                key = cur + (idx,)
+                if key not in state_cache and float(probs[idx]) > 1e-15:
+                    cand = stages[len(cur)].candidates[idx]
+                    _, state_cache[key] = dynamics.realized_state(state_cache[cur], cand)
+                cur = key
+            counts[cur] = counts.get(cur, 0) + 1
+            if first_path is None:
+                first_path = cur
+    return counts, first_path

@@ -1,6 +1,7 @@
 """Probability law: cut states, joints, sampling, realization, properties."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +10,19 @@ import reference
 from conftest import (
     POINTER,
     SPIN,
+    SQRT_HALF,
     HistoryFactory,
+    StuckGenerator,
     bell_pair,
     figure_outcome_candidates,
+    gap_alternatives,
     generic_figure,
     unit_factor,
+    zero_branch_scenario,
 )
+from eventweave import dynamics
 from eventweave.dynamics import (
+    ZERO_PROBABILITY_EPS,
     AlternativeSet,
     CandidateEvent,
     alternative_probabilities,
@@ -26,6 +33,7 @@ from eventweave.dynamics import (
     realized_state,
     sample_extension,
     sample_many,
+    sample_outcome_tree,
 )
 from eventweave.epr import Direction, build_epr, singlet_vector, spin_eigenvectors
 from eventweave.errors import (
@@ -34,6 +42,7 @@ from eventweave.errors import (
     ZeroProbabilityEvent,
 )
 from eventweave.graph import Cut, History
+from eventweave.scenario import Scenario, load_scenario
 from eventweave.tensors import (
     FactorLabel,
     LabeledVector,
@@ -242,6 +251,73 @@ def test_probability_sum_above_one_is_a_hard_error():
     with pytest.raises(NotExhaustive) as err:
         alternative_probabilities(s, bloated)
     assert err.value.total > 1.0 + 1e-9
+
+
+def _plus_state():
+    h = History()
+    h.add_initial_event(unit_factor("s", [SQRT_HALF, SQRT_HALF]))
+    return cut_state(h)
+
+
+def test_gap_uniform_never_draws_the_zero_weight_candidate():
+    s, alts = _plus_state(), gap_alternatives("s", "out")
+    probs = alternative_probabilities(s, alts)
+    assert probs[2] <= ZERO_PROBABILITY_EPS
+    assert probs.sum() < StuckGenerator().random()
+    assert sample_extension(s, alts, StuckGenerator()) == 1
+    assert set(sample_many(s, alts, 16, StuckGenerator()).tolist()) == {1}
+
+
+def test_outcome_tree_gap_uniform_never_enters_the_zero_weight_branch(monkeypatch):
+    monkeypatch.setattr(dynamics, "replica_rng", StuckGenerator)
+    h = History()
+    h.add_initial_event(unit_factor("s", [SQRT_HALF, SQRT_HALF]))
+    tree = sample_outcome_tree(h, [gap_alternatives("s", "out")], 50, 0)
+    assert tree.counts == [0, 50, 0]
+    assert tree.first_path == (1,)
+
+
+# -- outcome tree --------------------------------------------------------------------
+
+FIGURE = Path(__file__).resolve().parents[1] / "scenarios" / "figure.json"
+
+OUTCOME_SCENARIOS = {
+    "figure": lambda: load_scenario(FIGURE),
+    "zero-branch": zero_branch_scenario,
+    "no-stages": lambda: Scenario(zero_branch_scenario().initial_events, []),
+}
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", sorted(OUTCOME_SCENARIOS))
+def test_outcome_tree_counts_equal_the_per_draw_loop(name, seed, replicas):
+    scen = OUTCOME_SCENARIOS[name]()
+    stages = [stage.alternatives for stage in scen.stages]
+    runs = 1000
+    tree = sample_outcome_tree(scen.build_history(), stages, runs, seed, replicas)
+    counts, first_path = reference.naive_simulate_counts(
+        scen.build_history(), stages, runs, seed, replicas
+    )
+    assert dict(zip(tree.paths, tree.counts)) == {
+        p: counts.get(p, 0) for p in tree.paths
+    }
+    assert tree.first_path == first_path
+    assert sum(tree.counts) == runs * replicas
+
+
+def test_outcome_tree_prunes_zero_probability_subtrees():
+    scen = zero_branch_scenario()
+    tree = sample_outcome_tree(
+        scen.build_history(), [st.alternatives for st in scen.stages], 200, 1
+    )
+    for path, prob, count in zip(tree.paths, tree.analytic, tree.counts):
+        if path[0] == 2 or path[1] == path[2]:
+            assert prob == 0.0 and count == 0
+        else:
+            assert abs(prob - 0.25) < 1e-9
+    assert tree.chain_rule_checked == 4
+    assert tree.chain_rule_max_dev < 1e-12
 
 
 # -- realize ---------------------------------------------------------------------

@@ -10,8 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import POINTER, SPIN, unit_factor
-from eventweave import cli
+from conftest import (
+    POINTER,
+    SPIN,
+    SQRT_HALF,
+    StuckGenerator,
+    spin_alternatives,
+    unit_factor,
+    zero_branch_scenario,
+)
+from eventweave import cli, dynamics
 from eventweave.dynamics import AlternativeSet, CandidateEvent
 from eventweave.graph import vector_from_dict, vector_to_dict
 from eventweave.scenario import (
@@ -188,6 +196,36 @@ def test_simulate_flags_non_exhaustive_sets(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", str(path))
     assert code == 3
     assert "0.7" in err
+
+
+def test_simulate_gap_uniforms_exit_cleanly(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(scenario_to_dict(zero_branch_scenario())))
+    monkeypatch.setattr(dynamics, "replica_rng", StuckGenerator)
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--runs", "10")
+    assert code in (0, 3)
+    if code == 0:
+        res = json.loads(out)["results"]
+        for p in res["paths"]:
+            assert p["analytic"] > 0.0 or p["empirical"] == 0.0
+
+
+def test_simulate_refuses_too_many_outcome_paths(tmp_path, capsys):
+    n = dynamics.MAX_OUTCOME_PATHS.bit_length()  # 2**n paths, just above the cap
+    scen = Scenario(
+        initial_events=[
+            (f"src{i}", unit_factor(f"s{i}", [SQRT_HALF, SQRT_HALF]), None)
+            for i in range(n)
+        ],
+        stages=[Stage(f"m{i}", spin_alternatives(f"s{i}", f"o{i}")) for i in range(n)],
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(scenario_to_dict(scen)))
+    code, out, err = run_cli(capsys, "simulate", str(path), "--runs", "10")
+    assert code == 2
+    assert out == ""
+    assert f"{2 ** n} outcome paths" in err
+    assert str(dynamics.MAX_OUTCOME_PATHS) in err
 
 
 def test_simulate_missing_file(capsys):
