@@ -32,7 +32,6 @@ from .tensors import (
     SpaceType,
     apply_event_operator,
     contract,
-    squared_norm,
     tensor_product,
 )
 from .graph import Cut, EventRecord, History, LinkRecord, Region
@@ -94,6 +93,5 @@ __all__ = [
     "sample_extension",
     "sample_many",
     "sample_outcome_tree",
-    "squared_norm",
     "tensor_product",
 ]

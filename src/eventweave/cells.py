@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class MomentumGrid:
 
     @classmethod
     def of_box(cls, n_points: int, box_length: float, hbar: float = 1.0) -> "MomentumGrid":
+        if not (math.isfinite(box_length) and box_length > 0):
+            raise ValueError(f"box length must be positive and finite, got {box_length}")
         return cls(n_points, 2.0 * math.pi * hbar / box_length, hbar)
 
     @property
@@ -77,12 +79,10 @@ class TKernel:
     sweeps use.
     """
 
-    def __init__(self, grid: MomentumGrid, *, matrix=None, left=None, right=None,
-                 smooth_scale: float | None = None):
+    def __init__(self, grid: MomentumGrid, *, matrix=None, left=None, right=None):
         if (matrix is None) == (left is None):
             raise ValueError("provide exactly one of matrix or left/right")
         self.grid = grid
-        self.smooth_scale = smooth_scale
         n = grid.n_points
         if matrix is not None:
             matrix = np.asarray(matrix, dtype=np.complex128)
@@ -101,18 +101,12 @@ class TKernel:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, grid, matrix, smooth_scale=None) -> "TKernel":
-        return cls(grid, matrix=matrix, smooth_scale=smooth_scale)
+    def from_matrix(cls, grid, matrix) -> "TKernel":
+        return cls(grid, matrix=matrix)
 
     @classmethod
-    def from_function(cls, grid, fn: Callable, smooth_scale=None) -> "TKernel":
-        p = grid.momenta()
-        pp, qq = np.meshgrid(p, p, indexing="ij")
-        return cls(grid, matrix=fn(pp, qq), smooth_scale=smooth_scale)
-
-    @classmethod
-    def separable(cls, grid, left, right=None, smooth_scale=None) -> "TKernel":
-        return cls(grid, left=left, right=right, smooth_scale=smooth_scale)
+    def separable(cls, grid, left, right=None) -> "TKernel":
+        return cls(grid, left=left, right=right)
 
     @classmethod
     def constant(cls, grid, value: complex = 1.0) -> "TKernel":
@@ -154,15 +148,10 @@ def translate_kernel(kernel: TKernel, x: float) -> TKernel:
     phase = np.exp(1j * p * x / kernel.grid.hbar)
     if kernel.is_separable:
         return TKernel.separable(
-            kernel.grid,
-            kernel._left * phase,
-            kernel._right * np.conj(phase),
-            smooth_scale=kernel.smooth_scale,
+            kernel.grid, kernel._left * phase, kernel._right * np.conj(phase)
         )
     return TKernel.from_matrix(
-        kernel.grid,
-        kernel.matrix * np.multiply.outer(phase, np.conj(phase)),
-        smooth_scale=kernel.smooth_scale,
+        kernel.grid, kernel.matrix * np.multiply.outer(phase, np.conj(phase))
     )
 
 
@@ -186,7 +175,7 @@ def integrate_over_box(kernel: TKernel) -> TKernel:
         2j * np.pi * np.multiply.outer(offsets, sites) / n
     ).sum(axis=1)
     out = kernel.matrix * phase_sum[_offset_index_matrix(n) + (n - 1)]
-    return TKernel.from_matrix(grid, out, smooth_scale=kernel.smooth_scale)
+    return TKernel.from_matrix(grid, out)
 
 
 @dataclass
@@ -209,6 +198,8 @@ class CellPartition:
         """
         if n_cells < 1:
             raise ValueError("need at least one cell")
+        if not smoothing_fraction >= 0:
+            raise ValueError(f"smoothing fraction must be >= 0, got {smoothing_fraction}")
         n = grid.n_points
         if n_cells > n:
             raise ValueError("more cells than grid sites")
@@ -327,7 +318,7 @@ def cell_decompose(kernel: TKernel, cells: CellPartition) -> list[TKernel]:
     idx = _offset_index_matrix(n) % n
     tau = kernel.matrix
     return [
-        TKernel.from_matrix(grid, tau * cells.hat(k)[idx], smooth_scale=kernel.smooth_scale)
+        TKernel.from_matrix(grid, tau * cells.hat(k)[idx])
         for k in range(cells.n_cells)
     ]
 
@@ -456,9 +447,6 @@ class SweepResult:
     def widths(self) -> np.ndarray:
         return np.array([pt.cell_width for pt in self.points])
 
-    def spreads(self) -> np.ndarray:
-        return np.array([pt.delta_p for pt in self.points])
-
 
 #: cell counts covering two decades of width on the default sweep grid
 DEFAULT_SWEEP_CELLS = (6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 600)
@@ -486,6 +474,10 @@ def width_sweep(
     different resolution regime; the kernel is a smooth separable envelope
     ``exp(-P^2 / 2 (tau_scale p_max)^2)`` on each side.
     """
+    if not tau_scale > 0:
+        raise ValueError(f"tau scale must be positive, got {tau_scale}")
+    if len(set(cell_counts)) < 2:
+        raise ValueError("a slope needs at least two distinct cell counts")
     grid = MomentumGrid.of_box(n_points, box_length, hbar)
     p = grid.momenta()
     pmax = float(np.max(np.abs(p)))

@@ -7,8 +7,10 @@ for the ``duration_s`` field.  Random streams derive from
 ``default_rng([seed, replica])`` and every sampling draw consumes exactly
 one uniform, so runs are reproducible and parallelizable by replica.
 
-Exit codes: 0 success, 2 usage or parse errors, 3 scenario or model
-invariant violations (non-exhaustive alternatives, diagonal mismatch).
+Exit codes: 0 success, 2 usage, parse and file errors (bad argument
+values, malformed scenarios, unreadable inputs, unwritable ``--out``), 3
+scenario or model invariant violations (non-exhaustive alternatives,
+diagonal mismatch).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     PartitionNotUnity,
     ZeroProbabilityEvent,
 )
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 
 SCHEMA_VERSION = 1
 
@@ -51,7 +53,7 @@ REPORT_SCHEMA = {
 }
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad argument values; maps to exit code 2."""
 
 
@@ -66,22 +68,22 @@ def _outcome_keys():
     return [f"p_{n.replace('+', 'p').replace('-', 'm')}" for n in epr.OUTCOME_PAIRS]
 
 
-def run_epr(theta_deg: float, runs: int, seed: int, replicas: int = 1):
-    if not 0.0 <= theta_deg <= 180.0:
-        raise UsageError(f"theta must be in [0, 180], got {theta_deg}")
-    if runs < 1:
+def cmd_epr(args) -> tuple[dict, list, list]:
+    if not 0.0 <= args.theta <= 180.0:
+        raise UsageError(f"theta must be in [0, 180], got {args.theta}")
+    if args.runs < 1:
         raise UsageError("runs must be positive")
-    if replicas < 1:
+    if args.replicas < 1:
         raise UsageError("replicas must be positive")
     setup = epr.build_epr(
-        epr.Direction.in_plane_deg(0.0), epr.Direction.in_plane_deg(theta_deg)
+        epr.Direction.in_plane_deg(0.0), epr.Direction.in_plane_deg(args.theta)
     )
     analytic = epr.joint_distribution(setup)
     keys = _outcome_keys()
     per_replica = []
     pooled = np.zeros(4)
-    for r in range(replicas):
-        freqs = epr.mc_frequencies(setup, runs, dynamics.replica_rng(seed, r))
+    for r in range(args.replicas):
+        freqs = epr.mc_frequencies(setup, args.runs, dynamics.replica_rng(args.seed, r))
         pooled += freqs
         per_replica.append(
             {
@@ -90,14 +92,14 @@ def run_epr(theta_deg: float, runs: int, seed: int, replicas: int = 1):
                 "max_abs_deviation": float(np.max(np.abs(freqs - analytic))),
             }
         )
-    pooled /= replicas
+    pooled /= args.replicas
     dev = np.abs(pooled - analytic)
-    n_total = runs * replicas
+    n_total = args.runs * args.replicas
     within = bool(
         all(dev[i] <= _three_sigma_band(analytic[i], n_total) for i in range(4))
     )
     results = {
-        "theta_deg": float(theta_deg),
+        "theta_deg": float(args.theta),
         **{k: float(a) for k, a in zip(keys, analytic)},
         "E": float(analytic[0] + analytic[3] - analytic[1] - analytic[2]),
         "empirical": {k: float(f) for k, f in zip(keys, pooled)},
@@ -111,10 +113,6 @@ def run_epr(theta_deg: float, runs: int, seed: int, replicas: int = 1):
         for n, a, e in zip(epr.OUTCOME_PAIRS, analytic, pooled)
     ]
     return results, header, rows
-
-
-def cmd_epr(args) -> tuple[dict, list, list]:
-    return run_epr(args.theta, args.runs, args.seed, args.replicas)
 
 
 def cmd_chsh(args) -> tuple[dict, list, list]:
@@ -195,9 +193,7 @@ def cmd_thermal(args) -> tuple[dict, list, list]:
         beta=args.beta, hbar=args.hbar,
     )
     match = thermal.matching_width(model)
-    family = thermal.PacketFamily.every_site(model, match.sigma_star)
-    mixture = thermal.packet_mixture_density(model, family)
-    thermal_d = thermal.thermal_density(model)
+    mixture, thermal_d = match.mixture, match.thermal
     lam = thermal.h_formula_width(model)
     results = {
         "sigma_star": match.sigma_star,
@@ -357,39 +353,30 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         results, header, rows = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        duration = time.perf_counter() - start
+        config = {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("handler",) and not callable(v)
+        }
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": config,
+            "results": results,
+            "duration_s": duration,
+        }
+        _emit(args, report, header, rows)
     except json.JSONDecodeError as exc:
         print(f"error: scenario parse failed at line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NotExhaustive, NoMatch, PartitionNotUnity, ZeroProbabilityEvent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, EventWeaveError) as exc:
+    except (ValueError, OSError, EventWeaveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    duration = time.perf_counter() - start
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("handler",) and not callable(v)
-    }
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "config": config,
-        "results": results,
-        "duration_s": duration,
-    }
-    _emit(args, report, header, rows)
     return 0
 
 

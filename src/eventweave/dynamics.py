@@ -36,7 +36,6 @@ from .tensors import (
     ProductBra,
     apply_event_operator,
     contract,
-    squared_norm,
     tensor_product,
 )
 
@@ -59,11 +58,9 @@ MAX_OUTCOME_PATHS = 65536
 class CutState:
     """Unit probability source for extensions of a cut.
 
-    ``contributing_events`` is informational; the physics is entirely in
-    ``composite``, whose labels are the cut's free links.
+    ``composite`` is the unit state whose labels are the cut's free links.
     """
 
-    contributing_events: tuple[str, ...]
     composite: LabeledVector
 
 
@@ -114,7 +111,6 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
         cut = Cut.of(cut)
     history.validate_cut(cut)
     inside = cut.past_event_ids
-    contributors: list[str] = []
     composite = LabeledVector.scalar(1.0)
     for eid in sorted(inside):
         ev = history.events[eid]
@@ -132,7 +128,6 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
         if absorbed:
             vec = contract(ProductBra(absorbed), vec)
         composite = tensor_product(composite, vec)
-        contributors.append(eid)
     total = composite.squared_norm()
     if total <= ZERO_PROBABILITY_EPS:
         raise ZeroProbabilityEvent(
@@ -140,12 +135,12 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
         )
     if abs(total - 1.0) > 1e-15:
         composite = composite.scaled(1.0 / np.sqrt(total))
-    return CutState(tuple(contributors), composite)
+    return CutState(composite)
 
 
 def event_probability(state: CutState, cand: CandidateEvent) -> float:
     """Squared norm of the candidate's operator applied to the state."""
-    return squared_norm(apply_event_operator(cand.as_operator(), state.composite))
+    return apply_event_operator(cand.as_operator(), state.composite).squared_norm()
 
 
 def joint_probability(state: CutState, cands: Sequence[CandidateEvent]) -> float:
@@ -165,17 +160,16 @@ def joint_probability(state: CutState, cands: Sequence[CandidateEvent]) -> float
     vec = state.composite
     for cand in cands:
         vec = apply_event_operator(cand.as_operator(), vec)
-    return squared_norm(vec)
+    return vec.squared_norm()
 
 
 def realized_state(state: CutState, cand: CandidateEvent) -> tuple[float, CutState]:
     """Probability of the candidate plus the renormalized post-event state."""
     vec = apply_event_operator(cand.as_operator(), state.composite)
-    p = squared_norm(vec)
+    p = vec.squared_norm()
     if p <= ZERO_PROBABILITY_EPS:
         raise ZeroProbabilityEvent(f"candidate has probability {p!r}")
-    new_contrib = state.contributing_events + ((cand.name or "<new>",))
-    return p, CutState(new_contrib, vec.scaled(1.0 / np.sqrt(p)))
+    return p, CutState(vec.scaled(1.0 / np.sqrt(p)))
 
 
 def alternative_probabilities(

@@ -63,10 +63,6 @@ class LinkRecord:
     def established(self) -> bool:
         return self.target is not None
 
-    @property
-    def status(self) -> str:
-        return "established" if self.established else "free"
-
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -86,10 +82,6 @@ class EventRecord:
     amplitude: complex = 1.0 + 0.0j
     bra: ProductBra | None = None
     region: Region | None = None
-
-    @property
-    def kind(self) -> str:
-        return "initial" if not self.backward_links else "interior"
 
 
 @dataclass(frozen=True)
@@ -369,9 +361,7 @@ class History:
                     "bra": None
                     if ev.bra is None
                     else [vector_to_dict(f) for f in ev.bra.factors.values()],
-                    "region": None
-                    if ev.region is None
-                    else {"center": list(ev.region.center), "extent": list(ev.region.extent)},
+                    "region": region_to_dict(ev.region),
                 }
             )
         links = []
@@ -389,6 +379,8 @@ class History:
 
     @classmethod
     def from_dict(cls, data: dict) -> "History":
+        """Inverse of :meth:`to_dict`; raises ``ValueError`` unless the
+        loaded history passes :meth:`validate`."""
         h = cls()
         for rec in data["links"]:
             space = SpaceType(rec["space"]["name"], rec["space"]["dim"])
@@ -396,11 +388,6 @@ class History:
                 rec["id"], space, rec["source"], rec.get("target")
             )
         for rec in data["events"]:
-            region = None
-            if rec.get("region") is not None:
-                region = Region(
-                    tuple(rec["region"]["center"]), tuple(rec["region"]["extent"])
-                )
             bra = None
             if rec.get("bra") is not None:
                 bra = ProductBra([vector_from_dict(f) for f in rec["bra"]])
@@ -412,9 +399,12 @@ class History:
                 emitted_vector=vector_from_dict(rec["vector"]),
                 amplitude=complex(amp[0], amp[1]),
                 bra=bra,
-                region=region,
+                region=region_from_dict(rec.get("region")),
             )
         h._counter = len(h.events)
+        problems = h.validate()
+        if problems:
+            raise ValueError(f"invalid history: {'; '.join(problems[:3])}")
         return h
 
     def to_json(self, **kwargs) -> str:
@@ -423,6 +413,20 @@ class History:
     @classmethod
     def from_json(cls, text: str) -> "History":
         return cls.from_dict(json.loads(text))
+
+
+def region_to_dict(region: Region | None) -> dict | None:
+    """Region literal: center and extent lists; no region stays ``None``."""
+    if region is None:
+        return None
+    return {"center": list(region.center), "extent": list(region.extent)}
+
+
+def region_from_dict(data: dict | None) -> Region | None:
+    """Parse a region literal; ``None`` means the event carries no region."""
+    if data is None:
+        return None
+    return Region(data["center"], data["extent"])
 
 
 def vector_to_dict(vec: LabeledVector) -> dict:

@@ -15,12 +15,19 @@ Parse errors carry a breadcrumb to the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import AlternativeSet, CandidateEvent
 from .errors import EventWeaveError
-from .graph import History, Region, vector_from_dict, vector_to_dict
+from .graph import (
+    History,
+    Region,
+    region_from_dict,
+    region_to_dict,
+    vector_from_dict,
+    vector_to_dict,
+)
 from .tensors import LabeledVector, ProductBra
 
 SCHEMA_NAME = "eventweave-scenario/1"
@@ -42,17 +49,21 @@ class Stage:
 
 @dataclass
 class Scenario:
-    """Parsed scenario: initial events, staged alternatives, named cuts."""
+    """Parsed scenario: initial events and staged alternatives."""
 
     initial_events: list[tuple[str, LabeledVector, Region | None]]
     stages: list[Stage]
-    cuts: dict[str, list[str]] = field(default_factory=dict)
 
     def build_history(self) -> History:
         h = History()
         for eid, vec, region in self.initial_events:
             h.add_initial_event(vec, region=region, event_id=eid)
         return h
+
+
+def _object(data, what, loc) -> None:
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{what} must be a JSON object", loc)
 
 
 def _expect(data, key, kind, loc):
@@ -67,8 +78,7 @@ def _expect(data, key, kind, loc):
 
 
 def _parse_vector(data, loc) -> LabeledVector:
-    if not isinstance(data, dict):
-        raise ScenarioError("vector literal must be an object", loc)
+    _object(data, "vector literal", loc)
     _expect(data, "labels", list, loc)
     _expect(data, "amps", list, loc)
     try:
@@ -78,10 +88,8 @@ def _parse_vector(data, loc) -> LabeledVector:
 
 
 def _parse_region(data, loc) -> Region | None:
-    if data is None:
-        return None
     try:
-        return Region(tuple(data["center"]), tuple(data["extent"]))
+        return region_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad region ({exc})", loc) from exc
 
@@ -89,11 +97,17 @@ def _parse_region(data, loc) -> Region | None:
 def _parse_complex(data, loc) -> complex:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ScenarioError("complex values are [re, im] pairs", loc)
-    return complex(float(data[0]), float(data[1]))
+    try:
+        return complex(float(data[0]), float(data[1]))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad complex value ({exc})", loc) from exc
 
 
 def _parse_candidate(data, loc) -> CandidateEvent:
+    _object(data, "candidate", loc)
     name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ScenarioError("field 'name' should be str", loc)
     c = _parse_complex(_expect(data, "c", None, loc), f"{loc}.c")
     bra_entries = _expect(data, "bra", list, loc)
     if not bra_entries:
@@ -117,14 +131,14 @@ def _parse_candidate(data, loc) -> CandidateEvent:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    _object(data, "scenario", "$")
     schema = data.get("schema")
     if schema != SCHEMA_NAME:
         raise ScenarioError(f"unknown schema {schema!r}; expected {SCHEMA_NAME!r}")
     initial = []
     for i, entry in enumerate(_expect(data, "initial_events", list, "$")):
         loc = f"$.initial_events[{i}]"
+        _object(entry, "initial event", loc)
         eid = _expect(entry, "id", str, loc)
         vec = _parse_vector(_expect(entry, "vector", dict, loc), f"{loc}.vector")
         region = _parse_region(entry.get("region"), f"{loc}.region")
@@ -132,8 +146,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not initial:
         raise ScenarioError("need at least one initial event", "$.initial_events")
     stages = []
-    for i, entry in enumerate(data.get("stages", [])):
+    stage_entries = _expect(data, "stages", list, "$") if "stages" in data else []
+    for i, entry in enumerate(stage_entries):
         loc = f"$.stages[{i}]"
+        _object(entry, "stage", loc)
         name = entry.get("name", f"stage{i}")
         exhaustive = bool(entry.get("exhaustive", True))
         cand_entries = _expect(entry, "candidates", list, loc)
@@ -144,12 +160,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             for j, c in enumerate(cand_entries)
         ]
         stages.append(Stage(name, AlternativeSet(cands, exhaustive=exhaustive)))
-    cuts = {}
-    for name, ids in data.get("cuts", {}).items():
-        if not isinstance(ids, list):
-            raise ScenarioError("a cut is a list of event ids", f"$.cuts.{name}")
-        cuts[name] = list(ids)
-    return Scenario(initial_events=initial, stages=stages, cuts=cuts)
+    return Scenario(initial_events=initial, stages=stages)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -167,9 +178,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             {
                 "id": eid,
                 "vector": vector_to_dict(vec),
-                "region": None
-                if region is None
-                else {"center": list(region.center), "extent": list(region.extent)},
+                "region": region_to_dict(region),
             }
             for eid, vec, region in scenario.initial_events
         ],
@@ -185,17 +194,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                             vector_to_dict(f) for f in cand.bra.factors.values()
                         ],
                         "ket": vector_to_dict(cand.ket),
-                        "region": None
-                        if cand.region is None
-                        else {
-                            "center": list(cand.region.center),
-                            "extent": list(cand.region.extent),
-                        },
+                        "region": region_to_dict(cand.region),
                     }
                     for cand in stage.alternatives.candidates
                 ],
             }
             for stage in scenario.stages
         ],
-        "cuts": dict(scenario.cuts),
     }

@@ -248,11 +248,6 @@ def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
     return LabeledVector(labels, np.ascontiguousarray(tensor).reshape(-1), _canonical=True)
 
 
-def squared_norm(psi: LabeledVector) -> float:
-    """Sum of squared amplitude magnitudes; zero iff the vector is zero."""
-    return psi.squared_norm()
-
-
 def apply_event_operator(op: EventOperator, psi: LabeledVector) -> LabeledVector:
     """Apply ``c |ket><bra|`` to a state: ``c * ket (x) <bra|psi``."""
     residual = contract(op.bra, psi)

@@ -164,8 +164,12 @@ def h_formula_width(model: LatticeModel) -> float:
 
 @dataclass(frozen=True)
 class MatchResult:
+    """Matching width, its residual, and the two densities it compared."""
+
     sigma_star: float
     residual_sup_norm: float
+    thermal: MomentumDensity
+    mixture: MomentumDensity
 
 
 def matching_width(
@@ -185,7 +189,7 @@ def matching_width(
     residual = float(np.max(np.abs(thermal.diagonal - mixture.diagonal)))
     if not math.isfinite(residual) or residual > tolerance:
         raise NoMatch(residual, tolerance)
-    return MatchResult(sigma_star=sigma, residual_sup_norm=residual)
+    return MatchResult(sigma, residual, thermal, mixture)
 
 
 def packet_overlap(model: LatticeModel, sigma: float, c1: float, c2: float) -> float:

@@ -311,3 +311,16 @@ def test_spread_times_width_sits_near_h(rng):
 def test_spread_scales_inversely_with_cell_width():
     sweep = width_sweep(cell_counts=(8, 16, 32, 64, 128), n_points=1024)
     assert abs(sweep.slope + 1.0) < 0.05
+
+
+def test_sweep_inputs_that_give_no_spread_are_refused():
+    with pytest.raises(ValueError, match="box length"):
+        MomentumGrid.of_box(64, 0.0)
+    with pytest.raises(ValueError, match="box length"):
+        MomentumGrid.of_box(64, float("nan"))
+    with pytest.raises(ValueError, match="smoothing"):
+        CellPartition.smoothed_indicators(MomentumGrid.of_box(256, 1.0), 8, -0.1)
+    with pytest.raises(ValueError, match="tau scale"):
+        width_sweep(cell_counts=(8, 16), n_points=256, tau_scale=0.0)
+    with pytest.raises(ValueError, match="two distinct"):
+        width_sweep(cell_counts=(8, 8), n_points=256)

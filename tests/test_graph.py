@@ -182,6 +182,26 @@ def test_history_round_trip_is_lossless(rng):
                 assert np.array_equal(back.events[eid].bra.factors[lid].amps, fac.amps)
 
 
+def _double_first_vector(data):
+    vec = data["events"][0]["vector"]
+    vec["amps"] = [[2 * re, 2 * im] for re, im in vec["amps"]]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_double_first_vector, "emitted vector squared norm"),
+        (lambda data: data["links"][0].update(target="ghost"), "unknown target 'ghost'"),
+    ],
+    ids=["norm-4-vector", "dangling-link-target"],
+)
+def test_from_dict_refuses_invalid_histories(edit, problem):
+    data = generic_figure().to_dict()
+    edit(data)
+    with pytest.raises(ValueError, match=problem):
+        History.from_dict(data)
+
+
 def test_snapshot_isolation():
     h = generic_figure()
     snap = h.snapshot()

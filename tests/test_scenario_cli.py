@@ -19,7 +19,7 @@ from conftest import (
     unit_factor,
     zero_branch_scenario,
 )
-from eventweave import cli, dynamics
+from eventweave import cli, dynamics, thermal
 from eventweave.dynamics import AlternativeSet, CandidateEvent
 from eventweave.graph import vector_from_dict, vector_to_dict
 from eventweave.scenario import (
@@ -80,7 +80,6 @@ def test_shipped_figure_scenario_parses_and_builds():
     assert [s.name for s in scen.stages] == ["absorb-left", "absorb-right"]
     h = scen.build_history()
     assert h.validate() == []
-    assert scen.cuts["start"] == ["left-apparatus", "right-apparatus", "decay"]
 
 
 def test_scenario_round_trip():
@@ -234,6 +233,67 @@ def test_simulate_missing_file(capsys):
     assert "file" in err.lower() or "No such" in err
 
 
+def _figure_edited(edit):
+    def argv(tmp_path):
+        data = json.loads(FIGURE.read_text())
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return ["simulate", str(path), "--runs", "10", "--format", "csv"]
+    return argv
+
+
+def _first_candidate(data):
+    return data["stages"][0]["candidates"][0]
+
+
+#: case -> (argv built under tmp_path, text the error line must contain)
+BAD_INPUTS = {
+    "stages-of-ints": (_figure_edited(lambda d: d.update(stages=[1])), "$.stages[0]"),
+    "stages-object": (_figure_edited(lambda d: d.update(stages={"a": 1})), "'stages'"),
+    "initial-event-not-object": (
+        _figure_edited(lambda d: d.update(initial_events=[1])), "$.initial_events[0]"
+    ),
+    "candidate-not-object": (
+        _figure_edited(lambda d: d["stages"][0].update(candidates=["x"])),
+        "$.stages[0].candidates[0]",
+    ),
+    "complex-with-null": (
+        _figure_edited(lambda d: _first_candidate(d).update(c=[None, 0.0])),
+        "$.stages[0].candidates[0].c",
+    ),
+    "candidate-name-not-string": (
+        _figure_edited(lambda d: _first_candidate(d).update(name=5)), "'name'"
+    ),
+    "scenario-is-a-directory": (lambda tmp: ["simulate", str(tmp)], "directory"),
+    "out-in-missing-directory": (
+        lambda tmp: ["chsh", "--out", str(tmp / "missing" / "r.json")], "missing"
+    ),
+    "cells-zero-box": (lambda tmp: ["cells", "--box", "0"], "box"),
+    "cells-zero-tau-scale": (
+        lambda tmp: ["cells", "--sites", "256", "--cells", "8,16", "--tau-scale", "0"],
+        "tau",
+    ),
+    "cells-negative-smoothing": (
+        lambda tmp: ["cells", "--sites", "256", "--cells", "8,16", "--smoothing", "-0.1"],
+        "smoothing",
+    ),
+    "cells-single-width": (
+        lambda tmp: ["cells", "--sites", "256", "--cells", "8"], "two distinct"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_malformed_inputs_exit_2_with_an_error_line(case, tmp_path, capsys):
+    build_argv, expected = BAD_INPUTS[case]
+    code, out, err = run_cli(capsys, *build_argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert expected in err
+
+
 # -- thermal subcommand -------------------------------------------------------------------
 
 
@@ -246,6 +306,20 @@ def test_thermal_defaults_meet_the_contract(capsys):
     assert abs(res["ratio"] - 2.0 * math.sqrt(2.0) * math.pi) < 1e-9
     assert abs(res["trace_thermal"] - 1.0) < 1e-12
     assert abs(res["trace_mixture"] - 1.0) < 1e-12
+
+
+def test_thermal_builds_the_packet_mixture_once(capsys, monkeypatch):
+    calls = []
+    original = thermal.packet_mixture_density
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(thermal, "packet_mixture_density", counting)
+    code, _, _ = run_cli(capsys, "thermal-ambiguity", "--sites", "64")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_thermal_rejects_nonpositive_sites(capsys):

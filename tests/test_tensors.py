@@ -20,7 +20,6 @@ from eventweave.tensors import (
     contract,
     distance,
     random_unit_vector,
-    squared_norm,
     tensor_product,
 )
 
@@ -60,7 +59,7 @@ def test_tensor_product_of_basis_vectors():
 def test_tensor_product_of_unit_vectors_has_unit_norm():
     u = LabeledVector([lab("a")], [3 / 5, 4j / 5])
     v = LabeledVector([lab("b")], [SQRT_HALF, SQRT_HALF])
-    assert abs(squared_norm(tensor_product(u, v)) - 1.0) < 1e-12
+    assert abs(tensor_product(u, v).squared_norm() - 1.0) < 1e-12
 
 
 def test_tensor_product_matches_entrywise_oracle(rng):
@@ -153,18 +152,18 @@ def test_stored_label_order_is_irrelevant(rng):
     assert v1 == v2
     bra = ProductBra([random_unit_vector([lab("b")], rng)])
     assert distance(contract(bra, v1), contract(bra, v2)) == 0.0
-    assert squared_norm(v1) == squared_norm(v2)
+    assert v1.squared_norm() == v2.squared_norm()
 
 
 # -- squared_norm ---------------------------------------------------------------
 
 
 def test_squared_norm_basics(rng):
-    assert squared_norm(LabeledVector([lab("a")], [1.0, 0.0])) == 1.0
-    assert abs(squared_norm(LabeledVector([lab("a")], [SQRT_HALF, 1j * SQRT_HALF])) - 1) < 1e-15
+    assert LabeledVector([lab("a")], [1.0, 0.0]).squared_norm() == 1.0
+    assert abs(LabeledVector([lab("a")], [SQRT_HALF, 1j * SQRT_HALF]).squared_norm() - 1) < 1e-15
     v = random_vector([lab("a"), lab("c", TRI)], rng)
-    assert abs(squared_norm(v) - reference.naive_squared_norm(v.amps)) < 1e-12
-    assert squared_norm(LabeledVector([lab("a")], [0.0, 0.0])) == 0.0
+    assert abs(v.squared_norm() - reference.naive_squared_norm(v.amps)) < 1e-12
+    assert LabeledVector([lab("a")], [0.0, 0.0]).squared_norm() == 0.0
 
 
 # -- apply_event_operator --------------------------------------------------------
@@ -189,7 +188,7 @@ def test_apply_with_zero_weight_gives_zero_vector(rng):
     op = EventOperator(0.0, ProductBra([random_unit_vector([lab("a")], rng)]), ket)
     out = apply_event_operator(op, psi)
     assert out.label_ids == ("b", "fresh")
-    assert squared_norm(out) == 0.0
+    assert out.squared_norm() == 0.0
 
 
 def test_apply_spin_outcome_on_singlet_has_probability_half(rng):
@@ -203,7 +202,7 @@ def test_apply_spin_outcome_on_singlet_has_probability_half(rng):
     )
     out = apply_event_operator(op, singlet())
     assert out.label_ids == ("b", "out")
-    assert abs(squared_norm(out) - 0.5) < 1e-12
+    assert abs(out.squared_norm() - 0.5) < 1e-12
 
 
 def test_apply_rejects_ket_label_clash(rng):
@@ -238,8 +237,8 @@ def test_norm_multiplies_under_tensor_product(left, right):
     v = LabeledVector([lab("w"), lab("x", TRI)], right)
     product = tensor_product(u, v)
     assert abs(
-        squared_norm(product) - squared_norm(u) * squared_norm(v)
-    ) <= 1e-12 * max(1.0, squared_norm(u) * squared_norm(v))
+        product.squared_norm() - u.squared_norm() * v.squared_norm()
+    ) <= 1e-12 * max(1.0, u.squared_norm() * v.squared_norm())
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,7 +256,7 @@ def test_everything_matches_the_full_loop_oracle(data):
         size *= dim
         labels.append(lab(f"f{i}", SpaceType(f"d{dim}", dim)))
     psi = random_vector(labels, rng)
-    assert abs(squared_norm(psi) - reference.naive_squared_norm(psi.amps)) < 1e-10
+    assert abs(psi.squared_norm() - reference.naive_squared_norm(psi.amps)) < 1e-10
     n_bra = int(rng.integers(1, n_factors + 1))
     chosen = [labels[i] for i in rng.choice(n_factors, n_bra, replace=False)]
     factors = [random_unit_vector([l], rng) for l in chosen]
