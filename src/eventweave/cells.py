@@ -43,8 +43,8 @@ class MomentumGrid:
     def __post_init__(self):
         if self.n_points < 16:
             raise ValueError("need at least 16 grid points")
-        if self.spacing <= 0 or self.hbar <= 0:
-            raise ValueError("spacing and hbar must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.spacing, self.hbar)):
+            raise ValueError("spacing and hbar must be positive and finite")
 
     @classmethod
     def of_box(cls, n_points: int, box_length: float, hbar: float = 1.0) -> "MomentumGrid":
@@ -75,8 +75,7 @@ class TKernel:
     """Scattering kernel over the grid, dense or separable.
 
     Separable form means ``tau(P_i, P_j) = left[i] * right[j]``; it keeps
-    translation and diagonal access O(n) and is what the wide momentum
-    sweeps use.
+    translation O(n) and is what the wide momentum sweeps use.
     """
 
     def __init__(self, grid: MomentumGrid, *, matrix=None, left=None, right=None):
@@ -124,22 +123,6 @@ class TKernel:
         if self._matrix is not None:
             return self._matrix
         return np.multiply.outer(self._left, self._right)
-
-    def diagonal(self, offset: int) -> np.ndarray:
-        """Entries ``tau[j + offset, j]`` for all valid ``j``."""
-        n = self.grid.n_points
-        if abs(offset) >= n:
-            return np.zeros(0, dtype=np.complex128)
-        if self._matrix is not None:
-            return np.diagonal(self._matrix, offset=-offset)
-        if offset >= 0:
-            return self._left[offset:] * self._right[: n - offset]
-        return self._left[: n + offset] * self._right[-offset:]
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix @ psi
-        return self._left * np.dot(self._right, psi)
 
 
 def translate_kernel(kernel: TKernel, x: float) -> TKernel:
@@ -309,18 +292,18 @@ def momentum_to_position(grid: MomentumGrid, psi_p: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.fft.ifftshift(psi_p)) / math.sqrt(grid.n_points)
 
 
+def _cell_kernel(kernel: TKernel, cells: CellPartition, k: int) -> np.ndarray:
+    """Dense cell operator ``tau(P',P) * ghat_k(P'-P)``."""
+    n = kernel.grid.n_points
+    return kernel.matrix * cells.hat(k)[_offset_index_matrix(n) % n]
+
+
 def cell_decompose(kernel: TKernel, cells: CellPartition) -> list[TKernel]:
     """Cell operators ``tau(P',P) * ghat_k(P'-P)``; they sum back to the
     box-integrated operator because the cell functions sum to one."""
     cells.validate()
-    grid = kernel.grid
-    n = grid.n_points
-    idx = _offset_index_matrix(n) % n
-    tau = kernel.matrix
-    return [
-        TKernel.from_matrix(grid, tau * cells.hat(k)[idx])
-        for k in range(cells.n_cells)
-    ]
+    return [TKernel.from_matrix(kernel.grid, _cell_kernel(kernel, cells, k))
+            for k in range(cells.n_cells)]
 
 
 @dataclass
@@ -329,9 +312,12 @@ class BranchState:
 
     cell_index: int
     vector: np.ndarray
-    gk_hat: np.ndarray
     kernel: TKernel
-    grid: MomentumGrid
+    cells: CellPartition
+
+    @property
+    def gk_hat(self) -> np.ndarray:
+        return self.cells.hat(self.cell_index)
 
     def squared_norm(self) -> float:
         return float(np.vdot(self.vector, self.vector).real)
@@ -345,26 +331,25 @@ class BranchDecomposition:
     psi_out: np.ndarray
 
 
-def _apply_cell(kernel: TKernel, gk_hat: np.ndarray, psi: np.ndarray,
-                cells: CellPartition, k: int) -> np.ndarray:
+def _branch_vectors(kernel: TKernel, cells: CellPartition, psi, rows: slice):
+    """Branch vectors of the cells in ``rows``, one per row; a separable
+    kernel needs one forward and one batched inverse transform."""
     n = kernel.grid.n_points
     if kernel.is_separable:
         inner = np.fft.fft(kernel._right * psi)
         return kernel._left * (
-            kernel.grid.dx * n * np.fft.ifft(cells.functions[k] * inner)
+            kernel.grid.dx * n * np.fft.ifft(cells.functions[rows] * inner, axis=1)
         )
-    idx = _offset_index_matrix(n) % n
-    return (kernel.matrix * gk_hat[idx]) @ psi
+    return np.array([_cell_kernel(kernel, cells, k) @ psi
+                     for k in range(cells.n_cells)[rows]])
 
 
 def single_branch(
     kernel: TKernel, cells: CellPartition, k: int, psi_in: np.ndarray
 ) -> BranchState:
     """Branch state of one cell without building the others."""
-    gk_hat = cells.hat(k)
-    vec = _apply_cell(kernel, gk_hat, psi_in, cells, k)
-    return BranchState(cell_index=k, vector=vec, gk_hat=gk_hat,
-                       kernel=kernel, grid=kernel.grid)
+    (vec,) = _branch_vectors(kernel, cells, psi_in, slice(k, k + 1))
+    return BranchState(k, vec, kernel, cells)
 
 
 def branch_states(
@@ -381,12 +366,13 @@ def branch_states(
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"incoming state has norm {nrm!r}; normalize it first")
     cells.validate()
-    branches = [single_branch(kernel, cells, k, psi_in) for k in range(cells.n_cells)]
+    vectors = _branch_vectors(kernel, cells, psi_in, slice(None))
+    branches = [BranchState(k, vec, kernel, cells) for k, vec in enumerate(vectors)]
     norms2 = np.array([b.squared_norm() for b in branches])
     total = float(norms2.sum())
     if total <= 0.0:
         raise ZeroNormBranch("every branch has zero weight")
-    psi_out = np.sum([b.vector for b in branches], axis=0)
+    psi_out = vectors.sum(axis=0)
     defect = abs(float(np.vdot(psi_out, psi_out).real) - total)
     return BranchDecomposition(
         branches=branches,
@@ -403,31 +389,26 @@ def momentum_balance_spread(branch: BranchState, psi_in: np.ndarray) -> float:
     ``|tau(P',P) ghat_k(P'-P) psi(P)|^2``; the spread is taken over the
     transfer ``q = P' - P``.  Inputs should be concentrated away from the
     grid edges, since offsets are aliased by the lattice period.
+    The kernel weight of each index offset ``i - j`` is one correlation
+    (separable kernel) or one bincount over the offset matrix (dense).
     """
-    grid = branch.grid
-    n = grid.n_points
+    kernel = branch.kernel
+    n = kernel.grid.n_points
     psi2 = np.abs(np.asarray(psi_in)) ** 2
-    gk2 = np.abs(branch.gk_hat) ** 2
-    w_total = 0.0
-    q_sum = 0.0
-    q2_sum = 0.0
-    for m in range(-(n - 1), n):
-        g2 = gk2[m % n]
-        if g2 == 0.0:
-            continue
-        tau_diag = branch.kernel.diagonal(m)
-        slice_psi2 = psi2[: n - m] if m >= 0 else psi2[-m:]
-        w = g2 * float(np.dot(np.abs(tau_diag) ** 2, slice_psi2))
-        if w == 0.0:
-            continue
-        q = m * grid.spacing
-        w_total += w
-        q_sum += w * q
-        q2_sum += w * q * q
+    offsets = np.arange(-(n - 1), n)
+    if kernel.is_separable:
+        left2, right2 = np.abs(kernel._left) ** 2, np.abs(kernel._right) ** 2
+        by_offset = np.correlate(left2, right2 * psi2, "full")
+    else:
+        tau2 = np.abs(kernel.matrix) ** 2 * psi2
+        by_offset = np.bincount((_offset_index_matrix(n) + n - 1).ravel(), tau2.ravel())
+    w = np.abs(branch.gk_hat[offsets % n]) ** 2 * by_offset
+    q = kernel.grid.offset_momentum(offsets)
+    w_total = float(w.sum())
     if w_total <= 0.0 or branch.squared_norm() <= 0.0:
         raise ZeroNormBranch(f"branch {branch.cell_index} carries no weight")
-    mean = q_sum / w_total
-    var = max(q2_sum / w_total - mean * mean, 0.0)
+    mean = float(np.dot(w, q)) / w_total
+    var = max(float(np.dot(w, q * q)) / w_total - mean * mean, 0.0)
     return math.sqrt(var)
 
 

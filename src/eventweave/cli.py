@@ -182,12 +182,13 @@ def cmd_thermal(args) -> tuple[dict, list, list]:
     if args.sites < 2:
         raise UsageError(f"sites must be at least 2, got {args.sites}")
     for name in ("beta", "mass", "hbar"):
-        if getattr(args, name) <= 0:
-            raise UsageError(f"{name} must be positive")
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{name} must be positive and finite, got {value}")
     sigma_guess = 0.5 * args.hbar * math.sqrt(args.beta / args.mass)
     box = args.box if args.box else sigma_guess / thermal.MAX_SIGMA_FRACTION
-    if box <= 0:
-        raise UsageError("box must be positive")
+    if not (math.isfinite(box) and box > 0):
+        raise UsageError(f"box must be positive and finite, got {box}")
     model = thermal.LatticeModel(
         n_sites=args.sites, box_length=box, mass=args.mass,
         beta=args.beta, hbar=args.hbar,

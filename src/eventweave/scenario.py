@@ -150,8 +150,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     for i, entry in enumerate(stage_entries):
         loc = f"$.stages[{i}]"
         _object(entry, "stage", loc)
-        name = entry.get("name", f"stage{i}")
-        exhaustive = bool(entry.get("exhaustive", True))
+        name = _expect(entry, "name", str, loc) if "name" in entry else f"stage{i}"
+        exhaustive = (
+            _expect(entry, "exhaustive", bool, loc) if "exhaustive" in entry else True
+        )
         cand_entries = _expect(entry, "candidates", list, loc)
         if not cand_entries:
             raise ScenarioError("stage needs candidates", loc)

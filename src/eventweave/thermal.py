@@ -50,8 +50,9 @@ class LatticeModel:
         if self.n_sites < 2:
             raise ValueError("need at least 2 sites")
         for name in ("box_length", "mass", "beta", "hbar"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def positions(self) -> np.ndarray:
         return np.arange(self.n_sites) * (self.box_length / self.n_sites)
@@ -132,22 +133,18 @@ def packet_mixture_density(
 ) -> MomentumDensity:
     """Average of momentum-space projectors over the packet family.
 
-    Each packet is freely evolved to its family time before averaging.
-    Accumulation runs in (center, time) loop order so results are
-    bitwise-stable for a fixed family.
+    Each packet, freely evolved to its family time, is one row of a matrix
+    ``Phi``; the average is ``Phi^T conj(Phi) / count``, whose summation
+    order is BLAS's, so entries may differ from a projector-by-projector
+    sum in their last bits.
     """
     p = model.momenta()
-    n = model.n_sites
-    rho = np.zeros((n, n), dtype=np.complex128)
     kinetic_phase_rate = p**2 / (2.0 * model.mass * model.hbar)
-    count = 0
-    for center in family.centers:
-        phi0 = model.to_momentum(gaussian_packet(model, center, family.sigma))
-        for t in family.times:
-            phi = phi0 * np.exp(-1j * kinetic_phase_rate * t) if t != 0.0 else phi0
-            rho += np.multiply.outer(phi, np.conj(phi))
-            count += 1
-    rho /= count
+    phi = np.array([model.to_momentum(gaussian_packet(model, c, family.sigma))
+                    for c in family.centers])
+    phases = np.exp(-1j * np.multiply.outer(family.times, kinetic_phase_rate))
+    phi = (phi[:, None, :] * phases).reshape(-1, model.n_sites)
+    rho = phi.T @ phi.conj() / len(phi)
     return MomentumDensity(momenta=p, diagonal=rho.diagonal().real.copy(), matrix=rho)
 
 

@@ -170,3 +170,79 @@ def naive_simulate_counts(history, stages, runs, seed, replicas=1):
             if first_path is None:
                 first_path = cur
     return counts, first_path
+
+
+# -- lattice loops (one cell, one offset, one packet at a time) ----------------
+
+
+def naive_branch_vectors(kernel, cells, psi):
+    """Branch vectors built one cell at a time, one row per cell.
+
+    This is the per-cell loop :func:`eventweave.cells.branch_states`
+    replaced: a separable kernel transforms ``right * psi`` again for every
+    cell, a dense one builds ``tau * ghat_k`` for every cell.
+    """
+    grid = kernel.grid
+    n = grid.n_points
+    idx = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    rows = []
+    for k in range(cells.n_cells):
+        if kernel.is_separable:
+            inner = np.fft.fft(kernel._right * psi)
+            rows.append(
+                kernel._left * (grid.dx * n * np.fft.ifft(cells.functions[k] * inner))
+            )
+        else:
+            rows.append((kernel.matrix * cells.hat(k)[idx]) @ psi)
+    return np.array(rows)
+
+
+def naive_momentum_balance_spread(kernel, gk_hat, psi):
+    """Spread of ``P_out - P_in`` summed one index offset ``m = i - j`` at a time.
+
+    The weight of offset ``m`` is ``|ghat_k(m)|^2 sum_j |tau[j+m, j]|^2
+    |psi_j|^2``, with the kernel diagonal read straight from the separable
+    factors or the dense matrix.
+    """
+    grid = kernel.grid
+    n = grid.n_points
+    psi2 = np.abs(np.asarray(psi)) ** 2
+    gk2 = np.abs(gk_hat) ** 2
+
+    def diagonal(m):
+        if not kernel.is_separable:
+            return np.diagonal(kernel.matrix, offset=-m)
+        if m >= 0:
+            return kernel._left[m:] * kernel._right[: n - m]
+        return kernel._left[: n + m] * kernel._right[-m:]
+
+    w_total = q_sum = q2_sum = 0.0
+    for m in range(-(n - 1), n):
+        g2 = gk2[m % n]
+        if g2 == 0.0:
+            continue
+        slice_psi2 = psi2[: n - m] if m >= 0 else psi2[-m:]
+        w = g2 * float(np.dot(np.abs(diagonal(m)) ** 2, slice_psi2))
+        q = m * grid.spacing
+        w_total += w
+        q_sum += w * q
+        q2_sum += w * q * q
+    mean = q_sum / w_total
+    return math.sqrt(max(q2_sum / w_total - mean * mean, 0.0))
+
+
+def naive_packet_mixture_density(model, family):
+    """Mixture matrix accumulated one (center, time) projector at a time."""
+    from eventweave import thermal
+
+    p = model.momenta()
+    rho = np.zeros((model.n_sites, model.n_sites), dtype=complex)
+    rate = p**2 / (2.0 * model.mass * model.hbar)
+    count = 0
+    for center in family.centers:
+        phi0 = model.to_momentum(thermal.gaussian_packet(model, center, family.sigma))
+        for t in family.times:
+            phi = phi0 * np.exp(-1j * rate * t)
+            rho += np.multiply.outer(phi, np.conj(phi))
+            count += 1
+    return rho / count

@@ -280,7 +280,34 @@ def test_unit_kernel_branches_act_as_cell_multiplication():
     assert np.max(np.abs(back - want)) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["separable", "dense"])
+def test_branch_vectors_match_the_per_cell_loop_bit_for_bit(kind, rng):
+    grid = MomentumGrid.of_box(256, 1.0)
+    T = envelope_kernel(grid) if kind == "separable" else smooth_kernel(grid, rng)
+    psi = default_sweep_state(grid)
+    for n_cells in (4, 48):
+        part = CellPartition.smoothed_indicators(grid, n_cells, 0.15)
+        dec = branch_states(T, part, psi)
+        want = reference.naive_branch_vectors(T, part, psi)
+        assert np.array_equal(np.array([b.vector for b in dec.branches]), want)
+        for k in range(n_cells):
+            assert np.array_equal(single_branch(T, part, k, psi).vector, want[k])
+
+
 # -- momentum balance spread --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, n_points", [("separable", 1024), ("dense", 256)])
+def test_spreads_match_the_per_offset_loop(kind, n_points, rng):
+    grid = MomentumGrid.of_box(n_points, 1.0)
+    T = envelope_kernel(grid) if kind == "separable" else smooth_kernel(grid, rng)
+    psi = default_sweep_state(grid)
+    for n_cells in (4, 48):
+        part = CellPartition.smoothed_indicators(grid, n_cells, 0.15)
+        for branch in branch_states(T, part, psi).branches:
+            got = momentum_balance_spread(branch, psi)
+            want = reference.naive_momentum_balance_spread(T, branch.gk_hat, psi)
+            assert abs(got - want) <= 1e-12 * want
 
 
 def test_full_box_cell_conserves_momentum_exactly():
@@ -296,7 +323,6 @@ def test_zero_branch_has_no_spread():
     part = CellPartition.smoothed_indicators(grid, 2, 0.1)
     psi = default_sweep_state(grid)
     branch = single_branch(TKernel.constant(grid), part, 0, psi)
-    branch.gk_hat = np.zeros_like(branch.gk_hat)
     branch.vector = np.zeros_like(branch.vector)
     with pytest.raises(ZeroNormBranch):
         momentum_balance_spread(branch, psi)
@@ -318,6 +344,8 @@ def test_sweep_inputs_that_give_no_spread_are_refused():
         MomentumGrid.of_box(64, 0.0)
     with pytest.raises(ValueError, match="box length"):
         MomentumGrid.of_box(64, float("nan"))
+    with pytest.raises(ValueError, match="spacing and hbar"):
+        MomentumGrid.of_box(64, 1.0, hbar=float("nan"))
     with pytest.raises(ValueError, match="smoothing"):
         CellPartition.smoothed_indicators(MomentumGrid.of_box(256, 1.0), 8, -0.1)
     with pytest.raises(ValueError, match="tau scale"):

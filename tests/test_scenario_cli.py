@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +284,16 @@ BAD_INPUTS = {
     "cells-single-width": (
         lambda tmp: ["cells", "--sites", "256", "--cells", "8"], "two distinct"
     ),
+    "thermal-box-nan": (lambda tmp: ["thermal-ambiguity", "--box", "nan"], "box"),
+    "thermal-beta-nan": (lambda tmp: ["thermal-ambiguity", "--beta", "nan"], "beta"),
+    "stage-exhaustive-string": (
+        _figure_edited(lambda d: d["stages"][0].update(exhaustive="no")),
+        "$.stages[0]: field 'exhaustive' should be bool",
+    ),
+    "stage-name-not-string": (
+        _figure_edited(lambda d: d["stages"][0].update(name=[1, 2])),
+        "$.stages[0]: field 'name' should be str",
+    ),
 }
 
 
@@ -320,6 +333,22 @@ def test_thermal_builds_the_packet_mixture_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "thermal-ambiguity", "--sites", "64")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_thermal_report_does_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "eventweave.cli", "thermal-ambiguity",
+             "--sites", "128", "--format", "csv"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_thermal_rejects_nonpositive_sites(capsys):
