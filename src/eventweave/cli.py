@@ -117,6 +117,9 @@ def cmd_epr(args) -> tuple[dict, list, list]:
 
 def cmd_chsh(args) -> tuple[dict, list, list]:
     angles = (args.a, args.ap, args.b, args.bp)
+    for flag, value in zip(("--a", "--ap", "--b", "--bp"), angles):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be a finite angle, got {value}")
     dirs = tuple(epr.Direction.in_plane_deg(x) for x in angles)
     s_quantum = epr.chsh(*dirs)
     s_classical = epr.best_classical(*dirs)
@@ -133,10 +136,6 @@ def cmd_chsh(args) -> tuple[dict, list, list]:
 
 
 def cmd_simulate(args) -> tuple[dict, list, list]:
-    if args.runs < 1:
-        raise UsageError("runs must be positive")
-    if args.replicas < 1:
-        raise UsageError("replicas must be positive")
     scenario = load_scenario(args.scenario)
     stages = [stage.alternatives for stage in scenario.stages]
     tree = dynamics.sample_outcome_tree(
@@ -222,6 +221,8 @@ def cmd_cells(args) -> tuple[dict, list, list]:
         for w in args.cell_width:
             if not 0 < w <= args.box:
                 raise UsageError(f"cell width {w} outside (0, box]")
+            if not math.isfinite(args.box / w):
+                raise UsageError(f"box {args.box} / cell width {w} is not finite")
             counts.append(max(1, round(args.box / w)))
     elif args.cells:
         counts = list(args.cells)

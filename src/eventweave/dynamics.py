@@ -100,33 +100,22 @@ class AlternativeSet:
 def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutState:
     """State of a past-closed cut (``None`` means the full frontier).
 
-    Each unsaturated event contributes its emitted vector, partially
-    contracted with the bra factors of those forward links whose absorbing
-    event lies inside the cut.  Events saturated relative to the cut drop
-    out entirely; the composite is renormalized at the end.
+    The state is built from the cut's free links (``History.free_links``):
+    each source of a free link contributes its emitted vector, contracted
+    with the bra factors that events inside the cut apply to its other
+    forward links.  The composite is renormalized at the end.
     """
     if cut is None:
         cut = history.frontier_cut()
     elif not isinstance(cut, Cut):
         cut = Cut.of(cut)
-    history.validate_cut(cut)
-    inside = cut.past_event_ids
+    free = history.free_links(cut)
     composite = LabeledVector.scalar(1.0)
-    for eid in sorted(inside):
+    for eid in sorted({history.links[lid].source for lid in free}):
         ev = history.events[eid]
-        absorbed = []
-        n_free = 0
-        for lid in ev.forward_links:
-            ln = history.links[lid]
-            if ln.target is not None and ln.target in inside:
-                absorbed.append(history.events[ln.target].bra.factor(lid))
-            else:
-                n_free += 1
-        if n_free == 0:
-            continue
-        vec = ev.emitted_vector
-        if absorbed:
-            vec = contract(ProductBra(absorbed), vec)
+        bras = [history.events[history.links[lid].target].bra.factor(lid)
+                for lid in ev.forward_links if lid not in free]
+        vec = contract(ProductBra(bras), ev.emitted_vector) if bras else ev.emitted_vector
         composite = tensor_product(composite, vec)
     total = composite.squared_norm()
     if total <= ZERO_PROBABILITY_EPS:

@@ -47,7 +47,7 @@ class Direction:
 
     def __post_init__(self):
         n = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:
             raise ValueError(f"direction has norm {n!r}; must be 1 within 1e-12")
 
     @classmethod

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -93,15 +93,6 @@ class Cut:
     @classmethod
     def of(cls, ids: Iterable[str]) -> "Cut":
         return cls(frozenset(ids))
-
-    def __contains__(self, event_id: str) -> bool:
-        return event_id in self.past_event_ids
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.past_event_ids)
-
-    def __len__(self) -> int:
-        return len(self.past_event_ids)
 
 
 class History:

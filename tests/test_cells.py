@@ -23,6 +23,7 @@ from eventweave.cells import (
     width_sweep,
 )
 from eventweave.errors import PartitionNotUnity, ZeroNormBranch
+from eventweave.thermal import LatticeModel
 
 
 def smooth_kernel(grid, rng, bumps=4):
@@ -267,6 +268,18 @@ def test_position_momentum_transforms_are_unitary_inverses(rng):
     w = position_to_momentum(grid, v)
     assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-12
     assert np.max(np.abs(momentum_to_position(grid, w) - v)) < 1e-12
+
+
+def test_thermal_transform_has_the_opposite_fourier_sign(rng):
+    grid = MomentumGrid.of_box(64, 1.0)
+    model = LatticeModel(n_sites=64, box_length=1.0, mass=1.0, beta=1.0, hbar=1.0)
+    assert np.allclose(model.momenta(), grid.momenta())
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    reflected = np.roll(model.to_momentum(v)[::-1], 1)  # p -> -p on the grid
+    assert np.max(np.abs(position_to_momentum(grid, v) - reflected)) < 1e-12
+    real = v.real
+    conjugate = np.conj(model.to_momentum(real))
+    assert np.max(np.abs(position_to_momentum(grid, real) - conjugate)) < 1e-12
 
 
 def test_unit_kernel_branches_act_as_cell_multiplication():

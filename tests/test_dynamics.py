@@ -90,6 +90,54 @@ def test_cut_state_of_saturated_events_only_is_scalar_one(rng):
     assert abs(complex(s.composite) - 1.0) < 1e-12
 
 
+def history_of(h, event_ids):
+    """A new history holding only the given events of ``h``, re-added in order."""
+    g = History()
+    for eid in event_ids:
+        ev = h.events[eid]
+        if ev.bra is None:
+            g.add_initial_event(ev.emitted_vector, event_id=eid)
+        else:
+            g.add_interior_event(ev.bra, ev.amplitude, ev.emitted_vector, event_id=eid)
+    return g
+
+
+def test_cut_state_ignores_absorptions_outside_the_cut(rng):
+    factory = HistoryFactory(rng)
+    prefixes = 0
+    for _ in range(30):
+        h = factory.random_history(max_events=8)
+        ids = list(h.events)
+        for k in range(len(ids) + 1):
+            got = cut_state(h, Cut.of(ids[:k])).composite
+            alone = cut_state(history_of(h, ids[:k])).composite
+            assert got.labels == alone.labels
+            assert np.array_equal(got.amps, alone.amps)
+            prefixes += 1
+    assert prefixes >= 60
+
+
+def test_cut_state_of_long_chains_is_the_product_of_their_heads(rng):
+    h = History()
+    heads = [
+        h.add_initial_event(random_unit_vector([FactorLabel(f"c{i}_0", SPIN)], rng))
+        for i in range(4)
+    ]
+    for step in range(1, 150):
+        for i, head in enumerate(heads):
+            (lid,) = h.events[head].forward_links
+            bra = ProductBra([random_unit_vector([FactorLabel(lid, SPIN)], rng)])
+            ket = random_unit_vector([FactorLabel(f"c{i}_{step}", SPIN)], rng)
+            heads[i] = h.add_interior_event(bra, 1.0, ket)
+    assert len(h.events) == 600
+    expected = LabeledVector.scalar(1.0)
+    for head in sorted(heads):
+        expected = tensor_product(expected, h.events[head].emitted_vector)
+    got = cut_state(h).composite
+    assert got.labels == expected.labels
+    assert distance(got, expected) < 1e-14
+
+
 # -- event_probability --------------------------------------------------------------
 
 

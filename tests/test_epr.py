@@ -40,6 +40,21 @@ def test_direction_must_be_unit():
     assert abs(d.dot(d) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Direction(math.nan, math.nan, math.nan),
+        lambda: Direction(math.nan, 0.0, 1.0),
+        lambda: Direction.from_cartesian(math.inf, 0.0, 0.0),
+        lambda: Direction.in_plane_deg(math.nan),
+    ],
+    ids=["all-nan", "one-nan", "infinite-cartesian", "nan-angle"],
+)
+def test_non_finite_directions_are_refused(build):
+    with pytest.raises(ValueError, match="norm nan"):
+        build()
+
+
 def test_spin_eigenvectors_are_orthonormal_eigenstates(rng):
     for _ in range(10):
         e = random_direction(rng)

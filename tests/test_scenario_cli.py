@@ -284,6 +284,15 @@ BAD_INPUTS = {
     "cells-single-width": (
         lambda tmp: ["cells", "--sites", "256", "--cells", "8"], "two distinct"
     ),
+    "cells-infinite-box": (
+        lambda tmp: ["cells", "--box", "inf", "--cell-width", "0.1"], "box"
+    ),
+    "cells-width-count-overflows": (
+        lambda tmp: ["cells", "--box", "1e308", "--cell-width", "1e-300"], "cell width"
+    ),
+    "chsh-nan-angle": (lambda tmp: ["chsh", "--a", "nan"], "--a "),
+    "chsh-infinite-angle": (lambda tmp: ["chsh", "--b", "inf"], "--b "),
+    "simulate-zero-runs": (lambda tmp: ["simulate", str(FIGURE), "--runs", "0"], "runs"),
     "thermal-box-nan": (lambda tmp: ["thermal-ambiguity", "--box", "nan"], "box"),
     "thermal-beta-nan": (lambda tmp: ["thermal-ambiguity", "--beta", "nan"], "beta"),
     "stage-exhaustive-string": (
