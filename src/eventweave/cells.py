@@ -181,8 +181,10 @@ class CellPartition:
         """
         if n_cells < 1:
             raise ValueError("need at least one cell")
-        if not smoothing_fraction >= 0:
-            raise ValueError(f"smoothing fraction must be >= 0, got {smoothing_fraction}")
+        if not 0 <= smoothing_fraction < math.inf:
+            raise ValueError(
+                f"smoothing fraction must be finite and >= 0, got {smoothing_fraction}"
+            )
         n = grid.n_points
         if n_cells > n:
             raise ValueError("more cells than grid sites")
@@ -447,39 +449,47 @@ def width_sweep(
     smoothing_fraction: float = 0.15,
     tau_scale: float = 2.0,
     box_length: float = 1.0,
-    hbar: float = 1.0,
 ) -> SweepResult:
-    """Spread of the momentum balance versus cell width.
+    """Spread of the momentum balance versus cell width, with ``hbar = 1``.
 
     One grid serves the whole sweep, so each width sits in a genuinely
     different resolution regime; the kernel is a smooth separable envelope
-    ``exp(-P^2 / 2 (tau_scale p_max)^2)`` on each side.
+    ``exp(-P^2 / 2 (tau_scale p_max)^2)`` on each side.  Inputs that leave
+    the float range or give some width no positive spread raise ValueError.
     """
     if not tau_scale > 0:
         raise ValueError(f"tau scale must be positive, got {tau_scale}")
     if len(set(cell_counts)) < 2:
         raise ValueError("a slope needs at least two distinct cell counts")
-    grid = MomentumGrid.of_box(n_points, box_length, hbar)
-    p = grid.momenta()
-    pmax = float(np.max(np.abs(p)))
-    f = np.exp(-(p**2) / (2.0 * (tau_scale * pmax) ** 2))
-    kernel = TKernel.separable(grid, f)
-    psi = default_sweep_state(grid)
-    h = 2.0 * math.pi * hbar
+    grid = MomentumGrid.of_box(n_points, box_length)
+    h = 2.0 * math.pi * grid.hbar
     points = []
-    for n_cells in cell_counts:
-        cells = CellPartition.smoothed_indicators(grid, n_cells, smoothing_fraction)
-        decomp = branch_states(kernel, cells, psi)
-        central = n_cells // 2
-        spread = momentum_balance_spread(decomp.branches[central], psi)
-        points.append(
-            SweepPoint(
-                cell_width=cells.width,
-                delta_p=spread,
-                product_over_h=spread * cells.width / h,
-                coherence_defect=decomp.coherence_defect,
-            )
-        )
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            p = grid.momenta()
+            pmax = float(np.max(np.abs(p)))
+            f = np.exp(-(p**2) / (2.0 * (tau_scale * pmax) ** 2))
+            kernel = TKernel.separable(grid, f)
+            psi = default_sweep_state(grid)
+            for n_cells in cell_counts:
+                cells = CellPartition.smoothed_indicators(
+                    grid, n_cells, smoothing_fraction
+                )
+                decomp = branch_states(kernel, cells, psi)
+                spread = momentum_balance_spread(decomp.branches[n_cells // 2], psi)
+                points.append(
+                    SweepPoint(
+                        cell_width=cells.width,
+                        delta_p=spread,
+                        product_over_h=spread * cells.width / h,
+                        coherence_defect=decomp.coherence_defect,
+                    )
+                )
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"sweep parameters leave the float range: {exc}") from None
+    bad = [pt.cell_width for pt in points if not 0.0 < pt.delta_p < math.inf]
+    if bad:
+        raise ValueError(f"no positive momentum-balance spread at cell widths {bad}")
     widths = np.log(np.array([pt.cell_width for pt in points]))
     spreads = np.log(np.array([pt.delta_p for pt in points]))
     slope = float(np.polyfit(widths, spreads, 1)[0])

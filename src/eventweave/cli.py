@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, report: dict, header: list, rows: list) -> None:
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dynamics
 from .graph import History
-from .tensors import FactorLabel, LabeledVector, ProductBra, SpaceType
+from .tensors import FactorLabel, LabeledVector, ProductBra, SpaceType, tensor_product
 
 SPIN = SpaceType("spin", 2)
 POINTER = SpaceType("pointer", 1)
@@ -96,10 +96,10 @@ def _unit_pointer(link_id: str) -> LabeledVector:
 class EprSetup:
     """History plus outcome candidates for a fixed pair of settings.
 
-    ``alternatives`` holds the four outcome pairs as merged candidates (one
-    product bra spanning both sides), which is the exhaustive set used for
-    sampling.  ``side1``/``side2`` hold the per-side candidates used for the
-    sequential two-event computation of the same joint probabilities.
+    ``side1``/``side2`` hold the per-side candidates used for the sequential
+    two-event computation of the joint probabilities.  ``alternatives`` holds
+    the four outcome pairs as merged candidates, each the product of one
+    ``side1`` and one ``side2`` candidate: the exhaustive set for sampling.
     """
 
     e1: Direction
@@ -113,6 +113,25 @@ class EprSetup:
         return dynamics.cut_state(self.history)
 
 
+def _side_candidates(
+    side: str, e: Direction, spin_link: str, setting_link: str
+) -> dict[str, dynamics.CandidateEvent]:
+    """Analyzer ``side``'s outcomes: the ``e . sigma`` eigenvector on the spin
+    link times the unit pointer on the setting link, emitting ``out<side>``."""
+    return {
+        s: dynamics.CandidateEvent(
+            bra=ProductBra(
+                [LabeledVector([FactorLabel(spin_link, SPIN)], v),
+                 _unit_pointer(setting_link)]
+            ),
+            c=1.0,
+            ket=_unit_pointer(f"out{side}"),
+            name=f"{side}{s}",
+        )
+        for s, v in zip("+-", spin_eigenvectors(e))
+    }
+
+
 def build_epr(e1: Direction, e2: Direction) -> EprSetup:
     """Assemble the five-event spin experiment for the given settings."""
     history = History()
@@ -120,61 +139,20 @@ def build_epr(e1: Direction, e2: Direction) -> EprSetup:
     history.add_initial_event(_unit_pointer("delta"), event_id="setting2")
     history.add_initial_event(singlet_vector("alpha", "beta"), event_id="decay")
 
-    plus1, minus1 = spin_eigenvectors(e1)
-    plus2, minus2 = spin_eigenvectors(e2)
-    spin1 = {"+": plus1, "-": minus1}
-    spin2 = {"+": plus2, "-": minus2}
-
-    side1 = {
-        s: dynamics.CandidateEvent(
+    side1 = _side_candidates("1", e1, "alpha", "gamma")
+    side2 = _side_candidates("2", e2, "beta", "delta")
+    both_out = tensor_product(_unit_pointer("out1"), _unit_pointer("out2"))
+    merged = [
+        dynamics.CandidateEvent(
             bra=ProductBra(
-                [
-                    LabeledVector([FactorLabel("alpha", SPIN)], spin1[s]),
-                    _unit_pointer("gamma"),
-                ]
+                [*side1[s1].bra.factors.values(), *side2[s2].bra.factors.values()]
             ),
             c=1.0,
-            ket=_unit_pointer("out1"),
-            name=f"1{s}",
+            ket=both_out,
+            name=s1 + s2,
         )
-        for s in "+-"
-    }
-    side2 = {
-        s: dynamics.CandidateEvent(
-            bra=ProductBra(
-                [
-                    LabeledVector([FactorLabel("beta", SPIN)], spin2[s]),
-                    _unit_pointer("delta"),
-                ]
-            ),
-            c=1.0,
-            ket=_unit_pointer("out2"),
-            name=f"2{s}",
-        )
-        for s in "+-"
-    }
-
-    merged = []
-    for pair in OUTCOME_PAIRS:
-        s1, s2 = pair
-        merged.append(
-            dynamics.CandidateEvent(
-                bra=ProductBra(
-                    [
-                        LabeledVector([FactorLabel("alpha", SPIN)], spin1[s1]),
-                        _unit_pointer("gamma"),
-                        LabeledVector([FactorLabel("beta", SPIN)], spin2[s2]),
-                        _unit_pointer("delta"),
-                    ]
-                ),
-                c=1.0,
-                ket=LabeledVector(
-                    [FactorLabel("out1", POINTER), FactorLabel("out2", POINTER)],
-                    [1.0 + 0.0j],
-                ),
-                name=pair,
-            )
-        )
+        for s1, s2 in OUTCOME_PAIRS
+    ]
     return EprSetup(
         e1=e1,
         e2=e2,

@@ -271,6 +271,12 @@ class History:
                     f"event {eid!r}: emitted vector squared norm "
                     f"{ev.emitted_vector.squared_norm()!r}"
                 )
+            factors = [ev.emitted_vector, *(ev.bra.factors.values() if ev.bra else ())]
+            for lab in (lab for vec in factors for lab in vec.labels):
+                ln = self.links.get(lab.link_id)
+                if ln is not None and ln.space != lab.space:
+                    problems.append(f"event {eid!r}: link {lab.link_id!r} carries "
+                                    f"{ln.space}, its factor {lab.space}")
             if (ev.bra is None) != (not ev.backward_links):
                 problems.append(f"event {eid!r}: bra and backward links disagree")
             if ev.bra is not None and tuple(ev.bra.label_ids) != tuple(
@@ -370,36 +376,43 @@ class History:
 
     @classmethod
     def from_dict(cls, data: dict) -> "History":
-        """Inverse of :meth:`to_dict`; raises ``ValueError`` unless the
-        loaded history passes :meth:`validate`."""
+        """Inverse of :meth:`to_dict`; raises ``ValueError`` on a malformed
+        record, a repeated id, or a history that fails :meth:`validate`."""
         h = cls()
-        for rec in data["links"]:
-            space = SpaceType(rec["space"]["name"], rec["space"]["dim"])
-            h.links[rec["id"]] = LinkRecord(
-                rec["id"], space, rec["source"], rec.get("target")
-            )
-        for rec in data["events"]:
-            bra = None
-            if rec.get("bra") is not None:
-                bra = ProductBra([vector_from_dict(f) for f in rec["bra"]])
-            amp = rec.get("amplitude", [1.0, 0.0])
-            h.events[rec["id"]] = EventRecord(
-                id=rec["id"],
-                backward_links=tuple(rec["backward_links"]),
-                forward_links=tuple(rec["forward_links"]),
-                emitted_vector=vector_from_dict(rec["vector"]),
-                amplitude=complex(amp[0], amp[1]),
-                bra=bra,
-                region=region_from_dict(rec.get("region")),
-            )
+        try:
+            for rec in data["links"]:
+                if rec["id"] in h.links:
+                    raise ValueError(f"duplicate link id {rec['id']!r}")
+                space = SpaceType(rec["space"]["name"], rec["space"]["dim"])
+                h.links[rec["id"]] = LinkRecord(
+                    rec["id"], space, rec["source"], rec.get("target")
+                )
+            for rec in data["events"]:
+                if rec["id"] in h.events:
+                    raise ValueError(f"duplicate event id {rec['id']!r}")
+                bra = None
+                if rec.get("bra") is not None:
+                    bra = ProductBra([vector_from_dict(f) for f in rec["bra"]])
+                re, im = rec.get("amplitude", [1.0, 0.0])
+                h.events[rec["id"]] = EventRecord(
+                    id=rec["id"],
+                    backward_links=tuple(rec["backward_links"]),
+                    forward_links=tuple(rec["forward_links"]),
+                    emitted_vector=vector_from_dict(rec["vector"]),
+                    amplitude=complex(re, im),
+                    bra=bra,
+                    region=region_from_dict(rec.get("region")),
+                )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed history record: {exc!r}") from exc
         h._counter = len(h.events)
         problems = h.validate()
         if problems:
             raise ValueError(f"invalid history: {'; '.join(problems[:3])}")
         return h
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "History":

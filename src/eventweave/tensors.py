@@ -111,20 +111,11 @@ class LabeledVector:
     def squared_norm(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def is_unit(self, tol: float = UNIT_TOL) -> bool:
         return abs(self.squared_norm() - 1.0) <= tol
 
     def scaled(self, c: complex) -> "LabeledVector":
         return LabeledVector(self.labels, self.amps * complex(c), _canonical=True)
-
-    def normalized(self) -> "LabeledVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return self.scaled(1.0 / n)
 
     @classmethod
     def scalar(cls, value: complex = 1.0) -> "LabeledVector":

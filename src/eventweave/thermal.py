@@ -35,6 +35,9 @@ PROTON_MASS = 1.67262192369e-27
 #: sigma* exceeds this times the box and wrap-around starts to matter
 MAX_SIGMA_FRACTION = 1.0 / 40.0
 
+#: sup-norm residual above which the two momentum diagonals do not match
+MATCH_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LatticeModel:
@@ -169,23 +172,23 @@ class MatchResult:
     mixture: MomentumDensity
 
 
-def matching_width(
-    model: LatticeModel, tolerance: float = 1e-8, times=(0.0,)
-) -> MatchResult:
+def matching_width(model: LatticeModel) -> MatchResult:
     """Derive sigma* and verify the two diagonals agree in sup norm.
 
-    Raises :class:`NoMatch` when the residual exceeds ``tolerance``, which
+    Raises :class:`NoMatch` when the residual exceeds ``MATCH_TOL``, which
     in practice signals a box too small for the packets (wrap-around) or a
-    grid too coarse for the thermal envelope.
+    grid too coarse for the thermal envelope.  A non-finite residual means
+    the model's arithmetic left the float range and raises ``ValueError``.
     """
     sigma = matching_sigma(model)
-    thermal = thermal_density(model)
-    mixture = packet_mixture_density(
-        model, PacketFamily.every_site(model, sigma, times=times)
-    )
-    residual = float(np.max(np.abs(thermal.diagonal - mixture.diagonal)))
-    if not math.isfinite(residual) or residual > tolerance:
-        raise NoMatch(residual, tolerance)
+    with np.errstate(all="ignore"):
+        thermal = thermal_density(model)
+        mixture = packet_mixture_density(model, PacketFamily.every_site(model, sigma))
+        residual = float(np.max(np.abs(thermal.diagonal - mixture.diagonal)))
+    if not math.isfinite(residual):
+        raise ValueError(f"non-finite residual {residual}: model out of float range")
+    if residual > MATCH_TOL:
+        raise NoMatch(residual, MATCH_TOL)
     return MatchResult(sigma, residual, thermal, mixture)
 
 

@@ -202,6 +202,56 @@ def test_from_dict_refuses_invalid_histories(edit, problem):
         History.from_dict(data)
 
 
+def _flatten_first_amplitudes(data):
+    vec = data["events"][0]["vector"]
+    vec["amps"] = [x for pair in vec["amps"] for x in pair]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data.pop("links"),
+        lambda data: data["links"][0].pop("space"),
+        _flatten_first_amplitudes,
+    ],
+    ids=["no-links", "link-without-space", "amplitudes-not-pairs"],
+)
+def test_from_dict_reports_malformed_records_as_value_errors(edit):
+    data = generic_figure().to_dict()
+    edit(data)
+    with pytest.raises(ValueError, match="malformed history record"):
+        History.from_dict(data)
+
+
+@pytest.mark.parametrize("table", ["links", "events"])
+def test_from_dict_refuses_repeated_ids(table):
+    data = generic_figure().to_dict()
+    data[table].append(dict(data[table][0]))
+    with pytest.raises(ValueError, match=f"duplicate {table[:-1]} id"):
+        History.from_dict(data)
+
+
+def _relabel_bra_factor_space(data):
+    absorbing = next(ev for ev in data["events"] if ev["bra"] is not None)
+    absorbing["bra"][0]["labels"][0]["space"] = "other"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda data: data["links"][-1]["space"].update(name="other"), _relabel_bra_factor_space],
+    ids=["link-vs-source-vector", "link-vs-absorbing-bra"],
+)
+def test_validate_reports_link_space_mismatches(rng, edit):
+    h = generic_figure()
+    e4, e5 = figure_outcome_candidates(rng)
+    realize(h, None, e4, event_id="ev4")
+    realize(h, None, e5, event_id="ev5")
+    data = h.to_dict()
+    edit(data)
+    with pytest.raises(ValueError, match="carries"):
+        History.from_dict(data)
+
+
 def test_snapshot_isolation():
     h = generic_figure()
     snap = h.snapshot()

@@ -250,6 +250,10 @@ def _first_candidate(data):
     return data["stages"][0]["candidates"][0]
 
 
+def _two_width_sweep(*extra):
+    return lambda tmp: ["cells", "--sites", "256", "--cells", "4,8", *extra]
+
+
 #: case -> (argv built under tmp_path, text the error line must contain)
 BAD_INPUTS = {
     "stages-of-ints": (_figure_edited(lambda d: d.update(stages=[1])), "$.stages[0]"),
@@ -290,11 +294,26 @@ BAD_INPUTS = {
     "cells-width-count-overflows": (
         lambda tmp: ["cells", "--box", "1e308", "--cell-width", "1e-300"], "cell width"
     ),
+    "cells-one-cell-spans-the-box": (
+        lambda tmp: ["cells", "--sites", "256", "--cells", "1,8"], "spread"
+    ),
+    "cells-smoothing-wider-than-the-box": (_two_width_sweep("--smoothing", "1e150"), "spread"),
+    "cells-tau-scale-underflows": (_two_width_sweep("--tau-scale", "1e-300"), "float range"),
+    "cells-infinite-smoothing": (_two_width_sweep("--smoothing", "inf"), "smoothing"),
+    "cells-smoothing-overflows": (_two_width_sweep("--smoothing", "1e160"), "float range"),
+    "cells-tau-scale-overflows": (_two_width_sweep("--tau-scale", "1e300"), "float range"),
+    "cells-box-overflows": (_two_width_sweep("--box", "1e300"), "float range"),
     "chsh-nan-angle": (lambda tmp: ["chsh", "--a", "nan"], "--a "),
     "chsh-infinite-angle": (lambda tmp: ["chsh", "--b", "inf"], "--b "),
     "simulate-zero-runs": (lambda tmp: ["simulate", str(FIGURE), "--runs", "0"], "runs"),
     "thermal-box-nan": (lambda tmp: ["thermal-ambiguity", "--box", "nan"], "box"),
     "thermal-beta-nan": (lambda tmp: ["thermal-ambiguity", "--beta", "nan"], "beta"),
+    "thermal-box-out-of-float-range": (
+        lambda tmp: ["thermal-ambiguity", "--box", "1e-320"], "non-finite residual"
+    ),
+    "thermal-hbar-out-of-float-range": (
+        lambda tmp: ["thermal-ambiguity", "--hbar", "1e-300"], "non-finite residual"
+    ),
     "stage-exhaustive-string": (
         _figure_edited(lambda d: d["stages"][0].update(exhaustive="no")),
         "$.stages[0]: field 'exhaustive' should be bool",
