@@ -122,7 +122,7 @@ def cmd_chsh(args) -> tuple[dict, list, list]:
             raise UsageError(f"{flag} must be a finite angle, got {value}")
     dirs = tuple(epr.Direction.in_plane_deg(x) for x in angles)
     s_quantum = epr.chsh(*dirs)
-    s_classical = epr.best_classical(*dirs)
+    s_classical = epr.best_classical()
     results = {
         "S_quantum": float(s_quantum),
         "S_abs": float(abs(s_quantum)),
@@ -138,16 +138,16 @@ def cmd_chsh(args) -> tuple[dict, list, list]:
 def cmd_simulate(args) -> tuple[dict, list, list]:
     scenario = load_scenario(args.scenario)
     stages = [stage.alternatives for stage in scenario.stages]
+    history = scenario.build_history()
     tree = dynamics.sample_outcome_tree(
-        scenario.build_history(), stages, args.runs, args.seed, args.replicas
+        history, stages, args.runs, args.seed, args.replicas
     )
 
     sample_history = None
     if stages:
-        replay = scenario.build_history()
         for alts, idx in zip(stages, tree.first_path):
-            dynamics.realize(replay, None, alts.candidates[idx])
-        sample_history = replay.to_dict()
+            dynamics.realize(history, None, alts.candidates[idx])
+        sample_history = history.to_dict()
 
     def outcome_names(path: tuple) -> list[str]:
         return [

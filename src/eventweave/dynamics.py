@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    EventWeaveError,
     NotExhaustive,
     OverlappingBackwardLinks,
     TooManyOutcomePaths,
@@ -373,7 +372,7 @@ def sample_outcome_tree(
         cands = [stages[d].candidates[i] for d, i in enumerate(path)]
         try:
             joint = joint_probability(root, cands)
-        except EventWeaveError:
+        except OverlappingBackwardLinks:
             continue  # stages sharing links have no one-shot form
         checked += 1
         max_dev = max(max_dev, abs(joint - float(prob)))

@@ -96,10 +96,12 @@ def _unit_pointer(link_id: str) -> LabeledVector:
 class EprSetup:
     """History plus outcome candidates for a fixed pair of settings.
 
-    ``side1``/``side2`` hold the per-side candidates used for the sequential
-    two-event computation of the joint probabilities.  ``alternatives`` holds
-    the four outcome pairs as merged candidates, each the product of one
-    ``side1`` and one ``side2`` candidate: the exhaustive set for sampling.
+    ``side1``/``side2`` hold the one-sided outcome candidates.
+    ``alternatives`` holds the four outcome pairs as merged candidates, each
+    the product of one ``side1`` and one ``side2`` candidate: the exhaustive
+    set whose probabilities are the joints and from which sampling draws.
+    ``state`` is the frontier cut state of ``history`` as built; realizing
+    events on ``history`` does not update it.
     """
 
     e1: Direction
@@ -108,9 +110,7 @@ class EprSetup:
     side1: dict[str, dynamics.CandidateEvent]
     side2: dict[str, dynamics.CandidateEvent]
     alternatives: dynamics.AlternativeSet
-
-    def state(self) -> dynamics.CutState:
-        return dynamics.cut_state(self.history)
+    state: dynamics.CutState
 
 
 def _side_candidates(
@@ -160,18 +160,13 @@ def build_epr(e1: Direction, e2: Direction) -> EprSetup:
         side1=side1,
         side2=side2,
         alternatives=dynamics.AlternativeSet(merged, exhaustive=True),
+        state=dynamics.cut_state(history),
     )
 
 
 def joint_distribution(setup: EprSetup) -> np.ndarray:
-    """Probabilities of (++, +-, -+, --), via sequential two-event joints."""
-    state = setup.state()
-    return np.array(
-        [
-            dynamics.joint_probability(state, [setup.side1[s1], setup.side2[s2]])
-            for s1, s2 in OUTCOME_PAIRS
-        ]
-    )
+    """Probabilities of (++, +-, -+, --): those of the merged candidates."""
+    return dynamics.alternative_probabilities(setup.state, setup.alternatives)
 
 
 def correlation(setup: EprSetup) -> float:
@@ -239,12 +234,9 @@ def enumerate_deterministic_strategies() -> list[DeterministicStrategy]:
     ]
 
 
-def best_classical(
-    a: Direction, ap: Direction, b: Direction, bp: Direction
-) -> float:
-    """Max |S| over all 16 deterministic strategies; the directions only
-    fix which abstract settings the strategies answer, so the bound is 2."""
-    del a, ap, b, bp
+def best_classical() -> float:
+    """Max |S| over all 16 deterministic strategies: 2 for any settings, since
+    the directions only fix which abstract setting each strategy answers."""
     return max(abs(s.chsh_value()) for s in enumerate_deterministic_strategies())
 
 
@@ -252,5 +244,5 @@ def mc_frequencies(
     setup: EprSetup, n: int, rng: int | np.random.Generator
 ) -> np.ndarray:
     """Empirical outcome-pair frequencies over ``n`` sampled realizations."""
-    draws = dynamics.sample_many(setup.state(), setup.alternatives, n, rng)
+    draws = dynamics.sample_many(setup.state, setup.alternatives, n, rng)
     return np.bincount(draws, minlength=4).astype(float) / float(n)

@@ -20,6 +20,10 @@ from .errors import DuplicateLabel, MissingLabel, NonUnitVector
 #: absolute tolerance for factors that must be exactly normalized
 UNIT_TOL = 1e-12
 
+#: largest dense vector :func:`tensor_product` builds: 2**24 complex128
+#: amplitudes take 268 MB, and a label re-sort needs a second copy
+MAX_AMPLITUDES = 2**24
+
 
 @dataclass(frozen=True)
 class SpaceType:
@@ -206,10 +210,20 @@ class EventOperator:
 
 
 def tensor_product(u: LabeledVector, v: LabeledVector) -> LabeledVector:
-    """Outer product of two vectors with disjoint label sets."""
+    """Outer product of two vectors with disjoint label sets.
+
+    Raises ``ValueError`` before allocating a product of more than
+    :data:`MAX_AMPLITUDES` amplitudes.
+    """
     overlap = set(u.label_ids) & set(v.label_ids)
     if overlap:
         raise DuplicateLabel(f"labels present on both factors: {sorted(overlap)}")
+    size = u.amps.size * v.amps.size
+    if size > MAX_AMPLITUDES:
+        raise ValueError(
+            f"a tensor product of {size} amplitudes exceeds MAX_AMPLITUDES = "
+            f"{MAX_AMPLITUDES}"
+        )
     amps = np.multiply.outer(u.amps, v.amps).reshape(-1)
     return LabeledVector(u.labels + v.labels, amps)
 

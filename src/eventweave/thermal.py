@@ -38,6 +38,10 @@ MAX_SIGMA_FRACTION = 1.0 / 40.0
 #: sup-norm residual above which the two momentum diagonals do not match
 MATCH_TOL = 1e-8
 
+#: largest grid whose dense (sites x sites) packet and density matrices
+#: :func:`packet_mixture_density` builds; at 4096 sites each takes 268 MB
+MAX_DENSE_SITES = 4096
+
 
 @dataclass(frozen=True)
 class LatticeModel:
@@ -139,8 +143,14 @@ def packet_mixture_density(
     Each packet, freely evolved to its family time, is one row of a matrix
     ``Phi``; the average is ``Phi^T conj(Phi) / count``, whose summation
     order is BLAS's, so entries may differ from a projector-by-projector
-    sum in their last bits.
+    sum in their last bits.  Raises ``ValueError`` before building ``Phi``
+    for a grid of more than :data:`MAX_DENSE_SITES` sites.
     """
+    if model.n_sites > MAX_DENSE_SITES:
+        raise ValueError(
+            f"{model.n_sites} sites need dense {model.n_sites} x {model.n_sites} "
+            f"matrices; at most MAX_DENSE_SITES = {MAX_DENSE_SITES} fit"
+        )
     p = model.momenta()
     kinetic_phase_rate = p**2 / (2.0 * model.mass * model.hbar)
     phi = np.array([model.to_momentum(gaussian_packet(model, c, family.sigma))

@@ -91,7 +91,7 @@ def test_criterion_2_nonclassicality_gap():
         dirs = epr.chsh_optimal_directions()
         s_quantum = abs(epr.chsh(*dirs))
         assert abs(s_quantum - 2.0 * math.sqrt(2.0)) <= 1e-9
-        s_classical = epr.best_classical(*dirs)
+        s_classical = epr.best_classical()
         assert s_classical == 2.0
         assert all(
             abs(s.chsh_value()) <= 2.0
@@ -108,7 +108,7 @@ def test_criterion_3_no_signalling():
             setup = epr.build_epr(
                 epr.Direction.from_cartesian(*v1), epr.Direction.from_cartesian(*v2)
             )
-            state = setup.state()
+            state = setup.state
             p_plus_near = event_probability(state, setup.side1["+"])
             p_plus_far = event_probability(state, setup.side2["+"])
             assert abs(p_plus_near - 0.5) <= 1e-12

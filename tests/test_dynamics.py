@@ -186,7 +186,7 @@ def _epr_pair_candidates(theta_deg, s1, s2):
 
 def test_joint_for_aligned_analyzers_never_agrees():
     setup, cands = _epr_pair_candidates(0.0, "+", "+")
-    assert joint_probability(setup.state(), cands) < 1e-30
+    assert joint_probability(setup.state, cands) < 1e-30
 
 
 def test_joint_values_match_the_matrix_oracle():
@@ -196,7 +196,7 @@ def test_joint_values_match_the_matrix_oracle():
         (60.0, "-", "+", 0.375),
     ):
         setup, cands = _epr_pair_candidates(theta, s1, s2)
-        got = joint_probability(setup.state(), cands)
+        got = joint_probability(setup.state, cands)
         want = reference.singlet_pair_probability(
             setup.e1.as_array(), +1 if s1 == "+" else -1,
             setup.e2.as_array(), +1 if s2 == "+" else -1,
@@ -246,7 +246,7 @@ def test_certain_alternative_is_always_chosen():
 def test_sampled_frequencies_sit_in_three_sigma_bands():
     setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(90.0))
     n = 100_000
-    draws = sample_many(setup.state(), setup.alternatives, n, 12345)
+    draws = sample_many(setup.state, setup.alternatives, n, 12345)
     freqs = np.bincount(draws, minlength=4) / n
     band = 3.0 * math.sqrt(0.25 * 0.75 / n)
     assert np.max(np.abs(freqs - 0.25)) < band
@@ -254,7 +254,7 @@ def test_sampled_frequencies_sit_in_three_sigma_bands():
 
 def test_fixed_seed_reproduces_the_draw_sequence():
     setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(60.0))
-    s, alts = setup.state(), setup.alternatives
+    s, alts = setup.state, setup.alternatives
     a = [sample_extension(s, alts, np.random.default_rng(42)) for _ in range(1)]
     b = [sample_extension(s, alts, np.random.default_rng(42)) for _ in range(1)]
     assert a == b
@@ -265,7 +265,7 @@ def test_fixed_seed_reproduces_the_draw_sequence():
 
 def test_single_draws_share_the_stream_with_sample_many():
     setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(45.0))
-    s, alts = setup.state(), setup.alternatives
+    s, alts = setup.state, setup.alternatives
     gen = np.random.default_rng(7)
     singles = [sample_extension(s, alts, gen) for _ in range(32)]
     batch = sample_many(s, alts, 32, np.random.default_rng(7))
@@ -364,6 +364,36 @@ def test_outcome_tree_prunes_zero_probability_subtrees():
             assert abs(prob - 0.25) < 1e-9
     assert tree.chain_rule_checked == 4
     assert tree.chain_rule_max_dev < 1e-12
+
+
+def _up_down_alternatives(link_id, ket):
+    """Two candidates measuring ``link_id`` in the z basis, both emitting ``ket``."""
+    return AlternativeSet([
+        CandidateEvent(bra=ProductBra([unit_factor(link_id, amps)]), c=1.0, ket=ket,
+                       name=name)
+        for amps, name in (([1.0, 0.0], "up"), ([0.0, 1.0], "down"))
+    ])
+
+
+@pytest.mark.parametrize(
+    "chosen,checked", [((0, 1), 0), ((0, 2), 4), ((0, 1, 2), 0)]
+)
+def test_chain_rule_check_skips_paths_whose_stages_share_links(chosen, checked):
+    """Stage 1 consumes ``x`` and re-emits a fresh ``x``, stage 2 consumes
+    ``x`` again, stage 3 consumes ``y``: a path through stages 1 and 2 has no
+    one-shot joint, so the check skips it; every path stays live."""
+    plus = [SQRT_HALF, SQRT_HALF]
+    h = History()
+    h.add_initial_event(unit_factor("x", plus))
+    h.add_initial_event(unit_factor("y", plus))
+    stages = [
+        _up_down_alternatives("x", unit_factor("x", plus)),
+        _up_down_alternatives("x", unit_factor("o2", [1.0], POINTER)),
+        _up_down_alternatives("y", unit_factor("o3", [1.0], POINTER)),
+    ]
+    tree = sample_outcome_tree(h, [stages[i] for i in chosen], 100, 0)
+    assert all(abs(p - 0.5 ** len(chosen)) < 1e-12 for p in tree.analytic)
+    assert tree.chain_rule_checked == checked
 
 
 # -- realize ---------------------------------------------------------------------

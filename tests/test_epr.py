@@ -8,6 +8,7 @@ import pytest
 import reference
 from eventweave import dynamics
 from eventweave.epr import (
+    OUTCOME_PAIRS,
     TSIRELSON_BOUND,
     ClassicalStrategy,
     DeterministicStrategy,
@@ -67,7 +68,7 @@ def test_spin_eigenvectors_are_orthonormal_eigenstates(rng):
 
 def test_aligned_settings_anticorrelate_perfectly():
     setup = build_epr(plane(0.0), plane(0.0))
-    probs = dynamics.alternative_probabilities(setup.state(), setup.alternatives)
+    probs = dynamics.alternative_probabilities(setup.state, setup.alternatives)
     assert np.max(np.abs(probs - np.array([0.0, 0.5, 0.5, 0.0]))) < 1e-12
 
 
@@ -103,11 +104,17 @@ def test_joint_distribution_fixed_points(theta, expected):
 
 
 def test_merged_candidates_equal_sequential_pairs(rng):
-    setup = build_epr(random_direction(rng), random_direction(rng))
-    state = setup.state()
-    merged = dynamics.alternative_probabilities(state, setup.alternatives)
-    sequential = joint_distribution(setup)
-    assert np.max(np.abs(merged - sequential)) < 1e-12
+    """The joints are the merged candidates' probabilities, bit for bit the
+    sequential two-event joints of the one-sided candidates."""
+    settings = [(plane(0.0), plane(float(t))) for t in range(181)]
+    settings += [(random_direction(rng), random_direction(rng)) for _ in range(400)]
+    for e1, e2 in settings:
+        setup = build_epr(e1, e2)
+        sequential = np.array([
+            dynamics.joint_probability(setup.state, [setup.side1[s1], setup.side2[s2]])
+            for s1, s2 in OUTCOME_PAIRS
+        ])
+        assert np.array_equal(joint_distribution(setup), sequential)
 
 
 @pytest.mark.parametrize("theta,expected", [(0.0, -1.0), (90.0, 0.0), (60.0, -0.5)])
@@ -158,22 +165,16 @@ def test_chsh_never_exceeds_tsirelson(rng):
 
 
 def test_exhaustive_classical_bound_is_exactly_two(rng):
-    dirs = chsh_optimal_directions()
-    assert best_classical(*dirs) == 2.0
+    assert best_classical() == 2.0
     values = {s.chsh_value() for s in enumerate_deterministic_strategies()}
     assert values == {-2.0, 2.0}
-    # degenerate settings change nothing: the bound is setting-independent
-    d = plane(0.0)
-    assert best_classical(d, d, d, d) == 2.0
 
 
 def test_quantum_beats_every_classical_mixture():
     strategies = tuple(enumerate_deterministic_strategies())
     uniform = ClassicalStrategy(strategies, tuple([1 / 16] * 16))
     assert abs(uniform.chsh_value()) <= 2.0
-    gap = abs(chsh(*chsh_optimal_directions())) - best_classical(
-        *chsh_optimal_directions()
-    )
+    gap = abs(chsh(*chsh_optimal_directions())) - best_classical()
     assert gap >= 2.0 * math.sqrt(2.0) - 2.0 - 1e-9
 
 
@@ -199,6 +200,6 @@ def test_monte_carlo_matches_analytic_within_three_sigma():
 
 def test_impossible_outcomes_are_never_sampled():
     setup = build_epr(plane(0.0), plane(0.0))
-    draws = dynamics.sample_many(setup.state(), setup.alternatives, 10_000, 5)
+    draws = dynamics.sample_many(setup.state, setup.alternatives, 10_000, 5)
     counts = np.bincount(draws, minlength=4)
     assert counts[0] == 0 and counts[3] == 0

@@ -22,8 +22,9 @@ from conftest import (
     unit_factor,
     zero_branch_scenario,
 )
-from eventweave import cli, dynamics, thermal
+from eventweave import cli, dynamics, tensors, thermal
 from eventweave.dynamics import AlternativeSet, CandidateEvent
+from eventweave.epr import singlet_vector
 from eventweave.graph import vector_from_dict, vector_to_dict
 from eventweave.scenario import (
     Scenario,
@@ -230,6 +231,42 @@ def test_simulate_refuses_too_many_outcome_paths(tmp_path, capsys):
     assert str(dynamics.MAX_OUTCOME_PATHS) in err
 
 
+def _singlet_pairs_scenario(pairs: int) -> Scenario:
+    """Independent singlets; two stages each measure one pair, so the cut
+    state is dense over all ``4**pairs`` amplitudes."""
+    def pair_stage(i):
+        up = unit_factor(f"a{i}", [1.0, 0.0]), unit_factor(f"b{i}", [1.0, 0.0])
+        down = unit_factor(f"a{i}", [0.0, 1.0]), unit_factor(f"b{i}", [0.0, 1.0])
+        ket = unit_factor(f"m{i}", [1.0], POINTER)
+        return Stage(f"pair{i}", AlternativeSet([
+            CandidateEvent(bra=ProductBra([sa, sb]), c=1.0, ket=ket, name=na + nb)
+            for sa, na in zip((up[0], down[0]), "+-")
+            for sb, nb in zip((up[1], down[1]), "+-")
+        ]))
+
+    return Scenario(
+        initial_events=[(f"pair{i}", singlet_vector(f"a{i}", f"b{i}"), None)
+                        for i in range(pairs)],
+        stages=[pair_stage(0), pair_stage(1)],
+    )
+
+
+def test_dense_states_beyond_the_amplitude_cap_are_refused(tmp_path, capsys, monkeypatch):
+    assert 4**10 <= tensors.MAX_AMPLITUDES  # the bench's wide scenario fits
+    monkeypatch.setattr(tensors, "MAX_AMPLITUDES", 256)
+
+    def simulate(pairs):
+        path = tmp_path / f"pairs{pairs}.json"
+        path.write_text(json.dumps(scenario_to_dict(_singlet_pairs_scenario(pairs))))
+        return run_cli(capsys, "simulate", str(path), "--runs", "10")
+
+    assert simulate(4)[0] == 0
+    code, out, err = simulate(5)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "MAX_AMPLITUDES = 256" in err
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent/file.json")
     assert code == 2
@@ -361,6 +398,16 @@ def test_thermal_builds_the_packet_mixture_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "thermal-ambiguity", "--sites", "64")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_thermal_refuses_grids_beyond_the_dense_cap(capsys, monkeypatch):
+    monkeypatch.setattr(thermal, "MAX_DENSE_SITES", 64)
+    code, out, err = run_cli(capsys, "thermal-ambiguity", "--sites", "128")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "64" in err
+    code, _, _ = run_cli(capsys, "thermal-ambiguity", "--sites", "64")
+    assert code == 0
 
 
 def test_thermal_report_does_not_depend_on_the_blas_thread_count():

@@ -1,0 +1,73 @@
+"""Print one sha256 digest per report over a fixed matrix of CLI runs.
+
+Each argv in :data:`MATRIX` runs through ``eventweave.cli.main`` in this
+process with stdout captured.  No run passes ``--out`` and the scenario path
+is relative to the repository root, so each report's ``config`` is the same
+in any checkout.  The ``"duration_s"`` line is dropped before hashing, and
+one ``sha256  argv`` line is printed per report (``exit N  argv`` for a run
+that fails).  Two source trees compare by diffing the printouts:
+
+    PYTHONPATH=src python3 tools/report_digests.py > new.txt
+    PYTHONPATH=/path/to/other/src python3 tools/report_digests.py > old.txt
+    diff old.txt new.txt
+
+The repository's own ``src/`` is used only when ``PYTHONPATH`` names none.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+FORMATS = ("json", "csv")
+
+MATRIX: list[list[str]] = [
+    *(["simulate", "scenarios/figure.json", "--seed", str(seed),
+       "--replicas", str(replicas), "--format", fmt]
+      for seed in range(4) for replicas in (1, 3) for fmt in FORMATS),
+    *(["epr", "--theta", theta, "--replicas", str(replicas), "--format", fmt]
+      for theta in ("0", "37.5", "90", "180") for replicas in (1, 4) for fmt in FORMATS),
+    *(["chsh", *extra, "--format", fmt]
+      for extra in ([], ["--a", "10", "--ap", "80", "--b", "33", "--bp", "100"])
+      for fmt in FORMATS),
+    *(["thermal-ambiguity", *extra, "--format", fmt]
+      for extra in ([], ["--sites", "1024"]) for fmt in FORMATS),
+    *(["cells", *extra, "--format", fmt]
+      for extra in ([], ["--sites", "2048"]) for fmt in FORMATS),
+    ["cells", "--sites", "1024", "--cell-width", "0.1,0.05,0.02"],
+]
+
+
+def report_digest(cli, argv: list[str]) -> str:
+    """sha256 of the report ``argv`` writes, without its duration line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        return f"exit {code}"
+    lines = out.getvalue().splitlines(keepends=True)
+    kept = "".join(ln for ln in lines if not ln.lstrip().startswith('"duration_s":'))
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+def main() -> int:
+    sys.path.append(str(ROOT / "src"))
+    from eventweave import cli
+
+    os.chdir(ROOT)
+    failed = False
+    for argv in MATRIX:
+        digest = report_digest(cli, argv)
+        failed |= digest.startswith("exit")
+        print(f"{digest}  {' '.join(argv)}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
