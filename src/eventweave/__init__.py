@@ -25,7 +25,6 @@ from .errors import (
     ZeroProbabilityEvent,
 )
 from .tensors import (
-    EventOperator,
     FactorLabel,
     LabeledVector,
     ProductBra,
@@ -59,7 +58,6 @@ __all__ = [
     "Cut",
     "CutState",
     "DuplicateLabel",
-    "EventOperator",
     "EventRecord",
     "EventWeaveError",
     "FactorLabel",

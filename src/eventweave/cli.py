@@ -8,9 +8,9 @@ for the ``duration_s`` field.  Random streams derive from
 one uniform, so runs are reproducible and parallelizable by replica.
 
 Exit codes: 0 success, 2 usage, parse and file errors (bad argument
-values, malformed scenarios, unreadable inputs, unwritable ``--out``), 3
-scenario or model invariant violations (non-exhaustive alternatives,
-diagonal mismatch).
+values, malformed scenarios, unreadable inputs, unwritable ``--out``,
+arrays too large to allocate), 3 scenario or model invariant violations
+(non-exhaustive alternatives, diagonal mismatch).
 """
 
 from __future__ import annotations
@@ -354,6 +354,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         results, header, rows = args.handler(args)
         duration = time.perf_counter() - start
         config = {
@@ -378,6 +380,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError, EventWeaveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

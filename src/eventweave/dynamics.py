@@ -30,7 +30,6 @@ from .errors import (
 )
 from .graph import Cut, History, Region, EVENT_VECTOR_TOL
 from .tensors import (
-    EventOperator,
     LabeledVector,
     ProductBra,
     apply_event_operator,
@@ -80,9 +79,6 @@ class CandidateEvent:
             )
         object.__setattr__(self, "c", complex(self.c))
 
-    def as_operator(self) -> EventOperator:
-        return EventOperator(self.c, self.bra, self.ket)
-
 
 @dataclass
 class AlternativeSet:
@@ -128,7 +124,7 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
 
 def event_probability(state: CutState, cand: CandidateEvent) -> float:
     """Squared norm of the candidate's operator applied to the state."""
-    return apply_event_operator(cand.as_operator(), state.composite).squared_norm()
+    return apply_event_operator(cand.c, cand.bra, cand.ket, state.composite).squared_norm()
 
 
 def joint_probability(state: CutState, cands: Sequence[CandidateEvent]) -> float:
@@ -147,13 +143,13 @@ def joint_probability(state: CutState, cands: Sequence[CandidateEvent]) -> float
             seen[lid] = i
     vec = state.composite
     for cand in cands:
-        vec = apply_event_operator(cand.as_operator(), vec)
+        vec = apply_event_operator(cand.c, cand.bra, cand.ket, vec)
     return vec.squared_norm()
 
 
 def realized_state(state: CutState, cand: CandidateEvent) -> tuple[float, CutState]:
     """Probability of the candidate plus the renormalized post-event state."""
-    vec = apply_event_operator(cand.as_operator(), state.composite)
+    vec = apply_event_operator(cand.c, cand.bra, cand.ket, state.composite)
     p = vec.squared_norm()
     if p <= ZERO_PROBABILITY_EPS:
         raise ZeroProbabilityEvent(f"candidate has probability {p!r}")
@@ -258,9 +254,9 @@ class OutcomeTree:
     ``paths`` lists every tuple of candidate indices, one per stage, in
     lexicographic order; ``analytic``, ``counts`` are aligned with it.
     ``first_path`` is the path of run 0 of replica 0.  The chain-rule check
-    compares each live path's staged product with :func:`joint_probability`
-    on the root state; paths whose stages share links have no one-shot form
-    and are not counted in ``chain_rule_checked``.
+    compares each live path's staged product with :func:`joint_probability`'s
+    sequential product on the root state; paths whose stages share links
+    have no one-shot form and are not counted in ``chain_rule_checked``.
     """
 
     paths: list[tuple[int, ...]]
@@ -271,69 +267,91 @@ class OutcomeTree:
     chain_rule_max_dev: float
 
 
-def _expand(root: CutState, stages: Sequence[AlternativeSet], analytic: np.ndarray):
-    """Expand the live outcome tree depth first; fill ``analytic`` in place.
+def _expand(
+    root: CutState, stages: Sequence[AlternativeSet], tables: list, analytic: np.ndarray
+) -> None:
+    """Expand the live outcome tree depth first; fill the tables in place.
 
-    Returns one ``(probs, children)`` pair per node, node 0 being the root:
-    the conditional probabilities of its candidates and, per candidate, the
-    child's node id (-1 when the child is pruned or a leaf).  A child whose
-    conditional probability is at or below :data:`PRUNED_BRANCH_PROBABILITY`
-    is not expanded, so every path through it keeps analytic probability 0;
-    a last-stage child gets the product of the conditionals along its path.
-    Only the states of nodes still waiting to be expanded are held, never
-    the whole tree's.
+    Row ``prefix`` of ``tables[d]`` gets the conditional probabilities at the
+    node reached by the length-``d`` path prefix of lexicographic index
+    ``prefix``.  A child whose conditional probability is at or below
+    :data:`PRUNED_BRANCH_PROBABILITY` is not expanded, so its rows stay zero
+    and every path through it keeps ``analytic`` 0; a last-stage child gets
+    the product of the conditionals along its path.  Only the states of
+    nodes still waiting to be expanded are held, never the whole tree's.
     """
     if not stages:
         analytic[0] = 1.0
-        return []
-    nodes: list[tuple[np.ndarray, np.ndarray]] = []
-    # (parent state, candidate index, depth, path probability, path prefix,
-    # parent node id); the root has no parent
-    stack: list[tuple] = [(root, None, 0, 1.0, 0, -1)]
+        return
+    # (parent state, candidate index, depth, path probability, path prefix)
+    stack: list[tuple] = [(root, None, 0, 1.0, 0)]
     while stack:
-        state, idx, depth, prob, prefix, parent = stack.pop()
+        state, idx, depth, prob, prefix = stack.pop()
         if idx is not None:
             _, state = realized_state(state, stages[depth - 1].candidates[idx])
-            nodes[parent][1][idx] = len(nodes)
-        probs = alternative_probabilities(state, stages[depth])
-        nodes.append((probs, np.full(len(probs), -1, dtype=np.intp)))
-        prefix = prefix * len(probs)
+        probs = tables[depth][prefix] = alternative_probabilities(state, stages[depth])
+        prefix *= len(probs)
         if depth == len(stages) - 1:
             analytic[prefix:prefix + len(probs)] = prob * probs
             continue
-        parent = len(nodes) - 1
         for i in reversed(range(len(probs))):
             if probs[i] > PRUNED_BRANCH_PROBABILITY:
-                stack.append((state, i, depth + 1, prob * probs[i], prefix + i, parent))
-    return nodes
+                stack.append((state, i, depth + 1, prob * probs[i], prefix + i))
 
 
-def _sample_paths(nodes: list[tuple], radix: list[int], u: np.ndarray) -> np.ndarray:
+def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     """Path index (lexicographic) of each row of uniforms ``u``.
 
     Row ``r`` walks the tree from the root, consuming ``u[r, d]`` at depth
-    ``d``.  Rows are grouped by their current node so each node draws all its
-    rows with one :func:`_draw`.
+    ``d``.  Rows are grouped by their path prefix so each node draws all its
+    rows with one :func:`_draw` over its row of the stage's table.
     """
-    runs = u.shape[0]
-    node = np.zeros(runs, dtype=np.intp)
-    path = np.zeros(runs, dtype=np.intp)
-    for depth, width in enumerate(radix):
-        pick = np.empty(runs, dtype=np.intp)
-        order = np.argsort(node, kind="stable")
-        grouped = node[order]
+    path = np.zeros(u.shape[0], dtype=np.intp)
+    for depth, table in enumerate(tables):
+        pick = np.empty_like(path)
+        order = np.argsort(path, kind="stable")
+        grouped = path[order]
         starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
         for rows in np.split(order, starts[1:]):
-            probs, children = nodes[node[rows[0]]]
+            probs = table[path[rows[0]]]
             chosen = _draw(probs, u[rows, depth])
             if np.any(probs[chosen] <= PRUNED_BRANCH_PROBABILITY):
                 raise ZeroProbabilityEvent(
                     f"a run entered a pruned branch at stage {depth}"
                 )
             pick[rows] = chosen
-            node[rows] = children[chosen]
-        path = path * width + pick
+        path = path * table.shape[1] + pick
     return path
+
+
+def _check_chain_rule(
+    root: CutState, stages: Sequence[AlternativeSet], paths: list, analytic: np.ndarray
+) -> tuple[int, float]:
+    """Live paths checked and their largest ``|joint - analytic|``.
+
+    ``applied[j]`` is the root after the first ``j`` operators of the last
+    checked path; the paths come in lexicographic order, so dropping the
+    entries past the prefix a path shares with it applies each prefix once.
+    Paths whose candidates repeat a backward link (no one-shot form) are skipped.
+    """
+    checked, max_dev = 0, 0.0
+    last: tuple[int, ...] = ()
+    applied = [root.composite]
+    for path, prob in zip(paths, analytic):
+        if prob <= PRUNED_BRANCH_PROBABILITY:
+            continue
+        cands = [stages[d].candidates[i] for d, i in enumerate(path)]
+        links = [lid for cand in cands for lid in cand.bra.label_ids]
+        if len(set(links)) < len(links):
+            continue
+        shared = next((d for d, (a, b) in enumerate(zip(path, last)) if a != b), 0)
+        del applied[shared + 1:]
+        for cand in cands[shared:]:
+            applied.append(apply_event_operator(cand.c, cand.bra, cand.ket, applied[-1]))
+        checked += 1
+        max_dev = max(max_dev, abs(applied[-1].squared_norm() - float(prob)))
+        last = path
+    return checked, max_dev
 
 
 def sample_outcome_tree(
@@ -362,25 +380,15 @@ def sample_outcome_tree(
         )
     root = cut_state(history)
     analytic = np.zeros(total)
-    nodes = _expand(root, stages, analytic)
+    tables = [np.zeros((math.prod(radix[:d]), n)) for d, n in enumerate(radix)]
+    _expand(root, stages, tables, analytic)
     paths = list(itertools.product(*(range(n) for n in radix)))
-
-    checked, max_dev = 0, 0.0
-    for path, prob in zip(paths, analytic):
-        if prob <= PRUNED_BRANCH_PROBABILITY:
-            continue
-        cands = [stages[d].candidates[i] for d, i in enumerate(path)]
-        try:
-            joint = joint_probability(root, cands)
-        except OverlappingBackwardLinks:
-            continue  # stages sharing links have no one-shot form
-        checked += 1
-        max_dev = max(max_dev, abs(joint - float(prob)))
+    checked, max_dev = _check_chain_rule(root, stages, paths, analytic)
 
     counts = np.zeros(total, dtype=np.int64)
     for replica in range(replicas):
         u = replica_rng(seed, replica).random((runs, len(stages)))
-        ends = _sample_paths(nodes, radix, u)
+        ends = _sample_paths(tables, u)
         counts += np.bincount(ends, minlength=total)
         if replica == 0:
             first = int(ends[0])

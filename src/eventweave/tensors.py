@@ -196,19 +196,6 @@ class ProductBra:
         return f"ProductBra({','.join(self.factors)})"
 
 
-@dataclass(frozen=True)
-class EventOperator:
-    """Rank-1 map ``c |ket><bra|`` consuming backward-link factors.
-
-    Applying it to a state removes the bra factors and attaches the ket's
-    fresh factors, scaled by ``c``.
-    """
-
-    c: complex
-    bra: ProductBra
-    ket: LabeledVector
-
-
 def tensor_product(u: LabeledVector, v: LabeledVector) -> LabeledVector:
     """Outer product of two vectors with disjoint label sets.
 
@@ -253,10 +240,11 @@ def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
     return LabeledVector(labels, np.ascontiguousarray(tensor).reshape(-1), _canonical=True)
 
 
-def apply_event_operator(op: EventOperator, psi: LabeledVector) -> LabeledVector:
-    """Apply ``c |ket><bra|`` to a state: ``c * ket (x) <bra|psi``."""
-    residual = contract(op.bra, psi)
-    return tensor_product(op.ket, residual.scaled(op.c))
+def apply_event_operator(
+    c: complex, bra: ProductBra, ket: LabeledVector, psi: LabeledVector
+) -> LabeledVector:
+    """Apply the rank-1 event operator ``c |ket><bra|``: ``c * ket (x) <bra|psi``."""
+    return tensor_product(ket, contract(bra, psi).scaled(c))
 
 
 def basis_vector(label: FactorLabel, index: int) -> LabeledVector:

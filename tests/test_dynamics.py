@@ -352,6 +352,44 @@ def test_outcome_tree_counts_equal_the_per_draw_loop(name, seed, replicas):
     assert sum(tree.counts) == runs * replicas
 
 
+@pytest.mark.parametrize("name", sorted(OUTCOME_SCENARIOS))
+def test_chain_rule_check_equals_the_per_path_joint_loop(name):
+    scen = OUTCOME_SCENARIOS[name]()
+    stages = [stage.alternatives for stage in scen.stages]
+    history = scen.build_history()
+    tree = sample_outcome_tree(history, stages, 10, 0)
+    expected = reference.naive_chain_rule(
+        cut_state(history), stages, tree.paths, tree.analytic
+    )
+    assert (tree.chain_rule_checked, tree.chain_rule_max_dev) == expected
+
+
+def _counting_applications(monkeypatch) -> list:
+    calls = []
+    original = dynamics.apply_event_operator
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "apply_event_operator", counting)
+    return calls
+
+
+def test_outcome_tree_applies_each_live_prefix_once(monkeypatch):
+    """The figure's two stages of four candidates leave 8 live paths under 4
+    live first-stage nodes: expansion applies 4 + 4 * (1 + 4) = 24 operators
+    and the chain-rule check 4 + 8 = 12; the per-path loop applied 2 per
+    path, 16, for 40 in all."""
+    calls = _counting_applications(monkeypatch)
+    scen = load_scenario(FIGURE)
+    tree = sample_outcome_tree(
+        scen.build_history(), [st.alternatives for st in scen.stages], 100, 0
+    )
+    assert sum(p > 0.0 for p in tree.analytic) == tree.chain_rule_checked == 8
+    assert len(calls) == 36
+
+
 def test_outcome_tree_prunes_zero_probability_subtrees():
     scen = zero_branch_scenario()
     tree = sample_outcome_tree(
@@ -391,9 +429,44 @@ def test_chain_rule_check_skips_paths_whose_stages_share_links(chosen, checked):
         _up_down_alternatives("x", unit_factor("o2", [1.0], POINTER)),
         _up_down_alternatives("y", unit_factor("o3", [1.0], POINTER)),
     ]
-    tree = sample_outcome_tree(h, [stages[i] for i in chosen], 100, 0)
+    staged = [stages[i] for i in chosen]
+    tree = sample_outcome_tree(h, staged, 100, 0)
     assert all(abs(p - 0.5 ** len(chosen)) < 1e-12 for p in tree.analytic)
     assert tree.chain_rule_checked == checked
+    assert (checked, tree.chain_rule_max_dev) == reference.naive_chain_rule(
+        cut_state(h), staged, tree.paths, tree.analytic
+    )
+
+
+def test_chain_rule_check_resumes_from_the_last_checked_path(monkeypatch):
+    """Stage 0 measures ``z``; stage 1 consumes ``x`` and re-emits it; stage
+    2 consumes ``x`` again (candidate 0) or ``y`` (candidate 1).  Paths
+    ending in 0 are skipped, so path (0, 1, 1) shares its first operator
+    with (0, 0, 1), checked two paths before it.  Expansion applies
+    2 + 2 * 3 + 4 * 3 = 20 operators; the check applies 3 + 2 + 3 + 2 for
+    the four checked paths, where the per-path loop applied 3 each."""
+    plus = [SQRT_HALF, SQRT_HALF]
+    h = History()
+    for lid in ("x", "y", "z"):
+        h.add_initial_event(unit_factor(lid, plus))
+    up = [1.0, 0.0]
+    o2 = unit_factor("o2", [1.0], POINTER)
+    stages = [
+        _up_down_alternatives("z", unit_factor("oz", [1.0], POINTER)),
+        _up_down_alternatives("x", unit_factor("x", plus)),
+        AlternativeSet([
+            CandidateEvent(bra=ProductBra([unit_factor(lid, up)]), c=1.0, ket=o2)
+            for lid in ("x", "y")
+        ]),
+    ]
+    calls = _counting_applications(monkeypatch)
+    tree = sample_outcome_tree(h, stages, 100, 0)
+    assert all(abs(p - 0.125) < 1e-12 for p in tree.analytic)
+    assert tree.chain_rule_checked == 4
+    assert len(calls) == 20 + 3 + 2 + 3 + 2
+    assert (4, tree.chain_rule_max_dev) == reference.naive_chain_rule(
+        cut_state(h), stages, tree.paths, tree.analytic
+    )
 
 
 # -- realize ---------------------------------------------------------------------

@@ -92,6 +92,11 @@ def test_scenario_round_trip():
     assert scenario_to_dict(again) == scenario_to_dict(scen)
 
 
+def test_shipped_three_stage_scenario_is_the_zero_branch_scenario():
+    shipped = json.loads((REPO / "scenarios" / "three_stage.json").read_text())
+    assert shipped == scenario_to_dict(zero_branch_scenario())
+
+
 def test_scenario_errors_carry_breadcrumbs():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict({"schema": "eventweave-scenario/1"})
@@ -267,6 +272,25 @@ def test_dense_states_beyond_the_amplitude_cap_are_refused(tmp_path, capsys, mon
     assert err.startswith("error: ") and "MAX_AMPLITUDES = 256" in err
 
 
+class ExhaustedGenerator(np.random.Generator):
+    """Generator whose uniforms never fit in memory."""
+
+    def __init__(self, *_args):
+        super().__init__(np.random.PCG64(0))
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        raise MemoryError(f"Unable to allocate uniforms of shape {size}")
+
+
+@pytest.mark.parametrize("argv", [["epr"], ["simulate", str(FIGURE)]])
+def test_draws_that_cannot_be_allocated_exit_2(argv, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "replica_rng", ExhaustedGenerator)
+    code, out, err = run_cli(capsys, *argv, "--runs", "1000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory: Unable to allocate uniforms")
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent/file.json")
     assert code == 2
@@ -343,6 +367,9 @@ BAD_INPUTS = {
     "chsh-nan-angle": (lambda tmp: ["chsh", "--a", "nan"], "--a "),
     "chsh-infinite-angle": (lambda tmp: ["chsh", "--b", "inf"], "--b "),
     "simulate-zero-runs": (lambda tmp: ["simulate", str(FIGURE), "--runs", "0"], "runs"),
+    "epr-negative-seed": (
+        lambda tmp: ["epr", "--seed", "-1"], "--seed must be non-negative, got -1"
+    ),
     "thermal-box-nan": (lambda tmp: ["thermal-ambiguity", "--box", "nan"], "box"),
     "thermal-beta-nan": (lambda tmp: ["thermal-ambiguity", "--beta", "nan"], "beta"),
     "thermal-box-out-of-float-range": (

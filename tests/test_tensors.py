@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import reference
 from eventweave.errors import DuplicateLabel, MissingLabel, NonUnitVector
 from eventweave.tensors import (
-    EventOperator,
     FactorLabel,
     LabeledVector,
     ProductBra,
@@ -174,8 +173,7 @@ def test_apply_with_full_match_returns_ket(rng):
     f2 = random_unit_vector([lab("b", TRI)], rng)
     psi = tensor_product(f1, f2)
     ket = random_unit_vector([lab("fresh")], rng)
-    op = EventOperator(1.0, ProductBra([f1, f2]), ket)
-    out = apply_event_operator(op, psi)
+    out = apply_event_operator(1.0, ProductBra([f1, f2]), ket, psi)
     assert out.labels == ket.labels
     assert np.max(np.abs(out.amps - ket.amps)) < 1e-12
 
@@ -185,8 +183,9 @@ def test_apply_with_zero_weight_gives_zero_vector(rng):
         random_unit_vector([lab("a")], rng), random_unit_vector([lab("b")], rng)
     )
     ket = random_unit_vector([lab("fresh", TRI)], rng)
-    op = EventOperator(0.0, ProductBra([random_unit_vector([lab("a")], rng)]), ket)
-    out = apply_event_operator(op, psi)
+    out = apply_event_operator(
+        0.0, ProductBra([random_unit_vector([lab("a")], rng)]), ket, psi
+    )
     assert out.label_ids == ("b", "fresh")
     assert out.squared_norm() == 0.0
 
@@ -195,12 +194,12 @@ def test_apply_spin_outcome_on_singlet_has_probability_half(rng):
     e1 = np.array([math.sin(0.8), 0.1, math.cos(0.8)])
     e1 /= np.linalg.norm(e1)
     up = reference.pauli_eigenvector(e1, +1)
-    op = EventOperator(
+    out = apply_event_operator(
         1.0,
         ProductBra([LabeledVector([lab("a")], up)]),
         random_unit_vector([lab("out")], rng),
+        singlet(),
     )
-    out = apply_event_operator(op, singlet())
     assert out.label_ids == ("b", "out")
     assert abs(out.squared_norm() - 0.5) < 1e-12
 
@@ -209,13 +208,10 @@ def test_apply_rejects_ket_label_clash(rng):
     psi = tensor_product(
         random_unit_vector([lab("a")], rng), random_unit_vector([lab("b")], rng)
     )
-    op = EventOperator(
-        1.0,
-        ProductBra([random_unit_vector([lab("a")], rng)]),
-        random_unit_vector([lab("b")], rng),  # clashes with the surviving factor
-    )
+    bra = ProductBra([random_unit_vector([lab("a")], rng)])
+    ket = random_unit_vector([lab("b")], rng)  # clashes with the surviving factor
     with pytest.raises(DuplicateLabel):
-        apply_event_operator(op, psi)
+        apply_event_operator(1.0, bra, ket, psi)
 
 
 # -- cross-cutting properties -----------------------------------------------------
