@@ -45,6 +45,7 @@ from .dynamics import (
     realize,
     realized_state,
     replica_rng,
+    sample_counts,
     sample_extension,
     sample_many,
     sample_outcome_tree,
@@ -88,6 +89,7 @@ __all__ = [
     "realize",
     "realized_state",
     "replica_rng",
+    "sample_counts",
     "sample_extension",
     "sample_many",
     "sample_outcome_tree",

@@ -1,11 +1,13 @@
 """Probability law for extending a history by new events.
 
 The state attached to a past-closed cut is the tensor product of the
-residual vectors of its unsaturated events, returned unit-normalized.  A
-candidate extension is a rank-1 operator; its probability is the squared
-norm of the operator applied to the cut state.  Joint probabilities apply
-several operators with pairwise disjoint backward links in sequence, which
-makes them independent of the ordering.
+residual vectors of its unsaturated events.  It is kept as that product:
+one unit component per independent source, never tensored out unless a
+bra spans several components.  A candidate extension is a rank-1 operator;
+its probability is the squared norm of the operator applied to the
+components its bra names, since every other component has norm one.
+Joint probabilities apply several operators with pairwise disjoint
+backward links in sequence, which makes them independent of the ordering.
 
 Convention: after a candidate is realized the surviving branch vector is
 renormalized to unit norm.  That makes the chain rule hold exactly,
@@ -17,25 +19,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    DuplicateLabel,
+    MissingLabel,
     NotExhaustive,
     OverlappingBackwardLinks,
     TooManyOutcomePaths,
     ZeroProbabilityEvent,
 )
 from .graph import Cut, History, Region, EVENT_VECTOR_TOL
-from .tensors import (
-    LabeledVector,
-    ProductBra,
-    apply_event_operator,
-    contract,
-    tensor_product,
-)
+from .tensors import LabeledVector, ProductBra, contract, tensor_product
 
 #: alternative sets must cover probability one within this tolerance
 EXHAUSTIVE_TOL = 1e-9
@@ -51,15 +50,44 @@ PRUNED_BRANCH_PROBABILITY = 1e-15
 #: whose product of per-stage candidate counts exceeds this are refused
 MAX_OUTCOME_PATHS = 65536
 
+#: runs whose uniforms are drawn at once; larger samples are drawn in blocks
+#: of this many rows from the same generator, which keeps the stream
+DRAW_CHUNK = 2**20
+
 
 @dataclass(frozen=True)
 class CutState:
-    """Unit probability source for extensions of a cut.
+    """Unit probability source for extensions of a cut, kept as a product.
 
-    ``composite`` is the unit state whose labels are the cut's free links.
+    ``components`` are unit vectors over disjoint sets of the cut's free
+    links, and ``index`` maps each free link id to the position of its
+    component.  The state is their tensor product; ``composite`` builds it
+    on first use (within :data:`~eventweave.tensors.MAX_AMPLITUDES`), up to
+    the global phase of the numbers an event left without labels.
+    ``merged`` keeps each product of several components a bra has spanned,
+    keyed by their positions, since an alternative set's candidates
+    usually all span the same ones.
     """
 
-    composite: LabeledVector
+    components: tuple[LabeledVector, ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    merged: dict[tuple[int, ...], LabeledVector] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {
+            lid: k for k, vec in enumerate(self.components) for lid in vec.label_ids
+        })
+
+    @cached_property
+    def composite(self) -> LabeledVector:
+        """The unit state over every free link, as one dense vector.
+
+        The fold starts from the scalar 1, so even a one-component state
+        goes through ``tensor_product``, where the benchmark's frontier
+        probe looks for it."""
+        return reduce(tensor_product, self.components, LabeledVector.scalar(1.0))
 
 
 @dataclass(frozen=True)
@@ -96,35 +124,81 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
     """State of a past-closed cut (``None`` means the full frontier).
 
     The state is built from the cut's free links (``History.free_links``):
-    each source of a free link contributes its emitted vector, contracted
-    with the bra factors that events inside the cut apply to its other
-    forward links.  The composite is renormalized at the end.
+    each source of a free link gives one component, its emitted vector
+    contracted with the bra factors that events inside the cut apply to its
+    other forward links.  Each component is renormalized on its own.
     """
     if cut is None:
         cut = history.frontier_cut()
     elif not isinstance(cut, Cut):
         cut = Cut.of(cut)
     free = history.free_links(cut)
-    composite = LabeledVector.scalar(1.0)
+    components = []
     for eid in sorted({history.links[lid].source for lid in free}):
         ev = history.events[eid]
         bras = [history.events[history.links[lid].target].bra.factor(lid)
                 for lid in ev.forward_links if lid not in free]
-        vec = contract(ProductBra(bras), ev.emitted_vector) if bras else ev.emitted_vector
-        composite = tensor_product(composite, vec)
-    total = composite.squared_norm()
+        components.append(
+            contract(ProductBra(bras), ev.emitted_vector) if bras else ev.emitted_vector
+        )
+    totals = [vec.squared_norm() for vec in components]
+    total = math.prod(totals)
     if total <= ZERO_PROBABILITY_EPS:
         raise ZeroProbabilityEvent(
             f"cut state has squared norm {total!r}; this past never happens"
         )
+    return CutState(tuple(_unit(vec, t) for vec, t in zip(components, totals)))
+
+
+def _unit(vec: LabeledVector, total: float | None = None) -> LabeledVector:
+    """``vec`` scaled to unit norm, unless its squared norm is within 1e-15."""
+    if total is None:
+        total = vec.squared_norm()
     if abs(total - 1.0) > 1e-15:
-        composite = composite.scaled(1.0 / np.sqrt(total))
-    return CutState(composite)
+        return vec.scaled(1.0 / np.sqrt(total))
+    return vec
+
+
+def _apply(
+    state: CutState, cand: CandidateEvent
+) -> tuple[list[int], LabeledVector, LabeledVector]:
+    """The candidate's operator on the components its bra names.
+
+    ``psi`` is the tensor product of those components (one of them as is,
+    several merged in order).  Returns their positions, the residual
+    ``c <bra|psi>`` and ``apply_event_operator``'s result ``|ket> (x)`` that
+    residual, whose squared norm is the candidate's probability.
+    """
+    index = state.index
+    missing = [lid for lid in cand.bra.label_ids if lid not in index]
+    if missing:
+        raise MissingLabel(f"state carries no factor for links {missing}")
+    clash = [lid for lid in cand.ket.label_ids
+             if lid in index and lid not in cand.bra.factors]
+    if clash:
+        raise DuplicateLabel(f"ket labels already carried by the state: {clash}")
+    touched = sorted({index[lid] for lid in cand.bra.label_ids})
+    if len(touched) == 1:
+        psi = state.components[touched[0]]
+    else:
+        psi = state.merged.get(tuple(touched))
+        if psi is None:
+            psi = reduce(tensor_product, (state.components[k] for k in touched))
+            state.merged[tuple(touched)] = psi
+    residual = contract(cand.bra, psi).scaled(cand.c)
+    return touched, residual, tensor_product(cand.ket, residual)
+
+
+def _replaced(state: CutState, touched: list[int], new: Iterable[LabeledVector]) -> CutState:
+    """``state`` with the touched components swapped for ``new``; the rest
+    are shared by reference."""
+    kept = (vec for k, vec in enumerate(state.components) if k not in touched)
+    return CutState((*kept, *new))
 
 
 def event_probability(state: CutState, cand: CandidateEvent) -> float:
     """Squared norm of the candidate's operator applied to the state."""
-    return apply_event_operator(cand.c, cand.bra, cand.ket, state.composite).squared_norm()
+    return _apply(state, cand)[2].squared_norm()
 
 
 def joint_probability(state: CutState, cands: Sequence[CandidateEvent]) -> float:
@@ -141,19 +215,40 @@ def joint_probability(state: CutState, cands: Sequence[CandidateEvent]) -> float
                     f"candidates {seen[lid]} and {i} both consume link {lid!r}"
                 )
             seen[lid] = i
-    vec = state.composite
+    applied = state
     for cand in cands:
-        vec = apply_event_operator(cand.c, cand.bra, cand.ket, vec)
-    return vec.squared_norm()
+        applied = _applied(applied, cand)
+    return _squared_norm_since(applied, state)
+
+
+def _applied(state: CutState, cand: CandidateEvent) -> CutState:
+    """Unnormalized state after the candidate: the components it touches
+    become one, ``c |ket> (x) <bra|psi>``."""
+    touched, _, vec = _apply(state, cand)
+    return _replaced(state, touched, [vec])
+
+
+def _squared_norm_since(applied: CutState, root: CutState) -> float:
+    """Squared norm of ``applied``, a unit ``root`` with operators applied:
+    the components still shared with ``root`` contribute exactly 1."""
+    unit = {id(vec) for vec in root.components}
+    return math.prod(vec.squared_norm() for vec in applied.components
+                     if id(vec) not in unit)
 
 
 def realized_state(state: CutState, cand: CandidateEvent) -> tuple[float, CutState]:
-    """Probability of the candidate plus the renormalized post-event state."""
-    vec = apply_event_operator(cand.c, cand.bra, cand.ket, state.composite)
+    """Probability of the candidate plus the renormalized post-event state.
+
+    The touched components give way to the unit residual ``c <bra|psi>``
+    and the unit ket, each kept only if it has labels: one without labels
+    is a number, a global phase once normalized.
+    """
+    touched, residual, vec = _apply(state, cand)
     p = vec.squared_norm()
     if p <= ZERO_PROBABILITY_EPS:
         raise ZeroProbabilityEvent(f"candidate has probability {p!r}")
-    return p, CutState(vec.scaled(1.0 / np.sqrt(p)))
+    new = [_unit(v) for v in (residual, cand.ket) if v.labels]
+    return p, _replaced(state, touched, new)
 
 
 def alternative_probabilities(
@@ -213,6 +308,20 @@ def sample_many(
     """Vector of ``n`` draws; stream-equivalent to ``n`` single draws."""
     probs = alternative_probabilities(state, alts)
     return _draw(probs, _as_generator(rng).random(n))
+
+
+def sample_counts(
+    state: CutState, alts: AlternativeSet, n: int, rng: int | np.random.Generator
+) -> np.ndarray:
+    """Per-candidate counts of ``n`` draws: the stream of :func:`sample_many`,
+    drawn in blocks of :data:`DRAW_CHUNK` so memory stays bounded."""
+    probs = alternative_probabilities(state, alts)
+    rng = _as_generator(rng)
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for start in range(0, n, DRAW_CHUNK):
+        u = rng.random(min(DRAW_CHUNK, n - start))
+        counts += np.bincount(_draw(probs, u), minlength=probs.size)
+    return counts
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
@@ -330,13 +439,14 @@ def _check_chain_rule(
     """Live paths checked and their largest ``|joint - analytic|``.
 
     ``applied[j]`` is the root after the first ``j`` operators of the last
-    checked path; the paths come in lexicographic order, so dropping the
-    entries past the prefix a path shares with it applies each prefix once.
-    Paths whose candidates repeat a backward link (no one-shot form) are skipped.
+    checked path, unnormalized; the paths come in lexicographic order, so
+    dropping the entries past the prefix a path shares with it applies each
+    prefix once.  Paths whose candidates repeat a backward link (no one-shot
+    form) are skipped.
     """
     checked, max_dev = 0, 0.0
     last: tuple[int, ...] = ()
-    applied = [root.composite]
+    applied = [root]
     for path, prob in zip(paths, analytic):
         if prob <= PRUNED_BRANCH_PROBABILITY:
             continue
@@ -347,9 +457,10 @@ def _check_chain_rule(
         shared = next((d for d, (a, b) in enumerate(zip(path, last)) if a != b), 0)
         del applied[shared + 1:]
         for cand in cands[shared:]:
-            applied.append(apply_event_operator(cand.c, cand.bra, cand.ket, applied[-1]))
+            applied.append(_applied(applied[-1], cand))
         checked += 1
-        max_dev = max(max_dev, abs(applied[-1].squared_norm() - float(prob)))
+        joint = _squared_norm_since(applied[-1], root)
+        max_dev = max(max_dev, abs(joint - float(prob)))
         last = path
     return checked, max_dev
 
@@ -365,7 +476,8 @@ def sample_outcome_tree(
 
     Each stage is an alternative set over the state left by the stages
     before it.  Replica ``r`` draws ``replica_rng(seed, r).random((runs,
-    len(stages)))``: the same stream as one uniform per draw, run by run.
+    len(stages)))`` in blocks of :data:`DRAW_CHUNK` rows: the same stream as
+    one uniform per draw, run by run.
     Raises :class:`TooManyOutcomePaths` before any state is built when the
     path count exceeds :data:`MAX_OUTCOME_PATHS`.
     """
@@ -387,11 +499,13 @@ def sample_outcome_tree(
 
     counts = np.zeros(total, dtype=np.int64)
     for replica in range(replicas):
-        u = replica_rng(seed, replica).random((runs, len(stages)))
-        ends = _sample_paths(tables, u)
-        counts += np.bincount(ends, minlength=total)
-        if replica == 0:
-            first = int(ends[0])
+        rng = replica_rng(seed, replica)
+        for start in range(0, runs, DRAW_CHUNK):
+            u = rng.random((min(DRAW_CHUNK, runs - start), len(stages)))
+            ends = _sample_paths(tables, u)
+            counts += np.bincount(ends, minlength=total)
+            if replica == 0 and start == 0:
+                first = int(ends[0])
     return OutcomeTree(
         paths=paths,
         analytic=[float(p) for p in analytic],

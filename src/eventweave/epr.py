@@ -244,5 +244,5 @@ def mc_frequencies(
     setup: EprSetup, n: int, rng: int | np.random.Generator
 ) -> np.ndarray:
     """Empirical outcome-pair frequencies over ``n`` sampled realizations."""
-    draws = dynamics.sample_many(setup.state, setup.alternatives, n, rng)
-    return np.bincount(draws, minlength=4).astype(float) / float(n)
+    counts = dynamics.sample_counts(setup.state, setup.alternatives, n, rng)
+    return counts.astype(float) / float(n)

@@ -75,7 +75,7 @@ class LabeledVector:
             raise ValueError(
                 f"{arr.size} amplitudes for labels with total dimension {expected}"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise ValueError("amplitudes must be finite")
         if not _canonical and any(
             labels[i].link_id > labels[i + 1].link_id for i in range(len(labels) - 1)

@@ -145,6 +145,45 @@ def zero_branch_scenario() -> Scenario:
     )
 
 
+def singlet_pairs_scenario(pairs: int) -> Scenario:
+    """Independent singlets; two stages each measure one pair (pairs 0 and
+    1), so every component of the cut state has 4 amplitudes."""
+    def pair_stage(i):
+        up = unit_factor(f"a{i}", [1.0, 0.0]), unit_factor(f"b{i}", [1.0, 0.0])
+        down = unit_factor(f"a{i}", [0.0, 1.0]), unit_factor(f"b{i}", [0.0, 1.0])
+        ket = unit_factor(f"m{i}", [1.0], POINTER)
+        return Stage(f"pair{i}", AlternativeSet([
+            CandidateEvent(bra=ProductBra([sa, sb]), c=1.0, ket=ket, name=na + nb)
+            for sa, na in zip((up[0], down[0]), "+-")
+            for sb, nb in zip((up[1], down[1]), "+-")
+        ]))
+
+    return Scenario(
+        initial_events=[(f"pair{i}", singlet_vector(f"a{i}", f"b{i}"), None)
+                        for i in range(pairs)],
+        stages=[pair_stage(0), pair_stage(1)],
+    )
+
+
+def spanning_pairs_scenario(pairs: int) -> Scenario:
+    """Independent singlets and one stage whose bras span the ``a`` link of
+    every pair, so its probabilities merge all ``4**pairs`` amplitudes."""
+    ket = unit_factor("m", [1.0], POINTER)
+    spins = {"+": [1.0, 0.0], "-": [0.0, 1.0]}
+    cands = [
+        CandidateEvent(
+            bra=ProductBra([unit_factor(f"a{i}", spins[s]) for i, s in enumerate(signs)]),
+            c=1.0, ket=ket, name="".join(signs),
+        )
+        for signs in itertools.product("+-", repeat=pairs)
+    ]
+    return Scenario(
+        initial_events=[(f"pair{i}", singlet_vector(f"a{i}", f"b{i}"), None)
+                        for i in range(pairs)],
+        stages=[Stage("all-a", AlternativeSet(cands))],
+    )
+
+
 class HistoryFactory:
     """Randomized small histories with a bounded composite size."""
 

@@ -123,6 +123,42 @@ def direct_cell_hat(g, dx, n, offset):
     return dx * np.sum(np.asarray(g) * np.exp(2j * np.pi * offset * l / n))
 
 
+# -- dense cut state -------------------------------------------------------------
+
+
+def dense_cut_state(history, cut=None):
+    """Cut state as one dense vector over every free link of the cut.
+
+    This is the loop :func:`eventweave.dynamics.cut_state` replaced: it
+    tensors each source's component (its emitted vector contracted with the
+    bras absorbed inside the cut) into one composite, in sorted event-id
+    order, and normalizes the composite once.  The result is a one-component
+    ``CutState``, so its size is the product of all the components'.
+    """
+    from eventweave import dynamics, tensors
+    from eventweave.graph import Cut
+
+    if cut is None:
+        cut = history.frontier_cut()
+    elif not isinstance(cut, Cut):
+        cut = Cut.of(cut)
+    free = history.free_links(cut)
+    composite = tensors.LabeledVector.scalar(1.0)
+    for eid in sorted({history.links[lid].source for lid in free}):
+        ev = history.events[eid]
+        bras = [history.events[history.links[lid].target].bra.factor(lid)
+                for lid in ev.forward_links if lid not in free]
+        vec = (tensors.contract(tensors.ProductBra(bras), ev.emitted_vector)
+               if bras else ev.emitted_vector)
+        composite = tensors.tensor_product(composite, vec)
+    total = composite.squared_norm()
+    if total <= dynamics.ZERO_PROBABILITY_EPS:
+        raise dynamics.ZeroProbabilityEvent(f"cut state has squared norm {total!r}")
+    if abs(total - 1.0) > 1e-15:
+        composite = composite.scaled(1.0 / np.sqrt(total))
+    return dynamics.CutState((composite,))
+
+
 # -- staged sampling (one uniform per draw) ------------------------------------
 
 

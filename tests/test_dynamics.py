@@ -365,14 +365,15 @@ def test_chain_rule_check_equals_the_per_path_joint_loop(name):
 
 
 def _counting_applications(monkeypatch) -> list:
+    """Operator applications, one ``contract`` each (these roots contract none)."""
     calls = []
-    original = dynamics.apply_event_operator
+    original = dynamics.contract
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(dynamics, "apply_event_operator", counting)
+    monkeypatch.setattr(dynamics, "contract", counting)
     return calls
 
 

@@ -18,13 +18,14 @@ from conftest import (
     SPIN,
     SQRT_HALF,
     StuckGenerator,
+    singlet_pairs_scenario,
+    spanning_pairs_scenario,
     spin_alternatives,
     unit_factor,
     zero_branch_scenario,
 )
 from eventweave import cli, dynamics, tensors, thermal
 from eventweave.dynamics import AlternativeSet, CandidateEvent
-from eventweave.epr import singlet_vector
 from eventweave.graph import vector_from_dict, vector_to_dict
 from eventweave.scenario import (
     Scenario,
@@ -236,37 +237,19 @@ def test_simulate_refuses_too_many_outcome_paths(tmp_path, capsys):
     assert str(dynamics.MAX_OUTCOME_PATHS) in err
 
 
-def _singlet_pairs_scenario(pairs: int) -> Scenario:
-    """Independent singlets; two stages each measure one pair, so the cut
-    state is dense over all ``4**pairs`` amplitudes."""
-    def pair_stage(i):
-        up = unit_factor(f"a{i}", [1.0, 0.0]), unit_factor(f"b{i}", [1.0, 0.0])
-        down = unit_factor(f"a{i}", [0.0, 1.0]), unit_factor(f"b{i}", [0.0, 1.0])
-        ket = unit_factor(f"m{i}", [1.0], POINTER)
-        return Stage(f"pair{i}", AlternativeSet([
-            CandidateEvent(bra=ProductBra([sa, sb]), c=1.0, ket=ket, name=na + nb)
-            for sa, na in zip((up[0], down[0]), "+-")
-            for sb, nb in zip((up[1], down[1]), "+-")
-        ]))
-
-    return Scenario(
-        initial_events=[(f"pair{i}", singlet_vector(f"a{i}", f"b{i}"), None)
-                        for i in range(pairs)],
-        stages=[pair_stage(0), pair_stage(1)],
-    )
-
-
 def test_dense_states_beyond_the_amplitude_cap_are_refused(tmp_path, capsys, monkeypatch):
-    assert 4**10 <= tensors.MAX_AMPLITUDES  # the bench's wide scenario fits
+    """Independent pairs stay separate components, so 5 pairs run under a cap
+    of 256; a bra over the ``a`` links of all 5 merges 4**5 = 1024 amplitudes."""
+    assert 4**10 <= tensors.MAX_AMPLITUDES  # the traced wide composite fits
     monkeypatch.setattr(tensors, "MAX_AMPLITUDES", 256)
 
-    def simulate(pairs):
-        path = tmp_path / f"pairs{pairs}.json"
-        path.write_text(json.dumps(scenario_to_dict(_singlet_pairs_scenario(pairs))))
+    def simulate(name, scenario):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario)))
         return run_cli(capsys, "simulate", str(path), "--runs", "10")
 
-    assert simulate(4)[0] == 0
-    code, out, err = simulate(5)
+    assert simulate("pairs5", singlet_pairs_scenario(5))[0] == 0
+    code, out, err = simulate("spanning5", spanning_pairs_scenario(5))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "MAX_AMPLITUDES = 256" in err

@@ -34,6 +34,7 @@ MATRIX: list[list[str]] = [
     *(["simulate", "scenarios/three_stage.json", "--seed", str(seed),
        "--replicas", "2", "--format", fmt]
       for seed in range(2) for fmt in FORMATS),
+    ["simulate", "scenarios/pairs24.json", "--seed", "0", "--format", "json"],
     *(["epr", "--theta", theta, "--replicas", str(replicas), "--format", fmt]
       for theta in ("0", "37.5", "90", "180") for replicas in (1, 4) for fmt in FORMATS),
     *(["chsh", *extra, "--format", fmt]
