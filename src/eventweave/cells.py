@@ -75,7 +75,7 @@ class TKernel:
     """Scattering kernel over the grid, dense or separable.
 
     Separable form means ``tau(P_i, P_j) = left[i] * right[j]``; it keeps
-    translation O(n) and is what the wide momentum sweeps use.
+    branch construction to FFTs and is what the wide momentum sweeps use.
     """
 
     def __init__(self, grid: MomentumGrid, *, matrix=None, left=None, right=None):
@@ -107,11 +107,6 @@ class TKernel:
     def separable(cls, grid, left, right=None) -> "TKernel":
         return cls(grid, left=left, right=right)
 
-    @classmethod
-    def constant(cls, grid, value: complex = 1.0) -> "TKernel":
-        ones = np.full(grid.n_points, np.sqrt(complex(value)), dtype=np.complex128)
-        return cls(grid, left=ones, right=ones)
-
     # -- access --------------------------------------------------------------
 
     @property
@@ -123,19 +118,6 @@ class TKernel:
         if self._matrix is not None:
             return self._matrix
         return np.multiply.outer(self._left, self._right)
-
-
-def translate_kernel(kernel: TKernel, x: float) -> TKernel:
-    """Conjugate by the spatial translation: phases ``exp(i (P'-P) x / hbar)``."""
-    p = kernel.grid.momenta()
-    phase = np.exp(1j * p * x / kernel.grid.hbar)
-    if kernel.is_separable:
-        return TKernel.separable(
-            kernel.grid, kernel._left * phase, kernel._right * np.conj(phase)
-        )
-    return TKernel.from_matrix(
-        kernel.grid, kernel.matrix * np.multiply.outer(phase, np.conj(phase))
-    )
 
 
 def _offset_index_matrix(n: int) -> np.ndarray:
@@ -251,34 +233,6 @@ class CellPartition:
         n = self.grid.n_points
         return self.grid.dx * n * np.fft.ifft(self.functions[k])
 
-    def hat_abs2_by_offset(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(momentum transfer, |ghat|^2) over the aliased offset range."""
-        n = self.grid.n_points
-        hat = self.hat(k)
-        m = np.arange(n)
-        q_index = np.where(m <= n // 2, m, m - n)
-        order = np.argsort(q_index)
-        return self.grid.offset_momentum(q_index[order]), np.abs(hat[order]) ** 2
-
-    def translated(self, sites: int) -> "CellPartition":
-        """Partition moved by an integer number of grid sites."""
-        return CellPartition(
-            grid=self.grid,
-            functions=np.roll(self.functions, sites, axis=1),
-            width=self.width,
-            smoothing=self.smoothing,
-        )
-
-
-def translate_state(grid: MomentumGrid, psi: np.ndarray, sites: int) -> np.ndarray:
-    """Momentum-space form of moving a state by ``sites`` grid steps.
-
-    Paired with :meth:`CellPartition.translated`, branch construction is
-    exactly covariant under this operation for any kernel.
-    """
-    n = grid.n_points
-    return psi * np.exp(2j * np.pi * np.arange(n) * sites / n)
-
 
 def position_to_momentum(grid: MomentumGrid, psi_x: np.ndarray) -> np.ndarray:
     """Unitary map onto the :meth:`MomentumGrid.momenta` index order.
@@ -287,11 +241,6 @@ def position_to_momentum(grid: MomentumGrid, psi_x: np.ndarray) -> np.ndarray:
     kernels and envelopes built as functions of ``momenta()``.
     """
     return math.sqrt(grid.n_points) * np.fft.fftshift(np.fft.ifft(psi_x))
-
-
-def momentum_to_position(grid: MomentumGrid, psi_p: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`position_to_momentum`."""
-    return np.fft.fft(np.fft.ifftshift(psi_p)) / math.sqrt(grid.n_points)
 
 
 def _cell_kernel(kernel: TKernel, cells: CellPartition, k: int) -> np.ndarray:

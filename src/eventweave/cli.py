@@ -57,6 +57,11 @@ class UsageError(ValueError):
     """Bad argument values; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main() reports it as a usage error, exit 2
+        raise UsageError(message)
+
+
 def _three_sigma_band(p: float, n: int) -> float:
     return 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
@@ -261,16 +266,19 @@ def cmd_cells(args) -> tuple[dict, list, list]:
 # -- plumbing -----------------------------------------------------------------
 
 
-def _comma_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _comma_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _comma_list(convert):
+    """argparse type: a non-empty comma-separated list of ``convert`` values."""
+    def parse(text: str) -> list:
+        values = [convert(x) for x in text.split(",") if x.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+        return values
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eventweave",
         description="Event-pattern quantum simulator: sampling, EPR/CHSH, "
         "ensemble ambiguity, quasilocal cells.",
@@ -322,10 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cells", parents=[common],
                        help="momentum-balance spread versus cell width")
     p.add_argument("--sites", type=int, default=4096)
-    p.add_argument("--cells", type=_comma_ints, default=None,
-                   help="comma-separated cell counts")
-    p.add_argument("--cell-width", type=_comma_floats, default=None,
-                   help="comma-separated cell widths (box units)")
+    sweep = p.add_mutually_exclusive_group()
+    sweep.add_argument("--cells", type=_comma_list(int), default=None,
+                       help="comma-separated cell counts")
+    sweep.add_argument("--cell-width", type=_comma_list(float), default=None,
+                       help="comma-separated cell widths (box units)")
     p.add_argument("--box", type=float, default=1.0)
     p.add_argument("--tau-scale", type=float, default=2.0)
     p.add_argument("--smoothing", type=float, default=0.15,
@@ -351,9 +360,9 @@ def _emit(args, report: dict, header: list, rows: list) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        args = parser.parse_args(argv)
         if args.seed < 0:
             raise UsageError(f"--seed must be non-negative, got {args.seed}")
         results, header, rows = args.handler(args)

@@ -63,12 +63,6 @@ class Direction:
         a = math.radians(angle_deg)
         return cls.from_cartesian(math.sin(a), 0.0, math.cos(a))
 
-    def dot(self, other: "Direction") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 def spin_eigenvectors(e: Direction) -> tuple[np.ndarray, np.ndarray]:
     """(+1, -1) eigenvectors of ``e . sigma`` in the documented convention."""
@@ -197,34 +191,9 @@ class DeterministicStrategy:
             if v not in (-1, 1):
                 raise ValueError("outputs must be +1 or -1")
 
-    def correlation(self, i: int, j: int) -> float:
-        return float(self.a_outputs[i] * self.b_outputs[j])
-
     def chsh_value(self) -> float:
-        e = self.correlation
-        return e(0, 0) - e(0, 1) + e(1, 0) + e(1, 1)
-
-
-@dataclass(frozen=True)
-class ClassicalStrategy:
-    """Distribution over deterministic per-link assignments."""
-
-    strategies: tuple[DeterministicStrategy, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.strategies) != len(self.weights):
-            raise ValueError("one weight per strategy")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-    def correlation(self, i: int, j: int) -> float:
-        return sum(w * s.correlation(i, j) for w, s in zip(self.weights, self.strategies))
-
-    def chsh_value(self) -> float:
-        return sum(w * s.chsh_value() for w, s in zip(self.weights, self.strategies))
+        (a0, a1), (b0, b1) = self.a_outputs, self.b_outputs
+        return float(a0 * b0 - a0 * b1 + a1 * b0 + a1 * b1)
 
 
 def enumerate_deterministic_strategies() -> list[DeterministicStrategy]:

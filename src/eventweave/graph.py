@@ -198,16 +198,6 @@ class History:
 
     # -- queries ---------------------------------------------------------------
 
-    def is_saturated(self, event_id: str) -> bool:
-        """True iff every forward link of the event has been absorbed."""
-        ev = self.events.get(event_id)
-        if ev is None:
-            raise UnknownEvent(f"no event {event_id!r}")
-        return all(self.links[lid].established for lid in ev.forward_links)
-
-    def unsaturated_events(self) -> list[str]:
-        return [eid for eid in self.events if not self.is_saturated(eid)]
-
     def frontier_cut(self) -> Cut:
         """The cut containing every realized event."""
         return Cut.of(self.events)

@@ -101,10 +101,6 @@ class LabeledVector:
     def dims(self) -> tuple[int, ...]:
         return tuple(lab.dim for lab in self.labels)
 
-    @property
-    def is_scalar(self) -> bool:
-        return not self.labels
-
     def __complex__(self) -> complex:
         if self.labels:
             raise ValueError("only an empty-label vector converts to a scalar")
@@ -140,15 +136,6 @@ class LabeledVector:
     def __repr__(self) -> str:
         ids = ",".join(self.label_ids)
         return f"LabeledVector([{ids}], {self.amps.size} amps)"
-
-
-def distance(u: LabeledVector, v: LabeledVector) -> float:
-    """Max absolute amplitude difference; labels must agree exactly."""
-    if u.labels != v.labels:
-        raise ValueError(f"label mismatch: {u.label_ids} vs {v.label_ids}")
-    if u.amps.size == 0:
-        return 0.0
-    return float(np.max(np.abs(u.amps - v.amps)))
 
 
 class ProductBra:
@@ -245,13 +232,6 @@ def apply_event_operator(
 ) -> LabeledVector:
     """Apply the rank-1 event operator ``c |ket><bra|``: ``c * ket (x) <bra|psi``."""
     return tensor_product(ket, contract(bra, psi).scaled(c))
-
-
-def basis_vector(label: FactorLabel, index: int) -> LabeledVector:
-    """Unit basis vector ``e_index`` on a single factor."""
-    amps = np.zeros(label.dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return LabeledVector((label,), amps, _canonical=True)
 
 
 def random_unit_vector(

@@ -91,10 +91,6 @@ class MomentumDensity:
         off = self.matrix - np.diag(np.diag(self.matrix))
         return float(np.max(np.abs(off)))
 
-    def expectation(self, values: np.ndarray) -> float:
-        """Mean of a momentum function under the diagonal weights."""
-        return float(np.dot(self.diagonal, values))
-
 
 @dataclass(frozen=True)
 class PacketFamily:
@@ -200,41 +196,6 @@ def matching_width(model: LatticeModel) -> MatchResult:
     if residual > MATCH_TOL:
         raise NoMatch(residual, MATCH_TOL)
     return MatchResult(sigma, residual, thermal, mixture)
-
-
-def packet_overlap(model: LatticeModel, sigma: float, c1: float, c2: float) -> float:
-    """|<psi_c1|psi_c2>| for two packets of equal width."""
-    a = gaussian_packet(model, c1, sigma)
-    b = gaussian_packet(model, c2, sigma)
-    return float(abs(np.vdot(a, b)))
-
-
-@dataclass
-class OverlapReport:
-    """Overlaps between consecutive centers of a family."""
-
-    separations: np.ndarray
-    overlaps: np.ndarray
-
-    def max_neighbor_overlap(self) -> float:
-        return float(self.overlaps.max()) if self.overlaps.size else 0.0
-
-
-def overlap_report(model: LatticeModel, family: PacketFamily) -> OverlapReport:
-    """Pairwise overlaps of neighboring packets; nonzero overlaps for
-    centers closer than a few widths exhibit the non-orthogonal
-    decomposition."""
-    if len(family.centers) < 2:
-        raise ValueError("need at least two packets")
-    centers = np.sort(np.asarray(family.centers))
-    seps = np.diff(centers)
-    overlaps = np.array(
-        [
-            packet_overlap(model, family.sigma, c1, c2)
-            for c1, c2 in zip(centers[:-1], centers[1:])
-        ]
-    )
-    return OverlapReport(separations=seps, overlaps=overlaps)
 
 
 def proton_model(

@@ -11,6 +11,7 @@ from eventweave.epr import singlet_vector
 from eventweave.dynamics import AlternativeSet
 from eventweave.graph import History
 from eventweave.scenario import Scenario, Stage
+from eventweave.thermal import gaussian_packet
 from eventweave.tensors import (
     FactorLabel,
     LabeledVector,
@@ -34,6 +35,27 @@ def bell_pair(a_id: str, b_id: str) -> LabeledVector:
 
 def unit_factor(link_id: str, amps, space=SPIN) -> LabeledVector:
     return LabeledVector([FactorLabel(link_id, space)], amps)
+
+
+def distance(u: LabeledVector, v: LabeledVector) -> float:
+    """Max absolute amplitude difference of two vectors with equal labels."""
+    assert u.labels == v.labels, (u.label_ids, v.label_ids)
+    return float(np.max(np.abs(u.amps - v.amps)))
+
+
+def saturated(h: History, event_id: str) -> bool:
+    """True iff every forward link of the event has been absorbed."""
+    return not set(h.events[event_id].forward_links) & h.free_links()
+
+
+def packet_overlap(model, sigma: float, c1: float, c2: float) -> float:
+    """|<psi_c1|psi_c2>| for two lattice packets of width ``sigma``."""
+    return abs(np.vdot(gaussian_packet(model, c1, sigma), gaussian_packet(model, c2, sigma)))
+
+
+def momentum_to_position(grid, psi_p: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`eventweave.cells.position_to_momentum`."""
+    return np.fft.fft(np.fft.ifftshift(psi_p)) / math.sqrt(grid.n_points)
 
 
 def generic_figure() -> History:

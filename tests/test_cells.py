@@ -1,11 +1,13 @@
-"""Quasilocal kernels: translation, box integration, cells, and spreads."""
+"""Quasilocal kernels: box integration, cells, branches, and spreads."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import reference
+from conftest import momentum_to_position
 from eventweave.cells import (
     CellPartition,
     MomentumGrid,
@@ -15,11 +17,8 @@ from eventweave.cells import (
     default_sweep_state,
     integrate_over_box,
     momentum_balance_spread,
-    momentum_to_position,
     position_to_momentum,
     single_branch,
-    translate_kernel,
-    translate_state,
     width_sweep,
 )
 from eventweave.errors import PartitionNotUnity, ZeroNormBranch
@@ -44,6 +43,10 @@ def envelope_kernel(grid, fraction=1 / 6):
     return TKernel.separable(grid, np.exp(-(p**2) / (2 * (fraction * pmax) ** 2)))
 
 
+def unit_kernel(grid):
+    return TKernel.separable(grid, np.ones(grid.n_points))
+
+
 def unit_packet_in_cell(grid, n_cells, cell_index, width_fraction=1 / 26):
     x = grid.positions()
     a = grid.box_length / n_cells
@@ -52,38 +55,6 @@ def unit_packet_in_cell(grid, n_cells, cell_index, width_fraction=1 / 26):
     psi_x = np.exp(-((x - center) ** 2) / (4 * sig**2)).astype(complex)
     psi_x /= np.linalg.norm(psi_x)
     return position_to_momentum(grid, psi_x)
-
-
-# -- translate_kernel ------------------------------------------------------------
-
-
-def test_translation_by_zero_is_identity(rng):
-    grid = MomentumGrid.of_box(64, 1.0)
-    T = smooth_kernel(grid, rng)
-    assert np.array_equal(translate_kernel(T, 0.0).matrix, T.matrix)
-
-
-def test_translation_never_touches_the_diagonal(rng):
-    grid = MomentumGrid.of_box(64, 1.0)
-    T = smooth_kernel(grid, rng)
-    moved = translate_kernel(T, 0.377)
-    assert np.max(np.abs(np.diag(moved.matrix) - np.diag(T.matrix))) < 1e-12
-
-
-def test_translation_round_trip(rng):
-    grid = MomentumGrid.of_box(64, 1.0)
-    T = smooth_kernel(grid, rng)
-    back = translate_kernel(translate_kernel(T, 0.21), -0.21)
-    assert np.max(np.abs(back.matrix - T.matrix)) < 1e-12
-
-
-def test_separable_translation_matches_dense(rng):
-    grid = MomentumGrid.of_box(64, 1.0)
-    T = envelope_kernel(grid, 1 / 3)
-    dense = TKernel.from_matrix(grid, T.matrix)
-    a = translate_kernel(T, 0.11).matrix
-    b = translate_kernel(dense, 0.11).matrix
-    assert np.max(np.abs(a - b)) < 1e-12
 
 
 # -- integrate_over_box -------------------------------------------------------------
@@ -100,7 +71,7 @@ def test_box_integration_restores_momentum_conservation(rng):
 
 def test_box_integration_of_the_unit_kernel_is_proportional_to_identity():
     grid = MomentumGrid.of_box(32, 2.0)
-    out = integrate_over_box(TKernel.constant(grid)).matrix
+    out = integrate_over_box(unit_kernel(grid)).matrix
     assert np.max(np.abs(out - grid.box_length * np.eye(32))) < 1e-10
 
 
@@ -176,7 +147,10 @@ def test_cell_transform_is_concentrated_within_h_over_a():
     grid = MomentumGrid.of_box(1024, 1.0)
     n_cells = 8
     part = CellPartition.smoothed_indicators(grid, n_cells, 0.12)
-    q, weight = part.hat_abs2_by_offset(n_cells // 2)
+    n = grid.n_points
+    m = np.arange(n)  # hat(k)[m] belongs to the offset m, aliased into (-n/2, n/2]
+    q = grid.offset_momentum(np.where(m <= n // 2, m, m - n))
+    weight = np.abs(part.hat(n_cells // 2)) ** 2
     a = part.width
     h = 2.0 * math.pi * grid.hbar
     inside = np.abs(q) <= 2.0 * h / a
@@ -241,9 +215,12 @@ def test_branch_construction_is_translation_covariant(rng):
     psi /= np.linalg.norm(psi)
     base = branch_states(T, part, psi)
     shift = 37
-    moved = branch_states(T, part.translated(shift), translate_state(grid, psi, shift))
+    # moving the cells by `shift` sites multiplies momentum states by this phase
+    phase = np.exp(2j * np.pi * np.arange(128) * shift / 128)
+    moved_part = dataclasses.replace(part, functions=np.roll(part.functions, shift, axis=1))
+    moved = branch_states(T, moved_part, psi * phase)
     for k in range(4):
-        want = translate_state(grid, base.branches[k].vector, shift)
+        want = base.branches[k].vector * phase
         assert np.max(np.abs(moved.branches[k].vector - want)) < 1e-12
 
 
@@ -286,7 +263,7 @@ def test_unit_kernel_branches_act_as_cell_multiplication():
     grid = MomentumGrid.of_box(256, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     psi = unit_packet_in_cell(grid, 4, 2, width_fraction=1 / 8)
-    branch = single_branch(TKernel.constant(grid), part, 2, psi)
+    branch = single_branch(unit_kernel(grid), part, 2, psi)
     back = momentum_to_position(grid, branch.vector)
     psi_x = momentum_to_position(grid, psi)
     want = grid.box_length * part.functions[2] * psi_x
@@ -327,7 +304,7 @@ def test_full_box_cell_conserves_momentum_exactly():
     grid = MomentumGrid.of_box(128, 1.0)
     part = CellPartition.smoothed_indicators(grid, 1, 0.1)
     psi = default_sweep_state(grid)
-    dec = branch_states(TKernel.constant(grid), part, psi)
+    dec = branch_states(unit_kernel(grid), part, psi)
     assert momentum_balance_spread(dec.branches[0], psi) < 1e-6 * grid.spacing
 
 
@@ -335,7 +312,7 @@ def test_zero_branch_has_no_spread():
     grid = MomentumGrid.of_box(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 2, 0.1)
     psi = default_sweep_state(grid)
-    branch = single_branch(TKernel.constant(grid), part, 0, psi)
+    branch = single_branch(unit_kernel(grid), part, 0, psi)
     branch.vector = np.zeros_like(branch.vector)
     with pytest.raises(ZeroNormBranch):
         momentum_balance_spread(branch, psi)

@@ -1,6 +1,7 @@
 """Probability law: cut states, joints, sampling, realization, properties."""
 
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,11 @@ from conftest import (
     HistoryFactory,
     StuckGenerator,
     bell_pair,
+    distance,
     figure_outcome_candidates,
     gap_alternatives,
     generic_figure,
+    saturated,
     unit_factor,
     zero_branch_scenario,
 )
@@ -47,7 +50,6 @@ from eventweave.tensors import (
     FactorLabel,
     LabeledVector,
     ProductBra,
-    distance,
     random_unit_vector,
     tensor_product,
 )
@@ -86,7 +88,7 @@ def test_cut_state_of_saturated_events_only_is_scalar_one(rng):
     h = History()
     pure_absorber_chunk(h, rng)
     s = cut_state(h)
-    assert s.composite.is_scalar
+    assert s.composite.labels == ()
     assert abs(complex(s.composite) - 1.0) < 1e-12
 
 
@@ -198,8 +200,8 @@ def test_joint_values_match_the_matrix_oracle():
         setup, cands = _epr_pair_candidates(theta, s1, s2)
         got = joint_probability(setup.state, cands)
         want = reference.singlet_pair_probability(
-            setup.e1.as_array(), +1 if s1 == "+" else -1,
-            setup.e2.as_array(), +1 if s2 == "+" else -1,
+            astuple(setup.e1), +1 if s1 == "+" else -1,
+            astuple(setup.e2), +1 if s2 == "+" else -1,
         )
         assert abs(got - want) < 1e-12
         assert abs(got - frozen) < 1e-12
@@ -479,9 +481,9 @@ def test_realize_establishes_consumed_links():
     realize(h, None, e4, event_id="ev4")
     assert h.links["alpha"].target == "ev4"
     assert h.links["gamma"].target == "ev4"
-    assert not h.is_saturated("decay")
+    assert not saturated(h, "decay")
     realize(h, None, e5, event_id="ev5")
-    assert h.is_saturated("decay")
+    assert saturated(h, "decay")
 
 
 def test_realizing_an_orthogonal_candidate_fails():

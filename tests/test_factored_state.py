@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import HistoryFactory, generic_figure, singlet_pairs_scenario, unit_factor
+from conftest import (
+    HistoryFactory,
+    distance,
+    generic_figure,
+    singlet_pairs_scenario,
+    unit_factor,
+)
 from eventweave import dynamics, epr, tensors
 from eventweave.dynamics import (
     CandidateEvent,
@@ -19,7 +25,7 @@ from eventweave.dynamics import (
 from eventweave.errors import DuplicateLabel, MissingLabel, ZeroProbabilityEvent
 from eventweave.graph import Cut
 from eventweave.scenario import load_scenario, scenario_to_dict
-from eventweave.tensors import ProductBra, apply_event_operator, distance, random_unit_vector
+from eventweave.tensors import ProductBra, apply_event_operator, random_unit_vector
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"

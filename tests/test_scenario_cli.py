@@ -338,6 +338,12 @@ BAD_INPUTS = {
     "cells-width-count-overflows": (
         lambda tmp: ["cells", "--box", "1e308", "--cell-width", "1e-300"], "cell width"
     ),
+    "cells-empty-count-list": (lambda tmp: ["cells", "--cells", ","], "--cells"),
+    "cells-empty-width-list": (lambda tmp: ["cells", "--cell-width", ","], "--cell-width"),
+    "cells-counts-and-widths": (
+        lambda tmp: ["cells", "--cells", "8,16", "--cell-width", "0.1,0.2"],
+        "not allowed with argument --cells",
+    ),
     "cells-one-cell-spans-the-box": (
         lambda tmp: ["cells", "--sites", "256", "--cells", "1,8"], "spread"
     ),

@@ -5,13 +5,17 @@ process with stdout captured.  No run passes ``--out`` and the scenario path
 is relative to the repository root, so each report's ``config`` is the same
 in any checkout.  The ``"duration_s"`` line is dropped before hashing, and
 one ``sha256  argv`` line is printed per report (``exit N  argv`` for a run
-that fails).  Two source trees compare by diffing the printouts:
+that fails), after ``#`` header lines that fingerprint the numpy build.
+Two source trees compare by diffing the printouts:
 
     PYTHONPATH=src python3 tools/report_digests.py > new.txt
     PYTHONPATH=/path/to/other/src python3 tools/report_digests.py > old.txt
     diff old.txt new.txt
 
 The repository's own ``src/`` is used only when ``PYTHONPATH`` names none.
+The printout for the committed tree is kept in ``report_digests.txt``, which
+``tests/test_tools.py`` checks; a change that moves a report re-records it
+with ``PYTHONPATH=src python3 tools/report_digests.py > tools/report_digests.txt``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +44,7 @@ MATRIX: list[list[str]] = [
     ["simulate", "scenarios/pairs24.json", "--seed", "0", "--format", "json"],
     *(["epr", "--theta", theta, "--replicas", str(replicas), "--format", fmt]
       for theta in ("0", "37.5", "90", "180") for replicas in (1, 4) for fmt in FORMATS),
+    ["epr", "--runs", "2500000", "--format", "json"],
     *(["chsh", *extra, "--format", fmt]
       for extra in ([], ["--a", "10", "--ap", "80", "--b", "33", "--bp", "100"])
       for fmt in FORMATS),
@@ -46,6 +54,21 @@ MATRIX: list[list[str]] = [
       for extra in ([], ["--sites", "2048"]) for fmt in FORMATS),
     ["cells", "--sites", "1024", "--cell-width", "0.1,0.05,0.02"],
 ]
+
+
+def build_fingerprint() -> list[str]:
+    """``#`` lines naming what report bits depend on besides the source.
+
+    ``np.exp`` and the FFTs have per-SIMD code paths, so reports are
+    bit-identical only within one numpy build on one set of CPU features.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return [f"# numpy {np.__version__}", f"# machine {platform.machine()}",
+            f"# simd {' '.join(simd)}"]
 
 
 def report_digest(cli, argv: list[str]) -> str:
@@ -65,6 +88,7 @@ def main() -> int:
     from eventweave import cli
 
     os.chdir(ROOT)
+    print(*build_fingerprint(), sep="\n")
     failed = False
     for argv in MATRIX:
         digest = report_digest(cli, argv)
