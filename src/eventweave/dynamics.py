@@ -12,11 +12,12 @@ backward links in sequence, which makes them independent of the ordering.
 Convention: after a candidate is realized the surviving branch vector is
 renormalized to unit norm.  That makes the chain rule hold exactly,
 ``P(e, f) = P(e) * P(f | state after e)``, and it is also what makes the
-probabilities of an exhaustive alternative set sum to one at every step.
+probabilities of an alternative set sum to one at every step.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -39,11 +40,11 @@ from .tensors import LabeledVector, ProductBra, contract, tensor_product
 #: alternative sets must cover probability one within this tolerance
 EXHAUSTIVE_TOL = 1e-9
 
-#: below this squared norm a branch counts as impossible
+#: below this squared norm a cut state or a realized branch is impossible
 ZERO_PROBABILITY_EPS = 1e-24
 
-#: an outcome-tree branch whose conditional probability is at or below this
-#: is pruned: its subtree is never expanded and a run may not enter it
+#: a candidate whose probability is at or below this is never drawn, and its
+#: outcome-tree subtree is pruned: never expanded, its paths kept at 0
 PRUNED_BRANCH_PROBABILITY = 1e-15
 
 #: the outcome tree enumerates (and a report lists) every path, so scenarios
@@ -106,14 +107,15 @@ class CandidateEvent:
                 f"candidate ket has squared norm {self.ket.squared_norm()!r}"
             )
         object.__setattr__(self, "c", complex(self.c))
+        if not cmath.isfinite(self.c):
+            raise ValueError(f"candidate weight c must be finite, got {self.c!r}")
 
 
 @dataclass
 class AlternativeSet:
-    """Mutually exclusive candidates; exhaustive sets must sum to one."""
+    """Mutually exclusive candidates whose probabilities sum to one."""
 
     candidates: list[CandidateEvent]
-    exhaustive: bool = True
 
     def __post_init__(self):
         if not self.candidates:
@@ -254,15 +256,13 @@ def realized_state(state: CutState, cand: CandidateEvent) -> tuple[float, CutSta
 def alternative_probabilities(
     state: CutState, alts: AlternativeSet
 ) -> np.ndarray:
-    """Per-candidate probabilities; enforces the exhaustiveness contract."""
+    """Per-candidate probabilities; raises :class:`NotExhaustive` unless
+    they sum to one within :data:`EXHAUSTIVE_TOL`."""
     probs = np.array(
         [event_probability(state, cand) for cand in alts.candidates], dtype=float
     )
     total = float(probs.sum())
-    if alts.exhaustive and abs(total - 1.0) > EXHAUSTIVE_TOL:
-        raise NotExhaustive(total, EXHAUSTIVE_TOL)
-    # even a non-exhaustive set must never exceed probability one
-    if total - 1.0 > EXHAUSTIVE_TOL:
+    if abs(total - 1.0) > EXHAUSTIVE_TOL:
         raise NotExhaustive(total, EXHAUSTIVE_TOL)
     return probs
 
@@ -276,16 +276,14 @@ def _as_generator(rng: int | np.random.Generator) -> np.random.Generator:
 def _draw(probs: np.ndarray, u):
     """Candidate index selected by each uniform in ``u`` (scalar or array).
 
-    A uniform picks the first candidate whose cumulative probability exceeds
-    it.  ``cumsum(probs)`` may end below 1 by up to :data:`EXHAUSTIVE_TOL`;
-    a uniform in that gap goes to the last candidate above
-    :data:`ZERO_PROBABILITY_EPS`, so a candidate that :func:`realize` would
-    refuse is never returned.
+    Probabilities at or below :data:`PRUNED_BRANCH_PROBABILITY` count as 0,
+    and a uniform picks the first candidate whose cumulative probability
+    exceeds it.  ``probs`` sum to 1 within :data:`EXHAUSTIVE_TOL`, so some
+    candidate is live; a uniform past the sum goes to the last live one.
     """
-    possible = np.flatnonzero(probs > ZERO_PROBABILITY_EPS)
-    if possible.size == 0:
-        raise ZeroProbabilityEvent("every candidate has probability zero")
-    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), possible[-1])
+    live = np.where(probs > PRUNED_BRANCH_PROBABILITY, probs, 0.0)
+    last = np.flatnonzero(live)[-1]
+    return np.minimum(np.searchsorted(np.cumsum(live), u, side="right"), last)
 
 
 def sample_extension(
@@ -413,7 +411,8 @@ def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
 
     Row ``r`` walks the tree from the root, consuming ``u[r, d]`` at depth
     ``d``.  Rows are grouped by their path prefix so each node draws all its
-    rows with one :func:`_draw` over its row of the stage's table.
+    rows with one :func:`_draw` over its row of the stage's table.  That
+    draw never picks a pruned child, so every row ends on a live path.
     """
     path = np.zeros(u.shape[0], dtype=np.intp)
     for depth, table in enumerate(tables):
@@ -422,13 +421,7 @@ def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
         grouped = path[order]
         starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
         for rows in np.split(order, starts[1:]):
-            probs = table[path[rows[0]]]
-            chosen = _draw(probs, u[rows, depth])
-            if np.any(probs[chosen] <= PRUNED_BRANCH_PROBABILITY):
-                raise ZeroProbabilityEvent(
-                    f"a run entered a pruned branch at stage {depth}"
-                )
-            pick[rows] = chosen
+            pick[rows] = _draw(table[path[rows[0]]], u[rows, depth])
         path = path * table.shape[1] + pick
     return path
 
@@ -477,7 +470,8 @@ def sample_outcome_tree(
     Each stage is an alternative set over the state left by the stages
     before it.  Replica ``r`` draws ``replica_rng(seed, r).random((runs,
     len(stages)))`` in blocks of :data:`DRAW_CHUNK` rows: the same stream as
-    one uniform per draw, run by run.
+    one uniform per draw, run by run.  Runs draw by :func:`_draw`'s rule, so
+    no run enters a pruned subtree and every count off a live path is 0.
     Raises :class:`TooManyOutcomePaths` before any state is built when the
     path count exceeds :data:`MAX_OUTCOME_PATHS`.
     """

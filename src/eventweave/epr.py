@@ -153,7 +153,7 @@ def build_epr(e1: Direction, e2: Direction) -> EprSetup:
         history=history,
         side1=side1,
         side2=side2,
-        alternatives=dynamics.AlternativeSet(merged, exhaustive=True),
+        alternatives=dynamics.AlternativeSet(merged),
         state=dynamics.cut_state(history),
     )
 

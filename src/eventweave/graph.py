@@ -18,7 +18,9 @@ optional space-time :class:`Region` tag, and the tag is inert here.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -48,6 +50,9 @@ class Region:
         object.__setattr__(self, "extent", tuple(float(x) for x in self.extent))
         if len(self.center) != 4 or len(self.extent) != 4:
             raise ValueError("region needs 4 center values and 4 extents")
+        if not all(map(math.isfinite, self.center + self.extent)):
+            raise ValueError(f"center {self.center} and extent {self.extent} "
+                             "must be finite")
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,8 @@ class History:
         """
         if not ket.is_unit(EVENT_VECTOR_TOL):
             raise NonUnitVector(f"ket has squared norm {ket.squared_norm()!r}")
+        if not cmath.isfinite(c):
+            raise ValueError(f"event amplitude must be finite, got {c!r}")
         consumed = bra.label_ids
         if not consumed:
             raise ValueError("an interior event needs at least one backward link")
@@ -267,6 +274,8 @@ class History:
                 if ln is not None and ln.space != lab.space:
                     problems.append(f"event {eid!r}: link {lab.link_id!r} carries "
                                     f"{ln.space}, its factor {lab.space}")
+            if not cmath.isfinite(ev.amplitude):
+                problems.append(f"event {eid!r}: amplitude {ev.amplitude!r} is not finite")
             if (ev.bra is None) != (not ev.backward_links):
                 problems.append(f"event {eid!r}: bra and backward links disagree")
             if ev.bra is not None and tuple(ev.bra.label_ids) != tuple(

@@ -151,9 +151,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         loc = f"$.stages[{i}]"
         _object(entry, "stage", loc)
         name = _expect(entry, "name", str, loc) if "name" in entry else f"stage{i}"
-        exhaustive = (
-            _expect(entry, "exhaustive", bool, loc) if "exhaustive" in entry else True
-        )
+        if "exhaustive" in entry and not _expect(entry, "exhaustive", bool, loc):
+            raise ScenarioError("a stage's probabilities must sum to one, so "
+                                "'exhaustive' can only be true", loc)
         cand_entries = _expect(entry, "candidates", list, loc)
         if not cand_entries:
             raise ScenarioError("stage needs candidates", loc)
@@ -161,7 +161,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             _parse_candidate(c, f"{loc}.candidates[{j}]")
             for j, c in enumerate(cand_entries)
         ]
-        stages.append(Stage(name, AlternativeSet(cands, exhaustive=exhaustive)))
+        stages.append(Stage(name, AlternativeSet(cands)))
     return Scenario(initial_events=initial, stages=stages)
 
 
@@ -187,7 +187,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "stages": [
             {
                 "name": stage.name,
-                "exhaustive": stage.alternatives.exhaustive,
                 "candidates": [
                     {
                         "name": cand.name,

@@ -167,9 +167,9 @@ def naive_simulate_counts(history, stages, runs, seed, replicas=1):
 
     This is the loop :func:`eventweave.dynamics.sample_outcome_tree`
     replaced: one ``rng.random()`` per stage per run, with conditional
-    states and probabilities memoized per path.  It still clips a uniform
-    past ``cumsum(probs)[-1]`` to the last candidate, so it agrees with the
-    engine only while no uniform lands in that residual gap.
+    states and probabilities memoized per path.  Each draw follows the
+    engine's rule: probabilities at or below 1e-15 count as 0, and a uniform
+    past the cumulative sum goes to the last candidate above that.
     """
     from eventweave import dynamics
 
@@ -191,14 +191,16 @@ def naive_simulate_counts(history, stages, runs, seed, replicas=1):
             cur = ()
             for _depth in range(len(stages)):
                 probs = conditional_probs(cur)
+                live = [i for i, p in enumerate(probs) if p > 1e-15]
                 u = rng.random()
-                idx = int(
-                    np.searchsorted(np.cumsum(probs), u, side="right").clip(
-                        0, len(probs) - 1
-                    )
-                )
+                total, idx = 0.0, live[-1]
+                for i in live:
+                    total += probs[i]
+                    if u < total:
+                        idx = i
+                        break
                 key = cur + (idx,)
-                if key not in state_cache and float(probs[idx]) > 1e-15:
+                if key not in state_cache:
                     cand = stages[len(cur)].candidates[idx]
                     _, state_cache[key] = dynamics.realized_state(state_cache[cur], cand)
                 cur = key

@@ -34,6 +34,7 @@ from eventweave.dynamics import (
     joint_probability,
     realize,
     realized_state,
+    sample_counts,
     sample_extension,
     sample_many,
     sample_outcome_tree,
@@ -276,7 +277,7 @@ def test_single_draws_share_the_stream_with_sample_many():
 
 def test_non_exhaustive_set_reports_the_measured_sum():
     s, alts = _binary_alternatives()
-    partial = AlternativeSet([alts.candidates[0]], exhaustive=True)
+    partial = AlternativeSet([alts.candidates[0]])
     half = cut_state_of_tilted()
     with pytest.raises(NotExhaustive) as err:
         sample_extension(half, partial, 0)
@@ -295,7 +296,7 @@ def test_probability_sum_above_one_is_a_hard_error():
         bra=ProductBra([unit_factor("spin", [math.sqrt(0.5), math.sqrt(0.5)])]),
         c=1.0, ket=unit_factor("o3", [1.0], POINTER),
     )
-    bloated = AlternativeSet(alts.candidates + [tilted], exhaustive=False)
+    bloated = AlternativeSet(alts.candidates + [tilted])
     with pytest.raises(NotExhaustive) as err:
         alternative_probabilities(s, bloated)
     assert err.value.total > 1.0 + 1e-9
@@ -325,6 +326,51 @@ def test_outcome_tree_gap_uniform_never_enters_the_zero_weight_branch(monkeypatc
     assert tree.first_path == (1,)
 
 
+def _pruned_tail_alternatives() -> AlternativeSet:
+    """Up (0.5), down (0.5 - 1e-10) and up again at probability 1e-16 on a
+    |+> spin: the last candidate is pruned, the sum ends below 1 - 1e-12."""
+    def cand(amps, c):
+        return CandidateEvent(bra=ProductBra([unit_factor("s", amps)]), c=c,
+                              ket=unit_factor("out", [1.0], POINTER))
+
+    return AlternativeSet([cand([1.0, 0.0], 1.0),
+                           cand([0.0, 1.0], math.sqrt(1.0 - 2e-10)),
+                           cand([1.0, 0.0], math.sqrt(2e-16))])
+
+
+def test_gap_uniform_never_draws_a_pruned_candidate(monkeypatch):
+    s, alts = _plus_state(), _pruned_tail_alternatives()
+    probs = alternative_probabilities(s, alts)
+    assert ZERO_PROBABILITY_EPS < probs[2] <= dynamics.PRUNED_BRANCH_PROBABILITY
+    assert probs.sum() < StuckGenerator().random()
+    assert sample_extension(s, alts, StuckGenerator()) == 1
+    assert set(sample_many(s, alts, 16, StuckGenerator()).tolist()) == {1}
+    assert sample_counts(s, alts, 16, StuckGenerator()).tolist() == [0, 16, 0]
+    monkeypatch.setattr(dynamics, "replica_rng", StuckGenerator)
+    h = History()
+    h.add_initial_event(unit_factor("s", [SQRT_HALF, SQRT_HALF]))
+    assert sample_outcome_tree(h, [alts], 10, 0).counts == [0, 10, 0]
+
+
+def _fixed_generator(value: float) -> np.random.Generator:
+    class Fixed(StuckGenerator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            return value if size is None else np.full(size, value)
+
+    return Fixed()
+
+
+def test_uniform_in_a_pruned_candidates_sliver_skips_it():
+    """Candidates of probability p, 1e-16 and 0.5 - 1e-10: the uniform p is
+    past the first and inside the second one's sliver of the cumulative sum."""
+    s, alts = _plus_state(), _pruned_tail_alternatives()
+    alts = AlternativeSet([alts.candidates[i] for i in (0, 2, 1)])
+    p = float(alternative_probabilities(s, alts)[0])
+    assert p < p + 1e-16
+    assert sample_extension(s, alts, _fixed_generator(p)) == 2
+    assert sample_counts(s, alts, 8, _fixed_generator(p)).tolist() == [0, 0, 8]
+
+
 # -- outcome tree --------------------------------------------------------------------
 
 FIGURE = Path(__file__).resolve().parents[1] / "scenarios" / "figure.json"
@@ -352,6 +398,11 @@ def test_outcome_tree_counts_equal_the_per_draw_loop(name, seed, replicas):
     }
     assert tree.first_path == first_path
     assert sum(tree.counts) == runs * replicas
+
+
+def test_outcome_tree_counts_equal_the_per_draw_loop_on_gap_uniforms(monkeypatch):
+    monkeypatch.setattr(dynamics, "replica_rng", StuckGenerator)
+    test_outcome_tree_counts_equal_the_per_draw_loop("zero-branch", 0, 2)
 
 
 @pytest.mark.parametrize("name", sorted(OUTCOME_SCENARIOS))

@@ -157,6 +157,17 @@ def test_zero_forward_link_events_are_allowed():
     assert h.validate() == []
 
 
+@pytest.mark.parametrize("c", [complex("inf"), complex(0.0, float("nan"))])
+def test_interior_events_refuse_non_finite_amplitudes(c):
+    h = History()
+    h.add_initial_event(unit_factor("only", [1.0, 0.0]))
+    with pytest.raises(ValueError, match="must be finite"):
+        h.add_interior_event(
+            ProductBra([unit_factor("only", [1.0, 0.0])]), c, LabeledVector.scalar(1.0)
+        )
+    assert not h.links["only"].established
+
+
 def test_region_tags_round_trip():
     h = History()
     region = Region((0.0, 1.0, 2.0, 3.0), (0.5, 0.5, 0.5, 0.5))
@@ -192,8 +203,10 @@ def _double_first_vector(data):
     [
         (_double_first_vector, "emitted vector squared norm"),
         (lambda data: data["links"][0].update(target="ghost"), "unknown target 'ghost'"),
+        (lambda data: data["events"][0].update(amplitude=[float("nan"), 0.0]),
+         "amplitude .* is not finite"),
     ],
-    ids=["norm-4-vector", "dangling-link-target"],
+    ids=["norm-4-vector", "dangling-link-target", "nan-amplitude"],
 )
 def test_from_dict_refuses_invalid_histories(edit, problem):
     data = generic_figure().to_dict()
