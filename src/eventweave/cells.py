@@ -406,8 +406,8 @@ def width_sweep(
     ``exp(-P^2 / 2 (tau_scale p_max)^2)`` on each side.  Inputs that leave
     the float range or give some width no positive spread raise ValueError.
     """
-    if not tau_scale > 0:
-        raise ValueError(f"tau scale must be positive, got {tau_scale}")
+    if not 0 < tau_scale < math.inf:
+        raise ValueError(f"tau scale must be positive and finite, got {tau_scale}")
     if len(set(cell_counts)) < 2:
         raise ValueError("a slope needs at least two distinct cell counts")
     grid = MomentumGrid.of_box(n_points, box_length)

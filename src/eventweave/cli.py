@@ -154,18 +154,14 @@ def cmd_simulate(args) -> tuple[dict, list, list]:
             dynamics.realize(history, None, alts.candidates[idx])
         sample_history = history.to_dict()
 
-    def outcome_names(path: tuple) -> list[str]:
-        return [
-            stages[d].candidates[i].name or f"c{i}" for d, i in enumerate(path)
-        ]
-
     n_total = args.runs * args.replicas
     results = {
         "stages": [stage.name for stage in scenario.stages],
         "runs": args.runs,
         "replicas": args.replicas,
         "paths": [
-            {"outcomes": outcome_names(p), "analytic": a, "empirical": c / n_total}
+            {"outcomes": dynamics.outcome_names(stages, p), "analytic": a,
+             "empirical": c / n_total}
             for p, a, c in zip(tree.paths, tree.analytic, tree.counts)
         ],
         "chain_rule": {

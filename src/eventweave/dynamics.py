@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import (
     DuplicateLabel,
+    EventWeaveError,
+    LabelCollision,
     MissingLabel,
     NotExhaustive,
     OverlappingBackwardLinks,
@@ -361,9 +363,9 @@ class OutcomeTree:
     ``paths`` lists every tuple of candidate indices, one per stage, in
     lexicographic order; ``analytic``, ``counts`` are aligned with it.
     ``first_path`` is the path of run 0 of replica 0.  The chain-rule check
-    compares each live path's staged product with :func:`joint_probability`'s
-    sequential product on the root state; paths whose stages share links
-    have no one-shot form and are not counted in ``chain_rule_checked``.
+    compares each path whose analytic value is above
+    :data:`PRUNED_BRANCH_PROBABILITY` with its :func:`joint_probability` on
+    the root state; ``chain_rule_checked`` counts those paths.
     """
 
     paths: list[tuple[int, ...]]
@@ -374,9 +376,14 @@ class OutcomeTree:
     chain_rule_max_dev: float
 
 
+def outcome_names(stages: Sequence[AlternativeSet], path: Sequence[int]) -> list[str]:
+    """Names of the candidates along ``path``; ``c<i>`` names an unnamed one."""
+    return [stages[d].candidates[i].name or f"c{i}" for d, i in enumerate(path)]
+
+
 def _expand(
     root: CutState, stages: Sequence[AlternativeSet], tables: list, analytic: np.ndarray
-) -> None:
+) -> tuple[int, float]:
     """Expand the live outcome tree depth first; fill the tables in place.
 
     Row ``prefix`` of ``tables[d]`` gets the conditional probabilities at the
@@ -386,24 +393,42 @@ def _expand(
     and every path through it keeps ``analytic`` 0; a last-stage child gets
     the product of the conditionals along its path.  Only the states of
     nodes still waiting to be expanded are held, never the whole tree's.
+    A node also carries the root with its path's operators applied, not
+    renormalized; a last-stage child above the threshold compares that
+    squared norm (its :func:`joint_probability`) with its analytic value.
+    Returns the number of such chain-rule checks and the largest deviation.
     """
     if not stages:
         analytic[0] = 1.0
-        return
-    # (parent state, candidate index, depth, path probability, path prefix)
-    stack: list[tuple] = [(root, None, 0, 1.0, 0)]
+        return 1, 0.0
+    devs = []
+    # (parent state, parent applied root, path, path probability, path prefix)
+    stack: list[tuple] = [(root, root, (), 1.0, 0)]
     while stack:
-        state, idx, depth, prob, prefix = stack.pop()
-        if idx is not None:
-            _, state = realized_state(state, stages[depth - 1].candidates[idx])
-        probs = tables[depth][prefix] = alternative_probabilities(state, stages[depth])
+        state, applied, path, prob, prefix = stack.pop()
+        depth = len(path)
+        if path:
+            cand = stages[depth - 1].candidates[path[-1]]
+            _, state = realized_state(state, cand)
+            applied = _applied(applied, cand)
+        try:
+            probs = tables[depth][prefix] = alternative_probabilities(state, stages[depth])
+        except (EventWeaveError, ValueError) as exc:  # name the stage and the path
+            names = "/".join(outcome_names(stages, path))
+            where = f"$.stages[{depth}]" + (f" after {names}" if path else "")
+            exc.args = (f"{where}: {exc}",)
+            raise
         prefix *= len(probs)
         if depth == len(stages) - 1:
-            analytic[prefix:prefix + len(probs)] = prob * probs
+            joints = analytic[prefix:prefix + len(probs)] = prob * probs
+            devs += [abs(_squared_norm_since(_applied(applied, cand), root) - float(p))
+                     for cand, p in zip(stages[depth].candidates, joints)
+                     if p > PRUNED_BRANCH_PROBABILITY]
             continue
         for i in reversed(range(len(probs))):
             if probs[i] > PRUNED_BRANCH_PROBABILITY:
-                stack.append((state, i, depth + 1, prob * probs[i], prefix + i))
+                stack.append((state, applied, (*path, i), prob * probs[i], prefix + i))
+    return len(devs), max(devs, default=0.0)
 
 
 def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
@@ -426,38 +451,6 @@ def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     return path
 
 
-def _check_chain_rule(
-    root: CutState, stages: Sequence[AlternativeSet], paths: list, analytic: np.ndarray
-) -> tuple[int, float]:
-    """Live paths checked and their largest ``|joint - analytic|``.
-
-    ``applied[j]`` is the root after the first ``j`` operators of the last
-    checked path, unnormalized; the paths come in lexicographic order, so
-    dropping the entries past the prefix a path shares with it applies each
-    prefix once.  Paths whose candidates repeat a backward link (no one-shot
-    form) are skipped.
-    """
-    checked, max_dev = 0, 0.0
-    last: tuple[int, ...] = ()
-    applied = [root]
-    for path, prob in zip(paths, analytic):
-        if prob <= PRUNED_BRANCH_PROBABILITY:
-            continue
-        cands = [stages[d].candidates[i] for d, i in enumerate(path)]
-        links = [lid for cand in cands for lid in cand.bra.label_ids]
-        if len(set(links)) < len(links):
-            continue
-        shared = next((d for d, (a, b) in enumerate(zip(path, last)) if a != b), 0)
-        del applied[shared + 1:]
-        for cand in cands[shared:]:
-            applied.append(_applied(applied[-1], cand))
-        checked += 1
-        joint = _squared_norm_since(applied[-1], root)
-        max_dev = max(max_dev, abs(joint - float(prob)))
-        last = path
-    return checked, max_dev
-
-
 def sample_outcome_tree(
     history: History,
     stages: Sequence[AlternativeSet],
@@ -473,7 +466,8 @@ def sample_outcome_tree(
     one uniform per draw, run by run.  Runs draw by :func:`_draw`'s rule, so
     no run enters a pruned subtree and every count off a live path is 0.
     Raises :class:`TooManyOutcomePaths` before any state is built when the
-    path count exceeds :data:`MAX_OUTCOME_PATHS`.
+    path count exceeds :data:`MAX_OUTCOME_PATHS`, and :class:`LabelCollision`
+    when a stage emits a link id already used by the history or an earlier one.
     """
     if runs < 1 or replicas < 1:
         raise ValueError("runs and replicas must be positive")
@@ -484,12 +478,18 @@ def sample_outcome_tree(
             f"scenario has {total} outcome paths (product of candidate counts "
             f"per stage); at most {MAX_OUTCOME_PATHS} can be enumerated"
         )
+    used = set(history.links)
+    for d, alts in enumerate(stages):
+        emitted = {lid for cand in alts.candidates for lid in cand.ket.label_ids}
+        clash = sorted(emitted & used)
+        if clash:
+            raise LabelCollision(f"$.stages[{d}]: link ids already used: {clash}")
+        used |= emitted
     root = cut_state(history)
     analytic = np.zeros(total)
     tables = [np.zeros((math.prod(radix[:d]), n)) for d, n in enumerate(radix)]
-    _expand(root, stages, tables, analytic)
+    checked, max_dev = _expand(root, stages, tables, analytic)
     paths = list(itertools.product(*(range(n) for n in radix)))
-    checked, max_dev = _check_chain_rule(root, stages, paths, analytic)
 
     counts = np.zeros(total, dtype=np.int64)
     for replica in range(replicas):

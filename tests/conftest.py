@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eventweave import dynamics
 from eventweave.dynamics import CandidateEvent, realize
 from eventweave.epr import singlet_vector
 from eventweave.dynamics import AlternativeSet
@@ -24,6 +25,16 @@ SPIN = SpaceType("spin", 2)
 POINTER = SpaceType("pointer", 1)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def recording_states_and_draws(monkeypatch) -> list:
+    """Swap ``dynamics.cut_state`` and ``dynamics.replica_rng`` for stubs
+    that record their names: an empty list means no state was built and
+    nothing was sampled."""
+    calls = []
+    for name in ("cut_state", "replica_rng"):
+        monkeypatch.setattr(dynamics, name, lambda *args, name=name: calls.append(name))
+    return calls
 
 
 def bell_pair(a_id: str, b_id: str) -> LabeledVector:

@@ -216,21 +216,16 @@ def naive_chain_rule(root, stages, paths, analytic):
     This is the per-path loop :func:`eventweave.dynamics.sample_outcome_tree`
     replaced: every live path's joint is
     :func:`eventweave.dynamics.joint_probability` on the root state, so each
-    prefix is applied again for every path below it.  Paths whose candidates
-    repeat a backward link raise there and are skipped.
+    prefix is applied again for every path below it.
     """
     from eventweave import dynamics
-    from eventweave.errors import OverlappingBackwardLinks
 
     checked, max_dev = 0, 0.0
     for path, prob in zip(paths, analytic):
         if prob <= dynamics.PRUNED_BRANCH_PROBABILITY:
             continue
         cands = [stages[d].candidates[i] for d, i in enumerate(path)]
-        try:
-            joint = dynamics.joint_probability(root, cands)
-        except OverlappingBackwardLinks:
-            continue
+        joint = dynamics.joint_probability(root, cands)
         checked += 1
         max_dev = max(max_dev, abs(joint - float(prob)))
     return checked, max_dev

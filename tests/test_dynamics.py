@@ -19,7 +19,9 @@ from conftest import (
     figure_outcome_candidates,
     gap_alternatives,
     generic_figure,
+    recording_states_and_draws,
     saturated,
+    spin_alternatives,
     unit_factor,
     zero_branch_scenario,
 )
@@ -41,12 +43,13 @@ from eventweave.dynamics import (
 )
 from eventweave.epr import Direction, build_epr, singlet_vector, spin_eigenvectors
 from eventweave.errors import (
+    LabelCollision,
     NotExhaustive,
     OverlappingBackwardLinks,
     ZeroProbabilityEvent,
 )
 from eventweave.graph import Cut, History
-from eventweave.scenario import Scenario, load_scenario
+from eventweave.scenario import Scenario, Stage, load_scenario
 from eventweave.tensors import (
     FactorLabel,
     LabeledVector,
@@ -375,10 +378,22 @@ def test_uniform_in_a_pruned_candidates_sliver_skips_it():
 
 FIGURE = Path(__file__).resolve().parents[1] / "scenarios" / "figure.json"
 
+
+def leaf_boundary_scenario() -> Scenario:
+    """Two stages, each up at 1e-8 and down at 1 - 1e-8: path (0, 0) has
+    conditionals above the pruning threshold but analytic 1e-16, below it."""
+    spin = [math.sqrt(1e-8), math.sqrt(1.0 - 1e-8)]
+    return Scenario(
+        initial_events=[(f"src{i}", unit_factor(f"s{i}", spin), None) for i in (1, 2)],
+        stages=[Stage(f"m{i}", spin_alternatives(f"s{i}", f"o{i}")) for i in (1, 2)],
+    )
+
+
 OUTCOME_SCENARIOS = {
     "figure": lambda: load_scenario(FIGURE),
     "zero-branch": zero_branch_scenario,
     "no-stages": lambda: Scenario(zero_branch_scenario().initial_events, []),
+    "leaf-boundary": leaf_boundary_scenario,
 }
 
 
@@ -415,6 +430,18 @@ def test_chain_rule_check_equals_the_per_path_joint_loop(name):
         cut_state(history), stages, tree.paths, tree.analytic
     )
     assert (tree.chain_rule_checked, tree.chain_rule_max_dev) == expected
+    assert tree.chain_rule_checked == sum(
+        p > dynamics.PRUNED_BRANCH_PROBABILITY for p in tree.analytic
+    )
+
+
+def test_a_leaf_below_the_threshold_is_not_checked():
+    scen = leaf_boundary_scenario()
+    tree = sample_outcome_tree(
+        scen.build_history(), [st.alternatives for st in scen.stages], 10, 0
+    )
+    assert 0.0 < tree.analytic[0] <= dynamics.PRUNED_BRANCH_PROBABILITY
+    assert tree.chain_rule_checked == 3
 
 
 def _counting_applications(monkeypatch) -> list:
@@ -467,38 +494,50 @@ def _up_down_alternatives(link_id, ket):
     ])
 
 
-@pytest.mark.parametrize(
-    "chosen,checked", [((0, 1), 0), ((0, 2), 4), ((0, 1, 2), 0)]
-)
-def test_chain_rule_check_skips_paths_whose_stages_share_links(chosen, checked):
-    """Stage 1 consumes ``x`` and re-emits a fresh ``x``, stage 2 consumes
-    ``x`` again, stage 3 consumes ``y``: a path through stages 1 and 2 has no
-    one-shot joint, so the check skips it; every path stays live."""
+def _re_emitting_stages():
+    """Stage 0 consumes ``x`` and re-emits ``x``, stage 1 consumes ``x``
+    again, stage 2 consumes ``y``, on a history of two |+> spins."""
     plus = [SQRT_HALF, SQRT_HALF]
     h = History()
     h.add_initial_event(unit_factor("x", plus))
     h.add_initial_event(unit_factor("y", plus))
-    stages = [
+    return h, [
         _up_down_alternatives("x", unit_factor("x", plus)),
         _up_down_alternatives("x", unit_factor("o2", [1.0], POINTER)),
         _up_down_alternatives("y", unit_factor("o3", [1.0], POINTER)),
     ]
-    staged = [stages[i] for i in chosen]
-    tree = sample_outcome_tree(h, staged, 100, 0)
-    assert all(abs(p - 0.5 ** len(chosen)) < 1e-12 for p in tree.analytic)
-    assert tree.chain_rule_checked == checked
-    assert (checked, tree.chain_rule_max_dev) == reference.naive_chain_rule(
-        cut_state(h), staged, tree.paths, tree.analytic
-    )
 
 
-def test_chain_rule_check_resumes_from_the_last_checked_path(monkeypatch):
-    """Stage 0 measures ``z``; stage 1 consumes ``x`` and re-emits it; stage
-    2 consumes ``x`` again (candidate 0) or ``y`` (candidate 1).  Paths
-    ending in 0 are skipped, so path (0, 1, 1) shares its first operator
-    with (0, 0, 1), checked two paths before it.  Expansion applies
-    2 + 2 * 3 + 4 * 3 = 20 operators; the check applies 3 + 2 + 3 + 2 for
-    the four checked paths, where the per-path loop applied 3 each."""
+@pytest.mark.parametrize("chosen", [(0, 1), (0, 2), (0, 1, 2)])
+def test_outcome_tree_refuses_a_stage_that_re_emits_a_used_link(chosen, monkeypatch):
+    """``x`` is already a link of the history, which a history never holds
+    twice; whatever follows stage 0, it is refused before any state."""
+    h, stages = _re_emitting_stages()
+    calls = recording_states_and_draws(monkeypatch)
+    with pytest.raises(LabelCollision) as err:
+        sample_outcome_tree(h, [stages[i] for i in chosen], 100, 0)
+    assert str(err.value) == "$.stages[0]: link ids already used: ['x']"
+    assert calls == []
+
+
+def test_outcome_tree_refuses_two_stages_emitting_one_fresh_link(monkeypatch):
+    """Both candidates of each stage emit ``o``: alternatives may share it,
+    two stages on one path may not."""
+    h, _ = _re_emitting_stages()
+    stages = [spin_alternatives("x", "o"), spin_alternatives("y", "o")]
+    assert sample_outcome_tree(h, stages[:1], 10, 0).chain_rule_checked == 2
+    calls = recording_states_and_draws(monkeypatch)
+    with pytest.raises(LabelCollision) as err:
+        sample_outcome_tree(h, stages, 10, 0)
+    assert str(err.value) == "$.stages[1]: link ids already used: ['o']"
+    assert calls == []
+
+
+def test_chain_rule_check_applies_each_prefix_once_below_fresh_links(monkeypatch):
+    """Stage 0 measures ``z``; stage 1 measures ``x`` and emits a fresh
+    ``x1`` = |+>; stage 2 is <0| on ``x1`` or <0| on ``y``.  Expansion applies
+    2 + 2 * 3 + 4 * 3 = 20 operators; the check applies one per node below
+    the root, 2 + 4 + 8 = 14, where the per-path loop applied 3 per path."""
     plus = [SQRT_HALF, SQRT_HALF]
     h = History()
     for lid in ("x", "y", "z"):
@@ -507,18 +546,18 @@ def test_chain_rule_check_resumes_from_the_last_checked_path(monkeypatch):
     o2 = unit_factor("o2", [1.0], POINTER)
     stages = [
         _up_down_alternatives("z", unit_factor("oz", [1.0], POINTER)),
-        _up_down_alternatives("x", unit_factor("x", plus)),
+        _up_down_alternatives("x", unit_factor("x1", plus)),
         AlternativeSet([
             CandidateEvent(bra=ProductBra([unit_factor(lid, up)]), c=1.0, ket=o2)
-            for lid in ("x", "y")
+            for lid in ("x1", "y")
         ]),
     ]
     calls = _counting_applications(monkeypatch)
     tree = sample_outcome_tree(h, stages, 100, 0)
     assert all(abs(p - 0.125) < 1e-12 for p in tree.analytic)
-    assert tree.chain_rule_checked == 4
-    assert len(calls) == 20 + 3 + 2 + 3 + 2
-    assert (4, tree.chain_rule_max_dev) == reference.naive_chain_rule(
+    assert tree.chain_rule_checked == 8
+    assert len(calls) == 20 + 14
+    assert (8, tree.chain_rule_max_dev) == reference.naive_chain_rule(
         cut_state(h), stages, tree.paths, tree.analytic
     )
 

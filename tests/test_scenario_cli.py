@@ -18,6 +18,7 @@ from conftest import (
     SPIN,
     SQRT_HALF,
     StuckGenerator,
+    recording_states_and_draws,
     singlet_pairs_scenario,
     spanning_pairs_scenario,
     spin_alternatives,
@@ -26,6 +27,7 @@ from conftest import (
 )
 from eventweave import cli, dynamics, tensors, thermal
 from eventweave.dynamics import AlternativeSet, CandidateEvent
+from eventweave.errors import NotExhaustive
 from eventweave.graph import vector_from_dict, vector_to_dict
 from eventweave.scenario import (
     Scenario,
@@ -207,6 +209,60 @@ def test_simulate_flags_non_exhaustive_sets(tmp_path, capsys):
     assert "0.7" in err
 
 
+def test_simulate_names_the_stage_and_path_of_a_non_exhaustive_set(tmp_path, capsys):
+    """The figure's stage 1 cut to three of its four candidates sums to 1/2
+    on the first node it is reached at, after stage-0 candidate ``a0g0``."""
+    data = json.loads(FIGURE.read_text())
+    del data["stages"][1]["candidates"][3]
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "simulate", str(path), "--runs", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: $.stages[1] after a0g0: alternative probabilities "
+                          "sum to 0.49999")
+    scen = load_scenario(path)
+    with pytest.raises(NotExhaustive) as exc:
+        dynamics.sample_outcome_tree(
+            scen.build_history(), [st.alternatives for st in scen.stages], 10, 0
+        )
+    assert abs(exc.value.total - 0.5) < 1e-12
+    assert exc.value.tolerance == dynamics.EXHAUSTIVE_TOL
+
+
+def _re_emitting_scenario() -> Scenario:
+    """``sx`` and ``sy`` emit |+> on ``x`` and ``y``; stage ``s1`` is <0| on
+    ``x`` re-emitting ``x`` = |+> (``A``) or <0| on ``y`` emitting ``o1``
+    (``B``); stage ``s2`` measures ``x`` up or down and emits ``o2``."""
+    plus = [SQRT_HALF, SQRT_HALF]
+    up = [1.0, 0.0]
+    s1 = AlternativeSet([
+        CandidateEvent(bra=ProductBra([unit_factor("x", up)]), c=1.0,
+                       ket=unit_factor("x", plus), name="A"),
+        CandidateEvent(bra=ProductBra([unit_factor("y", up)]), c=1.0,
+                       ket=unit_factor("o1", [1.0], POINTER), name="B"),
+    ])
+    return Scenario(
+        initial_events=[("sx", unit_factor("x", plus), None),
+                        ("sy", unit_factor("y", plus), None)],
+        stages=[Stage("s1", s1), Stage("s2", spin_alternatives("x", "o2"))],
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_simulate_refuses_a_re_emitted_link_before_sampling(seed, tmp_path, capsys,
+                                                            monkeypatch):
+    """Path A/up would re-emit ``x``, which no history can hold twice: every
+    seed exits 2 before a state is built or a uniform drawn."""
+    path = tmp_path / "re_emit.json"
+    path.write_text(json.dumps(scenario_to_dict(_re_emitting_scenario())))
+    calls = recording_states_and_draws(monkeypatch)
+    code, out, err = run_cli(capsys, "simulate", str(path), "--runs", "1000",
+                             "--seed", str(seed))
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: $.stages[0]: link ids already used: ['x']\n"
+
+
 def test_simulate_gap_uniforms_exit_cleanly(tmp_path, capsys, monkeypatch):
     path = tmp_path / "gap.json"
     path.write_text(json.dumps(scenario_to_dict(zero_branch_scenario())))
@@ -347,6 +403,7 @@ BAD_INPUTS = {
     ),
     "cells-smoothing-wider-than-the-box": (_two_width_sweep("--smoothing", "1e150"), "spread"),
     "cells-tau-scale-underflows": (_two_width_sweep("--tau-scale", "1e-300"), "float range"),
+    "cells-infinite-tau-scale": (_two_width_sweep("--tau-scale", "inf"), "tau scale"),
     "cells-infinite-smoothing": (_two_width_sweep("--smoothing", "inf"), "smoothing"),
     "cells-smoothing-overflows": (_two_width_sweep("--smoothing", "1e160"), "float range"),
     "cells-tau-scale-overflows": (_two_width_sweep("--tau-scale", "1e300"), "float range"),
@@ -382,6 +439,11 @@ BAD_INPUTS = {
         _figure_edited(lambda d: _first_candidate(d).update(
             region={"center": [math.nan, 0, 0, 0], "extent": [1, 1, 1, 1]})),
         "$.stages[0].candidates[0].region: ",
+    ),
+    "stage-bra-on-unknown-link": (
+        _figure_edited(lambda d: d["stages"][1]["candidates"][0]["bra"][0]["labels"][0]
+                       .update(link="nosuch")),
+        "$.stages[1] after a0g0: state carries no factor for links ['nosuch']",
     ),
     "stage-name-not-string": (
         _figure_edited(lambda d: d["stages"][0].update(name=[1, 2])),
