@@ -42,7 +42,7 @@ class MomentumGrid:
 
     def __post_init__(self):
         if self.n_points < 16:
-            raise ValueError("need at least 16 grid points")
+            raise ValueError(f"need at least 16 grid sites, got {self.n_points}")
         if not all(math.isfinite(v) and v > 0 for v in (self.spacing, self.hbar)):
             raise ValueError("spacing and hbar must be positive and finite")
 

@@ -76,8 +76,6 @@ def _outcome_keys():
 def cmd_epr(args) -> tuple[dict, list, list]:
     if not 0.0 <= args.theta <= 180.0:
         raise UsageError(f"theta must be in [0, 180], got {args.theta}")
-    if args.runs < 1:
-        raise UsageError("runs must be positive")
     if args.replicas < 1:
         raise UsageError("replicas must be positive")
     setup = epr.build_epr(
@@ -179,8 +177,6 @@ def cmd_simulate(args) -> tuple[dict, list, list]:
 
 
 def cmd_thermal(args) -> tuple[dict, list, list]:
-    if args.sites < 2:
-        raise UsageError(f"sites must be at least 2, got {args.sites}")
     for name in ("beta", "mass", "hbar"):
         value = getattr(args, name)
         if not (math.isfinite(value) and value > 0):
@@ -215,8 +211,6 @@ def cmd_thermal(args) -> tuple[dict, list, list]:
 
 
 def cmd_cells(args) -> tuple[dict, list, list]:
-    if args.sites < 16:
-        raise UsageError(f"sites must be at least 16, got {args.sites}")
     if args.cell_width:
         counts = []
         for w in args.cell_width:

@@ -177,8 +177,7 @@ def _apply(
     missing = [lid for lid in cand.bra.label_ids if lid not in index]
     if missing:
         raise MissingLabel(f"state carries no factor for links {missing}")
-    clash = [lid for lid in cand.ket.label_ids
-             if lid in index and lid not in cand.bra.factors]
+    clash = [lid for lid in cand.ket.label_ids if lid in index]
     if clash:
         raise DuplicateLabel(f"ket labels already carried by the state: {clash}")
     touched = sorted({index[lid] for lid in cand.bra.label_ids})
@@ -315,6 +314,8 @@ def sample_counts(
 ) -> np.ndarray:
     """Per-candidate counts of ``n`` draws: the stream of :func:`sample_many`,
     drawn in blocks of :data:`DRAW_CHUNK` so memory stays bounded."""
+    if n < 1:
+        raise ValueError(f"runs must be positive, got {n}")
     probs = alternative_probabilities(state, alts)
     rng = _as_generator(rng)
     counts = np.zeros(probs.size, dtype=np.int64)

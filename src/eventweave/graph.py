@@ -6,11 +6,12 @@ have a source but no target yet) and become *established* once a later
 event absorbs them.  The graph only ever grows: events and links are
 added, never removed; establishing a link fills in its target.
 
-Events carry the data that realized them: initial events only emit a unit
-vector over their forward links; interior events additionally record the
-product bra and scalar weight they consumed their backward links with,
-which is what makes states of arbitrary past-closed cuts reconstructible
-from the graph alone.
+Events carry the data that realized them: the unit vector they emit over
+their forward links, and the product bra and scalar weight they consumed
+their backward links with, which is what makes states of arbitrary
+past-closed cuts reconstructible from the graph alone.  An initial event
+is an event with no backward links (no bra, weight 1); both kinds pass
+the same admission checks.
 
 Links deliberately carry no localization data.  Only events may carry an
 optional space-time :class:`Region` tag, and the tag is inert here.
@@ -121,36 +122,17 @@ class History:
             if eid not in self.events:
                 return eid
 
-    def _check_new_links(self, vec: LabeledVector) -> None:
-        clash = [lab.link_id for lab in vec.labels if lab.link_id in self.links]
-        if clash:
-            raise LabelCollision(f"link ids already used: {clash}")
-
     def add_initial_event(
         self,
         vec: LabeledVector,
         region: Region | None = None,
         event_id: str | None = None,
     ) -> str:
-        """Add a source event emitting ``vec``; one free link per factor."""
-        if not vec.is_unit(EVENT_VECTOR_TOL):
-            raise NonUnitVector(
-                f"emitted vector has squared norm {vec.squared_norm()!r}"
-            )
-        self._check_new_links(vec)
-        eid = event_id if event_id is not None else self._fresh_event_id()
-        if eid in self.events:
-            raise ValueError(f"event id {eid!r} already exists")
-        for lab in vec.labels:
-            self.links[lab.link_id] = LinkRecord(lab.link_id, lab.space, source=eid)
-        self.events[eid] = EventRecord(
-            id=eid,
-            backward_links=(),
-            forward_links=vec.label_ids,
-            emitted_vector=vec,
-            region=region,
-        )
-        return eid
+        """Add a source event emitting ``vec``; one free link per factor.
+
+        A source event is an event with no backward links and amplitude 1;
+        it passes the same checks as :meth:`add_interior_event`."""
+        return self._add_event(None, 1.0, vec, region, event_id)
 
     def add_interior_event(
         self,
@@ -166,40 +148,41 @@ class History:
         creates fresh free links for the ket's factors.  Probability gating
         lives in :func:`eventweave.dynamics.realize`.
         """
+        if not bra.label_ids:
+            raise ValueError("an interior event needs at least one backward link")
+        return self._add_event(bra, c, ket, region, event_id)
+
+    def _add_event(self, bra: ProductBra | None, c: complex, ket: LabeledVector,
+                   region: Region | None, event_id: str | None) -> str:
+        """Admit one event (``bra is None``: a source event); every check
+        runs before the first write, so a refused event changes nothing."""
         if not ket.is_unit(EVENT_VECTOR_TOL):
-            raise NonUnitVector(f"ket has squared norm {ket.squared_norm()!r}")
+            raise NonUnitVector(f"emitted vector has squared norm {ket.squared_norm()!r}")
         if not cmath.isfinite(c):
             raise ValueError(f"event amplitude must be finite, got {c!r}")
-        consumed = bra.label_ids
-        if not consumed:
-            raise ValueError("an interior event needs at least one backward link")
+        consumed = () if bra is None else bra.label_ids
         for lid in consumed:
             link = self.links.get(lid)
             if link is None:
                 raise UnknownEvent(f"no link {lid!r} in this history")
             if link.established:
                 raise ValueError(f"link {lid!r} is already established")
-            if link.space != bra.factor(lid).labels[0].space:
-                raise ValueError(
-                    f"bra factor on {lid!r} lives in {bra.factor(lid).labels[0].space}, "
-                    f"link carries {link.space}"
-                )
-        self._check_new_links(ket)
+            space = bra.factor(lid).labels[0].space
+            if link.space != space:
+                raise ValueError(f"bra factor on {lid!r} lives in {space}, "
+                                 f"link carries {link.space}")
+        clash = [lab.link_id for lab in ket.labels if lab.link_id in self.links]
+        if clash:
+            raise LabelCollision(f"link ids already used: {clash}")
+        if event_id in self.events:
+            raise ValueError(f"event id {event_id!r} already exists")
         eid = event_id if event_id is not None else self._fresh_event_id()
-        if eid in self.events:
-            raise ValueError(f"event id {eid!r} already exists")
         for lid in consumed:
             self.links[lid] = replace(self.links[lid], target=eid)
         for lab in ket.labels:
             self.links[lab.link_id] = LinkRecord(lab.link_id, lab.space, source=eid)
         self.events[eid] = EventRecord(
-            id=eid,
-            backward_links=consumed,
-            forward_links=ket.label_ids,
-            emitted_vector=ket,
-            amplitude=complex(c),
-            bra=bra,
-            region=region,
+            eid, consumed, ket.label_ids, ket, amplitude=complex(c), bra=bra, region=region
         )
         return eid
 

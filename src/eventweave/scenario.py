@@ -56,8 +56,11 @@ class Scenario:
 
     def build_history(self) -> History:
         h = History()
-        for eid, vec, region in self.initial_events:
-            h.add_initial_event(vec, region=region, event_id=eid)
+        for i, (eid, vec, region) in enumerate(self.initial_events):
+            try:
+                h.add_initial_event(vec, region=region, event_id=eid)
+            except (ValueError, EventWeaveError) as exc:
+                raise ScenarioError(str(exc), f"$.initial_events[{i}]") from exc
         return h
 
 

@@ -55,7 +55,7 @@ class LatticeModel:
 
     def __post_init__(self):
         if self.n_sites < 2:
-            raise ValueError("need at least 2 sites")
+            raise ValueError(f"need at least 2 sites, got {self.n_sites}")
         for name in ("box_length", "mass", "beta", "hbar"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

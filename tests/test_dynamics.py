@@ -374,6 +374,13 @@ def test_uniform_in_a_pruned_candidates_sliver_skips_it():
     assert sample_counts(s, alts, 8, _fixed_generator(p)).tolist() == [0, 0, 8]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_counts_refuses_fewer_than_one_run(n):
+    s, alts = _plus_state(), _pruned_tail_alternatives()
+    with pytest.raises(ValueError, match=f"runs must be positive, got {n}"):
+        sample_counts(s, alts, n, 0)
+
+
 # -- outcome tree --------------------------------------------------------------------
 
 FIGURE = Path(__file__).resolve().parents[1] / "scenarios" / "figure.json"

@@ -131,7 +131,11 @@ def test_bra_links_missing_and_ket_labels_taken_are_refused():
         bra=ProductBra([unit_factor("alpha", [1.0, 0.0])]), c=1.0,
         ket=unit_factor("alpha", [1.0, 0.0]),
     )
-    assert event_probability(state, reused) == pytest.approx(0.5, abs=1e-15)
+    # History refuses to re-emit a consumed link, so no probability is given
+    with pytest.raises(DuplicateLabel):
+        event_probability(state, reused)
+    with pytest.raises(DuplicateLabel):
+        realized_state(state, reused)
 
 
 @pytest.mark.parametrize("name", ["figure.json", "three_stage.json"])

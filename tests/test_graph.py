@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import SPIN, figure_outcome_candidates, generic_figure, saturated, unit_factor
+from conftest import (
+    POINTER, SPIN, figure_outcome_candidates, generic_figure, saturated, unit_factor,
+)
 from eventweave.dynamics import realize
 from eventweave.epr import build_epr, Direction, singlet_vector
 from eventweave.errors import (
@@ -166,6 +168,71 @@ def test_interior_events_refuse_non_finite_amplitudes(c):
             ProductBra([unit_factor("only", [1.0, 0.0])]), c, LabeledVector.scalar(1.0)
         )
     assert not h.links["only"].established
+
+
+def _up(link_id):
+    return ProductBra([unit_factor(link_id, [1.0, 0.0])])
+
+
+def _absorb_alpha(h):
+    h.add_interior_event(_up("alpha"), 1.0, LabeledVector.scalar(1.0), event_id="absorb")
+
+
+_OUT = unit_factor("out", [1.0], POINTER)
+
+#: case -> (prepare, refused add, exception type, message fragment)
+ADMISSION_REFUSALS = {
+    "bra-on-unknown-link": (
+        None, lambda h: h.add_interior_event(_up("nope"), 1.0, _OUT),
+        UnknownEvent, "no link 'nope'",
+    ),
+    "link-consumed-twice": (
+        _absorb_alpha, lambda h: h.add_interior_event(_up("alpha"), 1.0, _OUT),
+        ValueError, "link 'alpha' is already established",
+    ),
+    "bra-space-differs-from-link": (
+        None,
+        lambda h: h.add_interior_event(
+            ProductBra([unit_factor("alpha", [1.0], POINTER)]), 1.0, _OUT),
+        ValueError, "lives in",
+    ),
+    "no-backward-link": (
+        None, lambda h: h.add_interior_event(ProductBra([]), 1.0, _OUT),
+        ValueError, "at least one backward link",
+    ),
+    "non-unit-ket": (
+        None,
+        lambda h: h.add_interior_event(_up("alpha"), 1.0, unit_factor("x", [1.0, 1.0])),
+        NonUnitVector, "squared norm 2.0",
+    ),
+    "ket-on-used-link": (
+        None,
+        lambda h: h.add_interior_event(_up("alpha"), 1.0, unit_factor("gamma", [1.0, 0.0])),
+        LabelCollision, "link ids already used: ['gamma']",
+    ),
+    "interior-event-id-taken": (
+        None, lambda h: h.add_interior_event(_up("alpha"), 1.0, _OUT, event_id="ap1"),
+        ValueError, "event id 'ap1' already exists",
+    ),
+    "initial-event-id-taken": (
+        None, lambda h: h.add_initial_event(_OUT, event_id="ap1"),
+        ValueError, "event id 'ap1' already exists",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADMISSION_REFUSALS))
+def test_refused_events_leave_the_history_unchanged(case):
+    prepare, add, error, fragment = ADMISSION_REFUSALS[case]
+    h = generic_figure()
+    if prepare is not None:
+        prepare(h)
+    before = h.to_dict()
+    with pytest.raises(error) as info:
+        add(h)
+    assert fragment in str(info.value)
+    assert h.to_dict() == before
+    assert h.add_initial_event(unit_factor("fresh", [1.0, 0.0])) == "e1"
 
 
 def test_region_tags_round_trip():

@@ -449,6 +449,21 @@ BAD_INPUTS = {
         _figure_edited(lambda d: d["stages"][0].update(name=[1, 2])),
         "$.stages[0]: field 'name' should be str",
     ),
+    "initial-event-id-repeated": (
+        _figure_edited(lambda d: d["initial_events"][1].update(id="left-apparatus")),
+        "$.initial_events[1]: event id 'left-apparatus' already exists",
+    ),
+    "initial-event-link-repeated": (
+        _figure_edited(lambda d: d["initial_events"][1]["vector"]["labels"][0]
+                       .update(link="gamma")),
+        "$.initial_events[1]: link ids already used: ['gamma']",
+    ),
+    "initial-event-not-unit": (
+        _figure_edited(lambda d: d["initial_events"][0]["vector"].update(
+            amps=[[1.5, 0.0], [0.0, 0.0], [0.0, 0.0], [1.5, 0.0]])),
+        "$.initial_events[0]: emitted vector has squared norm 4.5",
+    ),
+    "epr-zero-runs": (lambda tmp: ["epr", "--runs", "0"], "runs must be positive, got 0"),
 }
 
 
