@@ -106,12 +106,16 @@ class History:
 
     Records are immutable; :meth:`snapshot` returns a cheap copy that is
     safe to read from other threads while this instance keeps growing.
+    The frontier's open links are kept as events are admitted, so frontier
+    queries read them instead of walking every event and link.
     """
 
     def __init__(self):
         self.events: dict[str, EventRecord] = {}
         self.links: dict[str, LinkRecord] = {}
         self._counter = 0
+        self._open: dict[str, None] = {}  # free link ids, in creation order
+        self._frontier: Cut | None = None  # cached frontier_cut()
 
     # -- construction --------------------------------------------------------
 
@@ -179,8 +183,11 @@ class History:
         eid = event_id if event_id is not None else self._fresh_event_id()
         for lid in consumed:
             self.links[lid] = replace(self.links[lid], target=eid)
+            del self._open[lid]
         for lab in ket.labels:
             self.links[lab.link_id] = LinkRecord(lab.link_id, lab.space, source=eid)
+            self._open[lab.link_id] = None
+        self._frontier = None
         self.events[eid] = EventRecord(
             eid, consumed, ket.label_ids, ket, amplitude=complex(c), bra=bra, region=region
         )
@@ -189,22 +196,29 @@ class History:
     # -- queries ---------------------------------------------------------------
 
     def frontier_cut(self) -> Cut:
-        """The cut containing every realized event."""
-        return Cut.of(self.events)
+        """The cut containing every realized event (built once per admission)."""
+        if self._frontier is None:
+            self._frontier = Cut.of(self.events)
+        return self._frontier
 
     def validate_cut(self, cut: Cut) -> None:
-        """Raise unless the cut is past-closed within this history."""
-        for eid in cut.past_event_ids:
-            if eid not in self.events:
-                raise UnknownEvent(f"cut references unknown event {eid!r}")
-        for eid in cut.past_event_ids:
-            for lid in self.events[eid].backward_links:
-                src = self.links[lid].source
-                if src not in cut.past_event_ids:
-                    raise InvalidCut(
-                        f"event {eid!r} is in the cut but its backward link "
-                        f"{lid!r} comes from {src!r}, which is not"
-                    )
+        """Raise unless the cut is past-closed within this history; the
+        error names the offender that comes first in sorted order."""
+        if cut is self._frontier:
+            return  # admission and from_dict's validate() keep it past-closed
+        inside = cut.past_event_ids
+        unknown = [eid for eid in inside if eid not in self.events]
+        if unknown:
+            raise UnknownEvent(f"cut references unknown event {min(unknown)!r}")
+        open_past = [(eid, lid, src) for eid in inside
+                     for lid in self.events[eid].backward_links
+                     if (src := self.links[lid].source) not in inside]
+        if open_past:
+            eid, lid, src = min(open_past)
+            raise InvalidCut(
+                f"event {eid!r} is in the cut but its backward link "
+                f"{lid!r} comes from {src!r}, which is not"
+            )
 
     def free_links(self, cut: Cut | None = None) -> set[str]:
         """Free valences relative to a cut.
@@ -212,12 +226,13 @@ class History:
         A link counts as free relative to the cut when its source lies
         inside and its absorption, if any, lies outside: such a link is
         available for future events of that cut even if a later part of
-        this history has already absorbed it.  With ``cut=None`` the global
-        frontier is used and this reduces to plain ``target is None``.
+        this history has already absorbed it.  With ``cut=None`` or
+        :meth:`frontier_cut` this is the kept set of links with no target.
         """
-        if cut is None:
-            return {lid for lid, ln in self.links.items() if not ln.established}
-        self.validate_cut(cut)
+        if cut is not None:
+            self.validate_cut(cut)
+        if cut is None or cut is self._frontier:
+            return set(self._open)
         inside = cut.past_event_ids
         return {
             lid
@@ -323,6 +338,8 @@ class History:
         h.events = dict(self.events)
         h.links = dict(self.links)
         h._counter = self._counter
+        h._open = dict(self._open)
+        h._frontier = self._frontier
         return h
 
     def to_dict(self) -> dict:
@@ -388,6 +405,7 @@ class History:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed history record: {exc!r}") from exc
         h._counter = len(h.events)
+        h._open = {lid: None for lid, ln in h.links.items() if not ln.established}
         problems = h.validate()
         if problems:
             raise ValueError(f"invalid history: {'; '.join(problems[:3])}")

@@ -23,9 +23,16 @@ from eventweave.dynamics import (
     sample_outcome_tree,
 )
 from eventweave.errors import DuplicateLabel, MissingLabel, ZeroProbabilityEvent
-from eventweave.graph import Cut
+from eventweave.graph import Cut, History
 from eventweave.scenario import load_scenario, scenario_to_dict
-from eventweave.tensors import ProductBra, apply_event_operator, random_unit_vector
+from eventweave.tensors import (
+    FactorLabel,
+    LabeledVector,
+    ProductBra,
+    SpaceType,
+    apply_event_operator,
+    random_unit_vector,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -50,6 +57,37 @@ def random_candidate(factory, labels, rng) -> CandidateEvent:
     bra = ProductBra([random_unit_vector([labels[i]], rng) for i in take])
     ket = random_unit_vector(factory.fresh_labels(int(rng.integers(0, 3)), 1), rng)
     return CandidateEvent(bra=bra, c=complex(rng.normal(), rng.normal()) / 2.0, ket=ket)
+
+
+def test_frontier_states_match_the_full_walk_while_chains_grow():
+    """Four seeded qubit chains grown by 240 measured events: at every step
+    the frontier state read from the kept open links equals, bit for bit,
+    the one a fresh cut of every event builds by the full walk and scan."""
+    rng = np.random.default_rng(2015)
+    qubit = SpaceType("qubit", 2)
+    h, heads = History(), [0] * 4
+    for c in range(4):
+        h.add_initial_event(random_unit_vector([FactorLabel(f"c{c}_000", qubit)], rng),
+                            event_id=f"src{c}")
+    for k in range(240):
+        c = k % 4
+        link, heads[c] = f"c{c}_{heads[c]:03d}", heads[c] + 1
+        basis, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        ket = random_unit_vector([FactorLabel(f"c{c}_{heads[c]:03d}", qubit)], rng)
+        alts = dynamics.AlternativeSet([
+            CandidateEvent(bra=ProductBra([LabeledVector([FactorLabel(link, qubit)],
+                                                         basis[:, j])]), c=1.0, ket=ket)
+            for j in range(2)
+        ])
+        state = cut_state(h)
+        full = cut_state(h, Cut.of(h.events))
+        assert [v.labels for v in state.components] == [v.labels for v in full.components]
+        assert all(np.array_equal(a.amps, b.amps)
+                   for a, b in zip(state.components, full.components))
+        idx = dynamics.sample_extension(state, alts, rng)
+        eid = dynamics.realize(h, None, alts.candidates[idx])
+        assert eid in h.frontier_cut().past_event_ids
+    assert len(h.events) == 244
 
 
 def test_factored_states_match_the_dense_oracle(rng):

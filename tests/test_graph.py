@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    POINTER, SPIN, figure_outcome_candidates, generic_figure, saturated, unit_factor,
+    POINTER, SPIN, HistoryFactory, figure_outcome_candidates, generic_figure, saturated,
+    unit_factor,
 )
 from eventweave.dynamics import realize
 from eventweave.epr import build_epr, Direction, singlet_vector
@@ -15,7 +16,7 @@ from eventweave.errors import (
     UnknownEvent,
 )
 from eventweave.graph import Cut, History, LinkRecord, Region
-from eventweave.tensors import FactorLabel, LabeledVector, ProductBra
+from eventweave.tensors import FactorLabel, LabeledVector, ProductBra, random_unit_vector
 
 
 def traversal_free_links(h, cut_ids):
@@ -26,6 +27,18 @@ def traversal_free_links(h, cut_ids):
         for lid, ln in h.links.items()
         if ln.source in inside and (ln.target is None or ln.target not in inside)
     }
+
+
+def open_links_by_scan(h):
+    """Independent oracle for the frontier's open links: scan every link."""
+    return {lid for lid, ln in h.links.items() if not ln.established}
+
+
+def assert_open_links_match_the_scan(h):
+    expected = open_links_by_scan(h)
+    assert h.free_links() == expected
+    assert h.free_links(h.frontier_cut()) == expected
+    assert h.frontier_cut().past_event_ids == set(h.events)
 
 
 def test_single_initial_event():
@@ -99,6 +112,72 @@ def test_cut_must_be_past_closed():
     with pytest.raises(UnknownEvent):
         h.validate_cut(Cut.of(["nope"]))
     h.validate_cut(Cut.of(["ap1", "ap2", "decay", "ev4"]))
+
+
+def test_cut_errors_name_the_first_offender_in_sorted_order():
+    """Many offenders, so set iteration order would almost never pick the
+    smallest one by chance."""
+    with pytest.raises(UnknownEvent) as unknown:
+        History().validate_cut(Cut.of([f"q{i}" for i in range(1, 41)]))
+    assert str(unknown.value) == "cut references unknown event 'q1'"
+    h = History()
+    for i in range(20):
+        h.add_initial_event(singlet_vector(f"a{i}", f"b{i}"), event_id=f"src{i}")
+        bra = ProductBra([unit_factor(f"b{i}", [1.0, 0.0]), unit_factor(f"a{i}", [0.0, 1.0])])
+        h.add_interior_event(bra, 1.0, unit_factor(f"out{i}", [1.0], POINTER),
+                             event_id=f"ev{i}")
+    with pytest.raises(InvalidCut) as invalid:
+        h.validate_cut(Cut.of(["src0", "src1", *(f"ev{i}" for i in range(20))]))
+    assert str(invalid.value) == ("event 'ev10' is in the cut but its backward link "
+                                  "'a10' comes from 'src10', which is not")
+
+
+def test_kept_open_links_match_a_full_scan_through_admissions_and_refusals(rng):
+    factory = HistoryFactory(rng)
+    for _ in range(40):
+        h = History()
+        for _ in range(int(rng.integers(1, 4))):
+            h.add_initial_event(random_unit_vector(
+                factory.fresh_labels(int(rng.integers(1, 4)), 1), rng))
+            assert_open_links_match_the_scan(h)
+        for _ in range(int(rng.integers(0, 7))):
+            cand = factory.random_candidate(h, allow_empty_ket=True)
+            if cand is None:
+                break
+            eid = h.add_interior_event(cand.bra, cand.c, cand.ket)
+            assert_open_links_match_the_scan(h)
+            assert eid in h.frontier_cut().past_event_ids
+        free = sorted(h.free_links())
+        if not free:
+            continue
+        before, frontier = h.free_links(), h.frontier_cut()
+        space = h.links[free[0]].space
+        open_factor = unit_factor(free[0], np.eye(space.dim)[0], space)
+        refused = [
+            (UnknownEvent, ProductBra([open_factor, unit_factor("nowhere", [1.0, 0.0])]),
+             unit_factor("fresh", [1.0], POINTER)),
+            (LabelCollision, ProductBra([open_factor]), unit_factor(free[-1], [1.0], POINTER)),
+            (NonUnitVector, ProductBra([open_factor]), unit_factor("fresh", [0.5], POINTER)),
+        ]
+        for error, bra, ket in refused:
+            with pytest.raises(error):
+                h.add_interior_event(bra, 1.0, ket)
+            assert h.free_links() == before
+            assert h.frontier_cut() is frontier
+            assert_open_links_match_the_scan(h)
+
+
+def test_kept_open_links_survive_a_json_round_trip(rng):
+    factory = HistoryFactory(rng)
+    for _ in range(20):
+        h = factory.random_history(max_events=8)
+        back = History.from_json(h.to_json())
+        assert back.free_links() == h.free_links()
+        assert_open_links_match_the_scan(back)
+        cand = factory.random_candidate(back, allow_empty_ket=True)
+        if cand is not None:
+            back.add_interior_event(cand.bra, cand.c, cand.ket)
+            assert_open_links_match_the_scan(back)
 
 
 def test_validate_reports_hand_built_damage():
@@ -340,3 +419,25 @@ def test_snapshot_isolation():
     assert "ev4" in h.events
     assert "ev4" not in snap.events
     assert snap.links["alpha"].target is None
+
+
+def test_snapshot_keeps_its_own_open_links_both_ways():
+    h = generic_figure()
+    shared = h.frontier_cut()
+    snap = h.snapshot()
+    before = h.free_links()
+    e4, e5 = figure_outcome_candidates()
+    realize(h, None, e4, event_id="ev4")
+    assert snap.free_links() == before
+    assert snap.frontier_cut() is shared
+    assert_open_links_match_the_scan(snap)
+    assert_open_links_match_the_scan(h)
+    grown, frontier = h.free_links(), h.frontier_cut()
+    assert "ev4" in frontier.past_event_ids
+    realize(snap, None, e5, event_id="ev5")
+    assert h.free_links() == grown
+    assert h.frontier_cut() is frontier
+    assert_open_links_match_the_scan(h)
+    assert_open_links_match_the_scan(snap)
+    assert "ev5" in snap.frontier_cut().past_event_ids
+    assert "ev5" not in frontier.past_event_ids
