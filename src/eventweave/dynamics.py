@@ -27,7 +27,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DuplicateLabel,
     EventWeaveError,
     LabelCollision,
     MissingLabel,
@@ -69,10 +68,15 @@ class CutState:
     the global phase of the numbers an event left without labels.
     ``merged`` keeps each product of several components a bra has spanned,
     keyed by their positions, since an alternative set's candidates
-    usually all span the same ones.
+    usually all span the same ones.  ``history`` is the live history the
+    state was cut from and ``emitted`` the link ids that events applied
+    since the cut emitted: together they hold every link id a candidate's
+    ket may not reuse.
     """
 
     components: tuple[LabeledVector, ...]
+    history: History = field(repr=False, compare=False)
+    emitted: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     merged: dict[tuple[int, ...], LabeledVector] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -130,7 +134,10 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
     The state is built from the cut's free links (``History.free_links``):
     each source of a free link gives one component, its emitted vector
     contracted with the bra factors that events inside the cut apply to its
-    other forward links.  Each component is renormalized on its own.
+    other forward links.  Each component is renormalized on its own.  The
+    state keeps a reference to ``history``, so its candidates are refused
+    with :class:`LabelCollision` for every link id the history uses, also
+    ids that events realized after this call add.
     """
     if cut is None:
         cut = history.frontier_cut()
@@ -151,7 +158,7 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
         raise ZeroProbabilityEvent(
             f"cut state has squared norm {total!r}; this past never happens"
         )
-    return CutState(tuple(_unit(vec, t) for vec, t in zip(components, totals)))
+    return CutState(tuple(_unit(vec, t) for vec, t in zip(components, totals)), history)
 
 
 def _unit(vec: LabeledVector, total: float | None = None) -> LabeledVector:
@@ -171,15 +178,15 @@ def _apply(
     ``psi`` is the tensor product of those components (one of them as is,
     several merged in order).  Returns their positions, the residual
     ``c <bra|psi>`` and ``apply_event_operator``'s result ``|ket> (x)`` that
-    residual, whose squared norm is the candidate's probability.
+    residual, whose squared norm is the candidate's probability.  A ket
+    that re-emits a used link id raises :class:`LabelCollision`, as
+    ``History`` would.
     """
     index = state.index
     missing = [lid for lid in cand.bra.label_ids if lid not in index]
     if missing:
         raise MissingLabel(f"state carries no factor for links {missing}")
-    clash = [lid for lid in cand.ket.label_ids if lid in index]
-    if clash:
-        raise DuplicateLabel(f"ket labels already carried by the state: {clash}")
+    state.history.refuse_used(cand.ket.label_ids, state.emitted)
     touched = sorted({index[lid] for lid in cand.bra.label_ids})
     if len(touched) == 1:
         psi = state.components[touched[0]]
@@ -192,11 +199,13 @@ def _apply(
     return touched, residual, tensor_product(cand.ket, residual)
 
 
-def _replaced(state: CutState, touched: list[int], new: Iterable[LabeledVector]) -> CutState:
-    """``state`` with the touched components swapped for ``new``; the rest
-    are shared by reference."""
+def _replaced(state: CutState, touched: list[int], new: Iterable[LabeledVector],
+              cand: CandidateEvent) -> CutState:
+    """``state`` after ``cand``: the touched components swapped for ``new``
+    (the rest are shared by reference), and the ket's link ids used."""
     kept = (vec for k, vec in enumerate(state.components) if k not in touched)
-    return CutState((*kept, *new))
+    return CutState((*kept, *new), state.history,
+                    state.emitted.union(cand.ket.label_ids))
 
 
 def event_probability(state: CutState, cand: CandidateEvent) -> float:
@@ -228,7 +237,7 @@ def _applied(state: CutState, cand: CandidateEvent) -> CutState:
     """Unnormalized state after the candidate: the components it touches
     become one, ``c |ket> (x) <bra|psi>``."""
     touched, _, vec = _apply(state, cand)
-    return _replaced(state, touched, [vec])
+    return _replaced(state, touched, [vec], cand)
 
 
 def _squared_norm_since(applied: CutState, root: CutState) -> float:
@@ -251,7 +260,7 @@ def realized_state(state: CutState, cand: CandidateEvent) -> tuple[float, CutSta
     if p <= ZERO_PROBABILITY_EPS:
         raise ZeroProbabilityEvent(f"candidate has probability {p!r}")
     new = [_unit(v) for v in (residual, cand.ket) if v.labels]
-    return p, _replaced(state, touched, new)
+    return p, _replaced(state, touched, new, cand)
 
 
 def alternative_probabilities(
@@ -338,8 +347,9 @@ def realize(
 ) -> str:
     """Turn a possible event into a fact.
 
-    Raises :class:`ZeroProbabilityEvent` when the candidate's probability
-    on the cut state vanishes; otherwise the consumed links become
+    Raises :class:`LabelCollision` when the candidate's ket re-emits a link
+    id the history already uses, and :class:`ZeroProbabilityEvent` when its
+    probability on the cut state vanishes; otherwise the consumed links become
     established and the candidate's ket labels become fresh free links.
     Returns the new event id.
     """
@@ -479,12 +489,14 @@ def sample_outcome_tree(
             f"scenario has {total} outcome paths (product of candidate counts "
             f"per stage); at most {MAX_OUTCOME_PATHS} can be enumerated"
         )
-    used = set(history.links)
+    used: set[str] = set()  # emitted by earlier stages
     for d, alts in enumerate(stages):
         emitted = {lid for cand in alts.candidates for lid in cand.ket.label_ids}
-        clash = sorted(emitted & used)
-        if clash:
-            raise LabelCollision(f"$.stages[{d}]: link ids already used: {clash}")
+        try:
+            history.refuse_used(emitted, used)
+        except LabelCollision as exc:
+            exc.args = (f"$.stages[{d}]: {exc}",)
+            raise
         used |= emitted
     root = cut_state(history)
     analytic = np.zeros(total)

@@ -95,7 +95,8 @@ class EprSetup:
     the product of one ``side1`` and one ``side2`` candidate: the exhaustive
     set whose probabilities are the joints and from which sampling draws.
     ``state`` is the frontier cut state of ``history`` as built; realizing
-    events on ``history`` does not update it.
+    events on ``history`` does not update its components, but the state
+    refuses the link ids those realizations add.
     """
 
     e1: Direction

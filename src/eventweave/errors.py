@@ -6,7 +6,7 @@ class EventWeaveError(Exception):
 
 
 class DuplicateLabel(EventWeaveError):
-    """Two tensor factors (or fresh links) carry the same link id."""
+    """Two tensor factors carry the same link id."""
 
 
 class MissingLabel(EventWeaveError):
@@ -18,7 +18,8 @@ class NonUnitVector(EventWeaveError):
 
 
 class LabelCollision(EventWeaveError):
-    """A new link id collides with a link already present in the history."""
+    """A new event would emit a link id that is already used: by the history,
+    by a candidate applied to a cut state, or by an earlier stage."""
 
 
 class UnknownEvent(EventWeaveError):

@@ -23,7 +23,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -98,6 +98,9 @@ class Cut:
 
     @classmethod
     def of(cls, ids: Iterable[str]) -> "Cut":
+        if isinstance(ids, str):  # would split into one-character event ids
+            raise TypeError(f"a cut takes an iterable of event ids, not the "
+                            f"string {ids!r}; use [{ids!r}]")
         return cls(frozenset(ids))
 
 
@@ -175,9 +178,7 @@ class History:
             if link.space != space:
                 raise ValueError(f"bra factor on {lid!r} lives in {space}, "
                                  f"link carries {link.space}")
-        clash = [lab.link_id for lab in ket.labels if lab.link_id in self.links]
-        if clash:
-            raise LabelCollision(f"link ids already used: {clash}")
+        self.refuse_used(ket.label_ids)
         if event_id in self.events:
             raise ValueError(f"event id {event_id!r} already exists")
         eid = event_id if event_id is not None else self._fresh_event_id()
@@ -194,6 +195,14 @@ class History:
         return eid
 
     # -- queries ---------------------------------------------------------------
+
+    def refuse_used(self, ids: Iterable[str], extra: Container[str] = ()) -> None:
+        """Raise :class:`LabelCollision` naming the ``ids`` that this history,
+        or ``extra``, already uses: a link id names one arrow with one
+        source, so no new event may emit it again."""
+        clash = [lid for lid in ids if lid in self.links or lid in extra]
+        if clash:
+            raise LabelCollision(f"link ids already used: {sorted(set(clash))}")
 
     def frontier_cut(self) -> Cut:
         """The cut containing every realized event (built once per admission)."""

@@ -156,7 +156,7 @@ def dense_cut_state(history, cut=None):
         raise dynamics.ZeroProbabilityEvent(f"cut state has squared norm {total!r}")
     if abs(total - 1.0) > 1e-15:
         composite = composite.scaled(1.0 / np.sqrt(total))
-    return dynamics.CutState((composite,))
+    return dynamics.CutState((composite,), history)
 
 
 # -- staged sampling (one uniform per draw) ------------------------------------

@@ -595,19 +595,122 @@ def test_realizing_an_orthogonal_candidate_fails():
 
 
 def test_realize_refuses_colliding_ket_labels():
-    from eventweave.errors import DuplicateLabel, LabelCollision
-
     h = generic_figure()
     e4, e5 = figure_outcome_candidates()
-    # clash with a still-free frontier label: caught as a tensor-level clash
+    # a still-free frontier link and an established one meet one rule
     bad = CandidateEvent(bra=e4.bra, c=1.0, ket=unit_factor("beta", [1.0, 0.0]))
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(LabelCollision, match=r"^link ids already used: \['beta'\]$"):
         realize(h, None, bad)
-    # clash with an already-established link id: caught by the graph
     realize(h, None, e4, event_id="ev4")
     stale = CandidateEvent(bra=e5.bra, c=1.0, ket=unit_factor("alpha", [1.0, 0.0]))
-    with pytest.raises(LabelCollision):
+    with pytest.raises(LabelCollision, match=r"^link ids already used: \['alpha'\]$"):
         realize(h, None, stale)
+
+
+def _spin_candidate(link_id, amps, ket):
+    return CandidateEvent(bra=ProductBra([unit_factor(link_id, amps)]), c=1.0, ket=ket)
+
+
+def _history_refusal(h, cand) -> str:
+    """The message ``History`` refuses the candidate's admission with."""
+    with pytest.raises(LabelCollision) as refused:
+        h.snapshot().add_interior_event(cand.bra, cand.c, cand.ket)
+    return str(refused.value)
+
+
+_REFUSING_CALLS = {
+    "event_probability": lambda h, s, cand: event_probability(s, cand),
+    "sample_extension": lambda h, s, cand: sample_extension(s, AlternativeSet([cand]), 0),
+    "sample_counts": lambda h, s, cand: sample_counts(s, AlternativeSet([cand]), 10, 0),
+    "realized_state": lambda h, s, cand: realized_state(s, cand),
+    "joint_probability": lambda h, s, cand: joint_probability(s, [cand]),
+    "realize": lambda h, s, cand: realize(h, None, cand),
+}
+
+
+@pytest.mark.parametrize("call", _REFUSING_CALLS.values(), ids=_REFUSING_CALLS.keys())
+def test_a_ket_re_emitting_a_consumed_link_gets_no_probability(call):
+    """After <up| on ``alpha``, <down| on ``beta`` is certain; emitting
+    ``alpha`` again is what ``History`` refuses, so no call gives it a value."""
+    h = generic_figure()
+    realize(h, None, _spin_candidate("alpha", [1.0, 0.0], unit_factor("a1", [1.0], POINTER)))
+    state = cut_state(h)
+    stale = _spin_candidate("beta", [0.0, 1.0], unit_factor("alpha", [1.0], POINTER))
+    expected = _history_refusal(h, stale)
+    assert expected == "link ids already used: ['alpha']"
+    with pytest.raises(LabelCollision) as err:
+        call(h, state, stale)
+    assert str(err.value) == expected
+
+
+def test_a_state_refuses_link_ids_realized_after_it_was_cut():
+    h = generic_figure()
+    state = cut_state(h)
+    realize(h, None, _spin_candidate("alpha", [1.0, 0.0], unit_factor("a1", [1.0], POINTER)))
+    late = _spin_candidate("beta", [0.0, 1.0], unit_factor("a1", [1.0], POINTER))
+    with pytest.raises(LabelCollision, match=r"^link ids already used: \['a1'\]$"):
+        event_probability(state, late)
+
+
+def test_chained_states_refuse_a_link_emitted_since_the_cut():
+    """x1 emits ``x``, x2 consumes it and emits ``y``, x3 consumes ``y`` and
+    emits ``x`` again: the states after x1 and x2 know ``x`` is used."""
+    h = History()
+    h.add_initial_event(unit_factor("s", [1.0, 0.0]))
+    up = [1.0, 0.0]
+    x1 = _spin_candidate("s", up, unit_factor("x", up))
+    x2 = _spin_candidate("x", up, unit_factor("y", up))
+    x3 = _spin_candidate("y", up, unit_factor("x", up))
+    grown = h.snapshot()
+    realize(grown, None, x1)
+    realize(grown, None, x2)
+    expected = _history_refusal(grown, x3)
+    assert expected == "link ids already used: ['x']"
+    s0 = cut_state(h)
+    _, after = realized_state(realized_state(s0, x1)[1], x2)
+    for call in (lambda: event_probability(after, x3),
+                 lambda: realized_state(after, x3),
+                 lambda: joint_probability(s0, [x1, x2, x3])):
+        with pytest.raises(LabelCollision) as err:
+            call()
+        assert str(err.value) == expected
+    assert joint_probability(s0, [x1, x2]) == pytest.approx(1.0)
+
+
+def test_the_state_refuses_a_used_link_id_exactly_when_history_does(rng):
+    """Random histories and kets over a mix of used and fresh link ids: the
+    probability API, ``realize`` and ``History`` agree on every refusal."""
+    factory = HistoryFactory(rng, max_amplitudes=64)
+
+    def refusal(call):
+        try:
+            call()
+        except LabelCollision as exc:
+            return str(exc)
+        except ZeroProbabilityEvent:
+            pass
+        return None
+
+    refused = admitted = 0
+    for _ in range(60):
+        h = factory.random_history()
+        cand = factory.random_candidate(h)
+        if cand is None:
+            continue
+        used = sorted(h.links)
+        k = min(len(used), int(rng.integers(0, 3)))
+        reuse = [used[i] for i in rng.choice(len(used), k, replace=False)]
+        labels = [FactorLabel(lid, h.links[lid].space) for lid in reuse]
+        labels += factory.fresh_labels(int(rng.integers(0, 2)), 1)
+        cand = CandidateEvent(cand.bra, cand.c, random_unit_vector(labels, rng))
+        by_state = refusal(lambda: event_probability(cut_state(h), cand))
+        assert by_state == refusal(lambda: realize(h.snapshot(), None, cand))
+        assert by_state == refusal(
+            lambda: h.snapshot().add_interior_event(cand.bra, cand.c, cand.ket))
+        assert by_state == (f"link ids already used: {sorted(reuse)}" if reuse else None)
+        refused += bool(reuse)
+        admitted += not reuse
+    assert refused > 10 and admitted > 10
 
 
 # -- structural probability properties ----------------------------------------------

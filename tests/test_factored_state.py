@@ -22,7 +22,7 @@ from eventweave.dynamics import (
     realized_state,
     sample_outcome_tree,
 )
-from eventweave.errors import DuplicateLabel, MissingLabel, ZeroProbabilityEvent
+from eventweave.errors import LabelCollision, MissingLabel, ZeroProbabilityEvent
 from eventweave.graph import Cut, History
 from eventweave.scenario import load_scenario, scenario_to_dict
 from eventweave.tensors import (
@@ -163,17 +163,16 @@ def test_bra_links_missing_and_ket_labels_taken_are_refused():
         bra=ProductBra([unit_factor("alpha", [1.0, 0.0])]), c=1.0,
         ket=unit_factor("res1", [1.0, 0.0]),
     )
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(LabelCollision, match=r"^link ids already used: \['res1'\]$"):
         realized_state(state, taken)
     reused = CandidateEvent(
         bra=ProductBra([unit_factor("alpha", [1.0, 0.0])]), c=1.0,
         ket=unit_factor("alpha", [1.0, 0.0]),
     )
     # History refuses to re-emit a consumed link, so no probability is given
-    with pytest.raises(DuplicateLabel):
-        event_probability(state, reused)
-    with pytest.raises(DuplicateLabel):
-        realized_state(state, reused)
+    for api in (event_probability, realized_state):
+        with pytest.raises(LabelCollision, match=r"^link ids already used: \['alpha'\]$"):
+            api(state, reused)
 
 
 @pytest.mark.parametrize("name", ["figure.json", "three_stage.json"])

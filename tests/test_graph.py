@@ -114,6 +114,18 @@ def test_cut_must_be_past_closed():
     h.validate_cut(Cut.of(["ap1", "ap2", "decay", "ev4"]))
 
 
+def test_cut_of_refuses_a_bare_string():
+    """A string is an iterable of characters, not of event ids; ``realize``
+    builds its cut state through ``Cut.of``."""
+    h = generic_figure()
+    e4, _ = figure_outcome_candidates()
+    for call in (lambda: Cut.of("decay"), lambda: realize(h, "decay", e4)):
+        with pytest.raises(TypeError, match=r"not the string 'decay'; use \['decay'\]"):
+            call()
+    assert len(h.events) == 3
+    assert Cut.of(["decay"]).past_event_ids == {"decay"}
+
+
 def test_cut_errors_name_the_first_offender_in_sorted_order():
     """Many offenders, so set iteration order would almost never pick the
     smallest one by chance."""
