@@ -13,6 +13,14 @@ limits the momentum balance of a branch confined to a cell of width
 Kernels may be stored dense (fine up to ~1k grid points) or in separable
 ``left(P') * right(P)`` form, which the wide sweeps use to stay out of
 quadratic memory.
+
+The width sweep computes only what its report reads.  Cells are smoothed
+by differences of one periodic cumulative sum of the Gaussian, not by
+transforms; branch weights are summed over blocks of cells, so no width
+holds all of its branches at once; and the offset weights of the kernel,
+one correlation, serve every width.  The transform-based smoothing and
+the per-width path through :func:`branch_states` are kept in the test
+suite's ``reference.py`` as oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PartitionNotUnity, ZeroNormBranch
 
@@ -30,6 +39,9 @@ PARTITION_TOL = 1e-12
 
 #: cell functions must fall below this outside their padded cell
 SUPPORT_TOL = 1e-12
+
+#: bytes of branch amplitudes the sweep holds at once
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,13 @@ class CellPartition:
         """Equal cells, Gaussian-convolved so the transforms decay fast.
 
         The convolution kernel is normalized on the grid, so the functions
-        still sum to one exactly (up to roundoff).
+        still sum to one exactly (up to roundoff).  A convolved cell of
+        ``L`` sites starting at site ``s`` is a difference of two shifts of
+        one periodic cumulative sum ``Q`` of the kernel,
+        ``g(x) = Q(x - s + 1) - Q(x - s + 1 - L)``; cell lengths take at
+        most two values, so each distinct length gets one profile and every
+        row is a circular shift of it.  A cell that covers the box is
+        exactly 1.
         """
         if n_cells < 1:
             raise ValueError("need at least one cell")
@@ -171,9 +189,9 @@ class CellPartition:
         if n_cells > n:
             raise ValueError("more cells than grid sites")
         width = grid.box_length / n_cells
-        assignment = (np.arange(n) * n_cells) // n
-        indicators = np.zeros((n_cells, n))
-        indicators[assignment, np.arange(n)] = 1.0
+        # cell k holds the sites i with (i * n_cells) // n == k
+        starts = -((-np.arange(n_cells + 1) * n) // n_cells)
+        lengths = np.diff(starts)
         smoothing = smoothing_fraction * width
         if smoothing_fraction > 0:
             x = grid.positions()
@@ -181,12 +199,23 @@ class CellPartition:
             d = (x + half) % grid.box_length - half
             kern = np.exp(-(d**2) / (2.0 * smoothing**2))
             kern /= kern.sum()
-            kern_hat = np.fft.fft(kern)
-            functions = np.real(
-                np.fft.ifft(np.fft.fft(indicators, axis=1) * kern_hat, axis=1)
-            )
         else:
-            functions = indicators
+            kern = np.zeros(n)
+            kern[0] = 1.0
+        # q[n + m] = Q(m), the sum of kern over [0, m), for m = -n .. n;
+        # Q(m + n) = Q(m) + Q(n) continues it periodically
+        q = np.concatenate([[0.0], np.cumsum(kern)])
+        q = np.concatenate([q[:-1] - q[-1], q])
+        distinct, which = np.unique(lengths, return_inverse=True)
+        profiles = np.array([
+            np.ones(n) if length == n
+            else q[n + 1 :] - q[n + 1 - length : 2 * n + 1 - length]
+            for length in distinct
+        ])
+        # row k is its profile shifted right by starts[k], read off the
+        # doubled profile
+        shifts = sliding_window_view(np.tile(profiles, 2), n, axis=1)
+        functions = shifts[which, (n - starts[:-1]) % n]
         return cls(grid=grid, functions=functions, width=width, smoothing=smoothing)
 
     @property
@@ -198,30 +227,35 @@ class CellPartition:
 
         A smoothed indicator cannot vanish exactly at its cell edge, so the
         support requirement is enforced on the cell padded by eight
-        smoothing lengths, beyond which the Gaussian tail is < 1e-12.
+        smoothing lengths, beyond which the Gaussian tail is < 1e-12.  The
+        occupied arc of a cell on the periodic grid is the box minus its
+        largest gap between supported sites, the wrap-around gap included.
         """
         total = self.functions.sum(axis=0)
         dev = float(np.max(np.abs(total - 1.0)))
-        if dev > PARTITION_TOL:
+        if not dev <= PARTITION_TOL:
             raise PartitionNotUnity(
                 f"cell functions sum to 1 only within {dev:.3e} (> {PARTITION_TOL:g})"
             )
         n = self.grid.n_points
         pad = int(math.ceil(8.0 * self.smoothing / self.grid.dx)) + 1
         cell_sites = n // self.n_cells + 1
-        for k in range(self.n_cells):
-            inside = self.functions[k] >= SUPPORT_TOL
-            sites = np.flatnonzero(inside)
-            if sites.size == 0:
-                continue
-            # measure the occupied arc length on the periodic grid
-            gaps = np.diff(np.concatenate([sites, [sites[0] + n]]))
-            arc = n - int(gaps.max()) + 1
-            if arc > cell_sites + 2 * pad:
-                raise ValueError(
-                    f"cell {k} spreads over {arc} sites; allowed "
-                    f"{cell_sites} + 2*{pad} padding"
-                )
+        cells, sites = np.nonzero(self.functions >= SUPPORT_TOL)
+        if sites.size == 0:
+            return
+        first = np.flatnonzero(np.concatenate([[True], cells[1:] != cells[:-1]]))
+        last = np.append(first[1:], sites.size) - 1
+        gaps = np.empty_like(sites)
+        gaps[:-1] = np.diff(sites)
+        gaps[last] = sites[first] + n - sites[last]
+        arcs = n - np.maximum.reduceat(gaps, first) + 1
+        bad = np.flatnonzero(arcs > cell_sites + 2 * pad)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"cell {cells[first[k]]} spreads over {arcs[k]} sites; allowed "
+                f"{cell_sites} + 2*{pad} padding"
+            )
 
     def hat(self, k: int) -> np.ndarray:
         """Transform of cell function k, indexed by offset mod n.
@@ -303,6 +337,39 @@ def single_branch(
     return BranchState(k, vec, kernel, cells)
 
 
+def _probabilities_and_defect(
+    norms2: np.ndarray, out2: float
+) -> tuple[np.ndarray, float]:
+    """Branch probabilities and the coherence defect, from the squared
+    norms of the branches and of their sum."""
+    total = float(norms2.sum())
+    if total <= 0.0:
+        raise ZeroNormBranch("every branch has zero weight")
+    return norms2 / total, abs(out2 - total)
+
+
+def _branch_norms(
+    kernel: TKernel, cells: CellPartition, psi
+) -> tuple[np.ndarray, float]:
+    """Squared norms of every branch of a separable kernel, and of their sum.
+
+    The cells are walked in blocks of at most :data:`_BLOCK_BYTES` of
+    branch amplitudes, so no branch outlives its block.  Because the cells
+    sum to one, the summed branch is the whole operator applied and takes
+    one more transform.
+    """
+    n = kernel.grid.n_points
+    inner = np.fft.fft(kernel._right * psi)
+    weight = np.abs(kernel._left) ** 2 * (kernel.grid.dx * n) ** 2
+    rows = max(1, _BLOCK_BYTES // (16 * n))
+    norms2 = np.concatenate([
+        np.abs(np.fft.ifft(cells.functions[k : k + rows] * inner, axis=1)) ** 2 @ weight
+        for k in range(0, cells.n_cells, rows)
+    ])
+    out = np.fft.ifft(cells.functions.sum(axis=0) * inner)
+    return norms2, float(np.abs(out) ** 2 @ weight)
+
+
 def branch_states(
     kernel: TKernel, cells: CellPartition, psi_in: np.ndarray
 ) -> BranchDecomposition:
@@ -314,23 +381,52 @@ def branch_states(
     """
     psi_in = np.asarray(psi_in, dtype=np.complex128)
     nrm = float(np.linalg.norm(psi_in))
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"incoming state has norm {nrm!r}; normalize it first")
     cells.validate()
     vectors = _branch_vectors(kernel, cells, psi_in, slice(None))
     branches = [BranchState(k, vec, kernel, cells) for k, vec in enumerate(vectors)]
-    norms2 = np.array([b.squared_norm() for b in branches])
-    total = float(norms2.sum())
-    if total <= 0.0:
-        raise ZeroNormBranch("every branch has zero weight")
     psi_out = vectors.sum(axis=0)
-    defect = abs(float(np.vdot(psi_out, psi_out).real) - total)
+    probabilities, defect = _probabilities_and_defect(
+        np.array([b.squared_norm() for b in branches]),
+        float(np.vdot(psi_out, psi_out).real),
+    )
     return BranchDecomposition(
         branches=branches,
-        probabilities=norms2 / total,
+        probabilities=probabilities,
         coherence_defect=defect,
         psi_out=psi_out,
     )
+
+
+def _offset_weights(kernel: TKernel, psi_in) -> np.ndarray:
+    """Kernel weight ``sum_j |tau[j+m, j]|^2 |psi_j|^2`` of each index offset
+    ``m = -(n-1) .. n-1``: one correlation (separable kernel) or one
+    bincount over the offset matrix (dense)."""
+    n = kernel.grid.n_points
+    psi2 = np.abs(np.asarray(psi_in)) ** 2
+    if kernel.is_separable:
+        left2, right2 = np.abs(kernel._left) ** 2, np.abs(kernel._right) ** 2
+        return np.correlate(left2, right2 * psi2, "full")
+    tau2 = np.abs(kernel.matrix) ** 2 * psi2
+    return np.bincount((_offset_index_matrix(n) + n - 1).ravel(), tau2.ravel())
+
+
+def _spread(
+    grid: MomentumGrid, gk_hat: np.ndarray, by_offset: np.ndarray, norm2: float, k: int
+) -> float:
+    """Standard deviation of the transfer ``q`` under the offset weights
+    ``|ghat_k|^2 * by_offset``; ``norm2`` is branch k's squared norm."""
+    n = grid.n_points
+    offsets = np.arange(-(n - 1), n)
+    w = np.abs(gk_hat[offsets % n]) ** 2 * by_offset
+    q = grid.offset_momentum(offsets)
+    w_total = float(w.sum())
+    if w_total <= 0.0 or norm2 <= 0.0:
+        raise ZeroNormBranch(f"branch {k} carries no weight")
+    mean = float(np.dot(w, q)) / w_total
+    var = max(float(np.dot(w, q * q)) / w_total - mean * mean, 0.0)
+    return math.sqrt(var)
 
 
 def momentum_balance_spread(branch: BranchState, psi_in: np.ndarray) -> float:
@@ -340,27 +436,14 @@ def momentum_balance_spread(branch: BranchState, psi_in: np.ndarray) -> float:
     ``|tau(P',P) ghat_k(P'-P) psi(P)|^2``; the spread is taken over the
     transfer ``q = P' - P``.  Inputs should be concentrated away from the
     grid edges, since offsets are aliased by the lattice period.
-    The kernel weight of each index offset ``i - j`` is one correlation
-    (separable kernel) or one bincount over the offset matrix (dense).
     """
-    kernel = branch.kernel
-    n = kernel.grid.n_points
-    psi2 = np.abs(np.asarray(psi_in)) ** 2
-    offsets = np.arange(-(n - 1), n)
-    if kernel.is_separable:
-        left2, right2 = np.abs(kernel._left) ** 2, np.abs(kernel._right) ** 2
-        by_offset = np.correlate(left2, right2 * psi2, "full")
-    else:
-        tau2 = np.abs(kernel.matrix) ** 2 * psi2
-        by_offset = np.bincount((_offset_index_matrix(n) + n - 1).ravel(), tau2.ravel())
-    w = np.abs(branch.gk_hat[offsets % n]) ** 2 * by_offset
-    q = kernel.grid.offset_momentum(offsets)
-    w_total = float(w.sum())
-    if w_total <= 0.0 or branch.squared_norm() <= 0.0:
-        raise ZeroNormBranch(f"branch {branch.cell_index} carries no weight")
-    mean = float(np.dot(w, q)) / w_total
-    var = max(float(np.dot(w, q * q)) / w_total - mean * mean, 0.0)
-    return math.sqrt(var)
+    return _spread(
+        branch.kernel.grid,
+        branch.gk_hat,
+        _offset_weights(branch.kernel, psi_in),
+        branch.squared_norm(),
+        branch.cell_index,
+    )
 
 
 @dataclass(frozen=True)
@@ -392,6 +475,26 @@ def default_sweep_state(grid: MomentumGrid) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def _sweep_point(
+    kernel: TKernel, psi, by_offset: np.ndarray, n_cells: int, smoothing_fraction: float
+) -> SweepPoint:
+    """One width of the sweep: the spread of branch ``n_cells // 2`` and the
+    coherence defect, without keeping any branch."""
+    grid = kernel.grid
+    cells = CellPartition.smoothed_indicators(grid, n_cells, smoothing_fraction)
+    cells.validate()
+    norms2, out2 = _branch_norms(kernel, cells, psi)
+    _, defect = _probabilities_and_defect(norms2, out2)
+    k = n_cells // 2
+    spread = _spread(grid, cells.hat(k), by_offset, norms2[k], k)
+    return SweepPoint(
+        cell_width=cells.width,
+        delta_p=spread,
+        product_over_h=spread * cells.width / (2.0 * math.pi * grid.hbar),
+        coherence_defect=defect,
+    )
+
+
 def width_sweep(
     cell_counts: Sequence[int] = DEFAULT_SWEEP_CELLS,
     n_points: int = 4096,
@@ -411,8 +514,6 @@ def width_sweep(
     if len(set(cell_counts)) < 2:
         raise ValueError("a slope needs at least two distinct cell counts")
     grid = MomentumGrid.of_box(n_points, box_length)
-    h = 2.0 * math.pi * grid.hbar
-    points = []
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             p = grid.momenta()
@@ -420,20 +521,11 @@ def width_sweep(
             f = np.exp(-(p**2) / (2.0 * (tau_scale * pmax) ** 2))
             kernel = TKernel.separable(grid, f)
             psi = default_sweep_state(grid)
-            for n_cells in cell_counts:
-                cells = CellPartition.smoothed_indicators(
-                    grid, n_cells, smoothing_fraction
-                )
-                decomp = branch_states(kernel, cells, psi)
-                spread = momentum_balance_spread(decomp.branches[n_cells // 2], psi)
-                points.append(
-                    SweepPoint(
-                        cell_width=cells.width,
-                        delta_p=spread,
-                        product_over_h=spread * cells.width / h,
-                        coherence_defect=decomp.coherence_defect,
-                    )
-                )
+            by_offset = _offset_weights(kernel, psi)
+            points = [
+                _sweep_point(kernel, psi, by_offset, n_cells, smoothing_fraction)
+                for n_cells in cell_counts
+            ]
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"sweep parameters leave the float range: {exc}") from None
     bad = [pt.cell_width for pt in points if not 0.0 < pt.delta_p < math.inf]

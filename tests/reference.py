@@ -290,6 +290,89 @@ def naive_momentum_balance_spread(kernel, gk_hat, psi):
     return math.sqrt(max(q2_sum / w_total - mean * mean, 0.0))
 
 
+def fft_smoothed_indicators(grid, n_cells, smoothing_fraction):
+    """Cell functions of :meth:`eventweave.cells.CellPartition.smoothed_indicators`
+    by transforms: every indicator row is convolved with the normalized
+    Gaussian through a forward and an inverse FFT of the whole matrix."""
+    n = grid.n_points
+    width = grid.box_length / n_cells
+    assignment = (np.arange(n) * n_cells) // n
+    indicators = np.zeros((n_cells, n))
+    indicators[assignment, np.arange(n)] = 1.0
+    if smoothing_fraction == 0:
+        return indicators
+    smoothing = smoothing_fraction * width
+    x = grid.positions()
+    half = grid.box_length / 2.0
+    d = (x + half) % grid.box_length - half
+    kern = np.exp(-(d**2) / (2.0 * smoothing**2))
+    kern /= kern.sum()
+    kern_hat = np.fft.fft(kern)
+    return np.real(np.fft.ifft(np.fft.fft(indicators, axis=1) * kern_hat, axis=1))
+
+
+def naive_validate(partition):
+    """:meth:`eventweave.cells.CellPartition.validate`, one cell at a time:
+    each cell's occupied arc is the box minus its largest gap between
+    supported sites, found with its own ``diff``."""
+    from eventweave.cells import PARTITION_TOL, SUPPORT_TOL
+    from eventweave.errors import PartitionNotUnity
+
+    dev = float(np.max(np.abs(partition.functions.sum(axis=0) - 1.0)))
+    if not dev <= PARTITION_TOL:
+        raise PartitionNotUnity(
+            f"cell functions sum to 1 only within {dev:.3e} (> {PARTITION_TOL:g})"
+        )
+    grid = partition.grid
+    n = grid.n_points
+    pad = int(math.ceil(8.0 * partition.smoothing / grid.dx)) + 1
+    cell_sites = n // partition.n_cells + 1
+    for k in range(partition.n_cells):
+        sites = np.flatnonzero(partition.functions[k] >= SUPPORT_TOL)
+        if sites.size == 0:
+            continue
+        gaps = np.diff(np.concatenate([sites, [sites[0] + n]]))
+        arc = n - int(gaps.max()) + 1
+        if arc > cell_sites + 2 * pad:
+            raise ValueError(
+                f"cell {k} spreads over {arc} sites; allowed "
+                f"{cell_sites} + 2*{pad} padding"
+            )
+
+
+def naive_width_sweep(cell_counts, n_points, smoothing_fraction=0.15, tau_scale=2.0,
+                      box_length=1.0):
+    """:func:`eventweave.cells.width_sweep` one width at a time: FFT-smoothed
+    cells, every branch built by ``branch_states``, and the spread of branch
+    ``n_cells // 2`` from ``momentum_balance_spread`` with its own offset
+    correlation.  Returns ``([(width, delta_p, coherence_defect), ...], slope)``.
+    """
+    from eventweave.cells import (
+        CellPartition, MomentumGrid, TKernel, branch_states, default_sweep_state,
+        momentum_balance_spread,
+    )
+
+    grid = MomentumGrid.of_box(n_points, box_length)
+    p = grid.momenta()
+    pmax = float(np.max(np.abs(p)))
+    kernel = TKernel.separable(grid, np.exp(-(p**2) / (2.0 * (tau_scale * pmax) ** 2)))
+    psi = default_sweep_state(grid)
+    points = []
+    for n_cells in cell_counts:
+        width = grid.box_length / n_cells
+        cells = CellPartition(
+            grid=grid,
+            functions=fft_smoothed_indicators(grid, n_cells, smoothing_fraction),
+            width=width,
+            smoothing=smoothing_fraction * width,
+        )
+        decomp = branch_states(kernel, cells, psi)
+        spread = momentum_balance_spread(decomp.branches[n_cells // 2], psi)
+        points.append((width, spread, decomp.coherence_defect))
+    widths, spreads = np.log([pt[:2] for pt in points]).T
+    return points, float(np.polyfit(widths, spreads, 1)[0])
+
+
 def naive_packet_mixture_density(model, family):
     """Mixture matrix accumulated one (center, time) projector at a time."""
     from eventweave import thermal

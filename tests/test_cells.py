@@ -9,6 +9,8 @@ import pytest
 import reference
 from conftest import momentum_to_position
 from eventweave.cells import (
+    DEFAULT_SWEEP_CELLS,
+    PARTITION_TOL,
     CellPartition,
     MomentumGrid,
     TKernel,
@@ -113,6 +115,78 @@ def test_overly_wide_cell_functions_are_rejected():
     bad = CellPartition(grid=grid, functions=flat, width=0.5, smoothing=0.001)
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_partition_with_a_nan_entry_is_rejected():
+    grid = MomentumGrid.of_box(64, 1.0)
+    part = CellPartition.smoothed_indicators(grid, 4, 0.1)
+    part.functions[1, 20] = np.nan
+    with pytest.raises(PartitionNotUnity, match="nan"):
+        part.validate()
+
+
+@pytest.mark.parametrize("n_points", [16, 64, 256, 2048])
+def test_smoothed_cells_match_the_fft_oracle(n_points):
+    grid = MomentumGrid.of_box(n_points, 1.0)
+    for n_cells in (1, 2, 7, 12, n_points):
+        for fraction in (0.0, 0.15, 0.5, 3.0):
+            got = CellPartition.smoothed_indicators(grid, n_cells, fraction).functions
+            want = reference.fft_smoothed_indicators(grid, n_cells, fraction)
+            assert np.max(np.abs(got - want)) <= 1e-14, (n_cells, fraction)
+            if n_cells == 1:
+                assert np.all(got == got[0, 0])
+
+
+def test_many_narrow_cells_still_sum_to_one():
+    grid = MomentumGrid.of_box(16384, 1.0)
+    part = CellPartition.smoothed_indicators(grid, 600, 0.15)
+    assert np.max(np.abs(part.functions.sum(axis=0) - 1.0)) <= PARTITION_TOL
+    part.validate()
+
+
+def random_partition(rng, n, n_cells, smoothing):
+    """Cell functions that sum to one, each cell on zero to three random arcs
+    (which may wrap around the box edge), plus sub-threshold noise outside."""
+    support = np.zeros((n_cells, n), dtype=bool)
+    arcs = rng.integers(0, 4, n_cells)
+    for k in np.flatnonzero(arcs):
+        for _ in range(arcs[k]):
+            start, length = rng.integers(n), rng.integers(1, n // 2)
+            support[k, (start + np.arange(length)) % n] = True
+    orphans = np.flatnonzero(~support.any(axis=0))
+    owners = np.flatnonzero(arcs)
+    if owners.size == 0:
+        owners = np.array([0])
+    support[rng.choice(owners, orphans.size), orphans] = True
+    values = np.where(support, rng.uniform(0.01, 1.0, support.shape), 0.0)
+    values[~support & (rng.random(support.shape) < 0.05)] = 5e-13
+    grid = MomentumGrid.of_box(n, 1.0)
+    functions = values / values.sum(axis=0)
+    return CellPartition(grid=grid, functions=functions, width=1.0 / n_cells,
+                         smoothing=smoothing)
+
+
+def outcome(check, part):
+    try:
+        check(part)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_vectorized_validate_matches_the_per_cell_loop():
+    rng = np.random.default_rng(2024)
+    outcomes = []
+    for _ in range(300):
+        n = int(rng.choice([16, 64, 200]))
+        n_cells = int(rng.integers(1, 13))
+        part = random_partition(rng, n, n_cells, rng.uniform(0.0, 0.06))
+        want = outcome(reference.naive_validate, part)
+        assert outcome(CellPartition.validate, part) == want
+        outcomes.append(want)
+    refused = [o for o in outcomes if o is not None]
+    assert 30 <= len(refused) <= 270
+    assert len({msg.split(" spreads")[0] for _, msg in refused}) > 3
 
 
 def test_cell_transforms_match_the_direct_sum_oracle(rng):
@@ -327,6 +401,31 @@ def test_spread_times_width_sits_near_h(rng):
 def test_spread_scales_inversely_with_cell_width():
     sweep = width_sweep(cell_counts=(8, 16, 32, 64, 128), n_points=1024)
     assert abs(sweep.slope + 1.0) < 0.05
+
+
+def test_nan_incoming_state_is_refused():
+    grid = MomentumGrid.of_box(64, 1.0)
+    part = CellPartition.smoothed_indicators(grid, 4, 0.1)
+    psi = default_sweep_state(grid)
+    psi[3] = np.nan
+    with pytest.raises(ValueError, match="norm nan"):
+        branch_states(envelope_kernel(grid), part, psi)
+
+
+@pytest.mark.parametrize("cell_counts, n_points", [
+    (DEFAULT_SWEEP_CELLS, 1024),
+    (DEFAULT_SWEEP_CELLS, 2048),
+    ((10, 20, 50), 1024),  # cells --cell-width 0.1,0.05,0.02 on the unit box
+])
+def test_sweep_matches_the_per_width_path(cell_counts, n_points):
+    sweep = width_sweep(cell_counts=cell_counts, n_points=n_points)
+    points, slope = reference.naive_width_sweep(cell_counts, n_points)
+    assert len(sweep.points) == len(points)
+    for pt, (width, delta_p, defect) in zip(sweep.points, points):
+        assert pt.cell_width == width
+        assert abs(pt.delta_p - delta_p) <= 1e-13 * delta_p
+        assert abs(pt.coherence_defect - defect) <= 1e-13
+    assert abs(sweep.slope - slope) <= 1e-13
 
 
 def test_sweep_inputs_that_give_no_spread_are_refused():
