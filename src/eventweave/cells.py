@@ -10,6 +10,13 @@ splits the integrated operator into cell operators whose kernels are
 limits the momentum balance of a branch confined to a cell of width
 ``a`` to a spread of order ``h / a``.
 
+The lattice is :class:`MomentumGrid`, a periodic box and its conjugate
+momentum grid; :mod:`thermal` builds on the same class.  Its
+:meth:`MomentumGrid.to_momentum` is the package's one position-to-momentum
+transform, with phase ``exp(-i p x / hbar)``.  The cell transforms
+:meth:`CellPartition.hat` are inverse FFTs, ``sum_x g_k(x) exp(+i q x / hbar)
+dx`` over the offset ``q = P' - P``, the sign of the translates above.
+
 Kernels may be stored dense (fine up to ~1k grid points) or in separable
 ``left(P') * right(P)`` form, which the wide sweeps use to stay out of
 quadratic memory.
@@ -46,27 +53,24 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Uniform momentum grid ``(n - n//2) * spacing`` with conjugate box."""
+    """Periodic box of ``n_points`` sites and its conjugate momentum grid
+    ``(i - n//2) * spacing``; :mod:`thermal` uses it too."""
 
     n_points: int
-    spacing: float
+    box_length: float
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.n_points < 16:
-            raise ValueError(f"need at least 16 grid sites, got {self.n_points}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.spacing, self.hbar)):
-            raise ValueError("spacing and hbar must be positive and finite")
-
-    @classmethod
-    def of_box(cls, n_points: int, box_length: float, hbar: float = 1.0) -> "MomentumGrid":
-        if not (math.isfinite(box_length) and box_length > 0):
-            raise ValueError(f"box length must be positive and finite, got {box_length}")
-        return cls(n_points, 2.0 * math.pi * hbar / box_length, hbar)
+        if self.n_points < 2:
+            raise ValueError(f"need at least 2 sites, got {self.n_points}")
+        for name in ("box_length", "hbar"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
-    def box_length(self) -> float:
-        return 2.0 * math.pi * self.hbar / self.spacing
+    def spacing(self) -> float:
+        return 2.0 * math.pi * self.hbar / self.box_length
 
     @property
     def dx(self) -> float:
@@ -81,6 +85,11 @@ class MomentumGrid:
     def offset_momentum(self, offset) -> np.ndarray:
         """Momentum transfer for an index offset ``i - j``."""
         return np.asarray(offset) * self.spacing
+
+    def to_momentum(self, psi_x: np.ndarray) -> np.ndarray:
+        """Unitary transform ``e^{-ipx/hbar} / sqrt(n)`` onto :meth:`momenta`
+        order: index ``n_points // 2`` carries zero momentum."""
+        return np.fft.fftshift(np.fft.fft(psi_x)) / math.sqrt(self.n_points)
 
 
 class TKernel:
@@ -266,15 +275,6 @@ class CellPartition:
         """
         n = self.grid.n_points
         return self.grid.dx * n * np.fft.ifft(self.functions[k])
-
-
-def position_to_momentum(grid: MomentumGrid, psi_x: np.ndarray) -> np.ndarray:
-    """Unitary map onto the :meth:`MomentumGrid.momenta` index order.
-
-    Index ``n_points // 2`` of the result carries zero momentum, matching
-    kernels and envelopes built as functions of ``momenta()``.
-    """
-    return math.sqrt(grid.n_points) * np.fft.fftshift(np.fft.ifft(psi_x))
 
 
 def _cell_kernel(kernel: TKernel, cells: CellPartition, k: int) -> np.ndarray:
@@ -513,7 +513,9 @@ def width_sweep(
         raise ValueError(f"tau scale must be positive and finite, got {tau_scale}")
     if len(set(cell_counts)) < 2:
         raise ValueError("a slope needs at least two distinct cell counts")
-    grid = MomentumGrid.of_box(n_points, box_length)
+    if n_points < 16:
+        raise ValueError(f"need at least 16 grid sites, got {n_points}")
+    grid = MomentumGrid(n_points, box_length)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             p = grid.momenta()

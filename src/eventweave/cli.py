@@ -183,12 +183,8 @@ def cmd_thermal(args) -> tuple[dict, list, list]:
             raise UsageError(f"{name} must be positive and finite, got {value}")
     sigma_guess = 0.5 * args.hbar * math.sqrt(args.beta / args.mass)
     box = args.box if args.box else sigma_guess / thermal.MAX_SIGMA_FRACTION
-    if not (math.isfinite(box) and box > 0):
-        raise UsageError(f"box must be positive and finite, got {box}")
-    model = thermal.LatticeModel(
-        n_sites=args.sites, box_length=box, mass=args.mass,
-        beta=args.beta, hbar=args.hbar,
-    )
+    grid = cells_mod.MomentumGrid(args.sites, box, args.hbar)
+    model = thermal.LatticeModel(grid, args.mass, args.beta)
     match = thermal.matching_width(model)
     mixture, thermal_d = match.mixture, match.thermal
     lam = thermal.h_formula_width(model)
@@ -205,7 +201,7 @@ def cmd_thermal(args) -> tuple[dict, list, list]:
     header = ["p", "thermal", "mixture"]
     rows = [
         [repr(float(p)), repr(float(t)), repr(float(m))]
-        for p, t, m in zip(model.momenta(), thermal_d.diagonal, mixture.diagonal)
+        for p, t, m in zip(grid.momenta(), thermal_d.diagonal, mixture.diagonal)
     ]
     return results, header, rows
 

@@ -15,6 +15,10 @@ exponent therefore pins ``2 sigma*^2 / hbar^2 = beta / 2m``.  The
 h-based order-of-magnitude formula ``h sqrt(beta/2m)`` for the same
 length is larger than ``sigma*`` by the constant ``2 sqrt(2) pi``; both
 are reported, neither is silently corrected into the other.
+
+The lattice is :class:`eventweave.cells.MomentumGrid`, which carries the
+box, ``hbar`` and the transform to momentum; a :class:`LatticeModel` adds
+the particle's mass and the inverse temperature.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cells import MomentumGrid
 from .errors import NoMatch
 
 # 2019 SI values, for the desk-scale sanity checks
@@ -45,32 +50,17 @@ MAX_DENSE_SITES = 4096
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """Periodic 1-D lattice with physical constants attached."""
+    """Periodic 1-D lattice with a particle's mass and inverse temperature."""
 
-    n_sites: int
-    box_length: float
+    grid: MomentumGrid
     mass: float
     beta: float
-    hbar: float = 1.0
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError(f"need at least 2 sites, got {self.n_sites}")
-        for name in ("box_length", "mass", "beta", "hbar"):
+        for name in ("mass", "beta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    def positions(self) -> np.ndarray:
-        return np.arange(self.n_sites) * (self.box_length / self.n_sites)
-
-    def momenta(self) -> np.ndarray:
-        dp = 2.0 * math.pi * self.hbar / self.box_length
-        return (np.arange(self.n_sites) - self.n_sites // 2) * dp
-
-    def to_momentum(self, psi_x: np.ndarray) -> np.ndarray:
-        """Unitary transform onto :meth:`momenta` ordering."""
-        return np.fft.fftshift(np.fft.fft(psi_x)) / math.sqrt(self.n_sites)
 
 
 @dataclass
@@ -78,7 +68,6 @@ class MomentumDensity:
     """Diagonal weights over the lattice momenta; ``matrix is None`` means
     the density is exactly diagonal by construction."""
 
-    momenta: np.ndarray
     diagonal: np.ndarray
     matrix: np.ndarray | None = None
 
@@ -101,34 +90,38 @@ class PacketFamily:
     times: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not self.centers:
             raise ValueError("need at least one center")
-        object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        for name in ("centers", "times"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must all be finite, got {values}")
+            object.__setattr__(self, name, values)
 
     @classmethod
     def every_site(
         cls, model: LatticeModel, sigma: float, times=(0.0,)
     ) -> "PacketFamily":
-        return cls(sigma=sigma, centers=tuple(model.positions()), times=tuple(times))
+        return cls(sigma=sigma, centers=tuple(model.grid.positions()), times=tuple(times))
 
 
 def gaussian_packet(model: LatticeModel, center: float, sigma: float) -> np.ndarray:
     """Unit-norm minimal packet at ``center``, periodic minimum-image."""
-    d = model.positions() - center
-    half = model.box_length / 2.0
-    d = (d + half) % model.box_length - half
+    grid = model.grid
+    d = grid.positions() - center
+    half = grid.box_length / 2.0
+    d = (d + half) % grid.box_length - half
     psi = np.exp(-(d**2) / (4.0 * sigma**2)).astype(np.complex128)
     return psi / np.linalg.norm(psi)
 
 
 def thermal_density(model: LatticeModel) -> MomentumDensity:
     """Normalized ``exp(-beta p^2/2m)`` diagonal; off-diagonals exactly 0."""
-    p = model.momenta()
+    p = model.grid.momenta()
     w = np.exp(-model.beta * p**2 / (2.0 * model.mass))
-    return MomentumDensity(momenta=p, diagonal=w / w.sum(), matrix=None)
+    return MomentumDensity(diagonal=w / w.sum(), matrix=None)
 
 
 def packet_mixture_density(
@@ -142,30 +135,30 @@ def packet_mixture_density(
     sum in their last bits.  Raises ``ValueError`` before building ``Phi``
     for a grid of more than :data:`MAX_DENSE_SITES` sites.
     """
-    if model.n_sites > MAX_DENSE_SITES:
-        raise ValueError(
-            f"{model.n_sites} sites need dense {model.n_sites} x {model.n_sites} "
-            f"matrices; at most MAX_DENSE_SITES = {MAX_DENSE_SITES} fit"
-        )
-    p = model.momenta()
-    kinetic_phase_rate = p**2 / (2.0 * model.mass * model.hbar)
-    phi = np.array([model.to_momentum(gaussian_packet(model, c, family.sigma))
+    grid = model.grid
+    n = grid.n_points
+    if n > MAX_DENSE_SITES:
+        raise ValueError(f"{n} sites need dense {n} x {n} matrices; "
+                         f"at most MAX_DENSE_SITES = {MAX_DENSE_SITES} fit")
+    p = grid.momenta()
+    kinetic_phase_rate = p**2 / (2.0 * model.mass * grid.hbar)
+    phi = np.array([grid.to_momentum(gaussian_packet(model, c, family.sigma))
                     for c in family.centers])
     phases = np.exp(-1j * np.multiply.outer(family.times, kinetic_phase_rate))
-    phi = (phi[:, None, :] * phases).reshape(-1, model.n_sites)
+    phi = (phi[:, None, :] * phases).reshape(-1, n)
     rho = phi.T @ phi.conj() / len(phi)
-    return MomentumDensity(momenta=p, diagonal=rho.diagonal().real.copy(), matrix=rho)
+    return MomentumDensity(diagonal=rho.diagonal().real.copy(), matrix=rho)
 
 
 def matching_sigma(model: LatticeModel) -> float:
     """Width making the packet envelope equal the thermal exponent:
     ``2 sigma^2 / hbar^2 = beta / 2m``."""
-    return 0.5 * model.hbar * math.sqrt(model.beta / model.mass)
+    return 0.5 * model.grid.hbar * math.sqrt(model.beta / model.mass)
 
 
 def h_formula_width(model: LatticeModel) -> float:
     """The h-based order-of-magnitude width ``h sqrt(beta / 2m)``."""
-    return 2.0 * math.pi * model.hbar * math.sqrt(model.beta / (2.0 * model.mass))
+    return 2.0 * math.pi * model.grid.hbar * math.sqrt(model.beta / (2.0 * model.mass))
 
 
 @dataclass(frozen=True)
@@ -202,12 +195,11 @@ def proton_model(
     temperature_kelvin: float = 1.0, n_sites: int = 256
 ) -> LatticeModel:
     """SI-unit lattice for a proton at the given temperature, box 40 sigma*."""
+    if not 0 < temperature_kelvin < math.inf:
+        raise ValueError(
+            f"temperature must be positive and finite, got {temperature_kelvin}"
+        )
     beta = 1.0 / (BOLTZMANN * temperature_kelvin)
     sigma = 0.5 * HBAR * math.sqrt(beta / PROTON_MASS)
-    return LatticeModel(
-        n_sites=n_sites,
-        box_length=sigma / MAX_SIGMA_FRACTION,
-        mass=PROTON_MASS,
-        beta=beta,
-        hbar=HBAR,
-    )
+    grid = MomentumGrid(n_sites, sigma / MAX_SIGMA_FRACTION, HBAR)
+    return LatticeModel(grid, mass=PROTON_MASS, beta=beta)

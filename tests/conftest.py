@@ -64,8 +64,15 @@ def packet_overlap(model, sigma: float, c1: float, c2: float) -> float:
     return abs(np.vdot(gaussian_packet(model, c1, sigma), gaussian_packet(model, c2, sigma)))
 
 
+def position_to_momentum(grid, psi_x: np.ndarray) -> np.ndarray:
+    """Unitary map onto ``grid.momenta()`` order with phase ``exp(+i p x / hbar)``,
+    the sign of :meth:`CellPartition.hat`; the package's own transform is
+    :meth:`MomentumGrid.to_momentum`, the opposite sign."""
+    return math.sqrt(grid.n_points) * np.fft.fftshift(np.fft.ifft(psi_x))
+
+
 def momentum_to_position(grid, psi_p: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`eventweave.cells.position_to_momentum`."""
+    """Inverse of :func:`position_to_momentum`."""
     return np.fft.fft(np.fft.ifftshift(psi_p)) / math.sqrt(grid.n_points)
 
 

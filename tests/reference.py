@@ -352,7 +352,7 @@ def naive_width_sweep(cell_counts, n_points, smoothing_fraction=0.15, tau_scale=
         momentum_balance_spread,
     )
 
-    grid = MomentumGrid.of_box(n_points, box_length)
+    grid = MomentumGrid(n_points, box_length)
     p = grid.momenta()
     pmax = float(np.max(np.abs(p)))
     kernel = TKernel.separable(grid, np.exp(-(p**2) / (2.0 * (tau_scale * pmax) ** 2)))
@@ -377,12 +377,13 @@ def naive_packet_mixture_density(model, family):
     """Mixture matrix accumulated one (center, time) projector at a time."""
     from eventweave import thermal
 
-    p = model.momenta()
-    rho = np.zeros((model.n_sites, model.n_sites), dtype=complex)
-    rate = p**2 / (2.0 * model.mass * model.hbar)
+    grid = model.grid
+    p = grid.momenta()
+    rho = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+    rate = p**2 / (2.0 * model.mass * grid.hbar)
     count = 0
     for center in family.centers:
-        phi0 = model.to_momentum(thermal.gaussian_packet(model, center, family.sigma))
+        phi0 = grid.to_momentum(thermal.gaussian_packet(model, center, family.sigma))
         for t in family.times:
             phi = phi0 * np.exp(-1j * rate * t)
             rho += np.multiply.outer(phi, np.conj(phi))

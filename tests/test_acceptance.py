@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import reference
-from conftest import HistoryFactory
+from conftest import HistoryFactory, position_to_momentum
 from eventweave import cli, dynamics, epr, thermal
 from eventweave.cells import (
     CellPartition,
@@ -120,7 +120,7 @@ def test_criterion_4_thermal_packet_ambiguity():
         beta, mass = 2.0, 1.0
         sigma_guess = 0.5 * math.sqrt(beta / mass)
         model = thermal.LatticeModel(
-            n_sites=256, box_length=40.0 * sigma_guess, mass=mass, beta=beta
+            MomentumGrid(256, 40.0 * sigma_guess), mass=mass, beta=beta
         )
         result = thermal.matching_width(model)
         assert result.residual_sup_norm < 1e-8
@@ -143,7 +143,7 @@ def test_criterion_4_thermal_packet_ambiguity():
 def test_criterion_5_cell_reconstruction_and_purity():
     with criterion(5, "cell operators reconstruct the box integral; pure branches", 10.0):
         rng = np.random.default_rng(55)
-        grid = MomentumGrid.of_box(128, 1.0)
+        grid = MomentumGrid(128, 1.0)
         p = grid.momenta()
         pmax = float(np.abs(p).max())
         pp, qq = np.meshgrid(p, p, indexing="ij")
@@ -164,15 +164,13 @@ def test_criterion_5_cell_reconstruction_and_purity():
             total = sum(pk.matrix for pk in parts)
             assert np.max(np.abs(total - box)) <= 1e-12 * scale
         # localized input feeds exactly one branch
-        fine = MomentumGrid.of_box(1024, 1.0)
+        fine = MomentumGrid(1024, 1.0)
         part = CellPartition.smoothed_indicators(fine, 4, 0.07)
         x = fine.positions()
         a = fine.box_length / 4
         sig = a / 26
         psi_x = np.exp(-((x - a * 1.5) ** 2) / (4 * sig**2)).astype(complex)
         psi_x /= np.linalg.norm(psi_x)
-        from eventweave.cells import position_to_momentum
-
         psi = position_to_momentum(fine, psi_x)
         pf = fine.momenta()
         envelope = np.exp(-(pf**2) / (2 * (np.abs(pf).max() / 6.0) ** 2))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import momentum_to_position
+from conftest import momentum_to_position, position_to_momentum
 from eventweave.cells import (
     DEFAULT_SWEEP_CELLS,
     PARTITION_TOL,
@@ -19,7 +19,6 @@ from eventweave.cells import (
     default_sweep_state,
     integrate_over_box,
     momentum_balance_spread,
-    position_to_momentum,
     single_branch,
     width_sweep,
 )
@@ -63,7 +62,7 @@ def unit_packet_in_cell(grid, n_cells, cell_index, width_fraction=1 / 26):
 
 
 def test_box_integration_restores_momentum_conservation(rng):
-    grid = MomentumGrid.of_box(64, 1.0)
+    grid = MomentumGrid(64, 1.0)
     T = smooth_kernel(grid, rng)
     out = integrate_over_box(T).matrix
     diag_scale = np.abs(np.diag(out)).max()
@@ -72,13 +71,13 @@ def test_box_integration_restores_momentum_conservation(rng):
 
 
 def test_box_integration_of_the_unit_kernel_is_proportional_to_identity():
-    grid = MomentumGrid.of_box(32, 2.0)
+    grid = MomentumGrid(32, 2.0)
     out = integrate_over_box(unit_kernel(grid)).matrix
     assert np.max(np.abs(out - grid.box_length * np.eye(32))) < 1e-10
 
 
 def test_box_integration_diagonal_matches_the_translation_loop_oracle(rng):
-    grid = MomentumGrid.of_box(32, 1.5)
+    grid = MomentumGrid(32, 1.5)
     T = smooth_kernel(grid, rng, bumps=3)
     out = integrate_over_box(T).matrix
     oracle = reference.direct_translation_integral(
@@ -94,7 +93,7 @@ def test_box_integration_diagonal_matches_the_translation_loop_oracle(rng):
 
 
 def test_partition_functions_sum_to_one(rng):
-    grid = MomentumGrid.of_box(256, 1.0)
+    grid = MomentumGrid(256, 1.0)
     for k in (1, 2, 5, 16):
         part = CellPartition.smoothed_indicators(grid, k, 0.12)
         part.validate()
@@ -102,7 +101,7 @@ def test_partition_functions_sum_to_one(rng):
 
 
 def test_tampered_partition_is_rejected():
-    grid = MomentumGrid.of_box(64, 1.0)
+    grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     part.functions[2] *= 1.001
     with pytest.raises(PartitionNotUnity):
@@ -110,7 +109,7 @@ def test_tampered_partition_is_rejected():
 
 
 def test_overly_wide_cell_functions_are_rejected():
-    grid = MomentumGrid.of_box(64, 1.0)
+    grid = MomentumGrid(64, 1.0)
     flat = np.full((2, 64), 0.5)
     bad = CellPartition(grid=grid, functions=flat, width=0.5, smoothing=0.001)
     with pytest.raises(ValueError):
@@ -118,7 +117,7 @@ def test_overly_wide_cell_functions_are_rejected():
 
 
 def test_partition_with_a_nan_entry_is_rejected():
-    grid = MomentumGrid.of_box(64, 1.0)
+    grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     part.functions[1, 20] = np.nan
     with pytest.raises(PartitionNotUnity, match="nan"):
@@ -127,7 +126,7 @@ def test_partition_with_a_nan_entry_is_rejected():
 
 @pytest.mark.parametrize("n_points", [16, 64, 256, 2048])
 def test_smoothed_cells_match_the_fft_oracle(n_points):
-    grid = MomentumGrid.of_box(n_points, 1.0)
+    grid = MomentumGrid(n_points, 1.0)
     for n_cells in (1, 2, 7, 12, n_points):
         for fraction in (0.0, 0.15, 0.5, 3.0):
             got = CellPartition.smoothed_indicators(grid, n_cells, fraction).functions
@@ -138,7 +137,7 @@ def test_smoothed_cells_match_the_fft_oracle(n_points):
 
 
 def test_many_narrow_cells_still_sum_to_one():
-    grid = MomentumGrid.of_box(16384, 1.0)
+    grid = MomentumGrid(16384, 1.0)
     part = CellPartition.smoothed_indicators(grid, 600, 0.15)
     assert np.max(np.abs(part.functions.sum(axis=0) - 1.0)) <= PARTITION_TOL
     part.validate()
@@ -160,7 +159,7 @@ def random_partition(rng, n, n_cells, smoothing):
     support[rng.choice(owners, orphans.size), orphans] = True
     values = np.where(support, rng.uniform(0.01, 1.0, support.shape), 0.0)
     values[~support & (rng.random(support.shape) < 0.05)] = 5e-13
-    grid = MomentumGrid.of_box(n, 1.0)
+    grid = MomentumGrid(n, 1.0)
     functions = values / values.sum(axis=0)
     return CellPartition(grid=grid, functions=functions, width=1.0 / n_cells,
                          smoothing=smoothing)
@@ -190,7 +189,7 @@ def test_vectorized_validate_matches_the_per_cell_loop():
 
 
 def test_cell_transforms_match_the_direct_sum_oracle(rng):
-    grid = MomentumGrid.of_box(32, 1.0)
+    grid = MomentumGrid(32, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     hat = part.hat(1)
     for offset in (0, 1, 5, 17, 31):
@@ -199,7 +198,7 @@ def test_cell_transforms_match_the_direct_sum_oracle(rng):
 
 
 def test_single_cell_decomposition_is_the_box_integral(rng):
-    grid = MomentumGrid.of_box(64, 1.0)
+    grid = MomentumGrid(64, 1.0)
     T = smooth_kernel(grid, rng)
     part = CellPartition.smoothed_indicators(grid, 1, 0.1)
     (only,) = cell_decompose(T, part)
@@ -209,7 +208,7 @@ def test_single_cell_decomposition_is_the_box_integral(rng):
 
 @pytest.mark.parametrize("n_cells", [2, 5, 8])
 def test_cell_operators_reconstruct_the_box_integral(rng, n_cells):
-    grid = MomentumGrid.of_box(128, 1.0)
+    grid = MomentumGrid(128, 1.0)
     T = smooth_kernel(grid, rng)
     parts = cell_decompose(T, CellPartition.smoothed_indicators(grid, n_cells, 0.12))
     total = sum(p.matrix for p in parts)
@@ -218,7 +217,7 @@ def test_cell_operators_reconstruct_the_box_integral(rng, n_cells):
 
 
 def test_cell_transform_is_concentrated_within_h_over_a():
-    grid = MomentumGrid.of_box(1024, 1.0)
+    grid = MomentumGrid(1024, 1.0)
     n_cells = 8
     part = CellPartition.smoothed_indicators(grid, n_cells, 0.12)
     n = grid.n_points
@@ -235,7 +234,7 @@ def test_cell_transform_is_concentrated_within_h_over_a():
 
 
 def test_branches_sum_to_the_full_outgoing_state(rng):
-    grid = MomentumGrid.of_box(256, 1.0)
+    grid = MomentumGrid(256, 1.0)
     T = envelope_kernel(grid)
     part = CellPartition.smoothed_indicators(grid, 5, 0.1)
     psi = default_sweep_state(grid)
@@ -248,7 +247,7 @@ def test_branches_sum_to_the_full_outgoing_state(rng):
 
 
 def test_localized_input_feeds_exactly_one_branch():
-    grid = MomentumGrid.of_box(1024, 1.0)
+    grid = MomentumGrid(1024, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.07)
     psi = unit_packet_in_cell(grid, 4, 1)
     dec = branch_states(envelope_kernel(grid), part, psi)
@@ -258,7 +257,7 @@ def test_localized_input_feeds_exactly_one_branch():
 
 
 def test_branch_probabilities_report_which_cell(rng):
-    grid = MomentumGrid.of_box(1024, 1.0)
+    grid = MomentumGrid(1024, 1.0)
     n_cells = 4
     part = CellPartition.smoothed_indicators(grid, n_cells, 0.07)
     T = envelope_kernel(grid)
@@ -269,7 +268,7 @@ def test_branch_probabilities_report_which_cell(rng):
 
 
 def test_broad_input_has_a_nonzero_coherence_defect():
-    grid = MomentumGrid.of_box(256, 1.0)
+    grid = MomentumGrid(256, 1.0)
     T = envelope_kernel(grid)
     part = CellPartition.smoothed_indicators(grid, 4, 0.12)
     psi = default_sweep_state(grid)
@@ -281,7 +280,7 @@ def test_broad_input_has_a_nonzero_coherence_defect():
 
 
 def test_branch_construction_is_translation_covariant(rng):
-    grid = MomentumGrid.of_box(128, 1.0)
+    grid = MomentumGrid(128, 1.0)
     tau = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
     T = TKernel.from_matrix(grid, tau)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
@@ -299,7 +298,7 @@ def test_branch_construction_is_translation_covariant(rng):
 
 
 def test_separable_and_dense_routes_agree(rng):
-    grid = MomentumGrid.of_box(128, 1.0)
+    grid = MomentumGrid(128, 1.0)
     T = envelope_kernel(grid, 1 / 3)
     dense = TKernel.from_matrix(grid, T.matrix)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
@@ -314,27 +313,26 @@ def test_separable_and_dense_routes_agree(rng):
 
 
 def test_position_momentum_transforms_are_unitary_inverses(rng):
-    grid = MomentumGrid.of_box(256, 1.0)
+    grid = MomentumGrid(256, 1.0)
     v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    w = position_to_momentum(grid, v)
+    w = grid.to_momentum(v)
     assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-12
-    assert np.max(np.abs(momentum_to_position(grid, w) - v)) < 1e-12
+    back = np.fft.ifft(np.fft.ifftshift(w)) * math.sqrt(grid.n_points)
+    assert np.max(np.abs(back - v)) < 1e-12
 
 
-def test_thermal_transform_has_the_opposite_fourier_sign(rng):
-    grid = MomentumGrid.of_box(64, 1.0)
-    model = LatticeModel(n_sites=64, box_length=1.0, mass=1.0, beta=1.0, hbar=1.0)
-    assert np.allclose(model.momenta(), grid.momenta())
+def test_grid_transform_and_test_helper_have_opposite_fourier_signs(rng):
+    grid = MomentumGrid(64, 1.0)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    reflected = np.roll(model.to_momentum(v)[::-1], 1)  # p -> -p on the grid
+    reflected = np.roll(grid.to_momentum(v)[::-1], 1)  # p -> -p on the grid
     assert np.max(np.abs(position_to_momentum(grid, v) - reflected)) < 1e-12
     real = v.real
-    conjugate = np.conj(model.to_momentum(real))
+    conjugate = np.conj(grid.to_momentum(real))
     assert np.max(np.abs(position_to_momentum(grid, real) - conjugate)) < 1e-12
 
 
 def test_unit_kernel_branches_act_as_cell_multiplication():
-    grid = MomentumGrid.of_box(256, 1.0)
+    grid = MomentumGrid(256, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     psi = unit_packet_in_cell(grid, 4, 2, width_fraction=1 / 8)
     branch = single_branch(unit_kernel(grid), part, 2, psi)
@@ -346,7 +344,7 @@ def test_unit_kernel_branches_act_as_cell_multiplication():
 
 @pytest.mark.parametrize("kind", ["separable", "dense"])
 def test_branch_vectors_match_the_per_cell_loop_bit_for_bit(kind, rng):
-    grid = MomentumGrid.of_box(256, 1.0)
+    grid = MomentumGrid(256, 1.0)
     T = envelope_kernel(grid) if kind == "separable" else smooth_kernel(grid, rng)
     psi = default_sweep_state(grid)
     for n_cells in (4, 48):
@@ -363,7 +361,7 @@ def test_branch_vectors_match_the_per_cell_loop_bit_for_bit(kind, rng):
 
 @pytest.mark.parametrize("kind, n_points", [("separable", 1024), ("dense", 256)])
 def test_spreads_match_the_per_offset_loop(kind, n_points, rng):
-    grid = MomentumGrid.of_box(n_points, 1.0)
+    grid = MomentumGrid(n_points, 1.0)
     T = envelope_kernel(grid) if kind == "separable" else smooth_kernel(grid, rng)
     psi = default_sweep_state(grid)
     for n_cells in (4, 48):
@@ -375,7 +373,7 @@ def test_spreads_match_the_per_offset_loop(kind, n_points, rng):
 
 
 def test_full_box_cell_conserves_momentum_exactly():
-    grid = MomentumGrid.of_box(128, 1.0)
+    grid = MomentumGrid(128, 1.0)
     part = CellPartition.smoothed_indicators(grid, 1, 0.1)
     psi = default_sweep_state(grid)
     dec = branch_states(unit_kernel(grid), part, psi)
@@ -383,7 +381,7 @@ def test_full_box_cell_conserves_momentum_exactly():
 
 
 def test_zero_branch_has_no_spread():
-    grid = MomentumGrid.of_box(64, 1.0)
+    grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 2, 0.1)
     psi = default_sweep_state(grid)
     branch = single_branch(unit_kernel(grid), part, 0, psi)
@@ -404,7 +402,7 @@ def test_spread_scales_inversely_with_cell_width():
 
 
 def test_nan_incoming_state_is_refused():
-    grid = MomentumGrid.of_box(64, 1.0)
+    grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     psi = default_sweep_state(grid)
     psi[3] = np.nan
@@ -429,15 +427,24 @@ def test_sweep_matches_the_per_width_path(cell_counts, n_points):
 
 
 def test_sweep_inputs_that_give_no_spread_are_refused():
-    with pytest.raises(ValueError, match="box length"):
-        MomentumGrid.of_box(64, 0.0)
-    with pytest.raises(ValueError, match="box length"):
-        MomentumGrid.of_box(64, float("nan"))
-    with pytest.raises(ValueError, match="spacing and hbar"):
-        MomentumGrid.of_box(64, 1.0, hbar=float("nan"))
+    with pytest.raises(ValueError, match="box_length"):
+        MomentumGrid(64, 0.0)
+    with pytest.raises(ValueError, match="box_length"):
+        MomentumGrid(64, float("nan"))
+    with pytest.raises(ValueError, match="hbar"):
+        MomentumGrid(64, 1.0, hbar=float("nan"))
     with pytest.raises(ValueError, match="smoothing"):
-        CellPartition.smoothed_indicators(MomentumGrid.of_box(256, 1.0), 8, -0.1)
+        CellPartition.smoothed_indicators(MomentumGrid(256, 1.0), 8, -0.1)
     with pytest.raises(ValueError, match="tau scale"):
         width_sweep(cell_counts=(8, 16), n_points=256, tau_scale=0.0)
     with pytest.raises(ValueError, match="two distinct"):
         width_sweep(cell_counts=(8, 8), n_points=256)
+
+
+def test_two_sites_make_a_lattice_but_the_sweep_needs_sixteen():
+    model = LatticeModel(MomentumGrid(2, 1.0), mass=1.0, beta=1.0)
+    assert np.array_equal(model.grid.momenta(), [-2.0 * math.pi, 0.0])
+    with pytest.raises(ValueError, match="need at least 2 sites, got 1"):
+        MomentumGrid(1, 1.0)
+    with pytest.raises(ValueError, match="need at least 16 grid sites, got 15"):
+        width_sweep(cell_counts=(2, 4), n_points=15)

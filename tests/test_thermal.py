@@ -7,6 +7,7 @@ import pytest
 
 import reference
 from conftest import packet_overlap
+from eventweave.cells import MomentumGrid
 from eventweave.errors import NoMatch
 from eventweave.thermal import (
     LatticeModel,
@@ -23,16 +24,14 @@ from eventweave.thermal import (
 
 def natural_model(n_sites=256, beta=2.0, mass=1.0):
     sigma = 0.5 * math.sqrt(beta / mass)
-    return LatticeModel(
-        n_sites=n_sites, box_length=40.0 * sigma, mass=mass, beta=beta, hbar=1.0
-    )
+    return LatticeModel(MomentumGrid(n_sites, 40.0 * sigma), mass=mass, beta=beta)
 
 
 # -- thermal_density ------------------------------------------------------------
 
 
 def test_tiny_beta_is_nearly_uniform():
-    model = LatticeModel(n_sites=64, box_length=10.0, mass=1.0, beta=1e-9)
+    model = LatticeModel(MomentumGrid(64, 10.0), mass=1.0, beta=1e-9)
     w = thermal_density(model).diagonal
     assert w.max() / w.min() - 1.0 < 1e-6
 
@@ -40,7 +39,7 @@ def test_tiny_beta_is_nearly_uniform():
 def test_weights_are_symmetric_under_momentum_reversal():
     model = natural_model(n_sites=64)
     w = thermal_density(model).diagonal
-    p = model.momenta()
+    p = model.grid.momenta()
     for k in range(1, 64):
         assert p[64 - k] == -p[k]
         assert w[64 - k] == w[k]
@@ -49,7 +48,7 @@ def test_weights_are_symmetric_under_momentum_reversal():
 def test_weight_table_matches_per_point_exponentials():
     model = natural_model(n_sites=64, beta=1.7, mass=0.9)
     density = thermal_density(model)
-    raw = [math.exp(-model.beta * p * p / (2.0 * model.mass)) for p in model.momenta()]
+    raw = [math.exp(-model.beta * p * p / (2.0 * model.mass)) for p in model.grid.momenta()]
     z = sum(raw)
     assert max(abs(a - b / z) for a, b in zip(density.diagonal, raw)) < 1e-14
     assert density.max_offdiagonal() == 0.0
@@ -81,9 +80,10 @@ def test_mixture_diagonal_is_the_single_packet_envelope():
     model = natural_model(n_sites=128)
     sigma = matching_sigma(model)
     mix = packet_mixture_density(model, PacketFamily.every_site(model, sigma))
-    psi = gaussian_packet(model, model.box_length / 2.0, sigma)
+    grid = model.grid
+    psi = gaussian_packet(model, grid.box_length / 2.0, sigma)
     envelope = reference.direct_packet_momentum_abs2(
-        model.positions(), psi, model.momenta(), model.hbar
+        grid.positions(), psi, grid.momenta(), grid.hbar
     )
     assert np.max(np.abs(mix.diagonal - envelope)) < 1e-12
 
@@ -94,7 +94,7 @@ def test_mixture_diagonal_is_the_single_packet_envelope():
 def test_matching_relation_and_residual():
     model = natural_model(n_sites=256)
     result = matching_width(model)
-    lhs = 2.0 * result.sigma_star**2 / model.hbar**2
+    lhs = 2.0 * result.sigma_star**2 / model.grid.hbar**2
     assert abs(lhs - model.beta / (2.0 * model.mass)) < 1e-15
     assert result.residual_sup_norm < 1e-8
 
@@ -119,7 +119,7 @@ def test_proton_at_one_kelvin_lands_near_the_quoted_scale():
 
 def test_too_small_a_box_raises_no_match():
     sigma = 0.5 * math.sqrt(2.0)
-    model = LatticeModel(n_sites=256, box_length=4.0 * sigma, mass=1.0, beta=2.0)
+    model = LatticeModel(MomentumGrid(256, 4.0 * sigma), mass=1.0, beta=2.0)
     with pytest.raises(NoMatch):
         matching_width(model)
 
@@ -129,7 +129,7 @@ def test_both_routes_agree_on_every_momentum_statistic(rng):
     sigma = matching_sigma(model)
     mix = packet_mixture_density(model, PacketFamily.every_site(model, sigma))
     therm = thermal_density(model)
-    p = model.momenta()
+    p = model.grid.momenta()
     scale = np.max(np.abs(p))
     for _ in range(10):
         a, b, c = rng.uniform(-1, 1, 3)
@@ -146,8 +146,8 @@ def test_identical_centers_have_unit_overlap():
 
 
 def test_neighbor_overlaps_follow_the_gaussian_formula():
-    model = LatticeModel(n_sites=1024, box_length=60.0, mass=1.0, beta=2.0)
-    mid = model.box_length / 2.0
+    model = LatticeModel(MomentumGrid(1024, 60.0), mass=1.0, beta=2.0)
+    mid = model.grid.box_length / 2.0
     for d in (1.0, 2.0, 10.0):
         got = packet_overlap(model, 1.0, mid - d / 2.0, mid + d / 2.0)
         assert abs(got - math.exp(-d * d / 8.0)) < 1e-9
@@ -169,10 +169,37 @@ def test_trace_normalization_everywhere():
 @pytest.mark.parametrize("name", ["box_length", "mass", "beta", "hbar"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_nonfinite_lattice_parameters_are_refused(name, value):
-    params = dict(n_sites=64, box_length=10.0, mass=1.0, beta=2.0, hbar=1.0)
-    params[name] = value
-    with pytest.raises(ValueError, match=name):
-        LatticeModel(**params)
+    """The grid refuses a bad box or hbar, the model a bad mass or beta."""
+    grid = dict(n_points=64, box_length=10.0, hbar=1.0)
+    physics = dict(mass=1.0, beta=2.0)
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        if name in grid:
+            MomentumGrid(**{**grid, name: value})
+        else:
+            LatticeModel(MomentumGrid(**grid), **{**physics, name: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(sigma=float("nan"), centers=(0.0,)), "sigma"),
+        (dict(sigma=float("inf"), centers=(0.0,)), "sigma"),
+        (dict(sigma=0.0, centers=(0.0,)), "sigma"),
+        (dict(sigma=1.0, centers=(float("nan"),)), "centers"),
+        (dict(sigma=1.0, centers=(0.0, float("inf"))), "centers"),
+        (dict(sigma=1.0, centers=(0.0,), times=(float("inf"),)), "times"),
+        (dict(sigma=1.0, centers=(0.0,), times=(0.0, float("nan"))), "times"),
+    ],
+)
+def test_packet_families_with_nonfinite_inputs_are_refused(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        PacketFamily(**kwargs)
+
+
+@pytest.mark.parametrize("kelvin", [0.0, -1.0, float("nan"), float("inf")])
+def test_proton_model_refuses_a_nonpositive_or_nonfinite_temperature(kelvin):
+    with pytest.raises(ValueError, match="temperature"):
+        proton_model(kelvin)
 
 
 def test_mixture_matrix_matches_the_projector_loop():

@@ -53,6 +53,9 @@ MATRIX: list[list[str]] = [
     *(["cells", *extra, "--format", fmt]
       for extra in ([], ["--sites", "2048"]) for fmt in FORMATS),
     ["cells", "--sites", "1024", "--cell-width", "0.1,0.05,0.02"],
+    ["cells", "--sites", "1024", "--box", "0.7", "--cells", "8,16,32"],
+    ["thermal-ambiguity", "--sites", "128", "--beta", "2", "--mass", "1",
+     "--hbar", "1", "--box", "30"],
 ]
 
 
