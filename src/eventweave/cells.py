@@ -21,13 +21,12 @@ Kernels may be stored dense (fine up to ~1k grid points) or in separable
 ``left(P') * right(P)`` form, which the wide sweeps use to stay out of
 quadratic memory.
 
-The width sweep computes only what its report reads.  Cells are smoothed
-by differences of one periodic cumulative sum of the Gaussian, not by
-transforms; branch weights are summed over blocks of cells, so no width
-holds all of its branches at once; and the offset weights of the kernel,
-one correlation, serve every width.  The transform-based smoothing and
-the per-width path through :func:`branch_states` are kept in the test
-suite's ``reference.py`` as oracles.
+The width sweep computes only what its report reads: each cell is a
+difference of one periodic cumulative sum of the Gaussian, branch weights
+are summed over blocks of cells, and one correlation gives the kernel's
+offset weights for every width.  ``tests/reference.py`` keeps, as oracles,
+the transform-based smoothing and a per-width driver that builds every
+branch through :func:`branch_states`.
 """
 
 from __future__ import annotations
@@ -51,6 +50,13 @@ SUPPORT_TOL = 1e-12
 _BLOCK_BYTES = 1 << 20
 
 
+def _positive_finite(name: str, value: float) -> float:
+    """``value`` if it lies in ``(0, inf)``, else a ValueError naming it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class MomentumGrid:
     """Periodic box of ``n_points`` sites and its conjugate momentum grid
@@ -63,10 +69,8 @@ class MomentumGrid:
     def __post_init__(self):
         if self.n_points < 2:
             raise ValueError(f"need at least 2 sites, got {self.n_points}")
-        for name in ("box_length", "hbar"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        _positive_finite("box_length", self.box_length)
+        _positive_finite("hbar", self.hbar)
 
     @property
     def spacing(self) -> float:
@@ -81,6 +85,11 @@ class MomentumGrid:
 
     def positions(self) -> np.ndarray:
         return np.arange(self.n_points) * self.dx
+
+    def displacements(self, center: float = 0.0) -> np.ndarray:
+        """Minimum-image offsets of :meth:`positions` from ``center``."""
+        half = self.box_length / 2.0
+        return (self.positions() - center + half) % self.box_length - half
 
     def offset_momentum(self, offset) -> np.ndarray:
         """Momentum transfer for an index offset ``i - j``."""
@@ -203,10 +212,7 @@ class CellPartition:
         lengths = np.diff(starts)
         smoothing = smoothing_fraction * width
         if smoothing_fraction > 0:
-            x = grid.positions()
-            half = grid.box_length / 2.0
-            d = (x + half) % grid.box_length - half
-            kern = np.exp(-(d**2) / (2.0 * smoothing**2))
+            kern = np.exp(-(grid.displacements() ** 2) / (2.0 * smoothing**2))
             kern /= kern.sum()
         else:
             kern = np.zeros(n)
@@ -509,8 +515,7 @@ def width_sweep(
     ``exp(-P^2 / 2 (tau_scale p_max)^2)`` on each side.  Inputs that leave
     the float range or give some width no positive spread raise ValueError.
     """
-    if not 0 < tau_scale < math.inf:
-        raise ValueError(f"tau scale must be positive and finite, got {tau_scale}")
+    _positive_finite("tau scale", tau_scale)
     if len(set(cell_counts)) < 2:
         raise ValueError("a slope needs at least two distinct cell counts")
     if n_points < 16:

@@ -77,7 +77,7 @@ def cmd_epr(args) -> tuple[dict, list, list]:
     if not 0.0 <= args.theta <= 180.0:
         raise UsageError(f"theta must be in [0, 180], got {args.theta}")
     if args.replicas < 1:
-        raise UsageError("replicas must be positive")
+        raise UsageError(f"replicas must be positive, got {args.replicas}")
     setup = epr.build_epr(
         epr.Direction.in_plane_deg(0.0), epr.Direction.in_plane_deg(args.theta)
     )
@@ -177,14 +177,8 @@ def cmd_simulate(args) -> tuple[dict, list, list]:
 
 
 def cmd_thermal(args) -> tuple[dict, list, list]:
-    for name in ("beta", "mass", "hbar"):
-        value = getattr(args, name)
-        if not (math.isfinite(value) and value > 0):
-            raise UsageError(f"{name} must be positive and finite, got {value}")
-    sigma_guess = 0.5 * args.hbar * math.sqrt(args.beta / args.mass)
-    box = args.box if args.box else sigma_guess / thermal.MAX_SIGMA_FRACTION
-    grid = cells_mod.MomentumGrid(args.sites, box, args.hbar)
-    model = thermal.LatticeModel(grid, args.mass, args.beta)
+    model = thermal.matched_model(args.sites, args.mass, args.beta, args.hbar,
+                                  args.box or None)
     match = thermal.matching_width(model)
     mixture, thermal_d = match.mixture, match.thermal
     lam = thermal.h_formula_width(model)
@@ -201,7 +195,7 @@ def cmd_thermal(args) -> tuple[dict, list, list]:
     header = ["p", "thermal", "mixture"]
     rows = [
         [repr(float(p)), repr(float(t)), repr(float(m))]
-        for p, t, m in zip(grid.momenta(), thermal_d.diagonal, mixture.diagonal)
+        for p, t, m in zip(model.grid.momenta(), thermal_d.diagonal, mixture.diagonal)
     ]
     return results, header, rows
 
@@ -217,8 +211,6 @@ def cmd_cells(args) -> tuple[dict, list, list]:
             counts.append(max(1, round(args.box / w)))
     elif args.cells:
         counts = list(args.cells)
-        if any(c < 1 for c in counts):
-            raise UsageError("cell counts must be positive")
     else:
         counts = list(cells_mod.DEFAULT_SWEEP_CELLS)
     sweep = cells_mod.width_sweep(

@@ -480,8 +480,9 @@ def sample_outcome_tree(
     path count exceeds :data:`MAX_OUTCOME_PATHS`, and :class:`LabelCollision`
     when a stage emits a link id already used by the history or an earlier one.
     """
-    if runs < 1 or replicas < 1:
-        raise ValueError("runs and replicas must be positive")
+    for name, value in (("runs", runs), ("replicas", replicas)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     radix = [len(alts.candidates) for alts in stages]
     total = math.prod(radix)
     if total > MAX_OUTCOME_PATHS:

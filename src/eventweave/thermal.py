@@ -16,19 +16,19 @@ h-based order-of-magnitude formula ``h sqrt(beta/2m)`` for the same
 length is larger than ``sigma*`` by the constant ``2 sqrt(2) pi``; both
 are reported, neither is silently corrected into the other.
 
-The lattice is :class:`eventweave.cells.MomentumGrid`, which carries the
-box, ``hbar`` and the transform to momentum; a :class:`LatticeModel` adds
-the particle's mass and the inverse temperature.
+The lattice is :class:`eventweave.cells.MomentumGrid` (box, ``hbar``, the
+transform to momentum); a :class:`LatticeModel` adds mass and inverse
+temperature, and :func:`matched_model` gives it a default box of 40 sigma*.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cells import MomentumGrid
+from .cells import MomentumGrid, _positive_finite
 from .errors import NoMatch
 
 # 2019 SI values, for the desk-scale sanity checks
@@ -57,10 +57,8 @@ class LatticeModel:
     beta: float
 
     def __post_init__(self):
-        for name in ("mass", "beta"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        _positive_finite("mass", self.mass)
+        _positive_finite("beta", self.beta)
 
 
 @dataclass
@@ -90,8 +88,7 @@ class PacketFamily:
     times: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _positive_finite("sigma", self.sigma)
         if not self.centers:
             raise ValueError("need at least one center")
         for name in ("centers", "times"):
@@ -109,10 +106,8 @@ class PacketFamily:
 
 def gaussian_packet(model: LatticeModel, center: float, sigma: float) -> np.ndarray:
     """Unit-norm minimal packet at ``center``, periodic minimum-image."""
-    grid = model.grid
-    d = grid.positions() - center
-    half = grid.box_length / 2.0
-    d = (d + half) % grid.box_length - half
+    _positive_finite("sigma", sigma)
+    d = model.grid.displacements(center)
     psi = np.exp(-(d**2) / (4.0 * sigma**2)).astype(np.complex128)
     return psi / np.linalg.norm(psi)
 
@@ -191,15 +186,22 @@ def matching_width(model: LatticeModel) -> MatchResult:
     return MatchResult(sigma, residual, thermal, mixture)
 
 
+def matched_model(
+    n_sites: int, mass: float, beta: float, hbar: float, box_length: float | None = None
+) -> LatticeModel:
+    """Lattice model on a box of ``box_length``, or, for ``None``, of 40
+    matching widths, derived once the grid and model have checked every input."""
+    grid = MomentumGrid(n_sites, 1.0 if box_length is None else box_length, hbar)
+    model = LatticeModel(grid, mass, beta)
+    if box_length is None:
+        box = matching_sigma(model) / MAX_SIGMA_FRACTION
+        model = replace(model, grid=replace(grid, box_length=box))
+    return model
+
+
 def proton_model(
     temperature_kelvin: float = 1.0, n_sites: int = 256
 ) -> LatticeModel:
     """SI-unit lattice for a proton at the given temperature, box 40 sigma*."""
-    if not 0 < temperature_kelvin < math.inf:
-        raise ValueError(
-            f"temperature must be positive and finite, got {temperature_kelvin}"
-        )
-    beta = 1.0 / (BOLTZMANN * temperature_kelvin)
-    sigma = 0.5 * HBAR * math.sqrt(beta / PROTON_MASS)
-    grid = MomentumGrid(n_sites, sigma / MAX_SIGMA_FRACTION, HBAR)
-    return LatticeModel(grid, mass=PROTON_MASS, beta=beta)
+    beta = 1.0 / (BOLTZMANN * _positive_finite("temperature", temperature_kelvin))
+    return matched_model(n_sites, PROTON_MASS, beta, HBAR)

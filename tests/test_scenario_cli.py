@@ -375,6 +375,7 @@ BAD_INPUTS = {
         lambda tmp: ["chsh", "--out", str(tmp / "missing" / "r.json")], "missing"
     ),
     "cells-zero-box": (lambda tmp: ["cells", "--box", "0"], "box"),
+    "cells-zero-count": (lambda tmp: ["cells", "--cells", "8,0"], "cell"),
     "cells-zero-tau-scale": (
         lambda tmp: ["cells", "--sites", "256", "--cells", "8,16", "--tau-scale", "0"],
         "tau",
@@ -410,12 +411,25 @@ BAD_INPUTS = {
     "cells-box-overflows": (_two_width_sweep("--box", "1e300"), "float range"),
     "chsh-nan-angle": (lambda tmp: ["chsh", "--a", "nan"], "--a "),
     "chsh-infinite-angle": (lambda tmp: ["chsh", "--b", "inf"], "--b "),
-    "simulate-zero-runs": (lambda tmp: ["simulate", str(FIGURE), "--runs", "0"], "runs"),
+    "simulate-zero-runs": (
+        lambda tmp: ["simulate", str(FIGURE), "--runs", "0"], "runs must be positive, got 0"
+    ),
+    "simulate-zero-replicas": (
+        lambda tmp: ["simulate", str(FIGURE), "--replicas", "0"],
+        "replicas must be positive, got 0",
+    ),
+    "epr-zero-replicas": (
+        lambda tmp: ["epr", "--replicas", "0"], "replicas must be positive, got 0"
+    ),
     "epr-negative-seed": (
         lambda tmp: ["epr", "--seed", "-1"], "--seed must be non-negative, got -1"
     ),
     "thermal-box-nan": (lambda tmp: ["thermal-ambiguity", "--box", "nan"], "box"),
     "thermal-beta-nan": (lambda tmp: ["thermal-ambiguity", "--beta", "nan"], "beta"),
+    "thermal-beta-inf": (lambda tmp: ["thermal-ambiguity", "--beta", "inf"], "beta"),
+    "thermal-zero-mass": (lambda tmp: ["thermal-ambiguity", "--mass", "0"], "mass"),
+    "thermal-negative-hbar": (lambda tmp: ["thermal-ambiguity", "--hbar", "-1"], "hbar"),
+    "thermal-negative-box": (lambda tmp: ["thermal-ambiguity", "--box", "-1"], "box"),
     "thermal-box-out-of-float-range": (
         lambda tmp: ["thermal-ambiguity", "--box", "1e-320"], "non-finite residual"
     ),

@@ -10,10 +10,12 @@ from conftest import packet_overlap
 from eventweave.cells import MomentumGrid
 from eventweave.errors import NoMatch
 from eventweave.thermal import (
+    MAX_SIGMA_FRACTION,
     LatticeModel,
     PacketFamily,
     gaussian_packet,
     h_formula_width,
+    matched_model,
     matching_sigma,
     matching_width,
     packet_mixture_density,
@@ -194,6 +196,26 @@ def test_nonfinite_lattice_parameters_are_refused(name, value):
 def test_packet_families_with_nonfinite_inputs_are_refused(kwargs, field):
     with pytest.raises(ValueError, match=field):
         PacketFamily(**kwargs)
+
+
+@pytest.mark.parametrize("sigma", [0.0, float("nan"), float("inf")])
+def test_gaussian_packet_refuses_a_nonpositive_or_nonfinite_width(sigma):
+    model = LatticeModel(MomentumGrid(64, 10.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+        gaussian_packet(model, 0.0, sigma)
+
+
+def test_matched_model_defaults_to_forty_matching_widths():
+    model = matched_model(128, 1.0, 2.0, 1.0)
+    assert model.grid.box_length == matching_sigma(model) / MAX_SIGMA_FRACTION
+    grid = model.grid
+    assert (grid.n_points, grid.hbar, model.mass, model.beta) == (128, 1.0, 1.0, 2.0)
+    assert matched_model(128, 1.0, 2.0, 1.0, box_length=30.0).grid.box_length == 30.0
+
+
+def test_matched_model_refuses_a_zero_box():
+    with pytest.raises(ValueError, match="box_length"):
+        matched_model(128, 1.0, 2.0, 1.0, box_length=0.0)
 
 
 @pytest.mark.parametrize("kelvin", [0.0, -1.0, float("nan"), float("inf")])

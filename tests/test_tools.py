@@ -21,7 +21,7 @@ def _load_tool(name: str):
 
 def test_report_digest_matrix_parses_and_writes_no_files():
     matrix = _load_tool("report_digests").MATRIX
-    assert len({tuple(argv) for argv in matrix}) == len(matrix) == 53
+    assert len({tuple(argv) for argv in matrix}) == len(matrix) == 54
     parser = cli.build_parser()
     for argv in matrix:
         args = parser.parse_args(argv)

@@ -56,6 +56,8 @@ MATRIX: list[list[str]] = [
     ["cells", "--sites", "1024", "--box", "0.7", "--cells", "8,16,32"],
     ["thermal-ambiguity", "--sites", "128", "--beta", "2", "--mass", "1",
      "--hbar", "1", "--box", "30"],
+    ["thermal-ambiguity", "--sites", "128", "--beta", "2", "--mass", "1",
+     "--hbar", "1", "--format", "json"],
 ]
 
 
