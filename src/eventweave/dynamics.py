@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     EventWeaveError,
+    InvalidCut,
     LabelCollision,
     MissingLabel,
     NotExhaustive,
@@ -347,13 +348,22 @@ def realize(
 ) -> str:
     """Turn a possible event into a fact.
 
-    Raises :class:`LabelCollision` when the candidate's ket re-emits a link
-    id the history already uses, and :class:`ZeroProbabilityEvent` when its
-    probability on the cut state vanishes; otherwise the consumed links become
-    established and the candidate's ket labels become fresh free links.
-    Returns the new event id.
+    Events are added at the frontier, so ``cut`` is ``None`` or the cut
+    holding every event; any other past-closed cut raises
+    :class:`InvalidCut` naming the events it leaves out.  Raises
+    :class:`LabelCollision` when the candidate's ket re-emits a link id the
+    history already uses, and :class:`ZeroProbabilityEvent` when its
+    probability on the frontier state vanishes; otherwise the consumed links
+    become established and the candidate's ket labels become fresh free
+    links.  Returns the new event id.
     """
-    state = cut_state(history, cut)
+    if cut is not None:
+        cut = cut if isinstance(cut, Cut) else Cut.of(cut)
+        history.validate_cut(cut)
+        if left_out := sorted(history.events.keys() - cut.past_event_ids):
+            raise InvalidCut(f"realize adds events at the frontier; the cut "
+                             f"leaves out {left_out}")
+    state = cut_state(history)
     p = event_probability(state, cand)
     if p <= ZERO_PROBABILITY_EPS:
         raise ZeroProbabilityEvent(

@@ -27,7 +27,9 @@ class UnknownEvent(EventWeaveError):
 
 
 class InvalidCut(EventWeaveError):
-    """A cut that is not past-closed, or that references unknown events."""
+    """A cut that is not past-closed, or that references unknown events; or
+    a cut given to ``realize`` that leaves out events, since new events are
+    added at the frontier."""
 
 
 class OverlappingBackwardLinks(EventWeaveError):

@@ -10,8 +10,9 @@ Events carry the data that realized them: the unit vector they emit over
 their forward links, and the product bra and scalar weight they consumed
 their backward links with, which is what makes states of arbitrary
 past-closed cuts reconstructible from the graph alone.  An initial event
-is an event with no backward links (no bra, weight 1); both kinds pass
-the same admission checks.
+is an event with no backward links (no bra, weight 1).  Admission is the
+one definition of a valid history: events built, realized, loaded
+(:meth:`History.from_dict`) or audited (:meth:`History.validate`) pass it.
 
 Links deliberately carry no localization data.  Only events may carry an
 optional space-time :class:`Region` tag, and the tag is inert here.
@@ -22,12 +23,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Container, Iterable
 
 import numpy as np
 
 from .errors import (
+    EventWeaveError,
     InvalidCut,
     LabelCollision,
     NonUnitVector,
@@ -155,19 +157,22 @@ class History:
         creates fresh free links for the ket's factors.  Probability gating
         lives in :func:`eventweave.dynamics.realize`.
         """
-        if not bra.label_ids:
-            raise ValueError("an interior event needs at least one backward link")
         return self._add_event(bra, c, ket, region, event_id)
 
     def _add_event(self, bra: ProductBra | None, c: complex, ket: LabeledVector,
                    region: Region | None, event_id: str | None) -> str:
-        """Admit one event (``bra is None``: a source event); every check
-        runs before the first write, so a refused event changes nothing."""
+        """Admit one event (``bra is None``: a source event) under every rule
+        a history obeys; every check runs before the first write, so a
+        refused event changes nothing."""
+        consumed = () if bra is None else bra.label_ids
+        if bra is not None and not consumed:
+            raise ValueError("an interior event needs at least one backward link")
         if not ket.is_unit(EVENT_VECTOR_TOL):
             raise NonUnitVector(f"emitted vector has squared norm {ket.squared_norm()!r}")
         if not cmath.isfinite(c):
             raise ValueError(f"event amplitude must be finite, got {c!r}")
-        consumed = () if bra is None else bra.label_ids
+        if bra is None and c != 1:
+            raise ValueError(f"a source event has weight 1, got {c!r}")
         for lid in consumed:
             link = self.links.get(lid)
             if link is None:
@@ -178,19 +183,21 @@ class History:
             if link.space != space:
                 raise ValueError(f"bra factor on {lid!r} lives in {space}, "
                                  f"link carries {link.space}")
-        self.refuse_used(ket.label_ids)
+        emitted = ket.label_ids
+        self.refuse_used(emitted)
         if event_id in self.events:
             raise ValueError(f"event id {event_id!r} already exists")
         eid = event_id if event_id is not None else self._fresh_event_id()
         for lid in consumed:
-            self.links[lid] = replace(self.links[lid], target=eid)
+            link = self.links[lid]
+            self.links[lid] = LinkRecord(lid, link.space, link.source, eid)
             del self._open[lid]
         for lab in ket.labels:
             self.links[lab.link_id] = LinkRecord(lab.link_id, lab.space, source=eid)
             self._open[lab.link_id] = None
         self._frontier = None
         self.events[eid] = EventRecord(
-            eid, consumed, ket.label_ids, ket, amplitude=complex(c), bra=bra, region=region
+            eid, consumed, emitted, ket, amplitude=complex(c), bra=bra, region=region
         )
         return eid
 
@@ -214,7 +221,7 @@ class History:
         """Raise unless the cut is past-closed within this history; the
         error names the offender that comes first in sorted order."""
         if cut is self._frontier:
-            return  # admission and from_dict's validate() keep it past-closed
+            return  # admission keeps it past-closed
         inside = cut.past_event_ids
         unknown = [eid for eid in inside if eid not in self.events]
         if unknown:
@@ -252,92 +259,9 @@ class History:
     # -- invariants ---------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Report all structural invariant violations, empty if none."""
-        problems: list[str] = []
-        backward_claims: dict[str, list[str]] = {}
-        forward_claims: dict[str, list[str]] = {}
-        for eid, ev in self.events.items():
-            for lid in ev.forward_links:
-                forward_claims.setdefault(lid, []).append(eid)
-                if lid not in self.links:
-                    problems.append(f"event {eid!r} lists unknown forward link {lid!r}")
-            for lid in ev.backward_links:
-                backward_claims.setdefault(lid, []).append(eid)
-                if lid not in self.links:
-                    problems.append(f"event {eid!r} lists unknown backward link {lid!r}")
-            if ev.emitted_vector.label_ids != tuple(sorted(ev.forward_links)):
-                problems.append(
-                    f"event {eid!r}: emitted vector labels "
-                    f"{ev.emitted_vector.label_ids} != forward links"
-                )
-            if not ev.emitted_vector.is_unit(EVENT_VECTOR_TOL):
-                problems.append(
-                    f"event {eid!r}: emitted vector squared norm "
-                    f"{ev.emitted_vector.squared_norm()!r}"
-                )
-            factors = [ev.emitted_vector, *(ev.bra.factors.values() if ev.bra else ())]
-            for lab in (lab for vec in factors for lab in vec.labels):
-                ln = self.links.get(lab.link_id)
-                if ln is not None and ln.space != lab.space:
-                    problems.append(f"event {eid!r}: link {lab.link_id!r} carries "
-                                    f"{ln.space}, its factor {lab.space}")
-            if not cmath.isfinite(ev.amplitude):
-                problems.append(f"event {eid!r}: amplitude {ev.amplitude!r} is not finite")
-            if (ev.bra is None) != (not ev.backward_links):
-                problems.append(f"event {eid!r}: bra and backward links disagree")
-            if ev.bra is not None and tuple(ev.bra.label_ids) != tuple(
-                sorted(ev.backward_links)
-            ):
-                problems.append(f"event {eid!r}: bra labels != backward links")
-        for lid, ln in self.links.items():
-            if ln.source not in self.events:
-                problems.append(f"link {lid!r} has unknown source {ln.source!r}")
-            elif lid not in self.events[ln.source].forward_links:
-                problems.append(
-                    f"link {lid!r} not listed as forward by its source {ln.source!r}"
-                )
-            if ln.established:
-                if ln.target not in self.events:
-                    problems.append(f"link {lid!r} has unknown target {ln.target!r}")
-                elif lid not in self.events[ln.target].backward_links:
-                    problems.append(
-                        f"link {lid!r} not listed as backward by its target {ln.target!r}"
-                    )
-        for lid, claims in backward_claims.items():
-            if len(claims) > 1:
-                problems.append(f"link {lid!r} claimed backward by {sorted(claims)}")
-            elif lid in self.links and self.links[lid].target != claims[0]:
-                problems.append(
-                    f"link {lid!r} claimed backward by {claims[0]!r} but targets "
-                    f"{self.links[lid].target!r}"
-                )
-        for lid, claims in forward_claims.items():
-            if len(claims) > 1:
-                problems.append(f"link {lid!r} claimed forward by {sorted(claims)}")
-        cycle = self._find_cycle()
-        if cycle:
-            problems.append(f"causal cycle through events {cycle}")
-        return problems
-
-    def _find_cycle(self) -> list[str]:
-        indeg = {eid: 0 for eid in self.events}
-        out: dict[str, list[str]] = {eid: [] for eid in self.events}
-        for ln in self.links.values():
-            if ln.established and ln.source in indeg and ln.target in indeg:
-                out[ln.source].append(ln.target)
-                indeg[ln.target] += 1
-        queue = [eid for eid, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            eid = queue.pop()
-            seen += 1
-            for nxt in out[eid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    queue.append(nxt)
-        if seen == len(self.events):
-            return []
-        return sorted(eid for eid, d in indeg.items() if d > 0)
+        """Every way this history differs from one that admission builds
+        out of its events (see :func:`_readmit`), empty if none."""
+        return _readmit(self.events.values(), self.links)[1]
 
     # -- snapshots and serialization ---------------------------------------------
 
@@ -384,40 +308,39 @@ class History:
 
     @classmethod
     def from_dict(cls, data: dict) -> "History":
-        """Inverse of :meth:`to_dict`; raises ``ValueError`` on a malformed
-        record, a repeated id, or a history that fails :meth:`validate`."""
-        h = cls()
+        """Inverse of :meth:`to_dict`: the recorded events admitted again.
+        Raises ``ValueError`` on a malformed record, a repeated id, or any
+        problem that :meth:`validate` would report."""
+        events: dict[str, EventRecord] = {}
+        links: dict[str, LinkRecord] = {}
         try:
             for rec in data["links"]:
-                if rec["id"] in h.links:
+                if rec["id"] in links:
                     raise ValueError(f"duplicate link id {rec['id']!r}")
                 space = SpaceType(rec["space"]["name"], rec["space"]["dim"])
-                h.links[rec["id"]] = LinkRecord(
-                    rec["id"], space, rec["source"], rec.get("target")
-                )
+                links[rec["id"]] = LinkRecord(rec["id"], space, rec["source"], rec.get("target"))
             for rec in data["events"]:
-                if rec["id"] in h.events:
+                if rec["id"] in events:
                     raise ValueError(f"duplicate event id {rec['id']!r}")
-                bra = None
-                if rec.get("bra") is not None:
-                    bra = ProductBra([vector_from_dict(f) for f in rec["bra"]])
                 re, im = rec.get("amplitude", [1.0, 0.0])
-                h.events[rec["id"]] = EventRecord(
+                events[rec["id"]] = EventRecord(
                     id=rec["id"],
                     backward_links=tuple(rec["backward_links"]),
                     forward_links=tuple(rec["forward_links"]),
                     emitted_vector=vector_from_dict(rec["vector"]),
                     amplitude=complex(re, im),
-                    bra=bra,
+                    bra=None if rec.get("bra") is None
+                    else ProductBra([vector_from_dict(f) for f in rec["bra"]]),
                     region=region_from_dict(rec.get("region")),
                 )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed history record: {exc!r}") from exc
-        h._counter = len(h.events)
-        h._open = {lid: None for lid, ln in h.links.items() if not ln.established}
-        problems = h.validate()
+        except EventWeaveError as exc:  # a non-unit bra factor or a repeated label
+            raise ValueError(f"invalid history: {exc}") from exc
+        h, problems = _readmit(events.values(), links)
         if problems:
             raise ValueError(f"invalid history: {'; '.join(problems[:3])}")
+        h._counter = len(events)
         return h
 
     def to_json(self) -> str:
@@ -426,6 +349,53 @@ class History:
     @classmethod
     def from_json(cls, text: str) -> "History":
         return cls.from_dict(json.loads(text))
+
+
+def _readmit(events: Iterable[EventRecord],
+             links: dict[str, LinkRecord]) -> tuple[History, list[str]]:
+    """A fresh history holding ``events`` admitted again in causal order
+    (Kahn's: an event waits for the emitters of its bra's links), and each
+    refusal, derived field, unreached event (a cycle) or link record that
+    differs from the records, as one problem."""
+    by_id = {ev.id: ev for ev in events}
+    emitter = {lid: ev.id for ev in by_id.values() for lid in ev.emitted_vector.label_ids}
+    waiting = {eid: 0 for eid in by_id}  # emitters not yet admitted
+    unblocks: dict[str, list[str]] = {}
+    for ev in by_id.values():
+        for src in {emitter.get(lid) for lid in (ev.bra.label_ids if ev.bra else ())} - {None}:
+            waiting[ev.id] += 1
+            unblocks.setdefault(src, []).append(ev.id)
+    h, problems = History(), []
+    ready = [ev for ev in by_id.values() if waiting[ev.id] == 0]
+    for ev in ready:  # grows as admissions unblock events
+        try:
+            got = h.events[h._add_event(ev.bra, ev.amplitude, ev.emitted_vector,
+                                        ev.region, ev.id)]
+        except (EventWeaveError, ValueError) as exc:
+            problems.append(f"event {ev.id!r}: {exc}")
+        else:
+            problems += [f"event {ev.id!r}: {f} {getattr(ev, f)!r}, but its bra and "
+                         f"vector admit {getattr(got, f)!r}"
+                         for f in ("backward_links", "forward_links", "amplitude")
+                         if getattr(ev, f) != getattr(got, f)]
+        for nxt in unblocks.get(ev.id, ()):
+            waiting[nxt] -= 1
+            if waiting[nxt] == 0:
+                ready.append(by_id[nxt])
+    if stuck := sorted(eid for eid, n in waiting.items() if n):
+        problems.append(f"causal cycle through events {stuck}")
+    for lid in sorted(links.keys() | h.links.keys()):
+        rec, got = links.get(lid), h.links.get(lid)
+        if rec is None or got is None:
+            problems.append(f"link {lid!r} from {(rec or got).source!r}: " + (
+                "no admitted event emits it" if got is None else "missing from the links"))
+        elif rec != got:
+            problems += [f"link {lid!r} {says} {getattr(rec, f)!r}, but its events admit "
+                         f"{getattr(got, f)!r}" for f, says in (
+                             ("space", "carries"), ("source", "comes from"),
+                             ("target", "goes backward into"))
+                         if getattr(rec, f) != getattr(got, f)]
+    return h, problems
 
 
 def region_to_dict(region: Region | None) -> dict | None:

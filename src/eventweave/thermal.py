@@ -190,11 +190,15 @@ def matched_model(
     n_sites: int, mass: float, beta: float, hbar: float, box_length: float | None = None
 ) -> LatticeModel:
     """Lattice model on a box of ``box_length``, or, for ``None``, of 40
-    matching widths, derived once the grid and model have checked every input."""
+    matching widths, derived once the grid and model have checked every input;
+    a derived box outside the float range is refused naming beta, mass and hbar."""
     grid = MomentumGrid(n_sites, 1.0 if box_length is None else box_length, hbar)
     model = LatticeModel(grid, mass, beta)
     if box_length is None:
         box = matching_sigma(model) / MAX_SIGMA_FRACTION
+        if not 0 < box < math.inf:
+            raise ValueError(f"beta={beta}, mass={mass} and hbar={hbar} give a default "
+                             f"box of {box}, outside the float range; give an explicit box")
         model = replace(model, grid=replace(grid, box_length=box))
     return model
 

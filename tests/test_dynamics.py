@@ -43,6 +43,7 @@ from eventweave.dynamics import (
 )
 from eventweave.epr import Direction, build_epr, singlet_vector, spin_eigenvectors
 from eventweave.errors import (
+    InvalidCut,
     LabelCollision,
     NotExhaustive,
     OverlappingBackwardLinks,
@@ -605,6 +606,24 @@ def test_realize_refuses_colliding_ket_labels():
     stale = CandidateEvent(bra=e5.bra, c=1.0, ket=unit_factor("alpha", [1.0, 0.0]))
     with pytest.raises(LabelCollision, match=r"^link ids already used: \['alpha'\]$"):
         realize(h, None, stale)
+
+
+def test_realize_takes_only_the_frontier_cut():
+    """After an up outcome on side 1 of a singlet measured along one axis,
+    up on side 2 has probability 0; a past cut that leaves the first
+    outcome out would make it look possible, so ``realize`` refuses it."""
+    z = Direction.in_plane_deg(0)
+    s = build_epr(z, z)
+    first = realize(s.history, None, s.side1["+"])
+    before = s.history.to_dict()
+    with pytest.raises(InvalidCut, match=r"leaves out \['e1'\]"):
+        realize(s.history, ["setting1", "setting2", "decay"], s.side2["+"])
+    assert s.history.to_dict() == before
+    with pytest.raises(ZeroProbabilityEvent):
+        realize(s.history, None, s.side2["+"])
+    everything = sorted(s.history.events)
+    assert first == "e1" and realize(s.history, everything, s.side2["-"]) == "e2"
+    assert s.history.validate() == []
 
 
 def _spin_candidate(link_id, amps, ket):

@@ -1,5 +1,7 @@
 """Event graph structure: growth, saturation, cuts, validation, round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from eventweave.errors import (
     NonUnitVector,
     UnknownEvent,
 )
-from eventweave.graph import Cut, History, LinkRecord, Region
-from eventweave.tensors import FactorLabel, LabeledVector, ProductBra, random_unit_vector
+from eventweave.graph import Cut, EventRecord, History, LinkRecord, Region
+from eventweave.tensors import (
+    FactorLabel, LabeledVector, ProductBra, SpaceType, random_unit_vector,
+)
 
 
 def traversal_free_links(h, cut_ids):
@@ -359,10 +363,11 @@ def _double_first_vector(data):
 @pytest.mark.parametrize(
     "edit, problem",
     [
-        (_double_first_vector, "emitted vector squared norm"),
-        (lambda data: data["links"][0].update(target="ghost"), "unknown target 'ghost'"),
+        (_double_first_vector, r"'ap1': emitted vector has squared norm (4\.0|3\.9{9})"),
+        (lambda data: data["links"][0].update(target="ghost"),
+         "'alpha' goes backward into 'ghost', but its events admit None"),
         (lambda data: data["events"][0].update(amplitude=[float("nan"), 0.0]),
-         "amplitude .* is not finite"),
+         r"'ap1': event amplitude must be finite, got \(nan"),
     ],
     ids=["norm-4-vector", "dangling-link-target", "nan-amplitude"],
 )
@@ -399,6 +404,111 @@ def test_from_dict_refuses_repeated_ids(table):
     data = generic_figure().to_dict()
     data[table].append(dict(data[table][0]))
     with pytest.raises(ValueError, match=f"duplicate {table[:-1]} id"):
+        History.from_dict(data)
+
+
+def _absorbing_bra(data):
+    return next(ev for ev in data["events"] if ev["bra"] is not None)["bra"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: _absorbing_bra(data)[0].update(
+            amps=[[2 * re, 2 * im] for re, im in _absorbing_bra(data)[0]["amps"]]),
+        lambda data: _absorbing_bra(data).append(dict(_absorbing_bra(data)[0])),
+    ],
+    ids=["norm-4-bra-factor", "repeated-bra-factor"],
+)
+def test_from_dict_refuses_bad_bra_factors_as_value_errors(edit):
+    h = generic_figure()
+    realize(h, None, figure_outcome_candidates()[0], event_id="ev4")
+    data = h.to_dict()
+    edit(data)
+    with pytest.raises(ValueError, match="invalid history: .*bra factor"):
+        History.from_dict(data)
+
+
+_OUT4 = unit_factor("out4", [1.0], POINTER)
+
+
+def _realized_figure():
+    h = generic_figure()
+    for cand, eid in zip(figure_outcome_candidates(), ("ev4", "ev5")):
+        realize(h, None, cand, event_id=eid)
+    return h
+
+
+def _event_edit(eid, **changes):
+    return lambda h: h.events.update({eid: replace(h.events[eid], **changes)})
+
+
+def _link_edit(lid, **changes):
+    return lambda h: h.links.update({lid: replace(h.links[lid], **changes)})
+
+
+def _add_stray_link(h):
+    h.links["stray"] = LinkRecord("stray", SPIN, source="decay")
+
+
+def _bra_also_on_gamma(h):
+    ev5 = h.events["ev5"]
+    bra = ProductBra([*ev5.bra.factors.values(), unit_factor("gamma", [1.0, 0.0])])
+    h.events["ev5"] = replace(ev5, bra=bra, backward_links=bra.label_ids)
+
+
+def _second_emitter_of_out4(h):
+    h.events["dup"] = EventRecord("dup", (), ("out4",), _OUT4)
+
+
+def _ap1_absorbs_out4(h):
+    h.events["ap1"] = replace(h.events["ap1"], backward_links=("out4",),
+                              bra=ProductBra([_OUT4]))
+    h.links["out4"] = replace(h.links["out4"], target="ap1")
+
+
+def _double_ap1_vector(h):
+    ap1 = h.events["ap1"]
+    h.events["ap1"] = replace(ap1, emitted_vector=ap1.emitted_vector.scaled(2.0))
+
+
+def _alpha_factor_in_another_space(h):
+    ev4 = h.events["ev4"]
+    other = LabeledVector([FactorLabel("alpha", SpaceType("other", 2))], [1.0, 0.0])
+    h.events["ev4"] = replace(ev4, bra=ProductBra([other, ev4.bra.factor("gamma")]))
+
+
+#: each class of damage an event graph can carry, made on a realized figure
+HISTORY_DAMAGE = {
+    "unknown-link-source": _link_edit("out4", source="ghost"),
+    "unknown-link-target": _link_edit("out4", target="ghost"),
+    "link-its-source-does-not-list-forward": _add_stray_link,
+    "link-its-target-does-not-list-backward": _link_edit("out4", target="ev5"),
+    "double-backward-claim": _bra_also_on_gamma,
+    "double-forward-claim": _second_emitter_of_out4,
+    "cycle": _ap1_absorbs_out4,
+    "vector-labels-differ-from-forward-links": _event_edit("ap1", forward_links=("gamma",)),
+    "non-unit-vector": _double_ap1_vector,
+    "link-space-differs-from-vector": _link_edit("out4", space=SPIN),
+    "link-space-differs-from-bra": _alpha_factor_in_another_space,
+    "non-finite-amplitude": _event_edit("ev4", amplitude=complex("nan")),
+    "bra-differs-from-backward-links": _event_edit("ev4", backward_links=("alpha",)),
+    "source-event-of-weight-5": _event_edit("ap1", amplitude=5.0 + 0.0j),
+    "forward-links-out-of-order": _event_edit("ap1", forward_links=("res1", "gamma")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HISTORY_DAMAGE))
+def test_loading_and_auditing_refuse_every_class_of_damage(case):
+    """The damage is made on the records in memory, so ``validate`` sees it
+    there and ``from_dict`` sees it in the history's dict."""
+    h = _realized_figure()
+    clean = h.to_dict()
+    HISTORY_DAMAGE[case](h)
+    data = h.to_dict()
+    assert data != clean
+    assert h.validate() != []
+    with pytest.raises(ValueError, match="invalid history: "):
         History.from_dict(data)
 
 

@@ -436,6 +436,16 @@ BAD_INPUTS = {
     "thermal-hbar-out-of-float-range": (
         lambda tmp: ["thermal-ambiguity", "--hbar", "1e-300"], "non-finite residual"
     ),
+    "thermal-default-box-overflows": (
+        lambda tmp: ["thermal-ambiguity", "--beta", "1e300", "--mass", "1e-300",
+                     "--hbar", "1", "--sites", "64"],
+        "beta",
+    ),
+    "thermal-default-box-underflows": (
+        lambda tmp: ["thermal-ambiguity", "--beta", "1e-300", "--mass", "1e300",
+                     "--hbar", "1e-300"],
+        "beta",
+    ),
     "stage-exhaustive-string": (
         _figure_edited(lambda d: d["stages"][0].update(exhaustive="no")),
         "$.stages[0]: field 'exhaustive' should be bool",
