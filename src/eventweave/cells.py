@@ -22,11 +22,12 @@ Kernels may be stored dense (fine up to ~1k grid points) or in separable
 quadratic memory.
 
 The width sweep computes only what its report reads: each cell is a
-difference of one periodic cumulative sum of the Gaussian, branch weights
-are summed over blocks of cells, and one correlation gives the kernel's
-offset weights for every width.  ``tests/reference.py`` keeps, as oracles,
-the transform-based smoothing and a per-width driver that builds every
-branch through :func:`branch_states`.
+difference of one periodic cumulative sum of the Gaussian, each branch
+weight comes from a short transform over its own cell window (one batched
+FFT per width), and one correlation gives the kernel's offset weights for
+every width.  ``tests/reference.py`` keeps, as oracles, the
+transform-based smoothing, the per-cell branch weights and a per-width
+driver that builds every branch through :func:`branch_states`.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ PARTITION_TOL = 1e-12
 
 #: cell functions must fall below this outside their padded cell
 SUPPORT_TOL = 1e-12
-
-#: bytes of branch amplitudes the sweep holds at once
-_BLOCK_BYTES = 1 << 20
-
 
 def _positive_finite(name: str, value: float) -> float:
     """``value`` if it lies in ``(0, inf)``, else a ValueError naming it."""
@@ -173,6 +170,12 @@ def integrate_over_box(kernel: TKernel) -> TKernel:
     return TKernel.from_matrix(grid, out)
 
 
+def _cell_starts(n: int, n_cells: int) -> np.ndarray:
+    """First site of each of ``n_cells`` equal cells on ``n`` sites, then
+    ``n``: cell k holds the sites i with ``(i * n_cells) // n == k``."""
+    return -((-np.arange(n_cells + 1) * n) // n_cells)
+
+
 @dataclass
 class CellPartition:
     """Partition of unity over the spatial box, one function per cell."""
@@ -207,8 +210,7 @@ class CellPartition:
         if n_cells > n:
             raise ValueError("more cells than grid sites")
         width = grid.box_length / n_cells
-        # cell k holds the sites i with (i * n_cells) // n == k
-        starts = -((-np.arange(n_cells + 1) * n) // n_cells)
+        starts = _cell_starts(n, n_cells)
         lengths = np.diff(starts)
         smoothing = smoothing_fraction * width
         if smoothing_fraction > 0:
@@ -354,26 +356,66 @@ def _probabilities_and_defect(
     return norms2 / total, abs(out2 - total)
 
 
-def _branch_norms(
-    kernel: TKernel, cells: CellPartition, psi
-) -> tuple[np.ndarray, float]:
-    """Squared norms of every branch of a separable kernel, and of their sum.
+def _fft_length(m: int) -> int:
+    """Smallest ``2^a 3^b 5^c`` of at least ``m``, a size the FFT takes fast."""
+    best, p5 = 1 << (m - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((m - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    The cells are walked in blocks of at most :data:`_BLOCK_BYTES` of
-    branch amplitudes, so no branch outlives its block.  Because the cells
-    sum to one, the summed branch is the whole operator applied and takes
-    one more transform.
-    """
+
+def _norm_terms(kernel: TKernel, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Width-free terms of a separable kernel's branch norms:
+    ``inner = fft(right * psi)``, ``w = |left|^2 (dx n)^2`` and
+    ``W = ifft(w) / n``."""
     n = kernel.grid.n_points
     inner = np.fft.fft(kernel._right * psi)
     weight = np.abs(kernel._left) ** 2 * (kernel.grid.dx * n) ** 2
-    rows = max(1, _BLOCK_BYTES // (16 * n))
-    norms2 = np.concatenate([
-        np.abs(np.fft.ifft(cells.functions[k : k + rows] * inner, axis=1)) ** 2 @ weight
-        for k in range(0, cells.n_cells, rows)
-    ])
+    return inner, weight, np.fft.ifft(weight) / n
+
+
+def _windowed_norms(
+    cells: CellPartition, starts: np.ndarray, terms: tuple
+) -> tuple[np.ndarray, float]:
+    """Squared norms of every branch of a separable kernel, from each
+    branch's own cell window, and of their sum.
+
+    Branch k's squared norm is ``sum_P w(P) |ifft(h_k)(P)|^2`` with
+    ``h_k = g_k * inner``; ``terms`` is :func:`_norm_terms`.  Expanding the
+    square gives ``sum_{t,t'} h_k(t) conj(h_k(t')) W(t - t')``, ``W``
+    indexed mod n.  Beyond ``pad`` sites past either edge of cell k, ``g_k``
+    is below 1e-23, so the double sum runs over a window of ``L`` sites
+    and only offsets ``|m| < L`` enter.  With ``F_k`` the length-``M`` FFT
+    of ``h_k`` over the window, ``M >= 2L - 1``, the sum is
+    ``sum_j |F_k(j)|^2 V(j)`` where ``V = Re ifft(W_M)`` and ``W_M`` is
+    ``W`` on the offsets ``|m| < L``, folded onto ``M`` points.  A window
+    that would exceed the box is the whole box from the cell's first
+    site, and the sum is the circular one exactly.  One batched FFT covers
+    every cell.  Because the cells sum to one, the summed branch is the
+    whole operator applied and takes one n-point transform.
+    """
+    inner, weight, weight_hat = terms
+    n = cells.grid.n_points
+    pad = int(math.ceil(10.0 * cells.smoothing / cells.grid.dx)) + 1
+    size = int(np.diff(starts).max()) + 2 * pad
+    if size < n:
+        first = starts[:-1] - pad
+    else:
+        size, first = n, starts[:-1]
+    length = _fft_length(2 * size - 1)
+    sites = (first[:, None] + np.arange(size)) % n
+    h = np.take_along_axis(cells.functions, sites, axis=1) * inner[sites]
+    offsets = np.arange(1 - size, size)
+    folded = np.zeros(length, dtype=np.complex128)
+    folded[offsets % length] = weight_hat[offsets % n]
+    v = np.fft.ifft(folded).real
+    norms2 = (np.abs(np.fft.fft(h, length, axis=1)) ** 2 * v).sum(axis=1)
     out = np.fft.ifft(cells.functions.sum(axis=0) * inner)
-    return norms2, float(np.abs(out) ** 2 @ weight)
+    return norms2, float((np.abs(out) ** 2 * weight).sum())
 
 
 def branch_states(
@@ -430,8 +472,8 @@ def _spread(
     w_total = float(w.sum())
     if w_total <= 0.0 or norm2 <= 0.0:
         raise ZeroNormBranch(f"branch {k} carries no weight")
-    mean = float(np.dot(w, q)) / w_total
-    var = max(float(np.dot(w, q * q)) / w_total - mean * mean, 0.0)
+    mean = float((w * q).sum()) / w_total
+    var = max(float((w * q * q).sum()) / w_total - mean * mean, 0.0)
     return math.sqrt(var)
 
 
@@ -478,18 +520,18 @@ def default_sweep_state(grid: MomentumGrid) -> np.ndarray:
     p = grid.momenta()
     pmax = float(np.max(np.abs(p)))
     psi = np.exp(-(p**2) / (2.0 * (pmax / 8.0) ** 2)).astype(np.complex128)
-    return psi / np.linalg.norm(psi)
+    return psi / math.sqrt(float((np.abs(psi) ** 2).sum()))
 
 
 def _sweep_point(
-    kernel: TKernel, psi, by_offset: np.ndarray, n_cells: int, smoothing_fraction: float
+    grid: MomentumGrid, terms: tuple, by_offset: np.ndarray, n_cells: int,
+    smoothing_fraction: float,
 ) -> SweepPoint:
     """One width of the sweep: the spread of branch ``n_cells // 2`` and the
     coherence defect, without keeping any branch."""
-    grid = kernel.grid
     cells = CellPartition.smoothed_indicators(grid, n_cells, smoothing_fraction)
     cells.validate()
-    norms2, out2 = _branch_norms(kernel, cells, psi)
+    norms2, out2 = _windowed_norms(cells, _cell_starts(grid.n_points, n_cells), terms)
     _, defect = _probabilities_and_defect(norms2, out2)
     k = n_cells // 2
     spread = _spread(grid, cells.hat(k), by_offset, norms2[k], k)
@@ -529,8 +571,9 @@ def width_sweep(
             kernel = TKernel.separable(grid, f)
             psi = default_sweep_state(grid)
             by_offset = _offset_weights(kernel, psi)
+            terms = _norm_terms(kernel, psi)
             points = [
-                _sweep_point(kernel, psi, by_offset, n_cells, smoothing_fraction)
+                _sweep_point(grid, terms, by_offset, n_cells, smoothing_fraction)
                 for n_cells in cell_counts
             ]
     except (OverflowError, FloatingPointError) as exc:
@@ -538,7 +581,9 @@ def width_sweep(
     bad = [pt.cell_width for pt in points if not 0.0 < pt.delta_p < math.inf]
     if bad:
         raise ValueError(f"no positive momentum-balance spread at cell widths {bad}")
+    # least-squares slope of log spread against log width
     widths = np.log(np.array([pt.cell_width for pt in points]))
     spreads = np.log(np.array([pt.delta_p for pt in points]))
-    slope = float(np.polyfit(widths, spreads, 1)[0])
+    widths -= widths.mean()
+    slope = float((widths * (spreads - spreads.mean())).sum() / (widths**2).sum())
     return SweepResult(points=points, slope=slope)

@@ -256,6 +256,25 @@ def naive_branch_vectors(kernel, cells, psi):
     return np.array(rows)
 
 
+def branch_norms(kernel, cells, psi):
+    """Squared norms of every branch of a separable kernel, and of their sum,
+    one n-point inverse transform per cell.
+
+    This is the per-cell path the sweep's windowed norms replaced: branch k
+    is ``left * dx n ifft(g_k * fft(right * psi))`` in full, and its norm
+    is weighed over every momentum.
+    """
+    n = kernel.grid.n_points
+    inner = np.fft.fft(kernel._right * psi)
+    weight = np.abs(kernel._left) ** 2 * (kernel.grid.dx * n) ** 2
+    norms2 = np.array([
+        np.abs(np.fft.ifft(cells.functions[k] * inner)) ** 2 @ weight
+        for k in range(cells.n_cells)
+    ])
+    out = np.fft.ifft(cells.functions.sum(axis=0) * inner)
+    return norms2, float(np.abs(out) ** 2 @ weight)
+
+
 def naive_momentum_balance_spread(kernel, gk_hat, psi):
     """Spread of ``P_out - P_in`` summed one index offset ``m = i - j`` at a time.
 

@@ -8,6 +8,7 @@ import pytest
 
 import reference
 from conftest import momentum_to_position, position_to_momentum
+from eventweave import cells as cells_module
 from eventweave.cells import (
     DEFAULT_SWEEP_CELLS,
     PARTITION_TOL,
@@ -424,6 +425,93 @@ def test_sweep_matches_the_per_width_path(cell_counts, n_points):
         assert abs(pt.delta_p - delta_p) <= 1e-13 * delta_p
         assert abs(pt.coherence_defect - defect) <= 1e-13
     assert abs(sweep.slope - slope) <= 1e-13
+
+
+def windowed_against_the_oracle(kernel, psi, n_cells, fraction):
+    """Windowed branch norms and the summed branch's, with the oracle's."""
+    grid = kernel.grid
+    part = CellPartition.smoothed_indicators(grid, n_cells, fraction)
+    got = cells_module._windowed_norms(
+        part, cells_module._cell_starts(grid.n_points, n_cells),
+        cells_module._norm_terms(kernel, psi),
+    )
+    return got, reference.branch_norms(kernel, part, psi)
+
+
+def assert_rows_match(got, want, rel=1e-14):
+    """Row by row within ``rel``; a row the oracle reads as 0 is 0."""
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= rel * want)
+
+
+@pytest.mark.parametrize("n_points", [1024, 4096, 16384])
+def test_windowed_norms_match_the_per_cell_oracle(n_points):
+    grid = MomentumGrid(n_points, 1.0)
+    kernel, psi = envelope_kernel(grid, 2.0), default_sweep_state(grid)  # width_sweep's
+    for n_cells in DEFAULT_SWEEP_CELLS:
+        (norms2, out2), (want, want_out2) = windowed_against_the_oracle(
+            kernel, psi, n_cells, 0.15
+        )
+        assert_rows_match(norms2, want)
+        assert abs(out2 - want_out2) <= 1e-14 * want_out2
+        # the reported branch sits far from the packet, yet keeps its weight
+        middle = norms2[n_cells // 2]
+        assert 0.0 < middle < 1e-20 * norms2.max()
+
+
+@pytest.mark.parametrize("n_cells, fraction", [
+    (1, 0.15),
+    (1024, 0.15),  # one site per cell
+    (16, 0.0),
+    (600, 0.0),
+    (8, 2.0),  # windows capped at the box
+    (96, 2.0),
+])
+def test_windowed_norms_match_the_oracle_at_the_limits(n_cells, fraction):
+    grid = MomentumGrid(1024, 1.0)
+    kernel, psi = envelope_kernel(grid, 2.0), default_sweep_state(grid)  # width_sweep's
+    (norms2, out2), (want, want_out2) = windowed_against_the_oracle(
+        kernel, psi, n_cells, fraction
+    )
+    assert_rows_match(norms2, want)
+    assert abs(out2 - want_out2) <= 1e-14 * want_out2
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.15])
+def test_windowed_norms_are_zero_where_the_oracle_reads_zero(fraction):
+    """A flat state under the unit kernel puts ``fft(psi)`` on site 0 alone,
+    so every cell that does not reach site 0 has exactly zero weight."""
+    grid = MomentumGrid(1024, 1.0)
+    psi = np.full(grid.n_points, 1.0 / math.sqrt(grid.n_points), dtype=complex)
+    (norms2, _), (want, _) = windowed_against_the_oracle(
+        unit_kernel(grid), psi, 64, fraction
+    )
+    assert 0 < np.count_nonzero(want) < 8
+    assert_rows_match(norms2, want)
+
+
+def counting_transforms(monkeypatch) -> list:
+    """Every ``np.fft`` call the cells module makes, by name."""
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+def test_sweep_transforms_per_width_do_not_grow_with_the_cells(monkeypatch):
+    calls = counting_transforms(monkeypatch)
+    counts = []
+    for n_cells in (8, 600):
+        calls.clear()
+        width_sweep(cell_counts=(n_cells, 12), n_points=4096)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_sweep_inputs_that_give_no_spread_are_refused():

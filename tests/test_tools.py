@@ -2,6 +2,10 @@
 the package's exports."""
 
 import importlib.util
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +51,26 @@ def test_reports_match_the_recorded_digests(monkeypatch):
         if tool.report_digest(cli, argv) != digest
     ]
     assert not moved, f"{len(moved)} report(s) moved: {moved}"
+
+
+def test_digest_header_names_the_blas_kernel():
+    """Forcing another OpenBLAS kernel changes the header, so the digest
+    check above skips on it instead of reporting moved reports."""
+    tool = _load_tool("report_digests")
+    running = tool.build_fingerprint()[-1]
+    if running == "# blas unknown" or platform.machine() != "x86_64":
+        pytest.skip(f"no OpenBLAS kernel to force here ({running})")
+    # Nehalem needs only SSE4.2, which numpy's x86-64 baseline already requires
+    other = "Sandybridge" if running == "# blas Nehalem" else "Nehalem"
+    script = ("import runpy, sys; "
+              "print(*runpy.run_path(sys.argv[1])['build_fingerprint'](), sep='\\n')")
+    forced = subprocess.run(
+        [sys.executable, "-c", script, str(REPO / "tools" / "report_digests.py")],
+        env={**os.environ, "OPENBLAS_CORETYPE": other},
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert forced[-1] == f"# blas {other}"
+    assert forced[:-1] == tool.build_fingerprint()[:-1]
 
 
 def test_every_exported_name_resolves():

@@ -21,6 +21,7 @@ with ``PYTHONPATH=src python3 tools/report_digests.py > tools/report_digests.txt
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -66,14 +67,24 @@ def build_fingerprint() -> list[str]:
 
     ``np.exp`` and the FFTs have per-SIMD code paths, so reports are
     bit-identical only within one numpy build on one set of CPU features.
+    The lattice reports also reduce through BLAS (``np.correlate``, the
+    thermal mixture product), whose kernel OpenBLAS picks at load time and
+    ``OPENBLAS_CORETYPE`` overrides; numpy's bundled OpenBLAS names it, and a
+    build without that symbol prints ``unknown``.
     """
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
     simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    corename = getattr(ctypes.CDLL(umath.__file__), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        blas = "unknown"
+    else:
+        corename.restype = ctypes.c_char_p
+        blas = corename().decode()
     return [f"# numpy {np.__version__}", f"# machine {platform.machine()}",
-            f"# simd {' '.join(simd)}"]
+            f"# simd {' '.join(simd)}", f"# blas {blas}"]
 
 
 def report_digest(cli, argv: list[str]) -> str:
