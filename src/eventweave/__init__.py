@@ -45,7 +45,6 @@ from .dynamics import (
     realize,
     realized_state,
     replica_rng,
-    sample_counts,
     sample_extension,
     sample_many,
     sample_outcome_tree,
@@ -89,7 +88,6 @@ __all__ = [
     "realize",
     "realized_state",
     "replica_rng",
-    "sample_counts",
     "sample_extension",
     "sample_many",
     "sample_outcome_tree",

@@ -76,26 +76,24 @@ def _outcome_keys():
 def cmd_epr(args) -> tuple[dict, list, list]:
     if not 0.0 <= args.theta <= 180.0:
         raise UsageError(f"theta must be in [0, 180], got {args.theta}")
-    if args.replicas < 1:
-        raise UsageError(f"replicas must be positive, got {args.replicas}")
     setup = epr.build_epr(
         epr.Direction.in_plane_deg(0.0), epr.Direction.in_plane_deg(args.theta)
     )
-    analytic = epr.joint_distribution(setup)
+    tree = dynamics.sample_outcome_tree(
+        setup.history, [setup.alternatives], args.runs, args.seed, args.replicas
+    )
+    analytic = np.array(tree.analytic)
+    freqs = tree.replica_counts / args.runs
     keys = _outcome_keys()
-    per_replica = []
-    pooled = np.zeros(4)
-    for r in range(args.replicas):
-        freqs = epr.mc_frequencies(setup, args.runs, dynamics.replica_rng(args.seed, r))
-        pooled += freqs
-        per_replica.append(
-            {
-                "replica": r,
-                "empirical": {k: float(f) for k, f in zip(keys, freqs)},
-                "max_abs_deviation": float(np.max(np.abs(freqs - analytic))),
-            }
-        )
-    pooled /= args.replicas
+    per_replica = [
+        {
+            "replica": r,
+            "empirical": {k: float(f) for k, f in zip(keys, f_r)},
+            "max_abs_deviation": float(np.max(np.abs(f_r - analytic))),
+        }
+        for r, f_r in enumerate(freqs)
+    ]
+    pooled = freqs.sum(axis=0) / args.replicas
     dev = np.abs(pooled - analytic)
     n_total = args.runs * args.replicas
     within = bool(

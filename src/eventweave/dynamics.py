@@ -319,22 +319,6 @@ def sample_many(
     return _draw(probs, _as_generator(rng).random(n))
 
 
-def sample_counts(
-    state: CutState, alts: AlternativeSet, n: int, rng: int | np.random.Generator
-) -> np.ndarray:
-    """Per-candidate counts of ``n`` draws: the stream of :func:`sample_many`,
-    drawn in blocks of :data:`DRAW_CHUNK` so memory stays bounded."""
-    if n < 1:
-        raise ValueError(f"runs must be positive, got {n}")
-    probs = alternative_probabilities(state, alts)
-    rng = _as_generator(rng)
-    counts = np.zeros(probs.size, dtype=np.int64)
-    for start in range(0, n, DRAW_CHUNK):
-        u = rng.random(min(DRAW_CHUNK, n - start))
-        counts += np.bincount(_draw(probs, u), minlength=probs.size)
-    return counts
-
-
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     """Documented per-replica stream: ``default_rng([seed, replica])``."""
     return np.random.default_rng([int(seed), int(replica)])
@@ -382,7 +366,9 @@ class OutcomeTree:
     """Staged outcome paths: analytic joints, sampled counts, chain-rule check.
 
     ``paths`` lists every tuple of candidate indices, one per stage, in
-    lexicographic order; ``analytic``, ``counts`` are aligned with it.
+    lexicographic order; ``analytic`` is aligned with it, and so is each
+    row of ``replica_counts`` (replicas x paths), the counts of one
+    replica's runs.  ``counts`` pools them over the replicas.
     ``first_path`` is the path of run 0 of replica 0.  The chain-rule check
     compares each path whose analytic value is above
     :data:`PRUNED_BRANCH_PROBABILITY` with its :func:`joint_probability` on
@@ -391,10 +377,14 @@ class OutcomeTree:
 
     paths: list[tuple[int, ...]]
     analytic: list[float]
-    counts: list[int]
+    replica_counts: np.ndarray
     first_path: tuple[int, ...]
     chain_rule_checked: int
     chain_rule_max_dev: float
+
+    @property
+    def counts(self) -> list[int]:
+        return [int(c) for c in self.replica_counts.sum(axis=0)]
 
 
 def outcome_names(stages: Sequence[AlternativeSet], path: Sequence[int]) -> list[str]:
@@ -457,11 +447,15 @@ def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
 
     Row ``r`` walks the tree from the root, consuming ``u[r, d]`` at depth
     ``d``.  Rows are grouped by their path prefix so each node draws all its
-    rows with one :func:`_draw` over its row of the stage's table.  That
-    draw never picks a pruned child, so every row ends on a live path.
+    rows with one :func:`_draw` over its row of the stage's table; a depth
+    with one node (depth 0 always) draws every row at once.  That draw
+    never picks a pruned child, so every row ends on a live path.
     """
     path = np.zeros(u.shape[0], dtype=np.intp)
     for depth, table in enumerate(tables):
+        if len(table) == 1:  # every prefix is 0
+            path = _draw(table[0], u[:, depth])
+            continue
         pick = np.empty_like(path)
         order = np.argsort(path, kind="stable")
         grouped = path[order]
@@ -484,8 +478,9 @@ def sample_outcome_tree(
     Each stage is an alternative set over the state left by the stages
     before it.  Replica ``r`` draws ``replica_rng(seed, r).random((runs,
     len(stages)))`` in blocks of :data:`DRAW_CHUNK` rows: the same stream as
-    one uniform per draw, run by run.  Runs draw by :func:`_draw`'s rule, so
-    no run enters a pruned subtree and every count off a live path is 0.
+    one uniform per draw, run by run, and row ``r`` of ``replica_counts``
+    counts its runs.  Runs draw by :func:`_draw`'s rule, so no run enters a
+    pruned subtree and every count off a live path is 0.
     Raises :class:`TooManyOutcomePaths` before any state is built when the
     path count exceeds :data:`MAX_OUTCOME_PATHS`, and :class:`LabelCollision`
     when a stage emits a link id already used by the history or an earlier one.
@@ -515,19 +510,19 @@ def sample_outcome_tree(
     checked, max_dev = _expand(root, stages, tables, analytic)
     paths = list(itertools.product(*(range(n) for n in radix)))
 
-    counts = np.zeros(total, dtype=np.int64)
+    counts = np.zeros((replicas, total), dtype=np.int64)
     for replica in range(replicas):
         rng = replica_rng(seed, replica)
         for start in range(0, runs, DRAW_CHUNK):
             u = rng.random((min(DRAW_CHUNK, runs - start), len(stages)))
-            ends = _sample_paths(tables, u)
-            counts += np.bincount(ends, minlength=total)
             if replica == 0 and start == 0:
-                first = int(ends[0])
+                first = int(_sample_paths(tables, u[:1])[0])
+            # the paths are freed before the uniforms: one block fewer is live
+            counts[replica] += np.bincount(_sample_paths(tables, u), minlength=total)
     return OutcomeTree(
         paths=paths,
         analytic=[float(p) for p in analytic],
-        counts=[int(c) for c in counts],
+        replica_counts=counts,
         first_path=paths[first],
         chain_rule_checked=checked,
         chain_rule_max_dev=max_dev,

@@ -209,10 +209,3 @@ def best_classical() -> float:
     the directions only fix which abstract setting each strategy answers."""
     return max(abs(s.chsh_value()) for s in enumerate_deterministic_strategies())
 
-
-def mc_frequencies(
-    setup: EprSetup, n: int, rng: int | np.random.Generator
-) -> np.ndarray:
-    """Empirical outcome-pair frequencies over ``n`` sampled realizations."""
-    counts = dynamics.sample_counts(setup.state, setup.alternatives, n, rng)
-    return counts.astype(float) / float(n)

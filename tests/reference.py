@@ -210,6 +210,28 @@ def naive_simulate_counts(history, stages, runs, seed, replicas=1):
     return counts, first_path
 
 
+def sample_counts(state, alts, n, rng):
+    """Per-candidate counts of ``n`` draws: the stream of
+    :func:`eventweave.dynamics.sample_many`, drawn in blocks of
+    ``DRAW_CHUNK`` so memory stays bounded.
+
+    This is the one-stage draw loop ``epr`` counted with before it drew
+    through :func:`eventweave.dynamics.sample_outcome_tree`; one replica's
+    counts there must equal it bit for bit.
+    """
+    from eventweave import dynamics
+
+    if n < 1:
+        raise ValueError(f"runs must be positive, got {n}")
+    probs = dynamics.alternative_probabilities(state, alts)
+    rng = dynamics._as_generator(rng)
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for start in range(0, n, dynamics.DRAW_CHUNK):
+        u = rng.random(min(dynamics.DRAW_CHUNK, n - start))
+        counts += np.bincount(dynamics._draw(probs, u), minlength=probs.size)
+    return counts
+
+
 def naive_chain_rule(root, stages, paths, analytic):
     """``(paths checked, max |joint - analytic|)`` of the chain-rule check.
 

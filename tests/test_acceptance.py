@@ -80,7 +80,10 @@ def test_criterion_1_epr_joint_probabilities():
                 ]
             )
             assert np.max(np.abs(got - want)) <= 1e-12
-            freqs = epr.mc_frequencies(setup, n, dynamics.replica_rng(100 + i, 0))
+            tree = dynamics.sample_outcome_tree(
+                setup.history, [setup.alternatives], n, 100 + i
+            )
+            freqs = tree.replica_counts[0] / n
             for a, f in zip(want, freqs):
                 band = 3.0 * math.sqrt(a * (1.0 - a) / n)
                 assert abs(f - a) <= max(band, 1e-12)

@@ -36,7 +36,6 @@ from eventweave.dynamics import (
     joint_probability,
     realize,
     realized_state,
-    sample_counts,
     sample_extension,
     sample_many,
     sample_outcome_tree,
@@ -349,11 +348,10 @@ def test_gap_uniform_never_draws_a_pruned_candidate(monkeypatch):
     assert probs.sum() < StuckGenerator().random()
     assert sample_extension(s, alts, StuckGenerator()) == 1
     assert set(sample_many(s, alts, 16, StuckGenerator()).tolist()) == {1}
-    assert sample_counts(s, alts, 16, StuckGenerator()).tolist() == [0, 16, 0]
     monkeypatch.setattr(dynamics, "replica_rng", StuckGenerator)
-    h = History()
-    h.add_initial_event(unit_factor("s", [SQRT_HALF, SQRT_HALF]))
-    assert sample_outcome_tree(h, [alts], 10, 0).counts == [0, 10, 0]
+    tree = sample_outcome_tree(s.history, [alts], 16, 0, 2)
+    assert tree.replica_counts.tolist() == [[0, 16, 0], [0, 16, 0]]
+    assert tree.counts == [0, 32, 0]
 
 
 def _fixed_generator(value: float) -> np.random.Generator:
@@ -364,7 +362,7 @@ def _fixed_generator(value: float) -> np.random.Generator:
     return Fixed()
 
 
-def test_uniform_in_a_pruned_candidates_sliver_skips_it():
+def test_uniform_in_a_pruned_candidates_sliver_skips_it(monkeypatch):
     """Candidates of probability p, 1e-16 and 0.5 - 1e-10: the uniform p is
     past the first and inside the second one's sliver of the cumulative sum."""
     s, alts = _plus_state(), _pruned_tail_alternatives()
@@ -372,14 +370,16 @@ def test_uniform_in_a_pruned_candidates_sliver_skips_it():
     p = float(alternative_probabilities(s, alts)[0])
     assert p < p + 1e-16
     assert sample_extension(s, alts, _fixed_generator(p)) == 2
-    assert sample_counts(s, alts, 8, _fixed_generator(p)).tolist() == [0, 0, 8]
+    monkeypatch.setattr(dynamics, "replica_rng", lambda *_: _fixed_generator(p))
+    assert sample_outcome_tree(s.history, [alts], 8, 0).counts == [0, 0, 8]
 
 
 @pytest.mark.parametrize("n", [0, -1])
-def test_sample_counts_refuses_fewer_than_one_run(n):
-    s, alts = _plus_state(), _pruned_tail_alternatives()
-    with pytest.raises(ValueError, match=f"runs must be positive, got {n}"):
-        sample_counts(s, alts, n, 0)
+def test_outcome_tree_refuses_fewer_than_one_run_or_replica(n):
+    h, alts = _plus_state().history, _pruned_tail_alternatives()
+    for name, args in (("runs", (n, 0)), ("replicas", (10, 0, n))):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got {n}$"):
+            sample_outcome_tree(h, [alts], *args)
 
 
 # -- outcome tree --------------------------------------------------------------------
@@ -640,7 +640,6 @@ def _history_refusal(h, cand) -> str:
 _REFUSING_CALLS = {
     "event_probability": lambda h, s, cand: event_probability(s, cand),
     "sample_extension": lambda h, s, cand: sample_extension(s, AlternativeSet([cand]), 0),
-    "sample_counts": lambda h, s, cand: sample_counts(s, AlternativeSet([cand]), 10, 0),
     "realized_state": lambda h, s, cand: realized_state(s, cand),
     "joint_probability": lambda h, s, cand: joint_probability(s, [cand]),
     "realize": lambda h, s, cand: realize(h, None, cand),

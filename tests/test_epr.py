@@ -20,7 +20,6 @@ from eventweave.epr import (
     correlation,
     enumerate_deterministic_strategies,
     joint_distribution,
-    mc_frequencies,
     spin_eigenvectors,
 )
 
@@ -189,10 +188,33 @@ def test_monte_carlo_matches_analytic_within_three_sigma():
     for theta in (0.0, 30.0, 60.0, 90.0):
         setup = build_epr(plane(0.0), plane(theta))
         analytic = joint_distribution(setup)
-        freqs = mc_frequencies(setup, n, dynamics.replica_rng(2024, 0))
+        tree = dynamics.sample_outcome_tree(setup.history, [setup.alternatives], n, 2024)
+        freqs = tree.replica_counts[0] / n
         for a, f in zip(analytic, freqs):
             band = 3.0 * math.sqrt(a * (1.0 - a) / n)
             assert abs(f - a) <= max(band, 1e-12)
+
+
+@pytest.mark.parametrize("replicas", [1, 4])
+@pytest.mark.parametrize("theta", [0.0, 30.0, 90.0, 137.5])
+def test_outcome_tree_replica_counts_equal_the_one_stage_draw_loop(
+    theta, replicas, monkeypatch
+):
+    """Each replica's counts are the per-replica stream's draws, bit for bit,
+    also when the runs span several (shortened) draw chunks."""
+    monkeypatch.setattr(dynamics, "DRAW_CHUNK", 7)
+    setup = build_epr(plane(0.0), plane(theta))
+    for seed in range(10):
+        for runs in (1, 7, 23, 1000):
+            tree = dynamics.sample_outcome_tree(
+                setup.history, [setup.alternatives], runs, seed, replicas
+            )
+            assert tree.replica_counts.shape == (replicas, 4)
+            for r, counts in enumerate(tree.replica_counts):
+                want = reference.sample_counts(
+                    setup.state, setup.alternatives, runs, dynamics.replica_rng(seed, r)
+                )
+                assert counts.dtype == want.dtype and np.array_equal(counts, want)
 
 
 def test_impossible_outcomes_are_never_sampled():

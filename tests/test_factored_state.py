@@ -225,17 +225,17 @@ def test_blocked_draws_equal_one_block(monkeypatch):
 
     def draw():
         tree = sample_outcome_tree(scen.build_history(), stages, 50, 3, 3)
-        freqs = epr.mc_frequencies(setup, 50, dynamics.replica_rng(3, 1))
-        return tree.counts, tree.first_path, freqs
+        epr_tree = sample_outcome_tree(setup.history, [setup.alternatives], 50, 3, 2)
+        return tree.counts, tree.first_path, epr_tree.replica_counts[1]
 
-    counts, first, freqs = draw()
+    counts, first, epr_counts = draw()
     draws = dynamics.sample_many(setup.state, setup.alternatives, 50, dynamics.replica_rng(3, 1))
-    assert np.array_equal(freqs, np.bincount(draws, minlength=4) / 50.0)
+    assert np.array_equal(epr_counts, np.bincount(draws, minlength=4))
     monkeypatch.setattr(dynamics, "DRAW_CHUNK", 7)
-    chunked_counts, chunked_first, chunked_freqs = draw()
+    chunked_counts, chunked_first, chunked_epr_counts = draw()
     assert chunked_counts == counts
     assert chunked_first == first
-    assert np.array_equal(chunked_freqs, freqs)
+    assert np.array_equal(chunked_epr_counts, epr_counts)
 
 
 def test_candidates_spanning_the_same_components_merge_them_once(monkeypatch):

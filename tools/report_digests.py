@@ -46,6 +46,7 @@ MATRIX: list[list[str]] = [
     *(["epr", "--theta", theta, "--replicas", str(replicas), "--format", fmt]
       for theta in ("0", "37.5", "90", "180") for replicas in (1, 4) for fmt in FORMATS),
     ["epr", "--runs", "2500000", "--format", "json"],
+    ["epr", "--theta", "37.5", "--runs", "1100000", "--replicas", "2", "--format", "json"],
     *(["chsh", *extra, "--format", fmt]
       for extra in ([], ["--a", "10", "--ap", "80", "--b", "33", "--bp", "100"])
       for fmt in FORMATS),
