@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -253,7 +254,10 @@ def _comma_list(convert):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing keeps no state between calls."""
     parser = _Parser(
         prog="eventweave",
         description="Event-pattern quantum simulator: sampling, EPR/CHSH, "

@@ -291,10 +291,16 @@ def _draw(probs: np.ndarray, u):
     and a uniform picks the first candidate whose cumulative probability
     exceeds it.  ``probs`` sum to 1 within :data:`EXHAUSTIVE_TOL`, so some
     candidate is live; a uniform past the sum goes to the last live one.
+    The pick counts the cumulative sums before the last live candidate that
+    the uniform reaches: the cumulative sums never decrease, so that is the
+    binary search's index clipped to the last live candidate.
     """
     live = np.where(probs > PRUNED_BRANCH_PROBABILITY, probs, 0.0)
     last = np.flatnonzero(live)[-1]
-    return np.minimum(np.searchsorted(np.cumsum(live), u, side="right"), last)
+    pick = np.zeros(np.shape(u), dtype=np.intp)
+    for c in np.cumsum(live[:last]):
+        pick += u >= c
+    return pick
 
 
 def sample_extension(
@@ -372,7 +378,10 @@ class OutcomeTree:
     ``first_path`` is the path of run 0 of replica 0.  The chain-rule check
     compares each path whose analytic value is above
     :data:`PRUNED_BRANCH_PROBABILITY` with its :func:`joint_probability` on
-    the root state; ``chain_rule_checked`` counts those paths.
+    the root state; ``chain_rule_checked`` counts those paths.  A one-stage
+    path's joint is its analytic value by construction (both are the
+    candidate's probability on the root), so it is counted with deviation 0
+    and not applied again.
     """
 
     paths: list[tuple[int, ...]]
@@ -406,7 +415,9 @@ def _expand(
     nodes still waiting to be expanded are held, never the whole tree's.
     A node also carries the root with its path's operators applied, not
     renormalized; a last-stage child above the threshold compares that
-    squared norm (its :func:`joint_probability`) with its analytic value.
+    squared norm (its :func:`joint_probability`) with its analytic value,
+    except below the root, where both are its probability and the
+    deviation is 0.
     Returns the number of such chain-rule checks and the largest deviation.
     """
     if not stages:
@@ -433,6 +444,7 @@ def _expand(
         if depth == len(stages) - 1:
             joints = analytic[prefix:prefix + len(probs)] = prob * probs
             devs += [abs(_squared_norm_since(_applied(applied, cand), root) - float(p))
+                     if path else 0.0
                      for cand, p in zip(stages[depth].candidates, joints)
                      if p > PRUNED_BRANCH_PROBABILITY]
             continue
@@ -446,23 +458,26 @@ def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     """Path index (lexicographic) of each row of uniforms ``u``.
 
     Row ``r`` walks the tree from the root, consuming ``u[r, d]`` at depth
-    ``d``.  Rows are grouped by their path prefix so each node draws all its
-    rows with one :func:`_draw` over its row of the stage's table; a depth
-    with one node (depth 0 always) draws every row at once.  That draw
-    never picks a pruned child, so every row ends on a live path.
+    ``d`` by :func:`_draw`'s rule over the row of the stage's table its path
+    prefix reached.  Each depth draws every row in one pass: it counts the
+    cumulative sums of the reached table rows that the uniforms pass, up to
+    the last live column of any row, and clips each pick to its row's last
+    live candidate.  No pick is a pruned child, so every row ends on a live
+    path, and the all-zero table rows no run reaches decide no pick.
     """
     path = np.zeros(u.shape[0], dtype=np.intp)
     for depth, table in enumerate(tables):
         if len(table) == 1:  # every prefix is 0
             path = _draw(table[0], u[:, depth])
             continue
-        pick = np.empty_like(path)
-        order = np.argsort(path, kind="stable")
-        grouped = path[order]
-        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-        for rows in np.split(order, starts[1:]):
-            pick[rows] = _draw(table[path[rows[0]]], u[rows, depth])
-        path = path * table.shape[1] + pick
+        live = table > PRUNED_BRANCH_PROBABILITY
+        cum = np.cumsum(np.where(live, table, 0.0), axis=1)
+        last = (live * np.arange(table.shape[1])).max(axis=1)
+        ud = u[:, depth]
+        pick = np.zeros_like(path)
+        for j in range(last.max()):
+            pick += ud >= cum[:, j].take(path)
+        path = path * table.shape[1] + np.minimum(pick, last.take(path))
     return path
 
 

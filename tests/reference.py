@@ -162,14 +162,52 @@ def dense_cut_state(history, cut=None):
 # -- staged sampling (one uniform per draw) ------------------------------------
 
 
+def searchsorted_draw(probs, u):
+    """Candidate index selected by each uniform in ``u`` (scalar or array),
+    by binary search over the cumulative sums of the live probabilities.
+
+    This is the draw :func:`eventweave.dynamics._draw` replaced with a
+    threshold count: probabilities at or below 1e-15 count as 0, a uniform
+    picks the first candidate whose cumulative probability exceeds it, and a
+    uniform past the sum goes to the last live candidate.
+    """
+    from eventweave import dynamics
+
+    live = np.where(probs > dynamics.PRUNED_BRANCH_PROBABILITY, probs, 0.0)
+    last = np.flatnonzero(live)[-1]
+    return np.minimum(np.searchsorted(np.cumsum(live), u, side="right"), last)
+
+
+def grouped_sample_paths(tables, u):
+    """Path index (lexicographic) of each row of uniforms ``u``, one
+    :func:`searchsorted_draw` per reached node.
+
+    This is the walk :func:`eventweave.dynamics._sample_paths` replaced:
+    rows are sorted by their path prefix and split into groups, and each
+    group draws over its own row of the stage's table.
+    """
+    path = np.zeros(u.shape[0], dtype=np.intp)
+    for depth, table in enumerate(tables):
+        if len(table) == 1:  # every prefix is 0
+            path = searchsorted_draw(table[0], u[:, depth])
+            continue
+        pick = np.empty_like(path)
+        order = np.argsort(path, kind="stable")
+        grouped = path[order]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        for rows in np.split(order, starts[1:]):
+            pick[rows] = searchsorted_draw(table[path[rows[0]]], u[rows, depth])
+        path = path * table.shape[1] + pick
+    return path
+
+
 def naive_simulate_counts(history, stages, runs, seed, replicas=1):
     """Per-draw walk of the outcome tree: ``({path: count}, first_path)``.
 
     This is the loop :func:`eventweave.dynamics.sample_outcome_tree`
     replaced: one ``rng.random()`` per stage per run, with conditional
-    states and probabilities memoized per path.  Each draw follows the
-    engine's rule: probabilities at or below 1e-15 count as 0, and a uniform
-    past the cumulative sum goes to the last candidate above that.
+    states and probabilities memoized per path.  Each draw is one
+    :func:`searchsorted_draw`.
     """
     from eventweave import dynamics
 
@@ -190,15 +228,7 @@ def naive_simulate_counts(history, stages, runs, seed, replicas=1):
         for _ in range(runs):
             cur = ()
             for _depth in range(len(stages)):
-                probs = conditional_probs(cur)
-                live = [i for i, p in enumerate(probs) if p > 1e-15]
-                u = rng.random()
-                total, idx = 0.0, live[-1]
-                for i in live:
-                    total += probs[i]
-                    if u < total:
-                        idx = i
-                        break
+                idx = int(searchsorted_draw(conditional_probs(cur), rng.random()))
                 key = cur + (idx,)
                 if key not in state_cache:
                     cand = stages[len(cur)].candidates[idx]
@@ -228,7 +258,7 @@ def sample_counts(state, alts, n, rng):
     counts = np.zeros(probs.size, dtype=np.int64)
     for start in range(0, n, dynamics.DRAW_CHUNK):
         u = rng.random(min(dynamics.DRAW_CHUNK, n - start))
-        counts += np.bincount(dynamics._draw(probs, u), minlength=probs.size)
+        counts += np.bincount(searchsorted_draw(probs, u), minlength=probs.size)
     return counts
 
 

@@ -382,6 +382,84 @@ def test_outcome_tree_refuses_fewer_than_one_run_or_replica(n):
             sample_outcome_tree(h, [alts], *args)
 
 
+# -- threshold-count draw against the binary search -----------------------------
+
+PRUNED = dynamics.PRUNED_BRANCH_PROBABILITY
+
+#: rows with pruned entries (0, 1e-16 and exactly the threshold) first, in the
+#: middle and last, and rows ending 1e-12 short of one
+BOUNDARY_ROWS = [
+    [0.25, 0.25, 0.25, 0.25],
+    [PRUNED, 0.5, 0.5],
+    [0.0, 1e-16, 0.5, 0.5 - 1e-12],
+    [0.5, PRUNED, 0.5],
+    [0.3, 0.0, 1e-16, 0.7 - 1e-12],
+    [0.5, 0.5 - 1e-12, PRUNED],
+    [0.5, 0.5, 0.0, 1e-16],
+    [1e-16, 1.0 - 1e-12, 0.0],
+    [1.0 - 1e-12],
+    [0.1, 0.2, 0.3, 0.4 - 1e-12, 1e-16, PRUNED],
+]
+
+
+def _boundary_uniforms(probs) -> np.ndarray:
+    """Each cumulative sum of the live probabilities and its two neighbours,
+    0, the largest uniform below 1, and uniforms in a residual-mass gap."""
+    cum = np.cumsum(np.where(np.asarray(probs) > PRUNED, probs, 0.0))
+    return np.concatenate([
+        cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+        [0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-12, 1.0 - 5e-13, 1.0 - 1e-13],
+    ])
+
+
+@pytest.mark.parametrize("probs", BOUNDARY_ROWS)
+def test_threshold_draw_equals_the_binary_search_at_boundaries(probs):
+    probs = np.array(probs)
+    u = _boundary_uniforms(probs)
+    got = dynamics._draw(probs, u)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, reference.searchsorted_draw(probs, u))
+    assert all(probs[got] > PRUNED)
+    for x in u:
+        assert int(dynamics._draw(probs, float(x))) == int(reference.searchsorted_draw(probs, x))
+
+
+def _random_tables(rng) -> list[np.ndarray]:
+    """1-4 depths of 2-6 candidates; some entries pruned (0, 1e-16 or the
+    threshold), some rows 1e-12 short of one, and every row no path reaches
+    all zero, as ``_expand`` leaves them."""
+    tables, reached = [], np.ones(1, dtype=bool)
+    for n in rng.integers(2, 7, size=rng.integers(1, 5)):
+        table = rng.random((reached.size, n)) * (rng.random((reached.size, n)) < 0.7)
+        table[np.arange(reached.size), rng.integers(0, n, reached.size)] += 0.5
+        short = np.where(rng.random(reached.size) < 0.5, 1e-12, 0.0)
+        table *= ((1.0 - short) / table.sum(axis=1))[:, None]
+        tiny = (table == 0.0) & (rng.random(table.shape) < 0.5)
+        table[tiny] = rng.choice([1e-16, PRUNED], size=tiny.sum())
+        table[~reached] = 0.0
+        tables.append(table)
+        reached = (table > PRUNED).ravel()
+    return tables
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_depth_pass_equals_the_grouped_walk_on_random_tables(seed):
+    rng = np.random.default_rng(seed)
+    tables = _random_tables(rng)
+    runs = 4000
+    u = rng.random((runs, len(tables)))
+    for d, table in enumerate(tables):
+        pool = np.concatenate([_boundary_uniforms(row) for row in table])
+        hit = rng.random(runs) < 0.5
+        u[hit, d] = rng.choice(pool, size=hit.sum())
+    got = dynamics._sample_paths(tables, u)
+    want = reference.grouped_sample_paths(tables, u)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.all(np.prod([table.shape[1] for table in tables]) > got)
+    for r in range(0, runs, 97):
+        assert int(dynamics._sample_paths(tables, u[r:r + 1])[0]) == want[r]
+
+
 # -- outcome tree --------------------------------------------------------------------
 
 FIGURE = Path(__file__).resolve().parents[1] / "scenarios" / "figure.json"
@@ -477,6 +555,20 @@ def test_outcome_tree_applies_each_live_prefix_once(monkeypatch):
     )
     assert sum(p > 0.0 for p in tree.analytic) == tree.chain_rule_checked == 8
     assert len(calls) == 36
+
+
+def test_one_stage_tree_checks_its_joints_without_re_applying(monkeypatch):
+    """An EPR tree is one stage of four candidates: expansion applies each
+    once, and a one-stage path's joint is that probability, so the check
+    applies none (re-applying them made 8 applications in all)."""
+    setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(30.0))
+    calls = _counting_applications(monkeypatch)
+    tree = sample_outcome_tree(setup.history, [setup.alternatives], 100, 0)
+    assert len(calls) == 4
+    assert (tree.chain_rule_checked, tree.chain_rule_max_dev) == (4, 0.0)
+    assert reference.naive_chain_rule(
+        setup.state, [setup.alternatives], tree.paths, tree.analytic
+    ) == (4, 0.0)
 
 
 def test_outcome_tree_prunes_zero_probability_subtrees():

@@ -25,7 +25,7 @@ from conftest import (
     unit_factor,
     zero_branch_scenario,
 )
-from eventweave import cli, dynamics, tensors, thermal
+from eventweave import cells, cli, dynamics, tensors, thermal
 from eventweave.dynamics import AlternativeSet, CandidateEvent
 from eventweave.errors import NotExhaustive
 from eventweave.graph import vector_from_dict, vector_to_dict
@@ -604,6 +604,31 @@ def test_cells_rejects_zero_sites(capsys):
     code, _, err = run_cli(capsys, "cells", "--sites", "0")
     assert code == 2
     assert "sites" in err
+
+
+def test_repeated_calls_in_one_process_start_from_the_defaults(capsys):
+    """One parser serves every call: no value of one call leaks into the next."""
+    def config(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        return json.loads(out)["config"]
+
+    assert config("epr", "--theta", "30", "--runs", "100")["theta"] == 30.0
+    assert config("epr", "--runs", "100")["theta"] == 90.0
+    swept = config("cells", "--sites", "1024", "--cells", "8,16")
+    assert swept["cells"] == [8, 16]
+    code, out, _ = run_cli(capsys, "cells", "--sites", "1024")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["cells"] is None
+    assert len(report["results"]["rows"]) == len(cells.DEFAULT_SWEEP_CELLS)
+    code, _, err = run_cli(capsys, "epr", "--theta", "30", "--runs", "many")
+    assert code == 2 and "--runs" in err
+    assert config("epr", "--runs", "100") == {
+        "command": "epr", "format": "json", "out": None, "replicas": 1,
+        "runs": 100, "seed": 0, "theta": 90.0,
+    }
+    assert cli.build_parser() is cli.build_parser()
 
 
 # -- determinism ----------------------------------------------------------------------------
