@@ -43,8 +43,8 @@ MAX_SIGMA_FRACTION = 1.0 / 40.0
 #: sup-norm residual above which the two momentum diagonals do not match
 MATCH_TOL = 1e-8
 
-#: largest grid whose dense (sites x sites) packet and density matrices
-#: :func:`packet_mixture_density` builds; at 4096 sites each takes 268 MB
+#: largest grid whose dense (sites x sites) :attr:`MomentumDensity.matrix`
+#: is built; at 4096 sites it takes 268 MB
 MAX_DENSE_SITES = 4096
 
 
@@ -61,22 +61,52 @@ class LatticeModel:
         _positive_finite("beta", self.beta)
 
 
-@dataclass
 class MomentumDensity:
-    """Diagonal weights over the lattice momenta; ``matrix is None`` means
-    the density is exactly diagonal by construction."""
+    """Diagonal weights over the lattice momenta, and the off-diagonals in
+    factored form.
 
-    diagonal: np.ndarray
-    matrix: np.ndarray | None = None
+    A packet mixture keeps its momentum-space site-0 ``packet``, the
+    translation factor ``shift`` (entry ``(i, j)`` carries
+    ``shift[(i - j) % n]``) and the ``(times, n)`` free-evolution ``phases``;
+    with no ``packet`` the density is exactly diagonal.  The dense
+    :attr:`matrix` is built from them on first read.
+    """
+
+    def __init__(self, diagonal: np.ndarray, packet=None, shift=None, phases=None):
+        self.diagonal = diagonal
+        self.packet, self.shift, self.phases = packet, shift, phases
+        self._matrix = None
 
     def trace(self) -> float:
         return float(self.diagonal.sum())
 
     def max_offdiagonal(self) -> float:
-        if self.matrix is None:
+        """``max |shift[k != 0]| * max |packet|^2``, a bound on every
+        off-diagonal modulus; exactly 0 for a family at every site, whose
+        shift vanishes off ``k = 0``."""
+        if self.packet is None:
             return 0.0
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return float(np.max(np.abs(off)))
+        peak = np.max(self.packet.real**2 + self.packet.imag**2)
+        return float(np.max(np.abs(self.shift[1:])) * peak)
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        """Dense (sites x sites) density, ``None`` when exactly diagonal;
+        ``ValueError`` above :data:`MAX_DENSE_SITES` sites."""
+        n = self.diagonal.size
+        if self.packet is None or self._matrix is not None:
+            return self._matrix
+        if n > MAX_DENSE_SITES:
+            raise ValueError(f"{n} sites need a dense {n} x {n} matrix; "
+                             f"at most MAX_DENSE_SITES = {MAX_DENSE_SITES} fit")
+        waves = self.packet * self.phases
+        rho = sum(np.multiply.outer(w, w.conj()) for w in waves) / len(waves)
+        sites = np.arange(n)
+        rho *= self.shift[np.subtract.outer(sites, sites) % n]
+        # the report's diagonal, bit for bit
+        np.fill_diagonal(rho, self.diagonal)
+        self._matrix = rho
+        return rho
 
 
 @dataclass(frozen=True)
@@ -108,15 +138,15 @@ def gaussian_packet(model: LatticeModel, center: float, sigma: float) -> np.ndar
     """Unit-norm minimal packet at ``center``, periodic minimum-image."""
     _positive_finite("sigma", sigma)
     d = model.grid.displacements(center)
-    psi = np.exp(-(d**2) / (4.0 * sigma**2)).astype(np.complex128)
-    return psi / np.linalg.norm(psi)
+    psi = np.exp(-(d**2) / (4.0 * sigma**2))
+    return (psi / np.sqrt(np.sum(psi**2))).astype(np.complex128)
 
 
 def thermal_density(model: LatticeModel) -> MomentumDensity:
     """Normalized ``exp(-beta p^2/2m)`` diagonal; off-diagonals exactly 0."""
     p = model.grid.momenta()
     w = np.exp(-model.beta * p**2 / (2.0 * model.mass))
-    return MomentumDensity(diagonal=w / w.sum(), matrix=None)
+    return MomentumDensity(w / w.sum())
 
 
 def packet_mixture_density(
@@ -124,25 +154,32 @@ def packet_mixture_density(
 ) -> MomentumDensity:
     """Average of momentum-space projectors over the packet family.
 
-    Each packet, freely evolved to its family time, is one row of a matrix
-    ``Phi``; the average is ``Phi^T conj(Phi) / count``, whose summation
-    order is BLAS's, so entries may differ from a projector-by-projector
-    sum in their last bits.  Raises ``ValueError`` before building ``Phi``
-    for a grid of more than :data:`MAX_DENSE_SITES` sites.
+    A packet at site j is the site-0 packet shifted by j sites, so
+    ``phi_j(p) = phi_0(p) e^{-i p x_j / hbar}``, and at time t it gains
+    ``e^{-i t omega(p)}``.  The average is therefore
+    ``phi_0(p) conj(phi_0(p')) S(p - p') T(p, p')``: S is the FFT of the
+    centers' site histogram over their count, T the mean over times of the
+    phase ``e^{-i t (omega(p) - omega(p'))}``.  One packet, its transform
+    and the histogram's transform build it; the diagonal
+    ``mean_t |phi_0 e^{-i t omega}|^2 S(0)`` costs O(sites x times), and
+    nothing on the way calls BLAS.  A center that is not one of
+    ``grid.positions()`` has no such structure and raises ``ValueError``.
     """
     grid = model.grid
     n = grid.n_points
-    if n > MAX_DENSE_SITES:
-        raise ValueError(f"{n} sites need dense {n} x {n} matrices; "
-                         f"at most MAX_DENSE_SITES = {MAX_DENSE_SITES} fit")
-    p = grid.momenta()
-    kinetic_phase_rate = p**2 / (2.0 * model.mass * grid.hbar)
-    phi = np.array([grid.to_momentum(gaussian_packet(model, c, family.sigma))
-                    for c in family.centers])
+    sites = grid.positions()
+    centers = np.array(family.centers)
+    index = np.minimum(np.searchsorted(sites, centers), n - 1)
+    if not np.array_equal(sites[index], centers):
+        off = centers[sites[index] != centers][0]
+        raise ValueError(f"packet center {off} is not a lattice site")
+    shift = np.fft.fft(np.bincount(index, minlength=n)) / len(centers)
+    kinetic_phase_rate = grid.momenta()**2 / (2.0 * model.mass * grid.hbar)
+    packet = grid.to_momentum(gaussian_packet(model, 0.0, family.sigma))
     phases = np.exp(-1j * np.multiply.outer(family.times, kinetic_phase_rate))
-    phi = (phi[:, None, :] * phases).reshape(-1, n)
-    rho = phi.T @ phi.conj() / len(phi)
-    return MomentumDensity(diagonal=rho.diagonal().real.copy(), matrix=rho)
+    waves = packet * phases
+    diagonal = np.mean(waves.real**2 + waves.imag**2, axis=0) * shift[0].real
+    return MomentumDensity(diagonal, packet, shift, phases)
 
 
 def matching_sigma(model: LatticeModel) -> float:

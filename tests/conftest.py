@@ -37,6 +37,20 @@ def recording_states_and_draws(monkeypatch) -> list:
     return calls
 
 
+def counting_transforms(monkeypatch) -> list:
+    """Every ``np.fft.fft`` and ``np.fft.ifft`` call the package makes, by name."""
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
 def bell_pair(a_id: str, b_id: str) -> LabeledVector:
     return LabeledVector(
         [FactorLabel(a_id, SPIN), FactorLabel(b_id, SPIN)],

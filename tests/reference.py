@@ -460,3 +460,19 @@ def naive_packet_mixture_density(model, family):
             rho += np.multiply.outer(phi, np.conj(phi))
             count += 1
     return rho / count
+
+
+def dense_packet_mixture_density(model, family):
+    """Mixture matrix as one dense product: each (center, time) packet is a
+    row of ``Phi`` and the average is ``Phi^T conj(Phi) / rows``."""
+    from eventweave import thermal
+
+    grid = model.grid
+    n = grid.n_points
+    p = grid.momenta()
+    kinetic_phase_rate = p**2 / (2.0 * model.mass * grid.hbar)
+    phi = np.array([grid.to_momentum(thermal.gaussian_packet(model, c, family.sigma))
+                    for c in family.centers])
+    phases = np.exp(-1j * np.multiply.outer(family.times, kinetic_phase_rate))
+    phi = (phi[:, None, :] * phases).reshape(-1, n)
+    return phi.T @ phi.conj() / len(phi)

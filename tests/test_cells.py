@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import momentum_to_position, position_to_momentum
+from conftest import counting_transforms, momentum_to_position, position_to_momentum
 from eventweave import cells as cells_module
 from eventweave.cells import (
     DEFAULT_SWEEP_CELLS,
@@ -488,20 +488,6 @@ def test_windowed_norms_are_zero_where_the_oracle_reads_zero(fraction):
     )
     assert 0 < np.count_nonzero(want) < 8
     assert_rows_match(norms2, want)
-
-
-def counting_transforms(monkeypatch) -> list:
-    """Every ``np.fft`` call the cells module makes, by name."""
-    calls = []
-    for name in ("fft", "ifft"):
-        original = getattr(np.fft, name)
-
-        def counting(*args, name=name, original=original, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counting)
-    return calls
 
 
 def test_sweep_transforms_per_width_do_not_grow_with_the_cells(monkeypatch):

@@ -529,30 +529,67 @@ def test_thermal_builds_the_packet_mixture_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_thermal_refuses_grids_beyond_the_dense_cap(capsys, monkeypatch):
+def without_duration(report: str) -> str:
+    return "".join(ln for ln in report.splitlines(keepends=True)
+                   if not ln.lstrip().startswith('"duration_s":'))
+
+
+def test_thermal_dense_cap_bounds_only_the_matrix(capsys, monkeypatch):
+    code, unpatched, _ = run_cli(capsys, "thermal-ambiguity", "--sites", "128")
+    assert code == 0
     monkeypatch.setattr(thermal, "MAX_DENSE_SITES", 64)
     code, out, err = run_cli(capsys, "thermal-ambiguity", "--sites", "128")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "64" in err
-    code, _, _ = run_cli(capsys, "thermal-ambiguity", "--sites", "64")
-    assert code == 0
+    assert (code, err) == (0, "")
+    assert without_duration(out) == without_duration(unpatched)
+    model = thermal.matched_model(128, 1.0, 2.0, 1.0)
+    mixture = thermal.packet_mixture_density(
+        model, thermal.PacketFamily.every_site(model, thermal.matching_sigma(model))
+    )
+    with pytest.raises(ValueError, match="MAX_DENSE_SITES = 64"):
+        mixture.matrix
+
+
+# the child prints the BLAS kernel it loaded, then two thermal reports
+BLAS_CHILD = """
+import contextlib, io, json, runpy, sys
+from eventweave import cli
+print(runpy.run_path(sys.argv[1])["build_fingerprint"]()[-1], flush=True)
+reports = []
+for argv in (["thermal-ambiguity", "--sites", "128", "--format", "csv"], ["thermal-ambiguity"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    reports.append(out.getvalue())
+print(json.dumps(reports))
+"""
 
 
 def test_thermal_report_does_not_depend_on_the_blas_thread_count():
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "eventweave.cli", "thermal-ambiguity",
-             "--sites", "128", "--format", "csv"],
-            env=env, capture_output=True, check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    """Native and two forced OpenBLAS kernels, each at 1 and 2 threads; a
+    forced kernel the CPU cannot run (the child's header does not name it)
+    is left out."""
+    runs = {}
+    for core in (None, "Nehalem", "Haswell"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", BLAS_CHILD, str(REPO / "tools" / "report_digests.py")],
+                env=env, capture_output=True, text=True,
+            )
+            header, _, reports = proc.stdout.partition("\n")
+            if core and header != f"# blas {core}":
+                break
+            assert proc.returncode == 0, proc.stderr
+            runs[core, threads] = [without_duration(r) for r in json.loads(reports)]
+    native = runs.pop((None, "1"))
+    for key, reports in runs.items():
+        assert reports == native, f"{key} differs from the native one-thread run"
 
 
 def test_thermal_rejects_nonpositive_sites(capsys):

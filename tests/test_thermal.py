@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import packet_overlap
+from conftest import counting_transforms, packet_overlap
 from eventweave.cells import MomentumGrid
 from eventweave.errors import NoMatch
 from eventweave.thermal import (
@@ -236,3 +236,54 @@ def test_mixture_matrix_matches_the_projector_loop():
     want = reference.naive_packet_mixture_density(model, family)
     assert np.max(np.abs(got.matrix - want)) < 1e-15
     assert np.array_equal(got.diagonal, got.matrix.diagonal().real)
+
+
+THREE_TIMES = (0.0, 0.7, 1.9)
+
+
+@pytest.mark.parametrize("n_sites, times", [
+    (64, (0.0,)), (64, THREE_TIMES), (256, (0.0,)), (256, THREE_TIMES), (1024, (0.0,)),
+])
+def test_structured_mixture_matches_the_dense_product(n_sites, times):
+    model = natural_model(n_sites=n_sites)
+    family = PacketFamily.every_site(model, matching_sigma(model), times=times)
+    got = packet_mixture_density(model, family)
+    want = reference.dense_packet_mixture_density(model, family)
+    assert np.max(np.abs(got.diagonal - want.diagonal().real)) < 1e-15
+    assert np.max(np.abs(got.matrix - want)) < 1e-15
+
+
+@pytest.mark.parametrize("times", [(0.0,), THREE_TIMES])
+def test_a_site_subset_family_matches_the_dense_product(times):
+    """Every other site plus one repeated site: the shift factor no longer
+    vanishes off k = 0, and ``max_offdiagonal`` bounds what the product holds."""
+    model = natural_model(n_sites=256)
+    sites = model.grid.positions()
+    family = PacketFamily(matching_sigma(model), (*sites[::2], sites[5]), times)
+    got = packet_mixture_density(model, family)
+    want = reference.dense_packet_mixture_density(model, family)
+    assert np.max(np.abs(got.diagonal - want.diagonal().real)) < 1e-15
+    assert np.max(np.abs(got.matrix - want)) < 1e-15
+    off = np.max(np.abs(want - np.diag(np.diag(want))))
+    assert off > 1e-4
+    assert got.max_offdiagonal() >= off - 1e-16
+
+
+def test_a_center_off_the_lattice_is_refused():
+    model = natural_model(n_sites=64)
+    sites = model.grid.positions()
+    off = 0.5 * (sites[3] + sites[4])
+    for centers in ((sites[0], off), (-sites[1],), (model.grid.box_length,)):
+        with pytest.raises(ValueError, match="is not a lattice site"):
+            packet_mixture_density(model, PacketFamily(1.0, centers))
+
+
+def test_mixture_transforms_do_not_grow_with_the_sites(monkeypatch):
+    calls = counting_transforms(monkeypatch)
+    counts = []
+    for n_sites in (128, 256):
+        calls.clear()
+        model = natural_model(n_sites=n_sites)
+        packet_mixture_density(model, PacketFamily.every_site(model, matching_sigma(model)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2

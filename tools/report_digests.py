@@ -62,6 +62,7 @@ MATRIX: list[list[str]] = [
      "--hbar", "1", "--box", "30"],
     ["thermal-ambiguity", "--sites", "128", "--beta", "2", "--mass", "1",
      "--hbar", "1", "--format", "json"],
+    ["thermal-ambiguity", "--sites", "65536", "--format", "json"],
 ]
 
 
@@ -70,10 +71,10 @@ def build_fingerprint() -> list[str]:
 
     ``np.exp`` and the FFTs have per-SIMD code paths, so reports are
     bit-identical only within one numpy build on one set of CPU features.
-    The lattice reports also reduce through BLAS (``np.correlate``, the
-    thermal mixture product), whose kernel OpenBLAS picks at load time and
-    ``OPENBLAS_CORETYPE`` overrides; numpy's bundled OpenBLAS names it, and a
-    build without that symbol prints ``unknown``.
+    The ``cells`` reports also reduce through BLAS (``np.correlate``), whose
+    kernel OpenBLAS picks at load time and ``OPENBLAS_CORETYPE`` overrides;
+    numpy's bundled OpenBLAS names it, and a build without that symbol prints
+    ``unknown``.
     """
     try:
         from numpy._core import _multiarray_umath as umath
