@@ -24,6 +24,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -74,7 +75,7 @@ def _outcome_keys():
     return [f"p_{n.replace('+', 'p').replace('-', 'm')}" for n in epr.OUTCOME_PAIRS]
 
 
-def cmd_epr(args) -> tuple[dict, list, list]:
+def cmd_epr(args) -> tuple[dict, list, Iterator[list]]:
     if not 0.0 <= args.theta <= 180.0:
         raise UsageError(f"theta must be in [0, 180], got {args.theta}")
     setup = epr.build_epr(
@@ -110,14 +111,14 @@ def cmd_epr(args) -> tuple[dict, list, list]:
         "within_three_sigma": within,
     }
     header = ["outcome", "analytic", "empirical"]
-    rows = [
+    rows = (
         [n, repr(float(a)), repr(float(e))]
         for n, a, e in zip(epr.OUTCOME_PAIRS, analytic, pooled)
-    ]
+    )
     return results, header, rows
 
 
-def cmd_chsh(args) -> tuple[dict, list, list]:
+def cmd_chsh(args) -> tuple[dict, list, Iterator[list]]:
     angles = (args.a, args.ap, args.b, args.bp)
     for flag, value in zip(("--a", "--ap", "--b", "--bp"), angles):
         if not math.isfinite(value):
@@ -133,11 +134,11 @@ def cmd_chsh(args) -> tuple[dict, list, list]:
         "tsirelson_bound": epr.TSIRELSON_BOUND,
     }
     header = ["quantity", "value"]
-    rows = [[k, repr(v)] for k, v in results.items()]
+    rows = ([k, repr(v)] for k, v in results.items())
     return results, header, rows
 
 
-def cmd_simulate(args) -> tuple[dict, list, list]:
+def cmd_simulate(args) -> tuple[dict, list, Iterator[list]]:
     scenario = load_scenario(args.scenario)
     stages = [stage.alternatives for stage in scenario.stages]
     history = scenario.build_history()
@@ -168,14 +169,14 @@ def cmd_simulate(args) -> tuple[dict, list, list]:
         "sample_history": sample_history,
     }
     header = ["outcomes", "analytic", "empirical"]
-    rows = [
+    rows = (
         ["/".join(p["outcomes"]), repr(p["analytic"]), repr(p["empirical"])]
         for p in results["paths"]
-    ]
+    )
     return results, header, rows
 
 
-def cmd_thermal(args) -> tuple[dict, list, list]:
+def cmd_thermal(args) -> tuple[dict, list, Iterator[list]]:
     model = thermal.matched_model(args.sites, args.mass, args.beta, args.hbar,
                                   args.box or None)
     match = thermal.matching_width(model)
@@ -192,14 +193,14 @@ def cmd_thermal(args) -> tuple[dict, list, list]:
         "trace_mixture": mixture.trace(),
     }
     header = ["p", "thermal", "mixture"]
-    rows = [
+    rows = (
         [repr(float(p)), repr(float(t)), repr(float(m))]
         for p, t, m in zip(model.grid.momenta(), thermal_d.diagonal, mixture.diagonal)
-    ]
+    )
     return results, header, rows
 
 
-def cmd_cells(args) -> tuple[dict, list, list]:
+def cmd_cells(args) -> tuple[dict, list, Iterator[list]]:
     if args.cell_width:
         counts = []
         for w in args.cell_width:
@@ -232,11 +233,11 @@ def cmd_cells(args) -> tuple[dict, list, list]:
         ],
     }
     header = ["a", "delta_p", "delta_p_a_over_h", "coherence_defect"]
-    rows = [
+    rows = (
         [repr(pt.cell_width), repr(pt.delta_p), repr(pt.product_over_h),
          repr(pt.coherence_defect)]
         for pt in sweep.points
-    ]
+    )
     return results, header, rows
 
 
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report: dict, header: list, rows: list) -> None:
+def _emit(args, report: dict, header: list, rows: Iterator[list]) -> None:
+    """Write the report: ``rows`` are formatted only for a CSV one."""
     if args.format == "json":
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:

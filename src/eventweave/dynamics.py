@@ -69,10 +69,11 @@ class CutState:
     the global phase of the numbers an event left without labels.
     ``merged`` keeps each product of several components a bra has spanned,
     keyed by their positions, since an alternative set's candidates
-    usually all span the same ones.  ``history`` is the live history the
-    state was cut from and ``emitted`` the link ids that events applied
-    since the cut emitted: together they hold every link id a candidate's
-    ket may not reuse.
+    usually all span the same ones, and ``probabilities`` each candidate's
+    probability on this state, keyed by ``id`` beside the candidate itself.
+    ``history`` is the live history the state was cut from and ``emitted``
+    the link ids that events applied since the cut emitted: together they
+    hold every link id a candidate's ket may not reuse.
     """
 
     components: tuple[LabeledVector, ...]
@@ -80,6 +81,9 @@ class CutState:
     emitted: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     merged: dict[tuple[int, ...], LabeledVector] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    probabilities: dict[int, tuple[CandidateEvent, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -138,9 +142,14 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
     other forward links.  Each component is renormalized on its own.  The
     state keeps a reference to ``history``, so its candidates are refused
     with :class:`LabelCollision` for every link id the history uses, also
-    ids that events realized after this call add.
+    ids that events realized after this call add.  The frontier state
+    (``cut=None``) is built once per admission: the history keeps it, and
+    every call until its next admission returns that one object.
     """
-    if cut is None:
+    frontier = cut is None
+    if frontier:
+        if history._frontier_state is not None:
+            return history._frontier_state
         cut = history.frontier_cut()
     elif not isinstance(cut, Cut):
         cut = Cut.of(cut)
@@ -159,7 +168,10 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
         raise ZeroProbabilityEvent(
             f"cut state has squared norm {total!r}; this past never happens"
         )
-    return CutState(tuple(_unit(vec, t) for vec, t in zip(components, totals)), history)
+    state = CutState(tuple(_unit(vec, t) for vec, t in zip(components, totals)), history)
+    if frontier:
+        history._frontier_state = state
+    return state
 
 
 def _unit(vec: LabeledVector, total: float | None = None) -> LabeledVector:
@@ -210,8 +222,18 @@ def _replaced(state: CutState, touched: list[int], new: Iterable[LabeledVector],
 
 
 def event_probability(state: CutState, cand: CandidateEvent) -> float:
-    """Squared norm of the candidate's operator applied to the state."""
-    return _apply(state, cand)[2].squared_norm()
+    """Squared norm of the candidate's operator applied to the state.
+
+    It is computed once per state and candidate and kept on the state; the
+    used-link check runs on every call, since the state's history may have
+    used the ket's links since."""
+    kept = state.probabilities.get(id(cand))
+    if kept is not None and kept[0] is cand:
+        state.history.refuse_used(cand.ket.label_ids, state.emitted)
+        return kept[1]
+    p = _apply(state, cand)[2].squared_norm()
+    state.probabilities[id(cand)] = (cand, p)
+    return p
 
 
 def joint_probability(state: CutState, cands: Sequence[CandidateEvent]) -> float:
@@ -345,7 +367,9 @@ def realize(
     history already uses, and :class:`ZeroProbabilityEvent` when its
     probability on the frontier state vanishes; otherwise the consumed links
     become established and the candidate's ket labels become fresh free
-    links.  Returns the new event id.
+    links.  Returns the new event id.  The frontier state and the
+    candidate's probability on it are the ones a draw on ``cut_state(history)``
+    already computed, if one did.
     """
     if cut is not None:
         cut = cut if isinstance(cut, Cut) else Cut.of(cut)

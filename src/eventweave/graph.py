@@ -112,7 +112,9 @@ class History:
     Records are immutable; :meth:`snapshot` returns a cheap copy that is
     safe to read from other threads while this instance keeps growing.
     The frontier's open links are kept as events are admitted, so frontier
-    queries read them instead of walking every event and link.
+    queries read them instead of walking every event and link; the frontier
+    cut, and the state :func:`eventweave.dynamics.cut_state` builds on it,
+    are kept until the next admission.
     """
 
     def __init__(self):
@@ -121,6 +123,7 @@ class History:
         self._counter = 0
         self._open: dict[str, None] = {}  # free link ids, in creation order
         self._frontier: Cut | None = None  # cached frontier_cut()
+        self._frontier_state = None  # cached dynamics.cut_state(self)
 
     # -- construction --------------------------------------------------------
 
@@ -195,7 +198,7 @@ class History:
         for lab in ket.labels:
             self.links[lab.link_id] = LinkRecord(lab.link_id, lab.space, source=eid)
             self._open[lab.link_id] = None
-        self._frontier = None
+        self._frontier = self._frontier_state = None
         self.events[eid] = EventRecord(
             eid, consumed, emitted, ket, amplitude=complex(c), bra=bra, region=region
         )
@@ -273,6 +276,7 @@ class History:
         h._counter = self._counter
         h._open = dict(self._open)
         h._frontier = self._frontier
+        h._frontier_state = None  # a state's .history is the history it was cut from
         return h
 
     def to_dict(self) -> dict:
@@ -419,7 +423,7 @@ def vector_to_dict(vec: LabeledVector) -> dict:
             {"link": lab.link_id, "space": lab.space.name, "dim": lab.space.dim}
             for lab in vec.labels
         ],
-        "amps": [[a.real, a.imag] for a in vec.amps],
+        "amps": vec.amps.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 

@@ -283,6 +283,42 @@ def naive_chain_rule(root, stages, paths, analytic):
     return checked, max_dev
 
 
+def naive_grow(initial, steps, rng):
+    """``(history, outcomes)`` of a history grown one drawn event per step.
+
+    ``initial`` are the source vectors (event ids ``src0``, ``src1``, ...)
+    and each of ``steps`` an alternative set on the frontier.  This is the
+    loop ``realize`` ran before the frontier state was kept: every step
+    cuts a fresh state of every event, draws one candidate by
+    :func:`searchsorted_draw` with one ``rng.random()``, then cuts another
+    fresh state and applies the drawn candidate again to gate its
+    admission.  A cut passed explicitly is never the kept frontier state.
+    """
+    from eventweave import dynamics
+    from eventweave.graph import History
+
+    def probability(state, cand):
+        return dynamics._apply(state, cand)[2].squared_norm()
+
+    history = History()
+    for c, vec in enumerate(initial):
+        history.add_initial_event(vec, event_id=f"src{c}")
+    outcomes = []
+    for alts in steps:
+        state = dynamics.cut_state(history, history.frontier_cut())
+        probs = np.array([probability(state, cand) for cand in alts.candidates])
+        if abs(probs.sum() - 1.0) > dynamics.EXHAUSTIVE_TOL:
+            raise dynamics.NotExhaustive(float(probs.sum()), dynamics.EXHAUSTIVE_TOL)
+        idx = int(searchsorted_draw(probs, rng.random()))
+        cand = alts.candidates[idx]
+        p = probability(dynamics.cut_state(history, history.frontier_cut()), cand)
+        if p <= dynamics.ZERO_PROBABILITY_EPS:
+            raise dynamics.ZeroProbabilityEvent(f"candidate has probability {p!r}")
+        history.add_interior_event(cand.bra, cand.c, cand.ket, region=cand.region)
+        outcomes.append(idx)
+    return history, outcomes
+
+
 # -- lattice loops (one cell, one offset, one packet at a time) ----------------
 
 

@@ -54,6 +54,7 @@ from eventweave.tensors import (
     FactorLabel,
     LabeledVector,
     ProductBra,
+    SpaceType,
     random_unit_vector,
     tensor_product,
 )
@@ -754,12 +755,19 @@ def test_a_ket_re_emitting_a_consumed_link_gets_no_probability(call):
 
 
 def test_a_state_refuses_link_ids_realized_after_it_was_cut():
-    h = generic_figure()
-    state = cut_state(h)
-    realize(h, None, _spin_candidate("alpha", [1.0, 0.0], unit_factor("a1", [1.0], POINTER)))
+    """Also when the state already holds the candidate's probability: the
+    used-link check runs on every call, not only on the first."""
     late = _spin_candidate("beta", [0.0, 1.0], unit_factor("a1", [1.0], POINTER))
-    with pytest.raises(LabelCollision, match=r"^link ids already used: \['a1'\]$"):
-        event_probability(state, late)
+    for evaluate_first in (False, True):
+        h = generic_figure()
+        state = cut_state(h)
+        if evaluate_first:
+            assert event_probability(state, late) == pytest.approx(0.5)
+            assert state.probabilities[id(late)][0] is late
+        realize(h, None, _spin_candidate("alpha", [1.0, 0.0],
+                                         unit_factor("a1", [1.0], POINTER)))
+        with pytest.raises(LabelCollision, match=r"^link ids already used: \['a1'\]$"):
+            event_probability(state, late)
 
 
 def test_chained_states_refuse_a_link_emitted_since_the_cut():
@@ -821,6 +829,117 @@ def test_the_state_refuses_a_used_link_id_exactly_when_history_does(rng):
         refused += bool(reuse)
         admitted += not reuse
     assert refused > 10 and admitted > 10
+
+
+# -- one frontier state per admission ------------------------------------------------
+
+
+def test_the_frontier_state_is_kept_until_the_next_admission():
+    h = generic_figure()
+    e4, _ = figure_outcome_candidates()
+    state = cut_state(h)
+    assert cut_state(h) is state and cut_state(h, None) is state
+    assert cut_state(h, h.frontier_cut()) is not state  # an explicit cut builds anew
+    realize(h, None, e4)
+    after = cut_state(h)
+    assert after is not state and cut_state(h) is after
+    h.add_initial_event(unit_factor("fresh", [1.0, 0.0]))
+    assert cut_state(h) is not after and "fresh" in cut_state(h).index
+
+
+def test_a_snapshot_cuts_its_own_frontier_state():
+    h = generic_figure()
+    state = cut_state(h)
+    snap = h.snapshot()
+    own = cut_state(snap)
+    assert own is not state and own.history is snap and state.history is h
+    assert cut_state(h) is state and cut_state(snap) is own
+    assert [v.labels for v in own.components] == [v.labels for v in state.components]
+
+
+def _qubit_chains(seed: int, events: int, chains: int = 4):
+    """``(initial, steps)``: ``chains`` seeded qubit chains, each step a
+    two-outcome measurement of one chain's head in a random basis."""
+    rng = np.random.default_rng(seed)
+    qubit = SpaceType("qubit", 2)
+
+    def vec(link, amps=None):
+        if amps is None:
+            return random_unit_vector([FactorLabel(link, qubit)], rng)
+        return LabeledVector([FactorLabel(link, qubit)], amps)
+
+    initial = [vec(f"c{c}_000") for c in range(chains)]
+    steps, heads = [], [0] * chains
+    for k in range(events):
+        c = k % chains
+        link, heads[c] = f"c{c}_{heads[c]:03d}", heads[c] + 1
+        basis, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        steps.append(AlternativeSet([
+            CandidateEvent(bra=ProductBra([vec(link, basis[:, j])]), c=1.0,
+                           ket=vec(f"c{c}_{heads[c]:03d}"), name=f"s{k}o{j}")
+            for j in range(2)
+        ]))
+    return initial, steps
+
+
+def _grow(initial, steps, rng):
+    """The library's growth loop: cut the frontier, draw, realize."""
+    h = History()
+    for c, vec in enumerate(initial):
+        h.add_initial_event(vec, event_id=f"src{c}")
+    outcomes = []
+    for alts in steps:
+        idx = sample_extension(cut_state(h), alts, rng)
+        realize(h, None, alts.candidates[idx])
+        outcomes.append(idx)
+    return h, outcomes
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_growth_equals_the_loop_that_cut_every_state_afresh(seed):
+    """The kept state and probabilities change no bit: the grown history's
+    JSON and the drawn outcomes equal those of fresh states and a
+    re-applied candidate at every step."""
+    initial, steps = _qubit_chains(seed, 60)
+    h, outcomes = _grow(initial, steps, dynamics.replica_rng(seed))
+    want, want_outcomes = reference.naive_grow(initial, steps, dynamics.replica_rng(seed))
+    assert outcomes == want_outcomes and 0 < sum(outcomes) < len(steps)
+    assert h.to_json() == want.to_json()
+
+
+def _growth_work(monkeypatch, events: int) -> tuple[float, float]:
+    """``(operator applications per candidate, states built per step)`` of
+    growing seeded two-outcome chains by ``events`` admissions."""
+    counts = {"apply": 0, "build": 0}
+    apply, build = dynamics._apply, dynamics.CutState
+
+    def counting_apply(*args):
+        counts["apply"] += 1
+        return apply(*args)
+
+    def counting_build(*args, **kwargs):
+        counts["build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_apply", counting_apply)
+    monkeypatch.setattr(dynamics, "CutState", counting_build)
+    initial, steps = _qubit_chains(7, events)
+    _, outcomes = _grow(initial, steps, dynamics.replica_rng(7))
+    monkeypatch.undo()
+    assert len(outcomes) == events
+    candidates = sum(len(alts.candidates) for alts in steps)
+    return counts["apply"] / candidates, counts["build"] / events
+
+
+def test_growth_applies_each_candidate_once_and_cuts_one_state_per_step(monkeypatch):
+    """A growth step draws on one frontier state and admits the drawn
+    candidate with the probability the draw computed: at most one
+    application per candidate and one state per step, at N and 2N events.
+    Re-cutting and re-applying in ``realize`` made 1.5 and 2."""
+    small, large = _growth_work(monkeypatch, 40), _growth_work(monkeypatch, 80)
+    for per_candidate, per_step in (small, large):
+        assert per_candidate <= 1.0 and per_step <= 1.0
+    assert large[0] <= small[0] and large[1] <= small[1]
 
 
 # -- structural probability properties ----------------------------------------------

@@ -613,6 +613,32 @@ def test_thermal_csv_diagonals(tmp_path, capsys):
     assert np.max(np.abs(thermal_col - mixture_col)) < 1e-8
 
 
+_SMALL_REPORTS = {
+    "epr": ["epr", "--runs", "100"],
+    "chsh": ["chsh"],
+    "simulate": ["simulate", str(FIGURE), "--runs", "100"],
+    "thermal-ambiguity": ["thermal-ambiguity", "--sites", "64"],
+    "cells": ["cells", "--sites", "512", "--cells", "4,8"],
+}
+
+
+@pytest.mark.parametrize("argv", _SMALL_REPORTS.values(), ids=_SMALL_REPORTS.keys())
+def test_a_json_report_formats_no_csv_row(argv, capsys, monkeypatch):
+    """Each handler's rows are a generator that only the CSV writer runs."""
+    seen = []
+    emit = cli._emit
+
+    def recording(args, report, header, rows):
+        seen.append(rows)
+        emit(args, report, header, rows)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    for fmt in ("json", "csv"):
+        assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
+    left = [next(rows, None) for rows in seen]
+    assert left[0] is not None and left[1] is None
+
+
 # -- cells subcommand ---------------------------------------------------------------------
 
 

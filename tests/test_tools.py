@@ -73,5 +73,34 @@ def test_digest_header_names_the_blas_kernel():
     assert forced[:-1] == tool.build_fingerprint()[:-1]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reports_off_blas_match_the_recorded_digests_under_haswell(threads):
+    """Only the ``cells`` reports reduce through BLAS (``np.correlate``), so
+    under a forced Haswell kernel, at one thread or two, every other report
+    keeps its recorded digest."""
+    if platform.machine() != "x86_64":
+        pytest.skip(f"no OpenBLAS Haswell kernel on {platform.machine()}")
+    lines = (REPO / "tools" / "report_digests.txt").read_text().splitlines()
+    run = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "report_digests.py")],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+             "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": threads},
+        capture_output=True, text=True, cwd=REPO,
+    )
+    forced = run.stdout.splitlines()
+    header = [ln for ln in forced if ln.startswith("#")]
+    assert header, run.stderr
+    if header[-1:] != ["# blas Haswell"]:
+        pytest.skip(f"OpenBLAS did not load its Haswell kernel ({header[-1:]})")
+    if header[:-1] != [ln for ln in lines if ln.startswith("#")][:-1]:
+        pytest.skip(f"digests recorded on another numpy build or CPU than {header[:-1]}")
+    recorded, got = ([ln.split("  ", 1) for ln in out if not ln.startswith("#")]
+                     for out in (lines, forced))
+    assert [argv for _, argv in got] == [argv for _, argv in recorded]
+    moved = [argv for (digest, argv), (want, _) in zip(got, recorded)
+             if digest != want and not argv.startswith("cells ")]
+    assert not moved, f"{len(moved)} report(s) off BLAS moved under Haswell: {moved}"
+
+
 def test_every_exported_name_resolves():
     assert [name for name in eventweave.__all__ if not hasattr(eventweave, name)] == []
