@@ -29,7 +29,6 @@ from .tensors import (
     LabeledVector,
     ProductBra,
     SpaceType,
-    apply_event_operator,
     contract,
     tensor_product,
 )
@@ -46,7 +45,6 @@ from .dynamics import (
     realized_state,
     replica_rng,
     sample_extension,
-    sample_many,
     sample_outcome_tree,
 )
 
@@ -80,7 +78,6 @@ __all__ = [
     "UnknownEvent",
     "ZeroNormBranch",
     "ZeroProbabilityEvent",
-    "apply_event_operator",
     "contract",
     "cut_state",
     "event_probability",
@@ -89,7 +86,6 @@ __all__ = [
     "realized_state",
     "replica_rng",
     "sample_extension",
-    "sample_many",
     "sample_outcome_tree",
     "tensor_product",
 ]

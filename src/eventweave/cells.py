@@ -18,14 +18,16 @@ transform, with phase ``exp(-i p x / hbar)``.  The cell transforms
 dx`` over the offset ``q = P' - P``, the sign of the translates above.
 
 Kernels may be stored dense (fine up to ~1k grid points) or in separable
-``left(P') * right(P)`` form, which the wide sweeps use to stay out of
-quadratic memory.
+``left(P') * right(P)`` form.  :func:`cell_decompose` and
+:func:`branch_states` take either; the width sweep builds a separable
+kernel, which keeps it out of quadratic memory.
 
 The width sweep computes only what its report reads: each cell is a
 difference of one periodic cumulative sum of the Gaussian, each branch
 weight comes from a short transform over its own cell window (one batched
 FFT per width), and one correlation gives the kernel's offset weights for
-every width.  ``tests/reference.py`` keeps, as oracles, the
+every width.  The spread of the momentum balance is computed only there,
+for one branch per width.  ``tests/reference.py`` keeps, as oracles, the
 transform-based smoothing, the per-cell branch weights and a per-width
 driver that builds every branch through :func:`branch_states`.
 """
@@ -301,16 +303,10 @@ def cell_decompose(kernel: TKernel, cells: CellPartition) -> list[TKernel]:
 
 @dataclass
 class BranchState:
-    """Outgoing state confined to one cell, plus its generating data."""
+    """Outgoing state confined to one cell."""
 
     cell_index: int
     vector: np.ndarray
-    kernel: TKernel
-    cells: CellPartition
-
-    @property
-    def gk_hat(self) -> np.ndarray:
-        return self.cells.hat(self.cell_index)
 
     def squared_norm(self) -> float:
         return float(np.vdot(self.vector, self.vector).real)
@@ -324,25 +320,16 @@ class BranchDecomposition:
     psi_out: np.ndarray
 
 
-def _branch_vectors(kernel: TKernel, cells: CellPartition, psi, rows: slice):
-    """Branch vectors of the cells in ``rows``, one per row; a separable
-    kernel needs one forward and one batched inverse transform."""
+def _branch_vectors(kernel: TKernel, cells: CellPartition, psi):
+    """Branch vectors of every cell, one per row; a separable kernel needs
+    one forward and one batched inverse transform."""
     n = kernel.grid.n_points
     if kernel.is_separable:
         inner = np.fft.fft(kernel._right * psi)
         return kernel._left * (
-            kernel.grid.dx * n * np.fft.ifft(cells.functions[rows] * inner, axis=1)
+            kernel.grid.dx * n * np.fft.ifft(cells.functions * inner, axis=1)
         )
-    return np.array([_cell_kernel(kernel, cells, k) @ psi
-                     for k in range(cells.n_cells)[rows]])
-
-
-def single_branch(
-    kernel: TKernel, cells: CellPartition, k: int, psi_in: np.ndarray
-) -> BranchState:
-    """Branch state of one cell without building the others."""
-    (vec,) = _branch_vectors(kernel, cells, psi_in, slice(k, k + 1))
-    return BranchState(k, vec, kernel, cells)
+    return np.array([_cell_kernel(kernel, cells, k) @ psi for k in range(cells.n_cells)])
 
 
 def _probabilities_and_defect(
@@ -432,8 +419,8 @@ def branch_states(
     if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"incoming state has norm {nrm!r}; normalize it first")
     cells.validate()
-    vectors = _branch_vectors(kernel, cells, psi_in, slice(None))
-    branches = [BranchState(k, vec, kernel, cells) for k, vec in enumerate(vectors)]
+    vectors = _branch_vectors(kernel, cells, psi_in)
+    branches = [BranchState(k, vec) for k, vec in enumerate(vectors)]
     psi_out = vectors.sum(axis=0)
     probabilities, defect = _probabilities_and_defect(
         np.array([b.squared_norm() for b in branches]),
@@ -448,16 +435,11 @@ def branch_states(
 
 
 def _offset_weights(kernel: TKernel, psi_in) -> np.ndarray:
-    """Kernel weight ``sum_j |tau[j+m, j]|^2 |psi_j|^2`` of each index offset
-    ``m = -(n-1) .. n-1``: one correlation (separable kernel) or one
-    bincount over the offset matrix (dense)."""
-    n = kernel.grid.n_points
+    """Separable kernel's weight ``sum_j |tau[j+m, j]|^2 |psi_j|^2`` of each
+    index offset ``m = -(n-1) .. n-1``, as one correlation."""
     psi2 = np.abs(np.asarray(psi_in)) ** 2
-    if kernel.is_separable:
-        left2, right2 = np.abs(kernel._left) ** 2, np.abs(kernel._right) ** 2
-        return np.correlate(left2, right2 * psi2, "full")
-    tau2 = np.abs(kernel.matrix) ** 2 * psi2
-    return np.bincount((_offset_index_matrix(n) + n - 1).ravel(), tau2.ravel())
+    left2, right2 = np.abs(kernel._left) ** 2, np.abs(kernel._right) ** 2
+    return np.correlate(left2, right2 * psi2, "full")
 
 
 def _spread(
@@ -475,23 +457,6 @@ def _spread(
     mean = float((w * q).sum()) / w_total
     var = max(float((w * q * q).sum()) / w_total - mean * mean, 0.0)
     return math.sqrt(var)
-
-
-def momentum_balance_spread(branch: BranchState, psi_in: np.ndarray) -> float:
-    """Standard deviation of ``P_out - P_in`` for one branch.
-
-    The joint weight of a momentum pair is
-    ``|tau(P',P) ghat_k(P'-P) psi(P)|^2``; the spread is taken over the
-    transfer ``q = P' - P``.  Inputs should be concentrated away from the
-    grid edges, since offsets are aliased by the lattice period.
-    """
-    return _spread(
-        branch.kernel.grid,
-        branch.gk_hat,
-        _offset_weights(branch.kernel, psi_in),
-        branch.squared_norm(),
-        branch.cell_index,
-    )
 
 
 @dataclass(frozen=True)

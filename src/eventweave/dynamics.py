@@ -190,10 +190,10 @@ def _apply(
 
     ``psi`` is the tensor product of those components (one of them as is,
     several merged in order).  Returns their positions, the residual
-    ``c <bra|psi>`` and ``apply_event_operator``'s result ``|ket> (x)`` that
-    residual, whose squared norm is the candidate's probability.  A ket
-    that re-emits a used link id raises :class:`LabelCollision`, as
-    ``History`` would.
+    ``c <bra|psi>`` and the rank-1 operator ``c |ket><bra|`` applied,
+    ``|ket> (x)`` that residual, whose squared norm is the candidate's
+    probability.  A ket that re-emits a used link id raises
+    :class:`LabelCollision`, as ``History`` would.
     """
     index = state.index
     missing = [lid for lid in cand.bra.label_ids if lid not in index]
@@ -332,19 +332,11 @@ def sample_extension(
 
     ``rng`` may be an integer seed (a fresh PCG64 generator is built from
     it) or a live generator.  Exactly one uniform variate is consumed per
-    draw, so interleaving single draws and :func:`sample_many` on a shared
-    generator yields one reproducible stream.
+    draw, so successive draws on a shared generator read one reproducible
+    stream.
     """
     probs = alternative_probabilities(state, alts)
     return int(_draw(probs, _as_generator(rng).random()))
-
-
-def sample_many(
-    state: CutState, alts: AlternativeSet, n: int, rng: int | np.random.Generator
-) -> np.ndarray:
-    """Vector of ``n`` draws; stream-equivalent to ``n`` single draws."""
-    probs = alternative_probabilities(state, alts)
-    return _draw(probs, _as_generator(rng).random(n))
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:

@@ -20,14 +20,7 @@ from pathlib import Path
 
 from .dynamics import AlternativeSet, CandidateEvent
 from .errors import EventWeaveError
-from .graph import (
-    History,
-    Region,
-    region_from_dict,
-    region_to_dict,
-    vector_from_dict,
-    vector_to_dict,
-)
+from .graph import History, Region, region_from_dict, vector_from_dict
 from .tensors import LabeledVector, ProductBra
 
 SCHEMA_NAME = "eventweave-scenario/1"
@@ -174,35 +167,3 @@ def load_scenario(path: str | Path) -> Scenario:
     data = json.loads(text)
     return scenario_from_dict(data)
 
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Inverse of :func:`scenario_from_dict`, bit-exact on amplitudes."""
-    return {
-        "schema": SCHEMA_NAME,
-        "initial_events": [
-            {
-                "id": eid,
-                "vector": vector_to_dict(vec),
-                "region": region_to_dict(region),
-            }
-            for eid, vec, region in scenario.initial_events
-        ],
-        "stages": [
-            {
-                "name": stage.name,
-                "candidates": [
-                    {
-                        "name": cand.name,
-                        "c": [cand.c.real, cand.c.imag],
-                        "bra": [
-                            vector_to_dict(f) for f in cand.bra.factors.values()
-                        ],
-                        "ket": vector_to_dict(cand.ket),
-                        "region": region_to_dict(cand.region),
-                    }
-                    for cand in stage.alternatives.candidates
-                ],
-            }
-            for stage in scenario.stages
-        ],
-    }

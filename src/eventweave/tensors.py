@@ -1,17 +1,19 @@
-"""Labeled finite-dimensional complex tensors and rank-1 event operators.
+"""Labeled finite-dimensional complex tensors, their products and contractions.
 
 Every vector lives in a tensor product of small Hilbert-space factors, and
 every factor is named by the causal link it travels on, so contraction is
 done by name rather than by axis position.  Internally the factor order is
 canonical (sorted by link id); vectors built with the same factors in any
 order compare equal.  Amplitudes are dense ``complex128`` arrays, flat in
-lexicographic index order over the canonical label order.
+lexicographic index order over the canonical label order.  The rank-1
+event operators of :mod:`.dynamics` act through :func:`contract` and
+:func:`tensor_product`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -226,21 +228,3 @@ def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
         del labels[axis]
     return LabeledVector(labels, np.ascontiguousarray(tensor).reshape(-1), _canonical=True)
 
-
-def apply_event_operator(
-    c: complex, bra: ProductBra, ket: LabeledVector, psi: LabeledVector
-) -> LabeledVector:
-    """Apply the rank-1 event operator ``c |ket><bra|``: ``c * ket (x) <bra|psi``."""
-    return tensor_product(ket, contract(bra, psi).scaled(c))
-
-
-def random_unit_vector(
-    labels: Sequence[FactorLabel], rng: np.random.Generator
-) -> LabeledVector:
-    """Haar-ish random unit vector over the given factors."""
-    size = 1
-    for lab in labels:
-        size *= lab.dim
-    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    amps /= np.linalg.norm(amps)
-    return LabeledVector(labels, amps)

@@ -119,19 +119,19 @@ class PacketFamily:
 
     def __post_init__(self):
         _positive_finite("sigma", self.sigma)
+        for name in ("centers", "times"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must all be finite, got {tuple(values.tolist())}")
+            object.__setattr__(self, name, tuple(values.tolist()))
         if not self.centers:
             raise ValueError("need at least one center")
-        for name in ("centers", "times"):
-            values = tuple(float(v) for v in getattr(self, name))
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} must all be finite, got {values}")
-            object.__setattr__(self, name, values)
 
     @classmethod
     def every_site(
         cls, model: LatticeModel, sigma: float, times=(0.0,)
     ) -> "PacketFamily":
-        return cls(sigma=sigma, centers=tuple(model.grid.positions()), times=tuple(times))
+        return cls(sigma=sigma, centers=model.grid.positions(), times=times)
 
 
 def gaussian_packet(model: LatticeModel, center: float, sigma: float) -> np.ndarray:

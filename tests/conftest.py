@@ -6,25 +6,104 @@ import math
 import numpy as np
 import pytest
 
-from eventweave import dynamics
+from eventweave import cells, dynamics
+from eventweave.cells import branch_states
 from eventweave.dynamics import CandidateEvent, realize
 from eventweave.epr import singlet_vector
 from eventweave.dynamics import AlternativeSet
-from eventweave.graph import History
-from eventweave.scenario import Scenario, Stage
+from eventweave.graph import History, region_to_dict, vector_to_dict
+from eventweave.scenario import SCHEMA_NAME, Scenario, Stage
 from eventweave.thermal import gaussian_packet
 from eventweave.tensors import (
     FactorLabel,
     LabeledVector,
     ProductBra,
     SpaceType,
-    random_unit_vector,
+    contract,
+    tensor_product,
 )
 
 SPIN = SpaceType("spin", 2)
 POINTER = SpaceType("pointer", 1)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def random_unit_vector(labels, rng: np.random.Generator) -> LabeledVector:
+    """Haar-ish random unit vector over the given factors."""
+    size = 1
+    for lab in labels:
+        size *= lab.dim
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    amps /= np.linalg.norm(amps)
+    return LabeledVector(labels, amps)
+
+
+def apply_event_operator(c, bra, ket, psi) -> LabeledVector:
+    """Apply the rank-1 event operator ``c |ket><bra|``: ``c * ket (x) <bra|psi``."""
+    return tensor_product(ket, contract(bra, psi).scaled(c))
+
+
+def sample_many(state, alts, n, rng) -> np.ndarray:
+    """Vector of ``n`` draws by the package's draw rule; stream-equivalent
+    to ``n`` single :func:`eventweave.dynamics.sample_extension` draws."""
+    probs = dynamics.alternative_probabilities(state, alts)
+    return dynamics._draw(probs, dynamics._as_generator(rng).random(n))
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    """Inverse of :func:`eventweave.scenario.scenario_from_dict`, bit-exact
+    on amplitudes."""
+    return {
+        "schema": SCHEMA_NAME,
+        "initial_events": [
+            {"id": eid, "vector": vector_to_dict(vec), "region": region_to_dict(region)}
+            for eid, vec, region in scenario.initial_events
+        ],
+        "stages": [
+            {
+                "name": stage.name,
+                "candidates": [
+                    {
+                        "name": cand.name,
+                        "c": [cand.c.real, cand.c.imag],
+                        "bra": [vector_to_dict(f) for f in cand.bra.factors.values()],
+                        "ket": vector_to_dict(cand.ket),
+                        "region": region_to_dict(cand.region),
+                    }
+                    for cand in stage.alternatives.candidates
+                ],
+            }
+            for stage in scenario.stages
+        ],
+    }
+
+
+def single_branch(kernel, partition, k: int, psi) -> cells.BranchState:
+    """Branch ``k`` of :func:`eventweave.cells.branch_states`."""
+    return branch_states(kernel, partition, psi).branches[k]
+
+
+def momentum_balance_spread(kernel, partition, branch, psi) -> float:
+    """Standard deviation of ``P_out - P_in`` for one branch, by the
+    sweep's own spread.
+
+    The joint weight of a momentum pair is
+    ``|tau(P',P) ghat_k(P'-P) psi(P)|^2``; the spread is taken over the
+    transfer ``q = P' - P``.  A separable kernel's offset weights are the
+    sweep's correlation; a dense kernel's are one bincount over the offset
+    matrix.  Inputs should be concentrated away from the grid edges, since
+    offsets are aliased by the lattice period.
+    """
+    n = kernel.grid.n_points
+    if kernel.is_separable:
+        by_offset = cells._offset_weights(kernel, psi)
+    else:
+        offsets = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+        tau2 = np.abs(kernel.matrix) ** 2 * np.abs(np.asarray(psi)) ** 2
+        by_offset = np.bincount(offsets.ravel(), tau2.ravel())
+    k = branch.cell_index
+    return cells._spread(kernel.grid, partition.hat(k), by_offset, branch.squared_norm(), k)
 
 
 def recording_states_and_draws(monkeypatch) -> list:

@@ -241,9 +241,9 @@ def naive_simulate_counts(history, stages, runs, seed, replicas=1):
 
 
 def sample_counts(state, alts, n, rng):
-    """Per-candidate counts of ``n`` draws: the stream of
-    :func:`eventweave.dynamics.sample_many`, drawn in blocks of
-    ``DRAW_CHUNK`` so memory stays bounded.
+    """Per-candidate counts of ``n`` draws: the stream of the test suite's
+    ``sample_many``, drawn in blocks of ``DRAW_CHUNK`` so memory stays
+    bounded.
 
     This is the one-stage draw loop ``epr`` counted with before it drew
     through :func:`eventweave.dynamics.sample_outcome_tree`; one replica's
@@ -451,12 +451,12 @@ def naive_width_sweep(cell_counts, n_points, smoothing_fraction=0.15, tau_scale=
                       box_length=1.0):
     """:func:`eventweave.cells.width_sweep` one width at a time: FFT-smoothed
     cells, every branch built by ``branch_states``, and the spread of branch
-    ``n_cells // 2`` from ``momentum_balance_spread`` with its own offset
-    correlation.  Returns ``([(width, delta_p, coherence_defect), ...], slope)``.
+    ``n_cells // 2`` from the test suite's ``momentum_balance_spread`` with
+    its own offset correlation.  Returns ``([(width, delta_p, coherence_defect), ...], slope)``.
     """
+    from conftest import momentum_balance_spread
     from eventweave.cells import (
         CellPartition, MomentumGrid, TKernel, branch_states, default_sweep_state,
-        momentum_balance_spread,
     )
 
     grid = MomentumGrid(n_points, box_length)
@@ -474,7 +474,8 @@ def naive_width_sweep(cell_counts, n_points, smoothing_fraction=0.15, tau_scale=
             smoothing=smoothing_fraction * width,
         )
         decomp = branch_states(kernel, cells, psi)
-        spread = momentum_balance_spread(decomp.branches[n_cells // 2], psi)
+        k = n_cells // 2
+        spread = momentum_balance_spread(kernel, cells, decomp.branches[k], psi)
         points.append((width, spread, decomp.coherence_defect))
     widths, spreads = np.log([pt[:2] for pt in points]).T
     return points, float(np.polyfit(widths, spreads, 1)[0])

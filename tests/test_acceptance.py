@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import reference
-from conftest import HistoryFactory, position_to_momentum
+from conftest import HistoryFactory, position_to_momentum, random_unit_vector
 from eventweave import cli, dynamics, epr, thermal
 from eventweave.cells import (
     CellPartition,
@@ -31,7 +31,7 @@ from eventweave.dynamics import (
     realized_state,
 )
 from eventweave.graph import Cut
-from eventweave.tensors import LabeledVector, ProductBra, random_unit_vector
+from eventweave.tensors import LabeledVector, ProductBra
 
 REPO = Path(__file__).resolve().parents[1]
 FIGURE = REPO / "scenarios" / "figure.json"

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import counting_transforms, momentum_to_position, position_to_momentum
+from conftest import (
+    counting_transforms,
+    momentum_balance_spread,
+    momentum_to_position,
+    position_to_momentum,
+    single_branch,
+)
 from eventweave import cells as cells_module
 from eventweave.cells import (
     DEFAULT_SWEEP_CELLS,
@@ -19,8 +25,6 @@ from eventweave.cells import (
     cell_decompose,
     default_sweep_state,
     integrate_over_box,
-    momentum_balance_spread,
-    single_branch,
     width_sweep,
 )
 from eventweave.errors import PartitionNotUnity, ZeroNormBranch
@@ -308,8 +312,8 @@ def test_separable_and_dense_routes_agree(rng):
     b = branch_states(dense, part, psi)
     for k in range(4):
         assert np.max(np.abs(a.branches[k].vector - b.branches[k].vector)) < 1e-12
-        sa = momentum_balance_spread(a.branches[k], psi)
-        sb = momentum_balance_spread(b.branches[k], psi)
+        sa = momentum_balance_spread(T, part, a.branches[k], psi)
+        sb = momentum_balance_spread(dense, part, b.branches[k], psi)
         assert abs(sa - sb) < 1e-9 * max(sa, 1.0)
 
 
@@ -368,8 +372,10 @@ def test_spreads_match_the_per_offset_loop(kind, n_points, rng):
     for n_cells in (4, 48):
         part = CellPartition.smoothed_indicators(grid, n_cells, 0.15)
         for branch in branch_states(T, part, psi).branches:
-            got = momentum_balance_spread(branch, psi)
-            want = reference.naive_momentum_balance_spread(T, branch.gk_hat, psi)
+            got = momentum_balance_spread(T, part, branch, psi)
+            want = reference.naive_momentum_balance_spread(
+                T, part.hat(branch.cell_index), psi
+            )
             assert abs(got - want) <= 1e-12 * want
 
 
@@ -377,18 +383,20 @@ def test_full_box_cell_conserves_momentum_exactly():
     grid = MomentumGrid(128, 1.0)
     part = CellPartition.smoothed_indicators(grid, 1, 0.1)
     psi = default_sweep_state(grid)
-    dec = branch_states(unit_kernel(grid), part, psi)
-    assert momentum_balance_spread(dec.branches[0], psi) < 1e-6 * grid.spacing
+    T = unit_kernel(grid)
+    dec = branch_states(T, part, psi)
+    assert momentum_balance_spread(T, part, dec.branches[0], psi) < 1e-6 * grid.spacing
 
 
 def test_zero_branch_has_no_spread():
     grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 2, 0.1)
     psi = default_sweep_state(grid)
-    branch = single_branch(unit_kernel(grid), part, 0, psi)
+    T = unit_kernel(grid)
+    branch = single_branch(T, part, 0, psi)
     branch.vector = np.zeros_like(branch.vector)
     with pytest.raises(ZeroNormBranch):
-        momentum_balance_spread(branch, psi)
+        momentum_balance_spread(T, part, branch, psi)
 
 
 def test_spread_times_width_sits_near_h(rng):

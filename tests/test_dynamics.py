@@ -19,7 +19,9 @@ from conftest import (
     figure_outcome_candidates,
     gap_alternatives,
     generic_figure,
+    random_unit_vector,
     recording_states_and_draws,
+    sample_many,
     saturated,
     spin_alternatives,
     unit_factor,
@@ -37,7 +39,6 @@ from eventweave.dynamics import (
     realize,
     realized_state,
     sample_extension,
-    sample_many,
     sample_outcome_tree,
 )
 from eventweave.epr import Direction, build_epr, singlet_vector, spin_eigenvectors
@@ -55,7 +56,6 @@ from eventweave.tensors import (
     LabeledVector,
     ProductBra,
     SpaceType,
-    random_unit_vector,
     tensor_product,
 )
 
@@ -586,6 +586,81 @@ def test_outcome_tree_prunes_zero_probability_subtrees():
     assert tree.chain_rule_max_dev < 1e-12
 
 
+def _random_measurement_tree(seed: int, stages: int):
+    """``(history, stages)``: two singlets and a random spin, then
+    ``stages`` two-outcome measurements, each of a random free link (a
+    stage's output included) in the z basis or a random one, emitting spin
+    up or a random spin.  Measuring both halves of a singlet, or an emitted
+    spin up, along z prunes a subtree."""
+    rng = np.random.default_rng(seed)
+    h = History()
+    for i in range(2):
+        h.add_initial_event(singlet_vector(f"a{i}", f"b{i}"))
+    h.add_initial_event(random_unit_vector([FactorLabel("s", SPIN)], rng))
+    free = ["a0", "a1", "b0", "b1", "s"]
+    tree = []
+    for d in range(stages):
+        link = free.pop(int(rng.integers(len(free))))
+        basis = np.eye(2) if rng.random() < 0.5 else np.linalg.qr(
+            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        ket = (unit_factor(f"o{d}", [1.0, 0.0]) if rng.random() < 0.5
+               else random_unit_vector([FactorLabel(f"o{d}", SPIN)], rng))
+        tree.append(AlternativeSet([
+            CandidateEvent(bra=ProductBra([unit_factor(link, basis[:, j])]), c=1.0,
+                           ket=ket, name=f"{link}{j}")
+            for j in range(2)
+        ]))
+        free.append(f"o{d}")
+    return h, tree
+
+
+def _tree_work(monkeypatch, history, stages, runs) -> tuple[int, int, int]:
+    """``(alternative_probabilities calls, live internal nodes, internal
+    nodes)`` of one outcome tree.  A node is live when some path through it
+    has a positive analytic value."""
+    calls = []
+    original = dynamics.alternative_probabilities
+
+    def counting(state, alts):
+        calls.append(alts)
+        return original(state, alts)
+
+    monkeypatch.setattr(dynamics, "alternative_probabilities", counting)
+    tree = sample_outcome_tree(history, stages, runs, 0)
+    monkeypatch.undo()
+    live = {path[:d] for path, p in zip(tree.paths, tree.analytic) if p > 0.0
+            for d in range(len(stages))}
+    internal = sum(math.prod(len(alts.candidates) for alts in stages[:d])
+                   for d in range(len(stages)))
+    return len(calls), len(live), internal
+
+
+@pytest.mark.parametrize("name", ["figure", "three_stage", "pairs24"])
+def test_shipped_outcome_trees_evaluate_each_live_node_once(monkeypatch, name):
+    """At N and 2N runs, the tree evaluates each live internal node's
+    alternative set at most once, and sampling more runs evaluates none
+    more."""
+    scen = load_scenario(FIGURE.with_name(f"{name}.json"))
+    stages = [st.alternatives for st in scen.stages]
+    small, large = (_tree_work(monkeypatch, scen.build_history(), stages, runs)
+                    for runs in (500, 1000))
+    assert small[0] <= small[1] and large[0] <= small[0]
+
+
+def test_random_outcome_trees_evaluate_each_live_node_once(monkeypatch):
+    """Over seeded random trees of N and 2N stages, alternative sets are
+    evaluated at most once per live internal node; some trees prune, so
+    that is fewer than once per internal node."""
+    pruned = 0
+    for seed in range(10):
+        for n_stages in (3, 6):
+            calls, live, internal = _tree_work(
+                monkeypatch, *_random_measurement_tree(seed, n_stages), 200)
+            assert calls <= live, (seed, n_stages)
+            pruned += live < internal
+    assert pruned > 0
+
+
 def _up_down_alternatives(link_id, ket):
     """Two candidates measuring ``link_id`` in the z basis, both emitting ``ket``."""
     return AlternativeSet([
@@ -907,28 +982,32 @@ def test_growth_equals_the_loop_that_cut_every_state_afresh(seed):
     assert h.to_json() == want.to_json()
 
 
-def _growth_work(monkeypatch, events: int) -> tuple[float, float]:
-    """``(operator applications per candidate, states built per step)`` of
-    growing seeded two-outcome chains by ``events`` admissions."""
-    counts = {"apply": 0, "build": 0}
-    apply, build = dynamics._apply, dynamics.CutState
-
-    def counting_apply(*args):
-        counts["apply"] += 1
-        return apply(*args)
-
-    def counting_build(*args, **kwargs):
-        counts["build"] += 1
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "_apply", counting_apply)
-    monkeypatch.setattr(dynamics, "CutState", counting_build)
+def _growth_work(monkeypatch, events: int) -> dict[str, float]:
+    """Work of growing seeded two-outcome chains by ``events`` admissions:
+    operator applications per candidate (``apply``), and per admitted event
+    the states built (``build``), contractions, tensor products, history
+    admissions (``admit``) and ``LabeledVector`` constructions (``vector``)."""
     initial, steps = _qubit_chains(7, events)
+    counts = dict.fromkeys(("apply", "build", "contract", "tensor_product", "admit",
+                            "vector"), 0)
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for key, name in (("apply", "_apply"), ("build", "CutState"),
+                      ("contract", "contract"), ("tensor_product", "tensor_product")):
+        monkeypatch.setattr(dynamics, name, counting(key, getattr(dynamics, name)))
+    monkeypatch.setattr(History, "_add_event", counting("admit", History._add_event))
+    monkeypatch.setattr(LabeledVector, "__init__", counting("vector", LabeledVector.__init__))
     _, outcomes = _grow(initial, steps, dynamics.replica_rng(7))
     monkeypatch.undo()
     assert len(outcomes) == events
     candidates = sum(len(alts.candidates) for alts in steps)
-    return counts["apply"] / candidates, counts["build"] / events
+    return {key: count / (candidates if key == "apply" else events)
+            for key, count in counts.items()}
 
 
 def test_growth_applies_each_candidate_once_and_cuts_one_state_per_step(monkeypatch):
@@ -937,9 +1016,24 @@ def test_growth_applies_each_candidate_once_and_cuts_one_state_per_step(monkeypa
     application per candidate and one state per step, at N and 2N events.
     Re-cutting and re-applying in ``realize`` made 1.5 and 2."""
     small, large = _growth_work(monkeypatch, 40), _growth_work(monkeypatch, 80)
-    for per_candidate, per_step in (small, large):
-        assert per_candidate <= 1.0 and per_step <= 1.0
-    assert large[0] <= small[0] and large[1] <= small[1]
+    for work in (small, large):
+        assert work["apply"] <= 1.0 and work["build"] <= 1.0
+    assert large["apply"] <= small["apply"] and large["build"] <= small["build"]
+
+
+def test_growth_work_per_event_does_not_grow_with_the_history(monkeypatch):
+    """Per admitted event of two candidates, at N and 2N events: at most one
+    contraction and one tensor product per candidate, three vectors per
+    candidate (the residual, its scaled copy and the product), and one
+    admission besides the four sources'; none of them grows from N to 2N."""
+    sizes = (40, 80)
+    small, large = (_growth_work(monkeypatch, events) for events in sizes)
+    for work, events in zip((small, large), sizes):
+        assert work["contract"] <= 2.0 and work["tensor_product"] <= 2.0
+        assert work["vector"] <= 6.0
+        assert work["admit"] <= 1.0 + 4 / events
+    for key in ("contract", "tensor_product", "admit", "vector"):
+        assert large[key] <= small[key], key
 
 
 # -- structural probability properties ----------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import sample_many
 from eventweave import dynamics
 from eventweave.epr import (
     OUTCOME_PAIRS,
@@ -219,6 +220,6 @@ def test_outcome_tree_replica_counts_equal_the_one_stage_draw_loop(
 
 def test_impossible_outcomes_are_never_sampled():
     setup = build_epr(plane(0.0), plane(0.0))
-    draws = dynamics.sample_many(setup.state, setup.alternatives, 10_000, 5)
+    draws = sample_many(setup.state, setup.alternatives, 10_000, 5)
     counts = np.bincount(draws, minlength=4)
     assert counts[0] == 0 and counts[3] == 0

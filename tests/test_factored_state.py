@@ -9,8 +9,12 @@ import pytest
 import reference
 from conftest import (
     HistoryFactory,
+    apply_event_operator,
     distance,
     generic_figure,
+    random_unit_vector,
+    sample_many,
+    scenario_to_dict,
     singlet_pairs_scenario,
     unit_factor,
 )
@@ -24,15 +28,8 @@ from eventweave.dynamics import (
 )
 from eventweave.errors import LabelCollision, MissingLabel, ZeroProbabilityEvent
 from eventweave.graph import Cut, History
-from eventweave.scenario import load_scenario, scenario_to_dict
-from eventweave.tensors import (
-    FactorLabel,
-    LabeledVector,
-    ProductBra,
-    SpaceType,
-    apply_event_operator,
-    random_unit_vector,
-)
+from eventweave.scenario import load_scenario
+from eventweave.tensors import FactorLabel, LabeledVector, ProductBra, SpaceType
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -229,7 +226,7 @@ def test_blocked_draws_equal_one_block(monkeypatch):
         return tree.counts, tree.first_path, epr_tree.replica_counts[1]
 
     counts, first, epr_counts = draw()
-    draws = dynamics.sample_many(setup.state, setup.alternatives, 50, dynamics.replica_rng(3, 1))
+    draws = sample_many(setup.state, setup.alternatives, 50, dynamics.replica_rng(3, 1))
     assert np.array_equal(epr_counts, np.bincount(draws, minlength=4))
     monkeypatch.setattr(dynamics, "DRAW_CHUNK", 7)
     chunked_counts, chunked_first, chunked_epr_counts = draw()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    POINTER, SPIN, HistoryFactory, figure_outcome_candidates, generic_figure, saturated,
-    unit_factor,
+    POINTER, SPIN, HistoryFactory, figure_outcome_candidates, generic_figure,
+    random_unit_vector, saturated, unit_factor,
 )
 from eventweave.dynamics import realize
 from eventweave.epr import build_epr, Direction, singlet_vector
@@ -18,9 +18,7 @@ from eventweave.errors import (
     UnknownEvent,
 )
 from eventweave.graph import Cut, EventRecord, History, LinkRecord, Region
-from eventweave.tensors import (
-    FactorLabel, LabeledVector, ProductBra, SpaceType, random_unit_vector,
-)
+from eventweave.tensors import FactorLabel, LabeledVector, ProductBra, SpaceType
 
 
 def traversal_free_links(h, cut_ids):

@@ -19,6 +19,7 @@ from conftest import (
     SQRT_HALF,
     StuckGenerator,
     recording_states_and_draws,
+    scenario_to_dict,
     singlet_pairs_scenario,
     spanning_pairs_scenario,
     spin_alternatives,
@@ -35,7 +36,6 @@ from eventweave.scenario import (
     Stage,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from eventweave.tensors import FactorLabel, LabeledVector, ProductBra
 

@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import apply_event_operator, random_unit_vector
 from eventweave.errors import DuplicateLabel, MissingLabel, NonUnitVector
 from eventweave.tensors import (
     FactorLabel,
     LabeledVector,
     ProductBra,
     SpaceType,
-    apply_event_operator,
     contract,
-    random_unit_vector,
     tensor_product,
 )
 

@@ -1,6 +1,7 @@
-"""Package-wide checks: the report-digest matrix, its recorded digests, and
-the package's exports."""
+"""Package-wide checks: the report-digest matrix, its recorded digests, the
+package's exports, and what its public functions serve."""
 
+import ast
 import importlib.util
 import os
 import platform
@@ -104,3 +105,44 @@ def test_reports_off_blas_match_the_recorded_digests_under_haswell(threads):
 
 def test_every_exported_name_resolves():
     assert [name for name in eventweave.__all__ if not hasattr(eventweave, name)] == []
+
+
+#: public functions that nothing in the package or the benchmark calls,
+#: kept because the acceptance criterion named here tests them as claims
+ACCEPTANCE_ONLY = {
+    "dynamics.joint_probability": 7,
+    "epr.chsh_optimal_directions": 2,
+    "thermal.proton_model": 4,
+    "cells.branch_states": 5,
+    "cells.cell_decompose": 5,
+    "cells.integrate_over_box": 5,
+}
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names and attribute names the code refers to; strings, docstrings
+    included, do not count."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_public_function_serves_the_program_or_an_acceptance_claim():
+    """A public module-level function of the package is called from the
+    package or the benchmark, or is on :data:`ACCEPTANCE_ONLY`; one that
+    only the tests call belongs in ``tests/``."""
+    package = sorted(p for p in (REPO / "src" / "eventweave").glob("*.py")
+                     if p.name != "__init__.py")
+    trees = {path: ast.parse(path.read_text())
+             for path in package + sorted((REPO / "bench").glob("*.py"))}
+    referenced = set().union(*map(_referenced, trees.values()))
+    public = [f"{path.stem}.{node.name}" for path in package for node in trees[path].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    unused = [name for name in public if name.split(".")[1] not in referenced]
+    stray = sorted(set(unused) - ACCEPTANCE_ONLY.keys())
+    assert not stray, f"only the tests call {stray}; move them to tests/"
+    acceptance = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
+    for name, number in ACCEPTANCE_ONLY.items():
+        assert name in unused, f"{name} has a caller; drop it from ACCEPTANCE_ONLY"
+        (test,) = [node for node in acceptance.body if isinstance(node, ast.FunctionDef)
+                   and node.name.startswith(f"test_criterion_{number}_")]
+        assert name.split(".")[1] in _referenced(test), (name, test.name)
