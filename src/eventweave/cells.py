@@ -22,14 +22,19 @@ Kernels may be stored dense (fine up to ~1k grid points) or in separable
 :func:`branch_states` take either; the width sweep builds a separable
 kernel, which keeps it out of quadratic memory.
 
-The width sweep computes only what its report reads: each cell is a
-difference of one periodic cumulative sum of the Gaussian, each branch
-weight comes from a short transform over its own cell window (one batched
-FFT per width), and one correlation gives the kernel's offset weights for
-every width.  The spread of the momentum balance is computed only there,
-for one branch per width.  ``tests/reference.py`` keeps, as oracles, the
-transform-based smoothing, the per-cell branch weights and a per-width
-driver that builds every branch through :func:`branch_states`.
+The width sweep computes only what its report reads, and never holds a
+row per cell: each width keeps the one or two distinct cell profiles (a
+difference of one periodic cumulative sum of the Gaussian, one per cell
+length), whose circular shifts are the cells.  The values over each cell's
+own window serve three things: each branch weight, by a short transform
+over the window (one batched FFT per width); the sum of the cells, added
+window by window with the bits of the row sum, for the partition-of-unity
+check and the summed branch; and the support check, once per profile.  One
+correlation gives the kernel's offset weights for every width, and the
+spread of the momentum balance is computed only there, for one branch per
+width.  ``tests/reference.py`` keeps, as oracles, the transform-based
+smoothing, the per-cell branch weights and a per-width driver that builds
+every branch through :func:`branch_states`.
 """
 
 from __future__ import annotations
@@ -178,29 +183,77 @@ def _cell_starts(n: int, n_cells: int) -> np.ndarray:
     return -((-np.arange(n_cells + 1) * n) // n_cells)
 
 
-@dataclass
-class CellPartition:
-    """Partition of unity over the spatial box, one function per cell."""
+def _support_arcs(functions: np.ndarray) -> np.ndarray:
+    """Occupied arc of each row on the periodic grid, in sites: the box
+    minus the row's largest gap between sites at or above ``SUPPORT_TOL``,
+    the wrap-around gap included, plus one; 0 for a row with no such site."""
+    n = functions.shape[1]
+    arcs = np.zeros(functions.shape[0], dtype=np.intp)
+    rows, sites = np.nonzero(functions >= SUPPORT_TOL)
+    if sites.size:
+        first = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
+        last = np.append(first[1:], sites.size) - 1
+        gaps = np.empty_like(sites)
+        gaps[:-1] = np.diff(sites)
+        gaps[last] = sites[first] + n - sites[last]
+        arcs[rows[first]] = n - np.maximum.reduceat(gaps, first) + 1
+    return arcs
 
-    grid: MomentumGrid
-    functions: np.ndarray  # (n_cells, n_points)
-    width: float
-    smoothing: float
+
+def _check_partition(
+    grid: MomentumGrid, total: np.ndarray, arcs: np.ndarray, smoothing: float
+) -> None:
+    """Refuse cells whose sum ``total`` is not one, or the first cell whose
+    occupied arc (``arcs``, one per cell) exceeds its padded cell.
+
+    A smoothed indicator cannot vanish exactly at its cell edge, so the
+    support requirement is enforced on the cell padded by eight smoothing
+    lengths, beyond which the Gaussian tail is < 1e-12.
+    """
+    dev = float(np.max(np.abs(total - 1.0)))
+    if not dev <= PARTITION_TOL:
+        raise PartitionNotUnity(
+            f"cell functions sum to 1 only within {dev:.3e} (> {PARTITION_TOL:g})"
+        )
+    n = grid.n_points
+    pad = int(math.ceil(8.0 * smoothing / grid.dx)) + 1
+    cell_sites = n // arcs.size + 1
+    bad = np.flatnonzero(arcs > cell_sites + 2 * pad)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"cell {k} spreads over {arcs[k]} sites; allowed "
+            f"{cell_sites} + 2*{pad} padding"
+        )
+
+
+class _CellProfiles:
+    """Equal cells as circular shifts of their distinct profiles: cell k is
+    ``profiles[which[k]]`` shifted right by ``starts[k]`` sites.
+
+    Cell lengths take at most two values, so this form holds one or two
+    n-point profiles where :class:`CellPartition` holds a row per cell.
+    """
+
+    def __init__(self, grid, starts, profiles, which, width, smoothing):
+        self.grid = grid
+        self.starts = starts  # first site of each cell, then n
+        self.profiles = profiles  # (distinct cell lengths, n_points)
+        self.which = which  # profile of each cell
+        self.width = width
+        self.smoothing = smoothing
 
     @classmethod
-    def smoothed_indicators(
-        cls, grid: MomentumGrid, n_cells: int, smoothing_fraction: float = 0.15
-    ) -> "CellPartition":
-        """Equal cells, Gaussian-convolved so the transforms decay fast.
+    def smoothed(
+        cls, grid: MomentumGrid, n_cells: int, smoothing_fraction: float
+    ) -> "_CellProfiles":
+        """The rule of :meth:`CellPartition.smoothed_indicators`.
 
-        The convolution kernel is normalized on the grid, so the functions
-        still sum to one exactly (up to roundoff).  A convolved cell of
-        ``L`` sites starting at site ``s`` is a difference of two shifts of
-        one periodic cumulative sum ``Q`` of the kernel,
-        ``g(x) = Q(x - s + 1) - Q(x - s + 1 - L)``; cell lengths take at
-        most two values, so each distinct length gets one profile and every
-        row is a circular shift of it.  A cell that covers the box is
-        exactly 1.
+        A convolved cell of ``L`` sites starting at site ``s`` is a
+        difference of two shifts of one periodic cumulative sum ``Q`` of the
+        kernel, ``g(x) = Q(x - s + 1) - Q(x - s + 1 - L)``, so each distinct
+        length gets one profile, that of a cell starting at site 0.  A cell
+        that covers the box is exactly 1.
         """
         if n_cells < 1:
             raise ValueError("need at least one cell")
@@ -231,50 +284,94 @@ class CellPartition:
             else q[n + 1 :] - q[n + 1 - length : 2 * n + 1 - length]
             for length in distinct
         ])
+        return cls(grid, starts, profiles, which, width, smoothing)
+
+    def rows(self) -> np.ndarray:
+        """Every cell function, one row per cell."""
+        n = self.grid.n_points
         # row k is its profile shifted right by starts[k], read off the
         # doubled profile
-        shifts = sliding_window_view(np.tile(profiles, 2), n, axis=1)
-        functions = shifts[which, (n - starts[:-1]) % n]
-        return cls(grid=grid, functions=functions, width=width, smoothing=smoothing)
+        shifts = sliding_window_view(np.tile(self.profiles, 2), n, axis=1)
+        return shifts[self.which, (n - self.starts[:-1]) % n]
+
+    def windowed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each cell's window of sites, the cell's values there, and the sum
+        of every cell.
+
+        A window is the cell and ``pad`` sites past either edge, beyond
+        which a smoothed cell is below 1e-23, or the whole box from the
+        cell's first site when that would exceed it.  In profile
+        coordinates every window is the same, so the values are gathered
+        once per profile.  The sum adds the windows in cell order, which
+        gives the bits of ``rows().sum(axis=0)`` whenever every profile is
+        exactly 0 outside its window; otherwise it is that sum.
+        """
+        n = self.grid.n_points
+        pad = int(math.ceil(10.0 * self.smoothing / self.grid.dx)) + 1
+        size = int(np.diff(self.starts).max()) + 2 * pad
+        if size >= n:
+            size, pad = n, 0
+        window = (np.arange(size) - pad) % n
+        sites = (self.starts[:-1, None] + window) % n
+        values = self.profiles[:, window][self.which]
+        outside = np.ones(n, dtype=bool)
+        outside[window] = False
+        if np.any(self.profiles[:, outside]):
+            total = self.rows().sum(axis=0)
+        else:
+            total = np.bincount(sites.ravel(), values.ravel(), minlength=n)
+        return sites, values, total
+
+    def validate(self, total: np.ndarray) -> None:
+        """:meth:`CellPartition.validate` on this form, with ``total`` the
+        sum of every cell: a cell's occupied arc is its profile's, since
+        circular shifts keep it."""
+        _check_partition(
+            self.grid, total, _support_arcs(self.profiles)[self.which], self.smoothing
+        )
+
+    def hat(self, k: int) -> np.ndarray:
+        """:meth:`CellPartition.hat` of cell k."""
+        n = self.grid.n_points
+        cell = np.roll(self.profiles[self.which[k]], self.starts[k])
+        return self.grid.dx * n * np.fft.ifft(cell)
+
+
+@dataclass
+class CellPartition:
+    """Partition of unity over the spatial box, one function per cell."""
+
+    grid: MomentumGrid
+    functions: np.ndarray  # (n_cells, n_points)
+    width: float
+    smoothing: float
+
+    @classmethod
+    def smoothed_indicators(
+        cls, grid: MomentumGrid, n_cells: int, smoothing_fraction: float = 0.15
+    ) -> "CellPartition":
+        """Equal cells, Gaussian-convolved so the transforms decay fast.
+
+        The convolution kernel is normalized on the grid, so the functions
+        still sum to one exactly (up to roundoff).  Every row is a circular
+        shift of the profile of its cell length, built by
+        :meth:`_CellProfiles.smoothed`.
+        """
+        form = _CellProfiles.smoothed(grid, n_cells, smoothing_fraction)
+        return cls(grid=grid, functions=form.rows(), width=form.width,
+                   smoothing=form.smoothing)
 
     @property
     def n_cells(self) -> int:
         return self.functions.shape[0]
 
     def validate(self) -> None:
-        """Partition-of-unity and padded-support checks.
-
-        A smoothed indicator cannot vanish exactly at its cell edge, so the
-        support requirement is enforced on the cell padded by eight
-        smoothing lengths, beyond which the Gaussian tail is < 1e-12.  The
-        occupied arc of a cell on the periodic grid is the box minus its
-        largest gap between supported sites, the wrap-around gap included.
-        """
-        total = self.functions.sum(axis=0)
-        dev = float(np.max(np.abs(total - 1.0)))
-        if not dev <= PARTITION_TOL:
-            raise PartitionNotUnity(
-                f"cell functions sum to 1 only within {dev:.3e} (> {PARTITION_TOL:g})"
-            )
-        n = self.grid.n_points
-        pad = int(math.ceil(8.0 * self.smoothing / self.grid.dx)) + 1
-        cell_sites = n // self.n_cells + 1
-        cells, sites = np.nonzero(self.functions >= SUPPORT_TOL)
-        if sites.size == 0:
-            return
-        first = np.flatnonzero(np.concatenate([[True], cells[1:] != cells[:-1]]))
-        last = np.append(first[1:], sites.size) - 1
-        gaps = np.empty_like(sites)
-        gaps[:-1] = np.diff(sites)
-        gaps[last] = sites[first] + n - sites[last]
-        arcs = n - np.maximum.reduceat(gaps, first) + 1
-        bad = np.flatnonzero(arcs > cell_sites + 2 * pad)
-        if bad.size:
-            k = bad[0]
-            raise ValueError(
-                f"cell {cells[first[k]]} spreads over {arcs[k]} sites; allowed "
-                f"{cell_sites} + 2*{pad} padding"
-            )
+        """Partition-of-unity and padded-support checks
+        (:func:`_check_partition`) on every row."""
+        _check_partition(
+            self.grid, self.functions.sum(axis=0), _support_arcs(self.functions),
+            self.smoothing,
+        )
 
     def hat(self, k: int) -> np.ndarray:
         """Transform of cell function k, indexed by offset mod n.
@@ -366,42 +463,36 @@ def _norm_terms(kernel: TKernel, psi) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _windowed_norms(
-    cells: CellPartition, starts: np.ndarray, terms: tuple
+    sites: np.ndarray, values: np.ndarray, total: np.ndarray, terms: tuple
 ) -> tuple[np.ndarray, float]:
     """Squared norms of every branch of a separable kernel, from each
     branch's own cell window, and of their sum.
 
     Branch k's squared norm is ``sum_P w(P) |ifft(h_k)(P)|^2`` with
-    ``h_k = g_k * inner``; ``terms`` is :func:`_norm_terms`.  Expanding the
-    square gives ``sum_{t,t'} h_k(t) conj(h_k(t')) W(t - t')``, ``W``
-    indexed mod n.  Beyond ``pad`` sites past either edge of cell k, ``g_k``
-    is below 1e-23, so the double sum runs over a window of ``L`` sites
-    and only offsets ``|m| < L`` enter.  With ``F_k`` the length-``M`` FFT
-    of ``h_k`` over the window, ``M >= 2L - 1``, the sum is
+    ``h_k = g_k * inner``; ``terms`` is :func:`_norm_terms`, and ``sites``,
+    ``values`` and ``total`` are :meth:`_CellProfiles.windowed`.  Expanding
+    the square gives ``sum_{t,t'} h_k(t) conj(h_k(t')) W(t - t')``, ``W``
+    indexed mod n.  Beyond the window, ``pad`` sites past either edge of
+    cell k, ``g_k`` is below 1e-23, so the double sum runs over the
+    window's ``L`` sites and only offsets ``|m| < L`` enter.  With ``F_k`` the length-``M`` FFT of
+    ``h_k`` over the window, ``M >= 2L - 1``, the sum is
     ``sum_j |F_k(j)|^2 V(j)`` where ``V = Re ifft(W_M)`` and ``W_M`` is
     ``W`` on the offsets ``|m| < L``, folded onto ``M`` points.  A window
-    that would exceed the box is the whole box from the cell's first
-    site, and the sum is the circular one exactly.  One batched FFT covers
-    every cell.  Because the cells sum to one, the summed branch is the
-    whole operator applied and takes one n-point transform.
+    that is the whole box gives the circular sum exactly.  One batched FFT
+    covers every cell.  The summed branch is the window's sum of the cells
+    applied, one n-point transform.
     """
     inner, weight, weight_hat = terms
-    n = cells.grid.n_points
-    pad = int(math.ceil(10.0 * cells.smoothing / cells.grid.dx)) + 1
-    size = int(np.diff(starts).max()) + 2 * pad
-    if size < n:
-        first = starts[:-1] - pad
-    else:
-        size, first = n, starts[:-1]
+    n = inner.size
+    size = sites.shape[1]
     length = _fft_length(2 * size - 1)
-    sites = (first[:, None] + np.arange(size)) % n
-    h = np.take_along_axis(cells.functions, sites, axis=1) * inner[sites]
+    h = values * inner[sites]
     offsets = np.arange(1 - size, size)
     folded = np.zeros(length, dtype=np.complex128)
     folded[offsets % length] = weight_hat[offsets % n]
     v = np.fft.ifft(folded).real
     norms2 = (np.abs(np.fft.fft(h, length, axis=1)) ** 2 * v).sum(axis=1)
-    out = np.fft.ifft(cells.functions.sum(axis=0) * inner)
+    out = np.fft.ifft(total * inner)
     return norms2, float((np.abs(out) ** 2 * weight).sum())
 
 
@@ -493,10 +584,11 @@ def _sweep_point(
     smoothing_fraction: float,
 ) -> SweepPoint:
     """One width of the sweep: the spread of branch ``n_cells // 2`` and the
-    coherence defect, without keeping any branch."""
-    cells = CellPartition.smoothed_indicators(grid, n_cells, smoothing_fraction)
-    cells.validate()
-    norms2, out2 = _windowed_norms(cells, _cell_starts(grid.n_points, n_cells), terms)
+    coherence defect, without keeping any branch or any cell's whole row."""
+    cells = _CellProfiles.smoothed(grid, n_cells, smoothing_fraction)
+    sites, values, total = cells.windowed()
+    cells.validate(total)
+    norms2, out2 = _windowed_norms(sites, values, total, terms)
     _, defect = _probabilities_and_defect(norms2, out2)
     k = n_cells // 2
     spread = _spread(grid, cells.hat(k), by_offset, norms2[k], k)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,81 @@ def test_many_narrow_cells_still_sum_to_one():
     part.validate()
 
 
+def test_rows_are_the_shifted_profiles_and_hat_transforms_them():
+    """Row k of ``smoothed_indicators`` is, bit for bit, its profile rolled
+    by the cell's first site, so the profile form's ``hat(k)`` is the
+    partition's."""
+    for n_points in (16, 64, 1000):
+        grid = MomentumGrid(n_points, 1.0)
+        for n_cells in (1, 2, 7, 12, n_points):
+            for fraction in (0.0, 0.15, 3.0):
+                form = cells_module._CellProfiles.smoothed(grid, n_cells, fraction)
+                part = CellPartition.smoothed_indicators(grid, n_cells, fraction)
+                rolled = [np.roll(form.profiles[form.which[k]], form.starts[k])
+                          for k in range(n_cells)]
+                assert np.array_equal(part.functions, rolled)
+                assert (part.width, part.smoothing) == (form.width, form.smoothing)
+                for k in {0, n_cells // 2, n_cells - 1}:
+                    assert np.array_equal(form.hat(k), part.hat(k))
+
+
+def test_windowed_sum_has_the_bits_of_the_row_sum(monkeypatch):
+    """The sum over cell windows is ``functions.sum(axis=0)`` bit for bit,
+    without materializing the rows, for windows narrower than the box and
+    capped at it."""
+    capped = narrower = 0
+    for n_points in (16, 64, 1000, 2048):
+        grid = MomentumGrid(n_points, 1.0)
+        for n_cells in [c for c in (1, 2, 7, 12, 96, 600) if c < n_points] + [n_points]:
+            for fraction in (0.0, 0.05, 0.15, 0.5, 3.0):
+                form = cells_module._CellProfiles.smoothed(grid, n_cells, fraction)
+                want = CellPartition.smoothed_indicators(grid, n_cells, fraction)
+                with monkeypatch.context() as patch:
+                    patch.setattr(form, "rows", None)  # calling it would raise
+                    sites, values, total = form.windowed()
+                assert np.array_equal(total, want.functions.sum(axis=0))
+                assert np.array_equal(values, np.take_along_axis(want.functions, sites, axis=1))
+                capped += sites.shape[1] == n_points
+                narrower += sites.shape[1] < n_points
+    assert capped > 10 and narrower > 10
+
+
+def broken_forms():
+    """Profile forms that ``validate`` refuses, each with a name."""
+    grid = MomentumGrid(64, 1.0)
+    tampered = cells_module._CellProfiles.smoothed(grid, 4, 0.1)
+    tampered.profiles[0] *= 1.001
+    yield "tampered", tampered
+    flat = cells_module._CellProfiles.smoothed(grid, 2, 0.1)
+    flat.profiles[:] = 0.5
+    flat.smoothing = 0.001
+    yield "too wide", flat
+    for site in (3, 40):  # inside and outside the first cell's window
+        nan = cells_module._CellProfiles.smoothed(grid, 4, 0.1)
+        nan.profiles[0, site] = np.nan
+        yield f"nan at {site}", nan
+    # 65 sites make cells of 33 and 32 sites; moving 0.1 of the second cell's
+    # profile out to site 40 keeps the sum at one and widens that cell alone
+    wide = cells_module._CellProfiles.smoothed(MomentumGrid(65, 1.0), 2, 0.0)
+    short, long = wide.which[1], wide.which[0]
+    wide.profiles[short, 40] += 0.1
+    wide.profiles[long, (wide.starts[1] + 40) % 65] -= 0.1
+    yield "second cell too wide", wide
+
+
+def test_profile_check_refuses_what_validate_refuses():
+    seen = []
+    for name, form in broken_forms():
+        part = CellPartition(grid=form.grid, functions=form.rows(), width=form.width,
+                             smoothing=form.smoothing)
+        want = outcome(CellPartition.validate, part)
+        assert want is not None, name
+        assert outcome(lambda f: f.validate(f.windowed()[2]), form) == want, name
+        seen.append(want)
+    assert {kind for kind, _ in seen} == {PartitionNotUnity, ValueError}
+    assert seen[-1][1].startswith("cell 1 spreads over 41 sites")
+
+
 def random_partition(rng, n, n_cells, smoothing):
     """Cell functions that sum to one, each cell on zero to three random arcs
     (which may wrap around the box edge), plus sub-threshold noise outside."""
@@ -173,7 +249,7 @@ def random_partition(rng, n, n_cells, smoothing):
 def outcome(check, part):
     try:
         check(part)
-    except ValueError as exc:
+    except (ValueError, PartitionNotUnity) as exc:
         return type(exc), str(exc)
     return None
 
@@ -357,8 +433,6 @@ def test_branch_vectors_match_the_per_cell_loop_bit_for_bit(kind, rng):
         dec = branch_states(T, part, psi)
         want = reference.naive_branch_vectors(T, part, psi)
         assert np.array_equal(np.array([b.vector for b in dec.branches]), want)
-        for k in range(n_cells):
-            assert np.array_equal(single_branch(T, part, k, psi).vector, want[k])
 
 
 # -- momentum balance spread --------------------------------------------------------
@@ -440,7 +514,7 @@ def windowed_against_the_oracle(kernel, psi, n_cells, fraction):
     grid = kernel.grid
     part = CellPartition.smoothed_indicators(grid, n_cells, fraction)
     got = cells_module._windowed_norms(
-        part, cells_module._cell_starts(grid.n_points, n_cells),
+        *cells_module._CellProfiles.smoothed(grid, n_cells, fraction).windowed(),
         cells_module._norm_terms(kernel, psi),
     )
     return got, reference.branch_norms(kernel, part, psi)
@@ -506,6 +580,25 @@ def test_sweep_transforms_per_width_do_not_grow_with_the_cells(monkeypatch):
         width_sweep(cell_counts=(n_cells, 12), n_points=4096)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_sweep_memory_grows_with_the_sites_not_with_sites_times_cells(monkeypatch):
+    """A 600-cell row matrix alone would be 4800 bytes per site; the sweep
+    holds each cell's window and a few n-point arrays, and builds no
+    ``CellPartition``."""
+    built = []
+    init = CellPartition.__init__
+    monkeypatch.setattr(CellPartition, "__init__",
+                        lambda *args, **kw: built.append(1) or init(*args, **kw))
+    for n_points in (4096, 8192):
+        tracemalloc.start()
+        try:
+            width_sweep(cell_counts=(8, 600), n_points=n_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1000 * n_points, (n_points, peak)
+    assert built == []
 
 
 def test_sweep_inputs_that_give_no_spread_are_refused():

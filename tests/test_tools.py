@@ -26,7 +26,7 @@ def _load_tool(name: str):
 
 def test_report_digest_matrix_parses_and_writes_no_files():
     matrix = _load_tool("report_digests").MATRIX
-    assert len({tuple(argv) for argv in matrix}) == len(matrix) == 57
+    assert len({tuple(argv) for argv in matrix}) == len(matrix) == 58
     parser = cli.build_parser()
     for argv in matrix:
         args = parser.parse_args(argv)

@@ -63,6 +63,7 @@ MATRIX: list[list[str]] = [
     ["thermal-ambiguity", "--sites", "128", "--beta", "2", "--mass", "1",
      "--hbar", "1", "--format", "json"],
     ["thermal-ambiguity", "--sites", "65536", "--format", "json"],
+    ["cells", "--sites", "8192", "--format", "json"],
 ]
 
 
