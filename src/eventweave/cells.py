@@ -22,19 +22,23 @@ Kernels may be stored dense (fine up to ~1k grid points) or in separable
 :func:`branch_states` take either; the width sweep builds a separable
 kernel, which keeps it out of quadratic memory.
 
-The width sweep computes only what its report reads, and never holds a
-row per cell: each width keeps the one or two distinct cell profiles (a
-difference of one periodic cumulative sum of the Gaussian, one per cell
-length), whose circular shifts are the cells.  The values over each cell's
-own window serve three things: each branch weight, by a short transform
-over the window (one batched FFT per width); the sum of the cells, added
-window by window with the bits of the row sum, for the partition-of-unity
-check and the summed branch; and the support check, once per profile.  One
-correlation gives the kernel's offset weights for every width, and the
-spread of the momentum balance is computed only there, for one branch per
-width.  ``tests/reference.py`` keeps, as oracles, the transform-based
-smoothing, the per-cell branch weights and a per-width driver that builds
-every branch through :func:`branch_states`.
+A :class:`CellPartition` holds its cells as circular shifts of profiles:
+equal cells need one profile per cell length (a difference of one
+periodic cumulative sum of the Gaussian), so one or two, and any other
+cell functions are a profile per cell with no shift.  Only
+:meth:`CellPartition.rows` builds the (cells × n) matrix, which the
+library's branches read; the width sweep computes only what its report
+reads, and never calls it.  The values over each cell's own window, which
+:meth:`CellPartition.validate` gathers, serve three things: each branch
+weight, by a short transform over the window (one batched FFT per width);
+the sum of the cells, added window by window with the bits of the row
+sum, for the partition-of-unity check and the summed branch; and the
+support check, once per profile.  One correlation gives the kernel's
+offset weights for every width, and the spread of the momentum balance is
+computed only there, for one branch per width.  ``tests/reference.py``
+keeps, as oracles, the transform-based smoothing, the per-cell branch
+weights and a per-width driver that builds every branch through
+:func:`branch_states`.
 """
 
 from __future__ import annotations
@@ -200,60 +204,36 @@ def _support_arcs(functions: np.ndarray) -> np.ndarray:
     return arcs
 
 
-def _check_partition(
-    grid: MomentumGrid, total: np.ndarray, arcs: np.ndarray, smoothing: float
-) -> None:
-    """Refuse cells whose sum ``total`` is not one, or the first cell whose
-    occupied arc (``arcs``, one per cell) exceeds its padded cell.
-
-    A smoothed indicator cannot vanish exactly at its cell edge, so the
-    support requirement is enforced on the cell padded by eight smoothing
-    lengths, beyond which the Gaussian tail is < 1e-12.
-    """
-    dev = float(np.max(np.abs(total - 1.0)))
-    if not dev <= PARTITION_TOL:
-        raise PartitionNotUnity(
-            f"cell functions sum to 1 only within {dev:.3e} (> {PARTITION_TOL:g})"
-        )
-    n = grid.n_points
-    pad = int(math.ceil(8.0 * smoothing / grid.dx)) + 1
-    cell_sites = n // arcs.size + 1
-    bad = np.flatnonzero(arcs > cell_sites + 2 * pad)
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"cell {k} spreads over {arcs[k]} sites; allowed "
-            f"{cell_sites} + 2*{pad} padding"
-        )
-
-
-class _CellProfiles:
-    """Equal cells as circular shifts of their distinct profiles: cell k is
+@dataclass
+class CellPartition:
+    """Partition of unity over the spatial box: cell k is
     ``profiles[which[k]]`` shifted right by ``starts[k]`` sites.
 
-    Cell lengths take at most two values, so this form holds one or two
-    n-point profiles where :class:`CellPartition` holds a row per cell.
+    Equal cells take at most two lengths, so :meth:`smoothed_indicators`
+    holds one or two n-point profiles, not a row per cell.  Any other cell
+    functions are ``starts`` all 0 (then ``n``) with one profile per cell.
     """
 
-    def __init__(self, grid, starts, profiles, which, width, smoothing):
-        self.grid = grid
-        self.starts = starts  # first site of each cell, then n
-        self.profiles = profiles  # (distinct cell lengths, n_points)
-        self.which = which  # profile of each cell
-        self.width = width
-        self.smoothing = smoothing
+    grid: MomentumGrid
+    starts: np.ndarray  # first site of each cell, then n_points
+    profiles: np.ndarray  # (distinct profiles, n_points)
+    which: np.ndarray  # profile of each cell
+    width: float
+    smoothing: float
 
     @classmethod
-    def smoothed(
-        cls, grid: MomentumGrid, n_cells: int, smoothing_fraction: float
-    ) -> "_CellProfiles":
-        """The rule of :meth:`CellPartition.smoothed_indicators`.
+    def smoothed_indicators(
+        cls, grid: MomentumGrid, n_cells: int, smoothing_fraction: float = 0.15
+    ) -> "CellPartition":
+        """Equal cells, Gaussian-convolved so the transforms decay fast.
 
-        A convolved cell of ``L`` sites starting at site ``s`` is a
-        difference of two shifts of one periodic cumulative sum ``Q`` of the
-        kernel, ``g(x) = Q(x - s + 1) - Q(x - s + 1 - L)``, so each distinct
-        length gets one profile, that of a cell starting at site 0.  A cell
-        that covers the box is exactly 1.
+        The convolution kernel is normalized on the grid, so the functions
+        still sum to one exactly (up to roundoff).  A convolved cell of
+        ``L`` sites starting at site ``s`` is a difference of two shifts of
+        one periodic cumulative sum ``Q`` of the kernel, ``g(x) = Q(x - s +
+        1) - Q(x - s + 1 - L)``, so each distinct length gets one profile,
+        that of a cell starting at site 0.  A cell that covers the box is
+        exactly 1.
         """
         if n_cells < 1:
             raise ValueError("need at least one cell")
@@ -286,8 +266,13 @@ class _CellProfiles:
         ])
         return cls(grid, starts, profiles, which, width, smoothing)
 
+    @property
+    def n_cells(self) -> int:
+        return self.which.size
+
     def rows(self) -> np.ndarray:
-        """Every cell function, one row per cell."""
+        """Every cell function, one row per cell: the one place a
+        (cells × n) matrix is built."""
         n = self.grid.n_points
         # row k is its profile shifted right by starts[k], read off the
         # doubled profile
@@ -322,56 +307,34 @@ class _CellProfiles:
             total = np.bincount(sites.ravel(), values.ravel(), minlength=n)
         return sites, values, total
 
-    def validate(self, total: np.ndarray) -> None:
-        """:meth:`CellPartition.validate` on this form, with ``total`` the
-        sum of every cell: a cell's occupied arc is its profile's, since
-        circular shifts keep it."""
-        _check_partition(
-            self.grid, total, _support_arcs(self.profiles)[self.which], self.smoothing
-        )
+    def validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Refuse cells whose sum is not one, or the first cell whose
+        occupied arc exceeds its padded cell; return the :meth:`windowed`
+        sites, values and sum it checked.
 
-    def hat(self, k: int) -> np.ndarray:
-        """:meth:`CellPartition.hat` of cell k."""
-        n = self.grid.n_points
-        cell = np.roll(self.profiles[self.which[k]], self.starts[k])
-        return self.grid.dx * n * np.fft.ifft(cell)
-
-
-@dataclass
-class CellPartition:
-    """Partition of unity over the spatial box, one function per cell."""
-
-    grid: MomentumGrid
-    functions: np.ndarray  # (n_cells, n_points)
-    width: float
-    smoothing: float
-
-    @classmethod
-    def smoothed_indicators(
-        cls, grid: MomentumGrid, n_cells: int, smoothing_fraction: float = 0.15
-    ) -> "CellPartition":
-        """Equal cells, Gaussian-convolved so the transforms decay fast.
-
-        The convolution kernel is normalized on the grid, so the functions
-        still sum to one exactly (up to roundoff).  Every row is a circular
-        shift of the profile of its cell length, built by
-        :meth:`_CellProfiles.smoothed`.
+        A cell's occupied arc is its profile's, since circular shifts keep
+        it.  A smoothed indicator cannot vanish exactly at its cell edge, so
+        the support requirement is enforced on the cell padded by eight
+        smoothing lengths, beyond which the Gaussian tail is < 1e-12.
         """
-        form = _CellProfiles.smoothed(grid, n_cells, smoothing_fraction)
-        return cls(grid=grid, functions=form.rows(), width=form.width,
-                   smoothing=form.smoothing)
-
-    @property
-    def n_cells(self) -> int:
-        return self.functions.shape[0]
-
-    def validate(self) -> None:
-        """Partition-of-unity and padded-support checks
-        (:func:`_check_partition`) on every row."""
-        _check_partition(
-            self.grid, self.functions.sum(axis=0), _support_arcs(self.functions),
-            self.smoothing,
-        )
+        sites, values, total = self.windowed()
+        dev = float(np.max(np.abs(total - 1.0)))
+        if not dev <= PARTITION_TOL:
+            raise PartitionNotUnity(
+                f"cell functions sum to 1 only within {dev:.3e} (> {PARTITION_TOL:g})"
+            )
+        n = self.grid.n_points
+        pad = int(math.ceil(8.0 * self.smoothing / self.grid.dx)) + 1
+        cell_sites = n // self.n_cells + 1
+        arcs = _support_arcs(self.profiles)[self.which]
+        bad = np.flatnonzero(arcs > cell_sites + 2 * pad)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"cell {k} spreads over {arcs[k]} sites; allowed "
+                f"{cell_sites} + 2*{pad} padding"
+            )
+        return sites, values, total
 
     def hat(self, k: int) -> np.ndarray:
         """Transform of cell function k, indexed by offset mod n.
@@ -381,7 +344,8 @@ class CellPartition:
         indistinguishable on the lattice.
         """
         n = self.grid.n_points
-        return self.grid.dx * n * np.fft.ifft(self.functions[k])
+        cell = np.roll(self.profiles[self.which[k]], self.starts[k])
+        return self.grid.dx * n * np.fft.ifft(cell)
 
 
 def _cell_kernel(kernel: TKernel, cells: CellPartition, k: int) -> np.ndarray:
@@ -390,10 +354,18 @@ def _cell_kernel(kernel: TKernel, cells: CellPartition, k: int) -> np.ndarray:
     return kernel.matrix * cells.hat(k)[_offset_index_matrix(n) % n]
 
 
+def _validate_on(kernel: TKernel, cells: CellPartition) -> None:
+    """Refuse a partition off the kernel's grid, then
+    :meth:`CellPartition.validate` it."""
+    if cells.grid != kernel.grid:
+        raise ValueError(f"partition grid {cells.grid} is not the kernel's {kernel.grid}")
+    cells.validate()
+
+
 def cell_decompose(kernel: TKernel, cells: CellPartition) -> list[TKernel]:
     """Cell operators ``tau(P',P) * ghat_k(P'-P)``; they sum back to the
     box-integrated operator because the cell functions sum to one."""
-    cells.validate()
+    _validate_on(kernel, cells)
     return [TKernel.from_matrix(kernel.grid, _cell_kernel(kernel, cells, k))
             for k in range(cells.n_cells)]
 
@@ -424,7 +396,7 @@ def _branch_vectors(kernel: TKernel, cells: CellPartition, psi):
     if kernel.is_separable:
         inner = np.fft.fft(kernel._right * psi)
         return kernel._left * (
-            kernel.grid.dx * n * np.fft.ifft(cells.functions * inner, axis=1)
+            kernel.grid.dx * n * np.fft.ifft(cells.rows() * inner, axis=1)
         )
     return np.array([_cell_kernel(kernel, cells, k) @ psi for k in range(cells.n_cells)])
 
@@ -470,7 +442,7 @@ def _windowed_norms(
 
     Branch k's squared norm is ``sum_P w(P) |ifft(h_k)(P)|^2`` with
     ``h_k = g_k * inner``; ``terms`` is :func:`_norm_terms`, and ``sites``,
-    ``values`` and ``total`` are :meth:`_CellProfiles.windowed`.  Expanding
+    ``values`` and ``total`` are :meth:`CellPartition.windowed`.  Expanding
     the square gives ``sum_{t,t'} h_k(t) conj(h_k(t')) W(t - t')``, ``W``
     indexed mod n.  Beyond the window, ``pad`` sites past either edge of
     cell k, ``g_k`` is below 1e-23, so the double sum runs over the
@@ -506,10 +478,14 @@ def branch_states(
     incoherent reading discards.
     """
     psi_in = np.asarray(psi_in, dtype=np.complex128)
+    n = kernel.grid.n_points
+    if psi_in.shape != (n,):
+        raise ValueError(f"incoming state has shape {psi_in.shape}; the kernel's grid "
+                         f"has {n} sites")
     nrm = float(np.linalg.norm(psi_in))
     if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"incoming state has norm {nrm!r}; normalize it first")
-    cells.validate()
+    _validate_on(kernel, cells)
     vectors = _branch_vectors(kernel, cells, psi_in)
     branches = [BranchState(k, vec) for k, vec in enumerate(vectors)]
     psi_out = vectors.sum(axis=0)
@@ -585,9 +561,8 @@ def _sweep_point(
 ) -> SweepPoint:
     """One width of the sweep: the spread of branch ``n_cells // 2`` and the
     coherence defect, without keeping any branch or any cell's whole row."""
-    cells = _CellProfiles.smoothed(grid, n_cells, smoothing_fraction)
-    sites, values, total = cells.windowed()
-    cells.validate(total)
+    cells = CellPartition.smoothed_indicators(grid, n_cells, smoothing_fraction)
+    sites, values, total = cells.validate()
     norms2, out2 = _windowed_norms(sites, values, total, terms)
     _, defect = _probabilities_and_defect(norms2, out2)
     k = n_cells // 2

@@ -36,7 +36,7 @@ from .errors import (
     TooManyOutcomePaths,
     ZeroProbabilityEvent,
 )
-from .graph import Cut, History, Region, EVENT_VECTOR_TOL
+from .graph import EVENT_VECTOR_TOL, Cut, History, LinkRecord, Region, _refuse_used
 from .tensors import LabeledVector, ProductBra, contract, tensor_product
 
 #: alternative sets must cover probability one within this tolerance
@@ -71,13 +71,16 @@ class CutState:
     keyed by their positions, since an alternative set's candidates
     usually all span the same ones, and ``probabilities`` each candidate's
     probability on this state, keyed by ``id`` beside the candidate itself.
-    ``history`` is the live history the state was cut from and ``emitted``
-    the link ids that events applied since the cut emitted: together they
-    hold every link id a candidate's ket may not reuse.
+    ``links`` is the live link map of the history the state was cut from
+    (admission only adds to it in place) and ``emitted`` the link ids that
+    events applied since the cut emitted: together they hold every link id
+    a candidate's ket may not reuse.  Holding the map and not the history
+    lets a history that keeps its frontier state be freed by reference
+    counting.
     """
 
     components: tuple[LabeledVector, ...]
-    history: History = field(repr=False, compare=False)
+    links: dict[str, LinkRecord] = field(repr=False, compare=False)
     emitted: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     merged: dict[tuple[int, ...], LabeledVector] = field(
@@ -140,11 +143,11 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
     each source of a free link gives one component, its emitted vector
     contracted with the bra factors that events inside the cut apply to its
     other forward links.  Each component is renormalized on its own.  The
-    state keeps a reference to ``history``, so its candidates are refused
-    with :class:`LabelCollision` for every link id the history uses, also
-    ids that events realized after this call add.  The frontier state
-    (``cut=None``) is built once per admission: the history keeps it, and
-    every call until its next admission returns that one object.
+    state keeps a reference to ``history.links``, so its candidates are
+    refused with :class:`LabelCollision` for every link id the history
+    uses, also ids that events realized after this call add.  The frontier
+    state (``cut=None``) is built once per admission: the history keeps it,
+    and every call until its next admission returns that one object.
     """
     frontier = cut is None
     if frontier:
@@ -168,7 +171,8 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
         raise ZeroProbabilityEvent(
             f"cut state has squared norm {total!r}; this past never happens"
         )
-    state = CutState(tuple(_unit(vec, t) for vec, t in zip(components, totals)), history)
+    state = CutState(tuple(_unit(vec, t) for vec, t in zip(components, totals)),
+                     history.links)
     if frontier:
         history._frontier_state = state
     return state
@@ -199,7 +203,7 @@ def _apply(
     missing = [lid for lid in cand.bra.label_ids if lid not in index]
     if missing:
         raise MissingLabel(f"state carries no factor for links {missing}")
-    state.history.refuse_used(cand.ket.label_ids, state.emitted)
+    _refuse_used(cand.ket.label_ids, state.links, state.emitted)
     touched = sorted({index[lid] for lid in cand.bra.label_ids})
     if len(touched) == 1:
         psi = state.components[touched[0]]
@@ -217,7 +221,7 @@ def _replaced(state: CutState, touched: list[int], new: Iterable[LabeledVector],
     """``state`` after ``cand``: the touched components swapped for ``new``
     (the rest are shared by reference), and the ket's link ids used."""
     kept = (vec for k, vec in enumerate(state.components) if k not in touched)
-    return CutState((*kept, *new), state.history,
+    return CutState((*kept, *new), state.links,
                     state.emitted.union(cand.ket.label_ids))
 
 
@@ -229,7 +233,7 @@ def event_probability(state: CutState, cand: CandidateEvent) -> float:
     used the ket's links since."""
     kept = state.probabilities.get(id(cand))
     if kept is not None and kept[0] is cand:
-        state.history.refuse_used(cand.ket.label_ids, state.emitted)
+        _refuse_used(cand.ket.label_ids, state.links, state.emitted)
         return kept[1]
     p = _apply(state, cand)[2].squared_norm()
     state.probabilities[id(cand)] = (cand, p)
@@ -530,7 +534,7 @@ def sample_outcome_tree(
     for d, alts in enumerate(stages):
         emitted = {lid for cand in alts.candidates for lid in cand.ket.label_ids}
         try:
-            history.refuse_used(emitted, used)
+            _refuse_used(emitted, history.links, used)
         except LabelCollision as exc:
             exc.args = (f"$.stages[{d}]: {exc}",)
             raise

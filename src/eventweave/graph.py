@@ -106,6 +106,16 @@ class Cut:
         return cls(frozenset(ids))
 
 
+def _refuse_used(ids: Iterable[str], links: Container[str],
+                 extra: Container[str] = ()) -> None:
+    """Raise :class:`LabelCollision` naming the ``ids`` that a history's
+    ``links``, or ``extra``, already uses: a link id names one arrow with one
+    source, so no new event may emit it again."""
+    clash = [lid for lid in ids if lid in links or lid in extra]
+    if clash:
+        raise LabelCollision(f"link ids already used: {sorted(set(clash))}")
+
+
 class History:
     """Mutable growing event graph with single-writer discipline.
 
@@ -187,7 +197,7 @@ class History:
                 raise ValueError(f"bra factor on {lid!r} lives in {space}, "
                                  f"link carries {link.space}")
         emitted = ket.label_ids
-        self.refuse_used(emitted)
+        _refuse_used(emitted, self.links)
         if event_id in self.events:
             raise ValueError(f"event id {event_id!r} already exists")
         eid = event_id if event_id is not None else self._fresh_event_id()
@@ -205,14 +215,6 @@ class History:
         return eid
 
     # -- queries ---------------------------------------------------------------
-
-    def refuse_used(self, ids: Iterable[str], extra: Container[str] = ()) -> None:
-        """Raise :class:`LabelCollision` naming the ``ids`` that this history,
-        or ``extra``, already uses: a link id names one arrow with one
-        source, so no new event may emit it again."""
-        clash = [lid for lid in ids if lid in self.links or lid in extra]
-        if clash:
-            raise LabelCollision(f"link ids already used: {sorted(set(clash))}")
 
     def frontier_cut(self) -> Cut:
         """The cut containing every realized event (built once per admission)."""
@@ -276,7 +278,7 @@ class History:
         h._counter = self._counter
         h._open = dict(self._open)
         h._frontier = self._frontier
-        h._frontier_state = None  # a state's .history is the history it was cut from
+        h._frontier_state = None  # a state's .links is the map it was cut from
         return h
 
     def to_dict(self) -> dict:

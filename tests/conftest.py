@@ -79,6 +79,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def partition_of_rows(grid, functions, width, smoothing) -> cells.CellPartition:
+    """A :class:`eventweave.cells.CellPartition` whose cells are the rows of
+    ``functions`` as given: one profile per cell, none shifted."""
+    n_cells = len(functions)
+    starts = np.zeros(n_cells + 1, dtype=np.intp)
+    starts[-1] = grid.n_points
+    return cells.CellPartition(grid, starts, np.asarray(functions, dtype=float),
+                               np.arange(n_cells), width, smoothing)
+
+
 def single_branch(kernel, partition, k: int, psi) -> cells.BranchState:
     """Branch ``k`` of :func:`eventweave.cells.branch_states`."""
     return branch_states(kernel, partition, psi).branches[k]

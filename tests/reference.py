@@ -156,7 +156,7 @@ def dense_cut_state(history, cut=None):
         raise dynamics.ZeroProbabilityEvent(f"cut state has squared norm {total!r}")
     if abs(total - 1.0) > 1e-15:
         composite = composite.scaled(1.0 / np.sqrt(total))
-    return dynamics.CutState((composite,), history)
+    return dynamics.CutState((composite,), history.links)
 
 
 # -- staged sampling (one uniform per draw) ------------------------------------
@@ -333,11 +333,12 @@ def naive_branch_vectors(kernel, cells, psi):
     n = grid.n_points
     idx = np.subtract.outer(np.arange(n), np.arange(n)) % n
     rows = []
+    functions = cells.rows()
     for k in range(cells.n_cells):
         if kernel.is_separable:
             inner = np.fft.fft(kernel._right * psi)
             rows.append(
-                kernel._left * (grid.dx * n * np.fft.ifft(cells.functions[k] * inner))
+                kernel._left * (grid.dx * n * np.fft.ifft(functions[k] * inner))
             )
         else:
             rows.append((kernel.matrix * cells.hat(k)[idx]) @ psi)
@@ -355,11 +356,12 @@ def branch_norms(kernel, cells, psi):
     n = kernel.grid.n_points
     inner = np.fft.fft(kernel._right * psi)
     weight = np.abs(kernel._left) ** 2 * (kernel.grid.dx * n) ** 2
+    functions = cells.rows()
     norms2 = np.array([
-        np.abs(np.fft.ifft(cells.functions[k] * inner)) ** 2 @ weight
+        np.abs(np.fft.ifft(functions[k] * inner)) ** 2 @ weight
         for k in range(cells.n_cells)
     ])
-    out = np.fft.ifft(cells.functions.sum(axis=0) * inner)
+    out = np.fft.ifft(functions.sum(axis=0) * inner)
     return norms2, float(np.abs(out) ** 2 @ weight)
 
 
@@ -425,7 +427,8 @@ def naive_validate(partition):
     from eventweave.cells import PARTITION_TOL, SUPPORT_TOL
     from eventweave.errors import PartitionNotUnity
 
-    dev = float(np.max(np.abs(partition.functions.sum(axis=0) - 1.0)))
+    functions = partition.rows()
+    dev = float(np.max(np.abs(functions.sum(axis=0) - 1.0)))
     if not dev <= PARTITION_TOL:
         raise PartitionNotUnity(
             f"cell functions sum to 1 only within {dev:.3e} (> {PARTITION_TOL:g})"
@@ -435,7 +438,7 @@ def naive_validate(partition):
     pad = int(math.ceil(8.0 * partition.smoothing / grid.dx)) + 1
     cell_sites = n // partition.n_cells + 1
     for k in range(partition.n_cells):
-        sites = np.flatnonzero(partition.functions[k] >= SUPPORT_TOL)
+        sites = np.flatnonzero(functions[k] >= SUPPORT_TOL)
         if sites.size == 0:
             continue
         gaps = np.diff(np.concatenate([sites, [sites[0] + n]]))
@@ -454,10 +457,8 @@ def naive_width_sweep(cell_counts, n_points, smoothing_fraction=0.15, tau_scale=
     ``n_cells // 2`` from the test suite's ``momentum_balance_spread`` with
     its own offset correlation.  Returns ``([(width, delta_p, coherence_defect), ...], slope)``.
     """
-    from conftest import momentum_balance_spread
-    from eventweave.cells import (
-        CellPartition, MomentumGrid, TKernel, branch_states, default_sweep_state,
-    )
+    from conftest import momentum_balance_spread, partition_of_rows
+    from eventweave.cells import MomentumGrid, TKernel, branch_states, default_sweep_state
 
     grid = MomentumGrid(n_points, box_length)
     p = grid.momenta()
@@ -467,11 +468,9 @@ def naive_width_sweep(cell_counts, n_points, smoothing_fraction=0.15, tau_scale=
     points = []
     for n_cells in cell_counts:
         width = grid.box_length / n_cells
-        cells = CellPartition(
-            grid=grid,
-            functions=fft_smoothed_indicators(grid, n_cells, smoothing_fraction),
-            width=width,
-            smoothing=smoothing_fraction * width,
+        cells = partition_of_rows(
+            grid, fft_smoothed_indicators(grid, n_cells, smoothing_fraction),
+            width, smoothing_fraction * width,
         )
         decomp = branch_states(kernel, cells, psi)
         k = n_cells // 2

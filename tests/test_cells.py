@@ -12,6 +12,7 @@ from conftest import (
     counting_transforms,
     momentum_balance_spread,
     momentum_to_position,
+    partition_of_rows,
     position_to_momentum,
     single_branch,
 )
@@ -19,6 +20,7 @@ from eventweave import cells as cells_module
 from eventweave.cells import (
     DEFAULT_SWEEP_CELLS,
     PARTITION_TOL,
+    SUPPORT_TOL,
     CellPartition,
     MomentumGrid,
     TKernel,
@@ -103,13 +105,13 @@ def test_partition_functions_sum_to_one(rng):
     for k in (1, 2, 5, 16):
         part = CellPartition.smoothed_indicators(grid, k, 0.12)
         part.validate()
-        assert np.max(np.abs(part.functions.sum(axis=0) - 1.0)) < 1e-12
+        assert np.max(np.abs(part.rows().sum(axis=0) - 1.0)) < 1e-12
 
 
 def test_tampered_partition_is_rejected():
     grid = MomentumGrid(64, 1.0)
-    part = CellPartition.smoothed_indicators(grid, 4, 0.1)
-    part.functions[2] *= 1.001
+    part = smoothed_rows(grid, 4, 0.1)
+    part.profiles[2] *= 1.001
     with pytest.raises(PartitionNotUnity):
         part.validate()
 
@@ -117,15 +119,15 @@ def test_tampered_partition_is_rejected():
 def test_overly_wide_cell_functions_are_rejected():
     grid = MomentumGrid(64, 1.0)
     flat = np.full((2, 64), 0.5)
-    bad = CellPartition(grid=grid, functions=flat, width=0.5, smoothing=0.001)
+    bad = partition_of_rows(grid, flat, width=0.5, smoothing=0.001)
     with pytest.raises(ValueError):
         bad.validate()
 
 
 def test_partition_with_a_nan_entry_is_rejected():
     grid = MomentumGrid(64, 1.0)
-    part = CellPartition.smoothed_indicators(grid, 4, 0.1)
-    part.functions[1, 20] = np.nan
+    part = smoothed_rows(grid, 4, 0.1)
+    part.profiles[1, 20] = np.nan
     with pytest.raises(PartitionNotUnity, match="nan"):
         part.validate()
 
@@ -135,7 +137,7 @@ def test_smoothed_cells_match_the_fft_oracle(n_points):
     grid = MomentumGrid(n_points, 1.0)
     for n_cells in (1, 2, 7, 12, n_points):
         for fraction in (0.0, 0.15, 0.5, 3.0):
-            got = CellPartition.smoothed_indicators(grid, n_cells, fraction).functions
+            got = CellPartition.smoothed_indicators(grid, n_cells, fraction).rows()
             want = reference.fft_smoothed_indicators(grid, n_cells, fraction)
             assert np.max(np.abs(got - want)) <= 1e-14, (n_cells, fraction)
             if n_cells == 1:
@@ -145,30 +147,31 @@ def test_smoothed_cells_match_the_fft_oracle(n_points):
 def test_many_narrow_cells_still_sum_to_one():
     grid = MomentumGrid(16384, 1.0)
     part = CellPartition.smoothed_indicators(grid, 600, 0.15)
-    assert np.max(np.abs(part.functions.sum(axis=0) - 1.0)) <= PARTITION_TOL
+    assert np.max(np.abs(part.rows().sum(axis=0) - 1.0)) <= PARTITION_TOL
     part.validate()
 
 
 def test_rows_are_the_shifted_profiles_and_hat_transforms_them():
-    """Row k of ``smoothed_indicators`` is, bit for bit, its profile rolled
-    by the cell's first site, so the profile form's ``hat(k)`` is the
-    partition's."""
+    """Row k is, bit for bit, its profile rolled by the cell's first site,
+    and ``hat(k)`` is the transform of that row."""
     for n_points in (16, 64, 1000):
         grid = MomentumGrid(n_points, 1.0)
         for n_cells in (1, 2, 7, 12, n_points):
             for fraction in (0.0, 0.15, 3.0):
-                form = cells_module._CellProfiles.smoothed(grid, n_cells, fraction)
                 part = CellPartition.smoothed_indicators(grid, n_cells, fraction)
-                rolled = [np.roll(form.profiles[form.which[k]], form.starts[k])
+                rows = part.rows()
+                rolled = [np.roll(part.profiles[part.which[k]], part.starts[k])
                           for k in range(n_cells)]
-                assert np.array_equal(part.functions, rolled)
-                assert (part.width, part.smoothing) == (form.width, form.smoothing)
+                assert np.array_equal(rows, rolled)
+                assert part.width == grid.box_length / n_cells
+                assert part.smoothing == fraction * part.width
                 for k in {0, n_cells // 2, n_cells - 1}:
-                    assert np.array_equal(form.hat(k), part.hat(k))
+                    want = grid.dx * n_points * np.fft.ifft(rows[k])
+                    assert np.array_equal(part.hat(k), want)
 
 
 def test_windowed_sum_has_the_bits_of_the_row_sum(monkeypatch):
-    """The sum over cell windows is ``functions.sum(axis=0)`` bit for bit,
+    """The sum over cell windows is ``rows().sum(axis=0)`` bit for bit,
     without materializing the rows, for windows narrower than the box and
     capped at it."""
     capped = narrower = 0
@@ -176,35 +179,58 @@ def test_windowed_sum_has_the_bits_of_the_row_sum(monkeypatch):
         grid = MomentumGrid(n_points, 1.0)
         for n_cells in [c for c in (1, 2, 7, 12, 96, 600) if c < n_points] + [n_points]:
             for fraction in (0.0, 0.05, 0.15, 0.5, 3.0):
-                form = cells_module._CellProfiles.smoothed(grid, n_cells, fraction)
-                want = CellPartition.smoothed_indicators(grid, n_cells, fraction)
+                part = CellPartition.smoothed_indicators(grid, n_cells, fraction)
+                rows = part.rows()
                 with monkeypatch.context() as patch:
-                    patch.setattr(form, "rows", None)  # calling it would raise
-                    sites, values, total = form.windowed()
-                assert np.array_equal(total, want.functions.sum(axis=0))
-                assert np.array_equal(values, np.take_along_axis(want.functions, sites, axis=1))
+                    patch.setattr(part, "rows", None)  # calling it would raise
+                    sites, values, total = part.windowed()
+                assert np.array_equal(total, rows.sum(axis=0))
+                assert np.array_equal(values, np.take_along_axis(rows, sites, axis=1))
                 capped += sites.shape[1] == n_points
                 narrower += sites.shape[1] < n_points
     assert capped > 10 and narrower > 10
 
 
+def test_windowed_sum_outside_the_windows_is_the_row_sum(monkeypatch):
+    """A profile that is not exactly 0 outside its window sends the sum
+    through ``rows().sum(axis=0)``; an entry below ``SUPPORT_TOL`` there
+    still passes ``validate``."""
+    grid = MomentumGrid(1000, 1.0)
+    part = CellPartition.smoothed_indicators(grid, 12, 0.15)
+    window = part.windowed()[0][0]  # cell 0 starts at site 0: its profile's window
+    outside = np.setdiff1d(np.arange(grid.n_points), window)
+    part.profiles[0, outside[outside.size // 2]] = 1e-30
+    assert 1e-30 < SUPPORT_TOL
+    calls = []
+    monkeypatch.setattr(part, "rows", lambda rows=part.rows: calls.append(1) or rows())
+    total = part.validate()[2]
+    assert calls == [1]
+    assert np.array_equal(total, part.rows().sum(axis=0))
+
+
+def smoothed_rows(grid, n_cells, fraction):
+    """``smoothed_indicators``' cells as one unshifted profile per cell."""
+    part = CellPartition.smoothed_indicators(grid, n_cells, fraction)
+    return partition_of_rows(grid, part.rows(), part.width, part.smoothing)
+
+
 def broken_forms():
-    """Profile forms that ``validate`` refuses, each with a name."""
+    """Smoothed partitions that ``validate`` refuses, each with a name."""
     grid = MomentumGrid(64, 1.0)
-    tampered = cells_module._CellProfiles.smoothed(grid, 4, 0.1)
+    tampered = CellPartition.smoothed_indicators(grid, 4, 0.1)
     tampered.profiles[0] *= 1.001
     yield "tampered", tampered
-    flat = cells_module._CellProfiles.smoothed(grid, 2, 0.1)
+    flat = CellPartition.smoothed_indicators(grid, 2, 0.1)
     flat.profiles[:] = 0.5
     flat.smoothing = 0.001
     yield "too wide", flat
     for site in (3, 40):  # inside and outside the first cell's window
-        nan = cells_module._CellProfiles.smoothed(grid, 4, 0.1)
+        nan = CellPartition.smoothed_indicators(grid, 4, 0.1)
         nan.profiles[0, site] = np.nan
         yield f"nan at {site}", nan
     # 65 sites make cells of 33 and 32 sites; moving 0.1 of the second cell's
     # profile out to site 40 keeps the sum at one and widens that cell alone
-    wide = cells_module._CellProfiles.smoothed(MomentumGrid(65, 1.0), 2, 0.0)
+    wide = CellPartition.smoothed_indicators(MomentumGrid(65, 1.0), 2, 0.0)
     short, long = wide.which[1], wide.which[0]
     wide.profiles[short, 40] += 0.1
     wide.profiles[long, (wide.starts[1] + 40) % 65] -= 0.1
@@ -212,13 +238,15 @@ def broken_forms():
 
 
 def test_profile_check_refuses_what_validate_refuses():
+    """The check on a few shifted profiles refuses as the per-cell loop
+    does, and as it does on the same cells held one profile per row."""
     seen = []
-    for name, form in broken_forms():
-        part = CellPartition(grid=form.grid, functions=form.rows(), width=form.width,
-                             smoothing=form.smoothing)
-        want = outcome(CellPartition.validate, part)
+    for name, part in broken_forms():
+        want = outcome(reference.naive_validate, part)
         assert want is not None, name
-        assert outcome(lambda f: f.validate(f.windowed()[2]), form) == want, name
+        assert outcome(CellPartition.validate, part) == want, name
+        rows = partition_of_rows(part.grid, part.rows(), part.width, part.smoothing)
+        assert outcome(CellPartition.validate, rows) == want, name
         seen.append(want)
     assert {kind for kind, _ in seen} == {PartitionNotUnity, ValueError}
     assert seen[-1][1].startswith("cell 1 spreads over 41 sites")
@@ -241,9 +269,7 @@ def random_partition(rng, n, n_cells, smoothing):
     values = np.where(support, rng.uniform(0.01, 1.0, support.shape), 0.0)
     values[~support & (rng.random(support.shape) < 0.05)] = 5e-13
     grid = MomentumGrid(n, 1.0)
-    functions = values / values.sum(axis=0)
-    return CellPartition(grid=grid, functions=functions, width=1.0 / n_cells,
-                         smoothing=smoothing)
+    return partition_of_rows(grid, values / values.sum(axis=0), 1.0 / n_cells, smoothing)
 
 
 def outcome(check, part):
@@ -274,7 +300,7 @@ def test_cell_transforms_match_the_direct_sum_oracle(rng):
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     hat = part.hat(1)
     for offset in (0, 1, 5, 17, 31):
-        want = reference.direct_cell_hat(part.functions[1], grid.dx, 32, offset)
+        want = reference.direct_cell_hat(part.rows()[1], grid.dx, 32, offset)
         assert abs(hat[offset] - want) < 1e-12
 
 
@@ -371,7 +397,7 @@ def test_branch_construction_is_translation_covariant(rng):
     shift = 37
     # moving the cells by `shift` sites multiplies momentum states by this phase
     phase = np.exp(2j * np.pi * np.arange(128) * shift / 128)
-    moved_part = dataclasses.replace(part, functions=np.roll(part.functions, shift, axis=1))
+    moved_part = dataclasses.replace(part, profiles=np.roll(part.profiles, shift, axis=1))
     moved = branch_states(T, moved_part, psi * phase)
     for k in range(4):
         want = base.branches[k].vector * phase
@@ -419,7 +445,7 @@ def test_unit_kernel_branches_act_as_cell_multiplication():
     branch = single_branch(unit_kernel(grid), part, 2, psi)
     back = momentum_to_position(grid, branch.vector)
     psi_x = momentum_to_position(grid, psi)
-    want = grid.box_length * part.functions[2] * psi_x
+    want = grid.box_length * part.rows()[2] * psi_x
     assert np.max(np.abs(back - want)) < 1e-12
 
 
@@ -493,6 +519,27 @@ def test_nan_incoming_state_is_refused():
         branch_states(envelope_kernel(grid), part, psi)
 
 
+def test_cell_decompose_refuses_a_partition_off_the_kernel_grid(rng):
+    part = CellPartition.smoothed_indicators(MomentumGrid(128, 1.0), 4, 0.1)
+    with pytest.raises(ValueError, match="n_points=128.*n_points=64"):
+        cell_decompose(smooth_kernel(MomentumGrid(64, 1.0), rng), part)
+
+
+def test_branch_states_refuses_a_partition_off_the_kernel_grid():
+    grid = MomentumGrid(64, 1.0)
+    part = CellPartition.smoothed_indicators(MomentumGrid(128, 1.0), 4, 0.1)
+    with pytest.raises(ValueError, match="n_points=128.*n_points=64"):
+        branch_states(envelope_kernel(grid), part, default_sweep_state(grid))
+
+
+def test_branch_states_refuses_a_state_off_the_kernel_grid():
+    grid = MomentumGrid(64, 1.0)
+    part = CellPartition.smoothed_indicators(grid, 4, 0.1)
+    psi = default_sweep_state(MomentumGrid(128, 1.0))
+    with pytest.raises(ValueError, match=r"shape \(128,\); the kernel's grid has 64 sites"):
+        branch_states(envelope_kernel(grid), part, psi)
+
+
 @pytest.mark.parametrize("cell_counts, n_points", [
     (DEFAULT_SWEEP_CELLS, 1024),
     (DEFAULT_SWEEP_CELLS, 2048),
@@ -513,10 +560,7 @@ def windowed_against_the_oracle(kernel, psi, n_cells, fraction):
     """Windowed branch norms and the summed branch's, with the oracle's."""
     grid = kernel.grid
     part = CellPartition.smoothed_indicators(grid, n_cells, fraction)
-    got = cells_module._windowed_norms(
-        *cells_module._CellProfiles.smoothed(grid, n_cells, fraction).windowed(),
-        cells_module._norm_terms(kernel, psi),
-    )
+    got = cells_module._windowed_norms(*part.windowed(), cells_module._norm_terms(kernel, psi))
     return got, reference.branch_norms(kernel, part, psi)
 
 
@@ -584,12 +628,11 @@ def test_sweep_transforms_per_width_do_not_grow_with_the_cells(monkeypatch):
 
 def test_sweep_memory_grows_with_the_sites_not_with_sites_times_cells(monkeypatch):
     """A 600-cell row matrix alone would be 4800 bytes per site; the sweep
-    holds each cell's window and a few n-point arrays, and builds no
-    ``CellPartition``."""
+    holds each cell's window and a few n-point arrays, and never calls
+    ``CellPartition.rows``."""
     built = []
-    init = CellPartition.__init__
-    monkeypatch.setattr(CellPartition, "__init__",
-                        lambda *args, **kw: built.append(1) or init(*args, **kw))
+    rows = CellPartition.rows
+    monkeypatch.setattr(CellPartition, "rows", lambda self: built.append(1) or rows(self))
     for n_points in (4096, 8192):
         tracemalloc.start()
         try:

@@ -1,6 +1,8 @@
 """Probability law: cut states, joints, sampling, realization, properties."""
 
+import gc
 import math
+import weakref
 from dataclasses import astuple
 from pathlib import Path
 
@@ -306,10 +308,14 @@ def test_probability_sum_above_one_is_a_hard_error():
     assert err.value.total > 1.0 + 1e-9
 
 
-def _plus_state():
+def _plus_history():
     h = History()
     h.add_initial_event(unit_factor("s", [SQRT_HALF, SQRT_HALF]))
-    return cut_state(h)
+    return h
+
+
+def _plus_state():
+    return cut_state(_plus_history())
 
 
 def test_gap_uniform_never_draws_the_zero_weight_candidate():
@@ -343,14 +349,15 @@ def _pruned_tail_alternatives() -> AlternativeSet:
 
 
 def test_gap_uniform_never_draws_a_pruned_candidate(monkeypatch):
-    s, alts = _plus_state(), _pruned_tail_alternatives()
+    h, alts = _plus_history(), _pruned_tail_alternatives()
+    s = cut_state(h)
     probs = alternative_probabilities(s, alts)
     assert ZERO_PROBABILITY_EPS < probs[2] <= dynamics.PRUNED_BRANCH_PROBABILITY
     assert probs.sum() < StuckGenerator().random()
     assert sample_extension(s, alts, StuckGenerator()) == 1
     assert set(sample_many(s, alts, 16, StuckGenerator()).tolist()) == {1}
     monkeypatch.setattr(dynamics, "replica_rng", StuckGenerator)
-    tree = sample_outcome_tree(s.history, [alts], 16, 0, 2)
+    tree = sample_outcome_tree(h, [alts], 16, 0, 2)
     assert tree.replica_counts.tolist() == [[0, 16, 0], [0, 16, 0]]
     assert tree.counts == [0, 32, 0]
 
@@ -366,18 +373,19 @@ def _fixed_generator(value: float) -> np.random.Generator:
 def test_uniform_in_a_pruned_candidates_sliver_skips_it(monkeypatch):
     """Candidates of probability p, 1e-16 and 0.5 - 1e-10: the uniform p is
     past the first and inside the second one's sliver of the cumulative sum."""
-    s, alts = _plus_state(), _pruned_tail_alternatives()
+    h, alts = _plus_history(), _pruned_tail_alternatives()
+    s = cut_state(h)
     alts = AlternativeSet([alts.candidates[i] for i in (0, 2, 1)])
     p = float(alternative_probabilities(s, alts)[0])
     assert p < p + 1e-16
     assert sample_extension(s, alts, _fixed_generator(p)) == 2
     monkeypatch.setattr(dynamics, "replica_rng", lambda *_: _fixed_generator(p))
-    assert sample_outcome_tree(s.history, [alts], 8, 0).counts == [0, 0, 8]
+    assert sample_outcome_tree(h, [alts], 8, 0).counts == [0, 0, 8]
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_outcome_tree_refuses_fewer_than_one_run_or_replica(n):
-    h, alts = _plus_state().history, _pruned_tail_alternatives()
+    h, alts = _plus_history(), _pruned_tail_alternatives()
     for name, args in (("runs", (n, 0)), ("replicas", (10, 0, n))):
         with pytest.raises(ValueError, match=f"^{name} must be positive, got {n}$"):
             sample_outcome_tree(h, [alts], *args)
@@ -927,9 +935,23 @@ def test_a_snapshot_cuts_its_own_frontier_state():
     state = cut_state(h)
     snap = h.snapshot()
     own = cut_state(snap)
-    assert own is not state and own.history is snap and state.history is h
+    assert own is not state and own.links is snap.links and state.links is h.links
     assert cut_state(h) is state and cut_state(snap) is own
     assert [v.labels for v in own.components] == [v.labels for v in state.components]
+
+
+def test_a_history_that_keeps_its_frontier_state_is_freed_by_reference_counting():
+    """The kept state holds the history's link map, not the history, so no
+    cycle keeps a dropped history alive until the next collection."""
+    gc.disable()
+    try:
+        h = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(90.0)).history
+        cut_state(h)
+        alive = weakref.ref(h)
+        del h
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def _qubit_chains(seed: int, events: int, chains: int = 4):

@@ -75,7 +75,10 @@ def build_fingerprint() -> list[str]:
     The ``cells`` reports also reduce through BLAS (``np.correlate``), whose
     kernel OpenBLAS picks at load time and ``OPENBLAS_CORETYPE`` overrides;
     numpy's bundled OpenBLAS names it, and a build without that symbol prints
-    ``unknown``.
+    ``unknown``.  Above 10,000 sites the ``cells`` reports depend on the
+    OpenBLAS thread count too, since ``np.correlate`` splits its dot
+    products across threads there.  The header does not name the thread
+    count, which is why the matrix stops at 8192 sites.
     """
     try:
         from numpy._core import _multiarray_umath as umath
