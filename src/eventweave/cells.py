@@ -18,27 +18,28 @@ transform, with phase ``exp(-i p x / hbar)``.  The cell transforms
 dx`` over the offset ``q = P' - P``, the sign of the translates above.
 
 Kernels may be stored dense (fine up to ~1k grid points) or in separable
-``left(P') * right(P)`` form.  :func:`cell_decompose` and
-:func:`branch_states` take either; the width sweep builds a separable
-kernel, which keeps it out of quadratic memory.
+``left(P') * right(P)`` form.  :func:`cell_decompose` takes either and
+builds every cell operator; :func:`branch_weights` and the width sweep
+take the separable form, which keeps them out of quadratic memory.
 
 A :class:`CellPartition` holds its cells as circular shifts of profiles:
 equal cells need one profile per cell length (a difference of one
 periodic cumulative sum of the Gaussian), so one or two, and any other
 cell functions are a profile per cell with no shift.  Only
-:meth:`CellPartition.rows` builds the (cells × n) matrix, which the
-library's branches read; the width sweep computes only what its report
-reads, and never calls it.  The values over each cell's own window, which
+:meth:`CellPartition.rows` builds the (cells × n) matrix, and only
+:meth:`CellPartition.windowed` calls it, for cells that are not exactly 0
+outside their windows.  The values over each cell's own window, which
 :meth:`CellPartition.validate` gathers, serve three things: each branch
 weight, by a short transform over the window (one batched FFT per width);
 the sum of the cells, added window by window with the bits of the row
 sum, for the partition-of-unity check and the summed branch; and the
-support check, once per profile.  One correlation gives the kernel's
-offset weights for every width, and the spread of the momentum balance is
+support check, once per profile.  One private step turns a partition into
+branch weights and the coherence defect, for :func:`branch_weights` and
+for each width of the sweep.  One correlation gives the kernel's offset
+weights for every width, and the spread of the momentum balance is
 computed only there, for one branch per width.  ``tests/reference.py``
 keeps, as oracles, the transform-based smoothing, the per-cell branch
-weights and a per-width driver that builds every branch through
-:func:`branch_states`.
+vectors and weights, and a per-width sweep built on them.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class TKernel:
     """Scattering kernel over the grid, dense or separable.
 
     Separable form means ``tau(P_i, P_j) = left[i] * right[j]``; it keeps
-    branch construction to FFTs and is what the wide momentum sweeps use.
+    branch weights to FFTs and is what the wide momentum sweeps use.
     """
 
     def __init__(self, grid: MomentumGrid, *, matrix=None, left=None, right=None):
@@ -348,68 +349,22 @@ class CellPartition:
         return self.grid.dx * n * np.fft.ifft(cell)
 
 
-def _cell_kernel(kernel: TKernel, cells: CellPartition, k: int) -> np.ndarray:
-    """Dense cell operator ``tau(P',P) * ghat_k(P'-P)``."""
-    n = kernel.grid.n_points
-    return kernel.matrix * cells.hat(k)[_offset_index_matrix(n) % n]
-
-
-def _validate_on(kernel: TKernel, cells: CellPartition) -> None:
-    """Refuse a partition off the kernel's grid, then
-    :meth:`CellPartition.validate` it."""
+def _refuse_off_grid(kernel: TKernel, cells: CellPartition) -> None:
+    """Refuse a partition off the kernel's grid."""
     if cells.grid != kernel.grid:
         raise ValueError(f"partition grid {cells.grid} is not the kernel's {kernel.grid}")
-    cells.validate()
 
 
 def cell_decompose(kernel: TKernel, cells: CellPartition) -> list[TKernel]:
     """Cell operators ``tau(P',P) * ghat_k(P'-P)``; they sum back to the
-    box-integrated operator because the cell functions sum to one."""
-    _validate_on(kernel, cells)
-    return [TKernel.from_matrix(kernel.grid, _cell_kernel(kernel, cells, k))
-            for k in range(cells.n_cells)]
-
-
-@dataclass
-class BranchState:
-    """Outgoing state confined to one cell."""
-
-    cell_index: int
-    vector: np.ndarray
-
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.vector, self.vector).real)
-
-
-@dataclass
-class BranchDecomposition:
-    branches: list[BranchState]
-    probabilities: np.ndarray
-    coherence_defect: float
-    psi_out: np.ndarray
-
-
-def _branch_vectors(kernel: TKernel, cells: CellPartition, psi):
-    """Branch vectors of every cell, one per row; a separable kernel needs
-    one forward and one batched inverse transform."""
+    box-integrated operator because the cell functions sum to one.  Branch
+    k of a state ``psi`` is ``cell_decompose(kernel, cells)[k].matrix @ psi``."""
+    _refuse_off_grid(kernel, cells)
+    cells.validate()
     n = kernel.grid.n_points
-    if kernel.is_separable:
-        inner = np.fft.fft(kernel._right * psi)
-        return kernel._left * (
-            kernel.grid.dx * n * np.fft.ifft(cells.rows() * inner, axis=1)
-        )
-    return np.array([_cell_kernel(kernel, cells, k) @ psi for k in range(cells.n_cells)])
-
-
-def _probabilities_and_defect(
-    norms2: np.ndarray, out2: float
-) -> tuple[np.ndarray, float]:
-    """Branch probabilities and the coherence defect, from the squared
-    norms of the branches and of their sum."""
-    total = float(norms2.sum())
-    if total <= 0.0:
-        raise ZeroNormBranch("every branch has zero weight")
-    return norms2 / total, abs(out2 - total)
+    tau, offsets = kernel.matrix, _offset_index_matrix(n) % n
+    return [TKernel.from_matrix(kernel.grid, tau * cells.hat(k)[offsets])
+            for k in range(cells.n_cells)]
 
 
 def _fft_length(m: int) -> int:
@@ -468,15 +423,30 @@ def _windowed_norms(
     return norms2, float((np.abs(out) ** 2 * weight).sum())
 
 
-def branch_states(
-    kernel: TKernel, cells: CellPartition, psi_in: np.ndarray
-) -> BranchDecomposition:
-    """All cell branches of an incoming unit state.
+def _weights(cells: CellPartition, terms: tuple) -> tuple[np.ndarray, float]:
+    """Squared norm of every branch of a separable kernel and the coherence
+    defect: :meth:`CellPartition.validate`, then :func:`_windowed_norms`
+    over the windows it checked; ``terms`` is :func:`_norm_terms`."""
+    norms2, out2 = _windowed_norms(*cells.validate(), terms)
+    total = float(norms2.sum())
+    if total <= 0.0:
+        raise ZeroNormBranch("every branch has zero weight")
+    return norms2, abs(out2 - total)
 
-    Branch probabilities are the squared norms, normalized; the coherence
-    defect ``| ||sum Psi_k||^2 - sum ||Psi_k||^2 |`` measures how much the
-    incoherent reading discards.
+
+def branch_weights(
+    kernel: TKernel, cells: CellPartition, psi_in: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Squared norm of every cell branch of an incoming unit state, and the
+    coherence defect ``| ||sum Psi_k||^2 - sum ||Psi_k||^2 |``, which
+    measures how much the incoherent reading discards.
+
+    These are the weights :func:`width_sweep` reads, so the kernel must be
+    separable; :func:`cell_decompose` applies a dense one.
     """
+    if not kernel.is_separable:
+        raise ValueError("branch weights need a separable kernel; apply a dense one "
+                         "through cell_decompose")
     psi_in = np.asarray(psi_in, dtype=np.complex128)
     n = kernel.grid.n_points
     if psi_in.shape != (n,):
@@ -485,20 +455,8 @@ def branch_states(
     nrm = float(np.linalg.norm(psi_in))
     if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"incoming state has norm {nrm!r}; normalize it first")
-    _validate_on(kernel, cells)
-    vectors = _branch_vectors(kernel, cells, psi_in)
-    branches = [BranchState(k, vec) for k, vec in enumerate(vectors)]
-    psi_out = vectors.sum(axis=0)
-    probabilities, defect = _probabilities_and_defect(
-        np.array([b.squared_norm() for b in branches]),
-        float(np.vdot(psi_out, psi_out).real),
-    )
-    return BranchDecomposition(
-        branches=branches,
-        probabilities=probabilities,
-        coherence_defect=defect,
-        psi_out=psi_out,
-    )
+    _refuse_off_grid(kernel, cells)
+    return _weights(cells, _norm_terms(kernel, psi_in))
 
 
 def _offset_weights(kernel: TKernel, psi_in) -> np.ndarray:
@@ -562,9 +520,7 @@ def _sweep_point(
     """One width of the sweep: the spread of branch ``n_cells // 2`` and the
     coherence defect, without keeping any branch or any cell's whole row."""
     cells = CellPartition.smoothed_indicators(grid, n_cells, smoothing_fraction)
-    sites, values, total = cells.validate()
-    norms2, out2 = _windowed_norms(sites, values, total, terms)
-    _, defect = _probabilities_and_defect(norms2, out2)
+    norms2, defect = _weights(cells, terms)
     k = n_cells // 2
     spread = _spread(grid, cells.hat(k), by_offset, norms2[k], k)
     return SweepPoint(

@@ -321,12 +321,12 @@ class History:
         links: dict[str, LinkRecord] = {}
         try:
             for rec in data["links"]:
-                if rec["id"] in links:
+                if _record_id(rec, "link") in links:
                     raise ValueError(f"duplicate link id {rec['id']!r}")
                 space = SpaceType(rec["space"]["name"], rec["space"]["dim"])
                 links[rec["id"]] = LinkRecord(rec["id"], space, rec["source"], rec.get("target"))
             for rec in data["events"]:
-                if rec["id"] in events:
+                if _record_id(rec, "event") in events:
                     raise ValueError(f"duplicate event id {rec['id']!r}")
                 re, im = rec.get("amplitude", [1.0, 0.0])
                 events[rec["id"]] = EventRecord(
@@ -355,6 +355,14 @@ class History:
     @classmethod
     def from_json(cls, text: str) -> "History":
         return cls.from_dict(json.loads(text))
+
+
+def _record_id(rec: dict, kind: str) -> str:
+    """The record's ``id``, refused unless it is a string."""
+    rid = rec["id"]
+    if not isinstance(rid, str):
+        raise ValueError(f"{kind} id must be a string, got {rid!r}")
+    return rid
 
 
 def _readmit(events: Iterable[EventRecord],

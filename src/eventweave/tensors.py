@@ -35,11 +35,11 @@ class SpaceType:
     dim: int
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("space type needs a non-empty name")
-        if int(self.dim) < 1:
-            raise ValueError(f"space {self.name!r} has dimension {self.dim}; need >= 1")
-        object.__setattr__(self, "dim", int(self.dim))
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"space type needs a non-empty string name, got {self.name!r}")
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError(f"space {self.name!r} has dimension {self.dim!r}; need an "
+                             f"integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ class FactorLabel:
 
     link_id: str
     space: SpaceType
+
+    def __post_init__(self):
+        if not isinstance(self.link_id, str) or not self.link_id:
+            raise ValueError(f"link id must be a non-empty string, got {self.link_id!r}")
 
     @property
     def dim(self) -> int:

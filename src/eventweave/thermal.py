@@ -137,6 +137,8 @@ class PacketFamily:
 def gaussian_packet(model: LatticeModel, center: float, sigma: float) -> np.ndarray:
     """Unit-norm minimal packet at ``center``, periodic minimum-image."""
     _positive_finite("sigma", sigma)
+    if not 4.0 * sigma * sigma < math.inf:
+        raise ValueError(f"packet width sigma={sigma} leaves the float range")
     d = model.grid.displacements(center)
     psi = np.exp(-(d**2) / (4.0 * sigma**2))
     return (psi / np.sqrt(np.sum(psi**2))).astype(np.complex128)

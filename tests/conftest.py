@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from eventweave import cells, dynamics
-from eventweave.cells import branch_states
 from eventweave.dynamics import CandidateEvent, realize
 from eventweave.epr import singlet_vector
 from eventweave.dynamics import AlternativeSet
@@ -89,14 +88,9 @@ def partition_of_rows(grid, functions, width, smoothing) -> cells.CellPartition:
                                np.arange(n_cells), width, smoothing)
 
 
-def single_branch(kernel, partition, k: int, psi) -> cells.BranchState:
-    """Branch ``k`` of :func:`eventweave.cells.branch_states`."""
-    return branch_states(kernel, partition, psi).branches[k]
-
-
-def momentum_balance_spread(kernel, partition, branch, psi) -> float:
-    """Standard deviation of ``P_out - P_in`` for one branch, by the
-    sweep's own spread.
+def momentum_balance_spread(kernel, partition, k: int, norm2: float, psi) -> float:
+    """Standard deviation of ``P_out - P_in`` for branch ``k``, whose
+    squared norm is ``norm2``, by the sweep's own spread.
 
     The joint weight of a momentum pair is
     ``|tau(P',P) ghat_k(P'-P) psi(P)|^2``; the spread is taken over the
@@ -112,8 +106,7 @@ def momentum_balance_spread(kernel, partition, branch, psi) -> float:
         offsets = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
         tau2 = np.abs(kernel.matrix) ** 2 * np.abs(np.asarray(psi)) ** 2
         by_offset = np.bincount(offsets.ravel(), tau2.ravel())
-    k = branch.cell_index
-    return cells._spread(kernel.grid, partition.hat(k), by_offset, branch.squared_norm(), k)
+    return cells._spread(kernel.grid, partition.hat(k), by_offset, norm2, k)
 
 
 def recording_states_and_draws(monkeypatch) -> list:

@@ -323,10 +323,9 @@ def naive_grow(initial, steps, rng):
 
 
 def naive_branch_vectors(kernel, cells, psi):
-    """Branch vectors built one cell at a time, one row per cell.
-
-    This is the per-cell loop :func:`eventweave.cells.branch_states`
-    replaced: a separable kernel transforms ``right * psi`` again for every
+    """Branch vectors built one cell at a time, one row per cell: the
+    cell operators of :func:`eventweave.cells.cell_decompose` applied to
+    ``psi``.  A separable kernel transforms ``right * psi`` again for every
     cell, a dense one builds ``tau * ghat_k`` for every cell.
     """
     grid = kernel.grid
@@ -453,12 +452,13 @@ def naive_validate(partition):
 def naive_width_sweep(cell_counts, n_points, smoothing_fraction=0.15, tau_scale=2.0,
                       box_length=1.0):
     """:func:`eventweave.cells.width_sweep` one width at a time: FFT-smoothed
-    cells, every branch built by ``branch_states``, and the spread of branch
-    ``n_cells // 2`` from the test suite's ``momentum_balance_spread`` with
-    its own offset correlation.  Returns ``([(width, delta_p, coherence_defect), ...], slope)``.
+    cells, every branch weight and the coherence defect from
+    :func:`branch_norms`, and the spread of branch ``n_cells // 2`` from the
+    test suite's ``momentum_balance_spread`` with its own offset
+    correlation.  Returns ``([(width, delta_p, coherence_defect), ...], slope)``.
     """
     from conftest import momentum_balance_spread, partition_of_rows
-    from eventweave.cells import MomentumGrid, TKernel, branch_states, default_sweep_state
+    from eventweave.cells import MomentumGrid, TKernel, default_sweep_state
 
     grid = MomentumGrid(n_points, box_length)
     p = grid.momenta()
@@ -472,10 +472,10 @@ def naive_width_sweep(cell_counts, n_points, smoothing_fraction=0.15, tau_scale=
             grid, fft_smoothed_indicators(grid, n_cells, smoothing_fraction),
             width, smoothing_fraction * width,
         )
-        decomp = branch_states(kernel, cells, psi)
+        norms2, out2 = branch_norms(kernel, cells, psi)
         k = n_cells // 2
-        spread = momentum_balance_spread(kernel, cells, decomp.branches[k], psi)
-        points.append((width, spread, decomp.coherence_defect))
+        spread = momentum_balance_spread(kernel, cells, k, norms2[k], psi)
+        points.append((width, spread, abs(out2 - float(norms2.sum()))))
     widths, spreads = np.log([pt[:2] for pt in points]).T
     return points, float(np.polyfit(widths, spreads, 1)[0])
 

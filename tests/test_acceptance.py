@@ -19,7 +19,7 @@ from eventweave.cells import (
     CellPartition,
     MomentumGrid,
     TKernel,
-    branch_states,
+    branch_weights,
     cell_decompose,
     integrate_over_box,
     width_sweep,
@@ -177,9 +177,9 @@ def test_criterion_5_cell_reconstruction_and_purity():
         psi = position_to_momentum(fine, psi_x)
         pf = fine.momenta()
         envelope = np.exp(-(pf**2) / (2 * (np.abs(pf).max() / 6.0) ** 2))
-        dec = branch_states(TKernel.separable(fine, envelope), part, psi)
-        home = dec.branches[1].squared_norm()
-        leak = max(dec.branches[k].squared_norm() for k in (0, 2, 3))
+        norms2, _ = branch_weights(TKernel.separable(fine, envelope), part, psi)
+        home = norms2[1]
+        leak = max(norms2[k] for k in (0, 2, 3))
         assert leak / home < 1e-8
 
 

@@ -14,7 +14,6 @@ from conftest import (
     momentum_to_position,
     partition_of_rows,
     position_to_momentum,
-    single_branch,
 )
 from eventweave import cells as cells_module
 from eventweave.cells import (
@@ -24,7 +23,7 @@ from eventweave.cells import (
     CellPartition,
     MomentumGrid,
     TKernel,
-    branch_states,
+    branch_weights,
     cell_decompose,
     default_sweep_state,
     integrate_over_box,
@@ -340,26 +339,31 @@ def test_cell_transform_is_concentrated_within_h_over_a():
 # -- branches --------------------------------------------------------------------------
 
 
+def branch_vectors(kernel, part, psi):
+    """Every branch, one row per cell, through the cell operators."""
+    return np.array([op.matrix @ psi for op in cell_decompose(kernel, part)])
+
+
 def test_branches_sum_to_the_full_outgoing_state(rng):
     grid = MomentumGrid(256, 1.0)
     T = envelope_kernel(grid)
     part = CellPartition.smoothed_indicators(grid, 5, 0.1)
     psi = default_sweep_state(grid)
-    dec = branch_states(T, part, psi)
-    recombined = np.sum([b.vector for b in dec.branches], axis=0)
+    vectors = branch_vectors(T, part, psi)
     box_out = integrate_over_box(TKernel.from_matrix(grid, T.matrix)).matrix @ psi
-    assert np.max(np.abs(recombined - dec.psi_out)) == 0.0
-    assert np.max(np.abs(dec.psi_out - box_out)) < 1e-9 * np.abs(box_out).max()
-    assert abs(dec.probabilities.sum() - 1.0) < 1e-12
+    assert np.max(np.abs(vectors.sum(axis=0) - box_out)) < 1e-9 * np.abs(box_out).max()
+    norms2, _ = branch_weights(T, part, psi)
+    separate = (np.abs(vectors) ** 2).sum(axis=1)
+    assert np.max(np.abs(norms2 - separate)) <= 1e-12 * separate.max()
 
 
 def test_localized_input_feeds_exactly_one_branch():
     grid = MomentumGrid(1024, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.07)
     psi = unit_packet_in_cell(grid, 4, 1)
-    dec = branch_states(envelope_kernel(grid), part, psi)
-    home = dec.branches[1].squared_norm()
-    leak = max(dec.branches[k].squared_norm() for k in (0, 2, 3))
+    norms2, _ = branch_weights(envelope_kernel(grid), part, psi)
+    home = norms2[1]
+    leak = max(norms2[k] for k in (0, 2, 3))
     assert leak / home < 1e-8
 
 
@@ -369,9 +373,8 @@ def test_branch_probabilities_report_which_cell(rng):
     part = CellPartition.smoothed_indicators(grid, n_cells, 0.07)
     T = envelope_kernel(grid)
     for cell in range(n_cells):
-        dec = branch_states(T, part, unit_packet_in_cell(grid, n_cells, cell))
-        assert dec.probabilities[cell] > 1.0 - 1e-6
-        assert abs(dec.probabilities[cell] - 1.0) < 1e-6
+        norms2, _ = branch_weights(T, part, unit_packet_in_cell(grid, n_cells, cell))
+        assert abs(norms2[cell] / norms2.sum() - 1.0) < 1e-6
 
 
 def test_broad_input_has_a_nonzero_coherence_defect():
@@ -379,11 +382,23 @@ def test_broad_input_has_a_nonzero_coherence_defect():
     T = envelope_kernel(grid)
     part = CellPartition.smoothed_indicators(grid, 4, 0.12)
     psi = default_sweep_state(grid)
-    dec = branch_states(T, part, psi)
-    total = float(np.vdot(dec.psi_out, dec.psi_out).real)
-    separate = sum(b.squared_norm() for b in dec.branches)
-    assert dec.coherence_defect == abs(total - separate)
-    assert dec.coherence_defect > 1e-3 * separate
+    norms2, defect = branch_weights(T, part, psi)
+    out = branch_vectors(T, part, psi).sum(axis=0)
+    total = float(np.vdot(out, out).real)
+    separate = float(norms2.sum())
+    assert abs(defect - abs(total - separate)) <= 1e-12 * separate
+    assert defect > 1e-3 * separate
+
+
+def test_branch_weights_are_the_sweeps():
+    """The sweep's coherence defects are ``branch_weights``' bit for bit."""
+    counts = (8, 64)
+    sweep = width_sweep(cell_counts=counts, n_points=1024)
+    grid = MomentumGrid(1024, 1.0)
+    kernel, psi = envelope_kernel(grid, 2.0), default_sweep_state(grid)  # width_sweep's
+    for pt, n_cells in zip(sweep.points, counts):
+        part = CellPartition.smoothed_indicators(grid, n_cells, 0.15)
+        assert branch_weights(kernel, part, psi)[1] == pt.coherence_defect
 
 
 def test_branch_construction_is_translation_covariant(rng):
@@ -393,29 +408,29 @@ def test_branch_construction_is_translation_covariant(rng):
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     psi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     psi /= np.linalg.norm(psi)
-    base = branch_states(T, part, psi)
+    base = branch_vectors(T, part, psi)
     shift = 37
     # moving the cells by `shift` sites multiplies momentum states by this phase
     phase = np.exp(2j * np.pi * np.arange(128) * shift / 128)
     moved_part = dataclasses.replace(part, profiles=np.roll(part.profiles, shift, axis=1))
-    moved = branch_states(T, moved_part, psi * phase)
-    for k in range(4):
-        want = base.branches[k].vector * phase
-        assert np.max(np.abs(moved.branches[k].vector - want)) < 1e-12
+    moved = branch_vectors(T, moved_part, psi * phase)
+    assert np.max(np.abs(moved - base * phase)) < 1e-12
 
 
 def test_separable_and_dense_routes_agree(rng):
+    """The windowed weights of a separable kernel are the squared norms of
+    its dense cell operators applied, and both forms give one spread."""
     grid = MomentumGrid(128, 1.0)
     T = envelope_kernel(grid, 1 / 3)
     dense = TKernel.from_matrix(grid, T.matrix)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     psi = default_sweep_state(grid)
-    a = branch_states(T, part, psi)
-    b = branch_states(dense, part, psi)
+    norms2, _ = branch_weights(T, part, psi)
+    dense_norms2 = (np.abs(branch_vectors(dense, part, psi)) ** 2).sum(axis=1)
+    assert np.max(np.abs(norms2 - dense_norms2)) <= 1e-12 * norms2.max()
     for k in range(4):
-        assert np.max(np.abs(a.branches[k].vector - b.branches[k].vector)) < 1e-12
-        sa = momentum_balance_spread(T, part, a.branches[k], psi)
-        sb = momentum_balance_spread(dense, part, b.branches[k], psi)
+        sa = momentum_balance_spread(T, part, k, norms2[k], psi)
+        sb = momentum_balance_spread(dense, part, k, dense_norms2[k], psi)
         assert abs(sa - sb) < 1e-9 * max(sa, 1.0)
 
 
@@ -442,23 +457,28 @@ def test_unit_kernel_branches_act_as_cell_multiplication():
     grid = MomentumGrid(256, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     psi = unit_packet_in_cell(grid, 4, 2, width_fraction=1 / 8)
-    branch = single_branch(unit_kernel(grid), part, 2, psi)
-    back = momentum_to_position(grid, branch.vector)
+    branch = branch_vectors(unit_kernel(grid), part, psi)[2]
+    back = momentum_to_position(grid, branch)
     psi_x = momentum_to_position(grid, psi)
     want = grid.box_length * part.rows()[2] * psi_x
     assert np.max(np.abs(back - want)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["separable", "dense"])
-def test_branch_vectors_match_the_per_cell_loop_bit_for_bit(kind, rng):
+def test_cell_operators_apply_as_the_per_cell_loop(kind, rng):
+    """A dense kernel's cell operators applied give the oracle's vectors bit
+    for bit; a separable kernel's agree with its per-cell transforms."""
     grid = MomentumGrid(256, 1.0)
     T = envelope_kernel(grid) if kind == "separable" else smooth_kernel(grid, rng)
     psi = default_sweep_state(grid)
     for n_cells in (4, 48):
         part = CellPartition.smoothed_indicators(grid, n_cells, 0.15)
-        dec = branch_states(T, part, psi)
+        got = branch_vectors(T, part, psi)
         want = reference.naive_branch_vectors(T, part, psi)
-        assert np.array_equal(np.array([b.vector for b in dec.branches]), want)
+        if kind == "dense":
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
 # -- momentum balance spread --------------------------------------------------------
@@ -471,11 +491,10 @@ def test_spreads_match_the_per_offset_loop(kind, n_points, rng):
     psi = default_sweep_state(grid)
     for n_cells in (4, 48):
         part = CellPartition.smoothed_indicators(grid, n_cells, 0.15)
-        for branch in branch_states(T, part, psi).branches:
-            got = momentum_balance_spread(T, part, branch, psi)
-            want = reference.naive_momentum_balance_spread(
-                T, part.hat(branch.cell_index), psi
-            )
+        norms2 = (np.abs(reference.naive_branch_vectors(T, part, psi)) ** 2).sum(axis=1)
+        for k, norm2 in enumerate(norms2):
+            got = momentum_balance_spread(T, part, k, norm2, psi)
+            want = reference.naive_momentum_balance_spread(T, part.hat(k), psi)
             assert abs(got - want) <= 1e-12 * want
 
 
@@ -484,19 +503,16 @@ def test_full_box_cell_conserves_momentum_exactly():
     part = CellPartition.smoothed_indicators(grid, 1, 0.1)
     psi = default_sweep_state(grid)
     T = unit_kernel(grid)
-    dec = branch_states(T, part, psi)
-    assert momentum_balance_spread(T, part, dec.branches[0], psi) < 1e-6 * grid.spacing
+    (norm2,), _ = branch_weights(T, part, psi)
+    assert momentum_balance_spread(T, part, 0, norm2, psi) < 1e-6 * grid.spacing
 
 
 def test_zero_branch_has_no_spread():
     grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 2, 0.1)
     psi = default_sweep_state(grid)
-    T = unit_kernel(grid)
-    branch = single_branch(T, part, 0, psi)
-    branch.vector = np.zeros_like(branch.vector)
-    with pytest.raises(ZeroNormBranch):
-        momentum_balance_spread(T, part, branch, psi)
+    with pytest.raises(ZeroNormBranch, match="branch 0 carries no weight"):
+        momentum_balance_spread(unit_kernel(grid), part, 0, 0.0, psi)
 
 
 def test_spread_times_width_sits_near_h(rng):
@@ -516,7 +532,7 @@ def test_nan_incoming_state_is_refused():
     psi = default_sweep_state(grid)
     psi[3] = np.nan
     with pytest.raises(ValueError, match="norm nan"):
-        branch_states(envelope_kernel(grid), part, psi)
+        branch_weights(envelope_kernel(grid), part, psi)
 
 
 def test_cell_decompose_refuses_a_partition_off_the_kernel_grid(rng):
@@ -525,19 +541,34 @@ def test_cell_decompose_refuses_a_partition_off_the_kernel_grid(rng):
         cell_decompose(smooth_kernel(MomentumGrid(64, 1.0), rng), part)
 
 
-def test_branch_states_refuses_a_partition_off_the_kernel_grid():
+def test_branch_weights_refuses_a_partition_off_the_kernel_grid():
     grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(MomentumGrid(128, 1.0), 4, 0.1)
     with pytest.raises(ValueError, match="n_points=128.*n_points=64"):
-        branch_states(envelope_kernel(grid), part, default_sweep_state(grid))
+        branch_weights(envelope_kernel(grid), part, default_sweep_state(grid))
 
 
-def test_branch_states_refuses_a_state_off_the_kernel_grid():
+def test_branch_weights_refuses_a_state_off_the_kernel_grid():
     grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)
     psi = default_sweep_state(MomentumGrid(128, 1.0))
     with pytest.raises(ValueError, match=r"shape \(128,\); the kernel's grid has 64 sites"):
-        branch_states(envelope_kernel(grid), part, psi)
+        branch_weights(envelope_kernel(grid), part, psi)
+
+
+def test_branch_weights_refuses_a_dense_kernel(rng):
+    grid = MomentumGrid(64, 1.0)
+    part = CellPartition.smoothed_indicators(grid, 4, 0.1)
+    with pytest.raises(ValueError, match="separable kernel"):
+        branch_weights(smooth_kernel(grid, rng), part, default_sweep_state(grid))
+
+
+def test_branch_weights_of_an_annihilated_state_are_refused():
+    grid = MomentumGrid(64, 1.0)
+    part = CellPartition.smoothed_indicators(grid, 4, 0.1)
+    zero = TKernel.separable(grid, np.zeros(grid.n_points))
+    with pytest.raises(ZeroNormBranch, match="every branch has zero weight"):
+        branch_weights(zero, part, default_sweep_state(grid))
 
 
 @pytest.mark.parametrize("cell_counts, n_points", [

@@ -405,6 +405,14 @@ def test_from_dict_refuses_repeated_ids(table):
         History.from_dict(data)
 
 
+@pytest.mark.parametrize("table", ["links", "events"])
+def test_from_dict_refuses_ids_that_are_not_strings(table):
+    data = generic_figure().to_dict()
+    data[table][0]["id"] = 7
+    with pytest.raises(ValueError, match=f"{table[:-1]} id must be a string, got 7"):
+        History.from_dict(data)
+
+
 def _absorbing_bra(data):
     return next(ev for ev in data["events"] if ev["bra"] is not None)["bra"]
 

@@ -488,6 +488,59 @@ BAD_INPUTS = {
         "$.initial_events[0]: emitted vector has squared norm 4.5",
     ),
     "epr-zero-runs": (lambda tmp: ["epr", "--runs", "0"], "runs must be positive, got 0"),
+    "bra-link-null": (
+        _figure_edited(lambda d: _first_candidate(d)["bra"][0]["labels"][0].update(link=None)),
+        "$.stages[0].candidates[0].bra[0]: bad vector literal (link id must be a "
+        "non-empty string, got None)",
+    ),
+    "ket-link-int": (
+        _figure_edited(lambda d: _first_candidate(d)["ket"]["labels"][0].update(link=5)),
+        "$.stages[0].candidates[0].ket: bad vector literal (link id must be a "
+        "non-empty string, got 5)",
+    ),
+    "dim-infinite": (
+        _figure_edited(lambda d: d["initial_events"][0]["vector"]["labels"][0]
+                       .update(dim=math.inf)),
+        "$.initial_events[0].vector: bad vector literal (space 'spin' has dimension inf",
+    ),
+    "dim-not-integer": (
+        _figure_edited(lambda d: d["initial_events"][2]["vector"]["labels"][0]
+                       .update(dim=2.5)),
+        "$.initial_events[2].vector: bad vector literal (space 'spin' has dimension 2.5",
+    ),
+    "thermal-packet-width-overflows": (
+        lambda tmp: ["thermal-ambiguity", "--box", "7.5", "--hbar", "1e300",
+                     "--mass", "1e300", "--sites", "3"],
+        "leaves the float range",
+    ),
+    "unknown-schema": (
+        _figure_edited(lambda d: d.update(schema="eventweave-scenario/2")),
+        "$: unknown schema 'eventweave-scenario/2'",
+    ),
+    "no-initial-events": (
+        _figure_edited(lambda d: d.update(initial_events=[])),
+        "$.initial_events: need at least one initial event",
+    ),
+    "stage-without-candidates": (
+        _figure_edited(lambda d: d["stages"][0].update(candidates=[])),
+        "$.stages[0]: stage needs candidates",
+    ),
+    "complex-not-a-pair": (
+        _figure_edited(lambda d: _first_candidate(d).update(c=[1.0])),
+        "$.stages[0].candidates[0].c: complex values are [re, im] pairs",
+    ),
+    "candidate-empty-bra": (
+        _figure_edited(lambda d: _first_candidate(d).update(bra=[])),
+        "$.stages[0].candidates[0]: candidate needs at least one bra factor",
+    ),
+    "bra-factor-with-two-labels": (
+        _figure_edited(lambda d: _first_candidate(d)["bra"].__setitem__(
+            0, d["initial_events"][2]["vector"])),
+        "$.stages[0].candidates[0].bra[0]: bra factors carry exactly one label",
+    ),
+    "cells-width-beyond-the-box": (
+        lambda tmp: ["cells", "--cell-width", "2"], "cell width 2.0 outside (0, box]"
+    ),
 }
 
 

@@ -151,6 +151,22 @@ def test_stored_label_order_is_irrelevant(rng):
     assert v1.squared_norm() == v2.squared_norm()
 
 
+@pytest.mark.parametrize("name, dim", [
+    ("", 2), (None, 2), (3, 2),
+    ("spin", 0), ("spin", True), ("spin", 2.5), ("spin", 2.0), ("spin", "3"),
+    ("spin", math.inf), ("spin", np.int64(2)),
+])
+def test_space_types_refuse_names_and_dims_they_would_coerce(name, dim):
+    with pytest.raises(ValueError, match="space"):
+        SpaceType(name, dim)
+
+
+@pytest.mark.parametrize("link_id", ["", None, 5, ("a",)])
+def test_factor_labels_refuse_link_ids_that_are_not_strings(link_id):
+    with pytest.raises(ValueError, match="link id must be a non-empty string"):
+        FactorLabel(link_id, SPIN)
+
+
 # -- squared_norm ---------------------------------------------------------------
 
 

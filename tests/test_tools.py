@@ -113,7 +113,7 @@ ACCEPTANCE_ONLY = {
     "dynamics.joint_probability": 7,
     "epr.chsh_optimal_directions": 2,
     "thermal.proton_model": 4,
-    "cells.branch_states": 5,
+    "cells.branch_weights": 5,
     "cells.cell_decompose": 5,
     "cells.integrate_over_box": 5,
 }
