@@ -19,8 +19,9 @@ dx`` over the offset ``q = P' - P``, the sign of the translates above.
 
 Kernels may be stored dense (fine up to ~1k grid points) or in separable
 ``left(P') * right(P)`` form.  :func:`cell_decompose` takes either and
-builds every cell operator; :func:`branch_weights` and the width sweep
-take the separable form, which keeps them out of quadratic memory.
+yields the cell operators one at a time; :func:`branch_weights` and the
+width sweep take the separable form, which keeps them out of quadratic
+memory.
 
 A :class:`CellPartition` holds its cells as circular shifts of profiles:
 equal cells need one profile per cell length (a difference of one
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -355,16 +356,18 @@ def _refuse_off_grid(kernel: TKernel, cells: CellPartition) -> None:
         raise ValueError(f"partition grid {cells.grid} is not the kernel's {kernel.grid}")
 
 
-def cell_decompose(kernel: TKernel, cells: CellPartition) -> list[TKernel]:
-    """Cell operators ``tau(P',P) * ghat_k(P'-P)``; they sum back to the
-    box-integrated operator because the cell functions sum to one.  Branch
-    k of a state ``psi`` is ``cell_decompose(kernel, cells)[k].matrix @ psi``."""
+def cell_decompose(kernel: TKernel, cells: CellPartition) -> Iterator[TKernel]:
+    """Cell operators ``tau(P',P) * ghat_k(P'-P)``, built one at a time in cell
+    order; they sum back to the box-integrated operator because the cell
+    functions sum to one.  Branch k of a state ``psi`` is the k-th operator's
+    ``.matrix @ psi``.  A partition off the kernel's grid or one that fails
+    :meth:`CellPartition.validate` is refused at the call."""
     _refuse_off_grid(kernel, cells)
     cells.validate()
     n = kernel.grid.n_points
     tau, offsets = kernel.matrix, _offset_index_matrix(n) % n
-    return [TKernel.from_matrix(kernel.grid, tau * cells.hat(k)[offsets])
-            for k in range(cells.n_cells)]
+    return (TKernel.from_matrix(kernel.grid, tau * cells.hat(k)[offsets])
+            for k in range(cells.n_cells))
 
 
 def _fft_length(m: int) -> int:

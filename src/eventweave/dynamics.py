@@ -310,23 +310,41 @@ def _as_generator(rng: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _draw(probs: np.ndarray, u):
-    """Candidate index selected by each uniform in ``u`` (scalar or array).
+def _thresholds(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums of the live probabilities before the last live one.
 
-    Probabilities at or below :data:`PRUNED_BRANCH_PROBABILITY` count as 0,
-    and a uniform picks the first candidate whose cumulative probability
-    exceeds it.  ``probs`` sum to 1 within :data:`EXHAUSTIVE_TOL`, so some
-    candidate is live; a uniform past the sum goes to the last live one.
-    The pick counts the cumulative sums before the last live candidate that
-    the uniform reaches: the cumulative sums never decrease, so that is the
-    binary search's index clipped to the last live candidate.
+    Probabilities at or below :data:`PRUNED_BRANCH_PROBABILITY` count as 0.
+    ``probs`` sum to 1 within :data:`EXHAUSTIVE_TOL`, so some candidate is
+    live.  A uniform picks as many candidates past the first as it reaches
+    thresholds: the first candidate whose cumulative probability exceeds
+    it, or the last live one for a uniform past the sum.  The sums never
+    decrease, so the thresholds a uniform reaches are a prefix.
     """
     live = np.where(probs > PRUNED_BRANCH_PROBABILITY, probs, 0.0)
-    last = np.flatnonzero(live)[-1]
+    return np.cumsum(live[:np.flatnonzero(live)[-1]])
+
+
+def _draw(probs: np.ndarray, u):
+    """Candidate index selected by each uniform in ``u`` (scalar or array):
+    the number of :func:`_thresholds` it reaches."""
     pick = np.zeros(np.shape(u), dtype=np.intp)
-    for c in np.cumsum(live[:last]):
+    for c in _thresholds(probs):
         pick += u >= c
     return pick
+
+
+def _draw_counts(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Number of the uniforms ``u`` that :func:`_draw` sends to each candidate,
+    counted without a per-uniform pick.
+
+    The thresholds a uniform reaches are a prefix, so candidate ``k`` gets
+    the uniforms that reach its threshold ``k - 1`` (all of them for
+    ``k = 0``) less those that reach threshold ``k`` (none past the last).
+    """
+    reached = [u.size, *(np.count_nonzero(u >= c) for c in _thresholds(probs)), 0]
+    counts = np.zeros(probs.size, dtype=np.int64)
+    counts[:len(reached) - 1] = np.subtract(reached[:-1], reached[1:])
+    return counts
 
 
 def sample_extension(
@@ -501,6 +519,19 @@ def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     return path
 
 
+def _path_counts(tables: list[np.ndarray], u: np.ndarray, total: int) -> np.ndarray:
+    """Runs per path (lexicographic) of the rows of uniforms ``u``.
+
+    When the last stage's table has one row, every earlier stage has one
+    candidate and a run's path is its last draw, so the runs are counted by
+    :func:`_draw_counts` with no per-run array; otherwise each run walks
+    the tree by :func:`_sample_paths`.
+    """
+    if tables and len(tables[-1]) == 1:
+        return _draw_counts(tables[-1][0], u[:, -1])
+    return np.bincount(_sample_paths(tables, u), minlength=total)
+
+
 def sample_outcome_tree(
     history: History,
     stages: Sequence[AlternativeSet],
@@ -551,9 +582,8 @@ def sample_outcome_tree(
         for start in range(0, runs, DRAW_CHUNK):
             u = rng.random((min(DRAW_CHUNK, runs - start), len(stages)))
             if replica == 0 and start == 0:
-                first = int(_sample_paths(tables, u[:1])[0])
-            # the paths are freed before the uniforms: one block fewer is live
-            counts[replica] += np.bincount(_sample_paths(tables, u), minlength=total)
+                first = int(np.flatnonzero(_path_counts(tables, u[:1], total))[0])
+            counts[replica] += _path_counts(tables, u, total)
     return OutcomeTree(
         paths=paths,
         analytic=[float(p) for p in analytic],

@@ -213,7 +213,11 @@ def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
 
     The result keeps psi's remaining labels; contracting every label yields
     an empty-label scalar.  Amplitudes are ``sum conj(bra) * psi`` over the
-    contracted indices.
+    contracted indices.  Each factor is one ``np.dot`` of the conjugated
+    factor as a ``(1, d)`` row with the tensor's axis moved to the front
+    and reshaped to ``(d, rest)``: the product, operands and layout of
+    ``np.tensordot(conj(factor), tensor, axes=([0], [axis]))``, without its
+    argument handling.
     """
     have = set(psi.label_ids)
     missing = [lid for lid in bra.label_ids if lid not in have]
@@ -228,7 +232,10 @@ def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
                 f"space mismatch on link {lid!r}: "
                 f"{labels[axis].space} vs {fac.labels[0].space}"
             )
-        tensor = np.tensordot(np.conj(fac.amps), tensor, axes=([0], [axis]))
+        shape, others = tensor.shape, [k for k in range(tensor.ndim) if k != axis]
+        front = tensor.transpose([axis, *others]).reshape(shape[axis], -1)
+        tensor = np.dot(np.conj(fac.amps).reshape(1, -1), front).reshape(
+            [shape[k] for k in others])
         del labels[axis]
     return LabeledVector(labels, np.ascontiguousarray(tensor).reshape(-1), _canonical=True)
 

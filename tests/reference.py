@@ -54,6 +54,24 @@ def naive_contract(bra_factors, labels, amps):
     return keep, out
 
 
+def tensordot_contract(bra, psi):
+    """``<bra|psi`` by one ``np.tensordot`` per bra factor, in bra order.
+
+    This is the form :func:`eventweave.tensors.contract` replaced with
+    tensordot's own steps: the same ``np.dot`` of the same operands, so the
+    two agree bit for bit.
+    """
+    from eventweave.tensors import LabeledVector
+
+    labels = list(psi.labels)
+    tensor = psi.amps.reshape(psi.dims) if labels else psi.amps
+    for lid, fac in bra.factors.items():
+        axis = next(i for i, lab in enumerate(labels) if lab.link_id == lid)
+        tensor = np.tensordot(np.conj(fac.amps), tensor, axes=([0], [axis]))
+        del labels[axis]
+    return LabeledVector(labels, np.ascontiguousarray(tensor).reshape(-1), _canonical=True)
+
+
 def naive_squared_norm(amps):
     total = 0.0
     for a in amps:

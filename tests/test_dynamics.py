@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import astuple
 from pathlib import Path
@@ -469,6 +470,60 @@ def test_depth_pass_equals_the_grouped_walk_on_random_tables(seed):
         assert int(dynamics._sample_paths(tables, u[r:r + 1])[0]) == want[r]
 
 
+#: one-row tables 1e-9 short of one, with pruned candidates before the last live one
+SHORT_ROWS = [
+    [0.2, 0.0, 0.3, 1e-16, 0.5 - 1e-9],
+    [PRUNED, 0.6, 1e-16, 0.4 - 1e-9, 0.0],
+]
+
+
+@pytest.mark.parametrize("earlier", [0, 2])
+@pytest.mark.parametrize("probs", BOUNDARY_ROWS + SHORT_ROWS)
+def test_threshold_counts_equal_the_grouped_walk_on_one_row_tables(probs, earlier):
+    """A one-row last stage, alone or below one-candidate stages, is counted
+    by thresholds: the grouped walk's counts at every boundary uniform and
+    past a sum 1e-9 short of one, and its path for each single run."""
+    probs = np.array(probs)
+    tables = [np.ones((1, 1))] * earlier + [probs[None, :]]
+    rng = np.random.default_rng(len(probs))
+    last = np.concatenate([_boundary_uniforms(probs), 1.0 - 1e-9 * rng.random(50),
+                           rng.random(200)])
+    u = np.hstack([rng.random((last.size, earlier)), last[:, None]])
+    want = reference.grouped_sample_paths(tables, u)
+    got = dynamics._path_counts(tables, u, probs.size)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.bincount(want, minlength=probs.size))
+    for r in range(len(u)):
+        one = dynamics._path_counts(tables, u[r:r + 1], probs.size)
+        assert np.array_equal(np.flatnonzero(one), [want[r]])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_path_counts_equal_the_grouped_walk_on_random_tables(seed):
+    rng = np.random.default_rng(seed)
+    tables = _random_tables(rng)
+    total = math.prod(table.shape[1] for table in tables)
+    u = rng.random((4000, len(tables)))
+    got = dynamics._path_counts(tables, u, total)
+    want = np.bincount(reference.grouped_sample_paths(tables, u), minlength=total)
+    assert np.array_equal(got, want)
+
+
+def test_one_stage_sampling_holds_no_per_run_array():
+    """At ``DRAW_CHUNK`` runs the uniforms are one 8 MiB block.  Counting by
+    thresholds adds a 1 MiB comparison mask at a time; a pick per run would
+    add 8 MiB more."""
+    setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(37.5))
+    cut_state(setup.history)
+    tracemalloc.start()
+    try:
+        sample_outcome_tree(setup.history, [setup.alternatives], dynamics.DRAW_CHUNK, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * dynamics.DRAW_CHUNK * 8, peak
+
+
 # -- outcome tree --------------------------------------------------------------------
 
 FIGURE = Path(__file__).resolve().parents[1] / "scenarios" / "figure.json"
@@ -508,6 +563,23 @@ def test_outcome_tree_counts_equal_the_per_draw_loop(name, seed, replicas):
     }
     assert tree.first_path == first_path
     assert sum(tree.counts) == runs * replicas
+
+
+SHIPPED = sorted(FIGURE.parent.glob("*.json"))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_first_path_is_the_first_run_of_the_per_draw_loop(seed):
+    """``first_path`` is read from the counts of the first run when the last
+    stage is counted by thresholds (``epr``), from its walk otherwise."""
+    setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(37.5))
+    cases = [(setup.history, [setup.alternatives])]
+    for path in SHIPPED:
+        scen = load_scenario(path)
+        cases.append((scen.build_history(), [stage.alternatives for stage in scen.stages]))
+    for history, stages in cases:
+        tree = sample_outcome_tree(history, stages, 3, seed)
+        assert tree.first_path == reference.naive_simulate_counts(history, stages, 1, seed)[1]
 
 
 def test_outcome_tree_counts_equal_the_per_draw_loop_on_gap_uniforms(monkeypatch):

@@ -277,6 +277,21 @@ def test_everything_matches_the_full_loop_oracle(data):
         assert np.max(np.abs(out.amps - np.array(ref_amps))) < 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_contract_equals_the_tensordot_form_bit_for_bit(data):
+    """1-4 labels of dimension 1-4, any subset of them contracted, in bra
+    order: the same amplitudes as one ``np.tensordot`` per factor."""
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    labels = [lab(f"f{i}", SpaceType(f"d{d}", d)) for i, d in enumerate(dims)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    psi = random_vector(labels, rng)
+    chosen = data.draw(st.lists(st.sampled_from(labels), unique=True))
+    bra = ProductBra([random_unit_vector([label], rng) for label in chosen])
+    got, want = contract(bra, psi), reference.tensordot_contract(bra, psi)
+    assert got.labels == want.labels and np.array_equal(got.amps, want.amps)
+
+
 # -- ProductBra validation ---------------------------------------------------------
 
 
