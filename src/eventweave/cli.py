@@ -324,10 +324,108 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+#: the texts ``float.__repr__`` gives the values JSON has no number for
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+@functools.cache
+def _breaks(depth: int) -> tuple[str, str]:
+    """What goes before the first item nested ``depth`` deep (a line break
+    and the indent) and before each later one (a comma first): one pair of
+    strings per depth, shared by every container."""
+    newline = "\n" + "  " * depth
+    return newline, "," + newline
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    if text in _NON_FINITE:
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return text
+
+
+def _key_text(key) -> str:
+    """A dict key that is not a string, as ``json`` writes it: a number,
+    bool or ``None`` turned into one."""
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is True or key is False or key is None:
+        return _encode_str(json.dumps(key))
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write_json(value, put, depth: int) -> None:
+    """Pass the JSON text of ``value``, nested ``depth`` deep, to ``put``
+    piece by piece, as ``json.dumps(value, indent=2, allow_nan=False)``
+    writes it: the same type tests in the same order, the same escapes and
+    number texts, and the same refusals (``ValueError`` for NaN and ±inf,
+    ``TypeError`` for a type JSON has no form for).
+
+    It is a module-level function that takes ``put`` (a list's ``append``),
+    not a closure that calls itself: such a closure is a reference cycle,
+    which keeps each report's pieces alive until the cyclic collector runs.
+    """
+    if isinstance(value, str):
+        put(_encode_str(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        put(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        lead, later = _breaks(depth + 1)
+        put("[")
+        for item in value:
+            put(lead)
+            lead = later
+            _write_json(item, put, depth + 1)
+        put(_breaks(depth)[0])
+        put("]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        lead, later = _breaks(depth + 1)
+        put("{")
+        for key, item in value.items():
+            put(lead)
+            lead = later
+            put(_encode_str(key) if isinstance(key, str) else _key_text(key))
+            put(": ")
+            _write_json(item, put, depth + 1)
+        put(_breaks(depth)[0])
+        put("}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(report) -> str:
+    """``json.dumps(report, indent=2, allow_nan=False)``, byte for byte.
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder, a
+    stack of generators; one recursive call per value costs less than half
+    as much."""
+    chunks: list[str] = []
+    _write_json(report, chunks.append, 0)
+    return "".join(chunks)
+
+
 def _emit(args, report: dict, header: list, rows: Iterator[list]) -> None:
     """Write the report: ``rows`` are formatted only for a CSV one."""
     if args.format == "json":
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        text = _json_text(report) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -82,7 +82,6 @@ class CutState:
     components: tuple[LabeledVector, ...]
     links: dict[str, LinkRecord] = field(repr=False, compare=False)
     emitted: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
     merged: dict[tuple[int, ...], LabeledVector] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -90,10 +89,11 @@ class CutState:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {
-            lid: k for k, vec in enumerate(self.components) for lid in vec.label_ids
-        })
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Position of the component that carries each free link id, built
+        on first use: states that no candidate is applied to never need it."""
+        return {lid: k for k, vec in enumerate(self.components) for lid in vec.label_ids}
 
     @cached_property
     def composite(self) -> LabeledVector:

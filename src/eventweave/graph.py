@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Container, Iterable
 
@@ -41,6 +42,20 @@ from .tensors import FactorLabel, LabeledVector, ProductBra, SpaceType
 EVENT_VECTOR_TOL = 1e-9
 
 
+def _floats(values: Iterable, what: str) -> tuple[float, ...]:
+    """``values`` as floats.  Each must be a real number and not a bool:
+    ``float`` would turn the string ``"1"`` or ``true`` into 1.0 without a
+    word.  A number outside the float range is refused too."""
+    values = tuple(values)
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{what} must hold real numbers, got {x!r}")
+    try:
+        return tuple(float(x) for x in values)
+    except OverflowError as exc:
+        raise ValueError(f"{what} leaves the float range: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Region:
     """Optional space-time tag of an event: a center and extents, 4 each."""
@@ -49,8 +64,8 @@ class Region:
     extent: tuple[float, float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(x) for x in self.center))
-        object.__setattr__(self, "extent", tuple(float(x) for x in self.extent))
+        object.__setattr__(self, "center", _floats(self.center, "region center"))
+        object.__setattr__(self, "extent", _floats(self.extent, "region extent"))
         if len(self.center) != 4 or len(self.extent) != 4:
             raise ValueError("region needs 4 center values and 4 extents")
         if not all(map(math.isfinite, self.center + self.extent)):
@@ -339,7 +354,7 @@ class History:
                     else ProductBra([vector_from_dict(f) for f in rec["bra"]]),
                     region=region_from_dict(rec.get("region")),
                 )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed history record: {exc!r}") from exc
         except EventWeaveError as exc:  # a non-unit bra factor or a repeated label
             raise ValueError(f"invalid history: {exc}") from exc

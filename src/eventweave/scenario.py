@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .dynamics import AlternativeSet, CandidateEvent
 from .errors import EventWeaveError
-from .graph import History, Region, region_from_dict, vector_from_dict
+from .graph import History, Region, _floats, region_from_dict, vector_from_dict
 from .tensors import LabeledVector, ProductBra
 
 SCHEMA_NAME = "eventweave-scenario/1"
@@ -79,7 +79,7 @@ def _parse_vector(data, loc) -> LabeledVector:
     _expect(data, "amps", list, loc)
     try:
         return vector_from_dict(data)
-    except (KeyError, TypeError, ValueError, EventWeaveError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, EventWeaveError) as exc:
         raise ScenarioError(f"bad vector literal ({exc})", loc) from exc
 
 
@@ -94,8 +94,8 @@ def _parse_complex(data, loc) -> complex:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ScenarioError("complex values are [re, im] pairs", loc)
     try:
-        return complex(float(data[0]), float(data[1]))
-    except (TypeError, ValueError) as exc:
+        return complex(*_floats(data, "a complex value"))
+    except ValueError as exc:
         raise ScenarioError(f"bad complex value ({exc})", loc) from exc
 
 

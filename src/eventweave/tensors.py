@@ -63,14 +63,18 @@ class LabeledVector:
 
     The empty-label case is a scalar (a single amplitude).  Instances are
     immutable; the amplitude buffer is marked read-only, so sharing across
-    threads is safe.
+    threads is safe.  The constructor checks its input (distinct link ids,
+    one amplitude per basis state, finite amplitudes) and puts the labels in
+    canonical order.  The kernels below build their outputs with
+    ``_trusted``, which checks finiteness only: their construction already
+    guarantees the rest.
     """
 
-    __slots__ = ("labels", "amps")
+    __slots__ = ("labels", "amps", "label_ids")
 
-    def __init__(self, labels: Iterable[FactorLabel], amps, *, _canonical: bool = False):
+    def __init__(self, labels: Iterable[FactorLabel], amps):
         labels = tuple(labels)
-        ids = [lab.link_id for lab in labels]
+        ids = tuple(lab.link_id for lab in labels)
         if len(set(ids)) != len(ids):
             raise DuplicateLabel(f"repeated link ids among labels: {sorted(ids)}")
         arr = np.ascontiguousarray(amps, dtype=np.complex128).reshape(-1)
@@ -81,27 +85,32 @@ class LabeledVector:
             raise ValueError(
                 f"{arr.size} amplitudes for labels with total dimension {expected}"
             )
+        self._fill(*_by_link_id(labels, ids, arr))
+
+    @classmethod
+    def _trusted(cls, labels: tuple[FactorLabel, ...], ids: tuple[str, ...],
+                 amps: np.ndarray) -> "LabeledVector":
+        """A kernel's output: ``labels`` already distinct and in canonical
+        order, ``ids`` their link ids, ``amps`` a flat contiguous
+        ``complex128`` array of their total size.  Only finiteness is
+        checked."""
+        vec = cls.__new__(cls)
+        vec._fill(labels, ids, amps)
+        return vec
+
+    def _fill(self, labels: tuple[FactorLabel, ...], ids: tuple[str, ...],
+              arr: np.ndarray) -> None:
         if not np.isfinite(arr).all():
             raise ValueError("amplitudes must be finite")
-        if not _canonical and any(
-            labels[i].link_id > labels[i + 1].link_id for i in range(len(labels) - 1)
-        ):
-            order = sorted(range(len(labels)), key=lambda i: labels[i].link_id)
-            dims = tuple(lab.dim for lab in labels)
-            arr = np.ascontiguousarray(arr.reshape(dims).transpose(order)).reshape(-1)
-            labels = tuple(labels[i] for i in order)
         arr.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "label_ids", ids)
         object.__setattr__(self, "amps", arr)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("LabeledVector is immutable")
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def label_ids(self) -> tuple[str, ...]:
-        return tuple(lab.link_id for lab in self.labels)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -121,11 +130,11 @@ class LabeledVector:
         return abs(self.squared_norm() - 1.0) <= tol
 
     def scaled(self, c: complex) -> "LabeledVector":
-        return LabeledVector(self.labels, self.amps * complex(c), _canonical=True)
+        return LabeledVector._trusted(self.labels, self.label_ids, self.amps * complex(c))
 
     @classmethod
     def scalar(cls, value: complex = 1.0) -> "LabeledVector":
-        return cls((), [complex(value)], _canonical=True)
+        return cls((), [complex(value)])
 
     # -- misc ----------------------------------------------------------------
 
@@ -142,6 +151,18 @@ class LabeledVector:
     def __repr__(self) -> str:
         ids = ",".join(self.label_ids)
         return f"LabeledVector([{ids}], {self.amps.size} amps)"
+
+
+def _by_link_id(labels: tuple[FactorLabel, ...], ids: tuple[str, ...], arr: np.ndarray
+                ) -> tuple[tuple[FactorLabel, ...], tuple[str, ...], np.ndarray]:
+    """``labels`` and their link ``ids`` in canonical order (sorted by link
+    id), and the flat amplitudes ``arr`` with their axes permuted to match."""
+    if list(ids) == sorted(ids):
+        return labels, ids, arr
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    dims = tuple(lab.dim for lab in labels)
+    arr = np.ascontiguousarray(arr.reshape(dims).transpose(order)).reshape(-1)
+    return tuple(labels[i] for i in order), tuple(ids[i] for i in order), arr
 
 
 class ProductBra:
@@ -205,7 +226,8 @@ def tensor_product(u: LabeledVector, v: LabeledVector) -> LabeledVector:
             f"{MAX_AMPLITUDES}"
         )
     amps = np.multiply.outer(u.amps, v.amps).reshape(-1)
-    return LabeledVector(u.labels + v.labels, amps)
+    return LabeledVector._trusted(
+        *_by_link_id(u.labels + v.labels, u.label_ids + v.label_ids, amps))
 
 
 def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
@@ -223,10 +245,10 @@ def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
     missing = [lid for lid in bra.label_ids if lid not in have]
     if missing:
         raise MissingLabel(f"state carries no factor for links {missing}")
-    labels = list(psi.labels)
+    labels, ids = list(psi.labels), list(psi.label_ids)
     tensor = psi.amps.reshape(psi.dims) if labels else psi.amps
     for lid, fac in bra.factors.items():
-        axis = next(i for i, lab in enumerate(labels) if lab.link_id == lid)
+        axis = ids.index(lid)
         if labels[axis].space != fac.labels[0].space:
             raise ValueError(
                 f"space mismatch on link {lid!r}: "
@@ -236,6 +258,7 @@ def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
         front = tensor.transpose([axis, *others]).reshape(shape[axis], -1)
         tensor = np.dot(np.conj(fac.amps).reshape(1, -1), front).reshape(
             [shape[k] for k in others])
-        del labels[axis]
-    return LabeledVector(labels, np.ascontiguousarray(tensor).reshape(-1), _canonical=True)
+        del labels[axis], ids[axis]
+    return LabeledVector._trusted(tuple(labels), tuple(ids),
+                                  np.ascontiguousarray(tensor).reshape(-1))
 

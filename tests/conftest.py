@@ -1,10 +1,12 @@
 """Shared builders for the test suite."""
 
+import copy
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from eventweave import cells, dynamics
 from eventweave.dynamics import CandidateEvent, realize
@@ -398,6 +400,46 @@ class HistoryFactory:
         if abs(c) < 1e-3:
             c = 1.0
         return CandidateEvent(bra=bra, c=c, ket=ket)
+
+
+#: what a mutation may write in place of a JSON value: every JSON type, the
+#: constants Python's ``json`` reads (NaN, Infinity), numbers at the edges of
+#: the float range and strings that ``float`` or ``int`` would accept
+ODD_JSON_VALUES = (
+    None, True, False, 0, -1, 1, 3, 2.5, -0.0, 1e-320, 1e308, 10**400,
+    math.inf, -math.inf, math.nan, "", "x", "1", "spin", [], [None], [1.0, 0.0],
+    {}, {"x": 1},
+)
+
+
+def _json_slots(doc):
+    """Every ``(container, key)`` that holds a value of ``doc``, in document order."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _json_slots(value)
+
+
+def mutate_json(doc, draw) -> None:
+    """One random edit of the JSON document ``doc``, in place, with choices
+    drawn by ``draw`` (hypothesis's ``data.draw``): a value replaced by one of
+    :data:`ODD_JSON_VALUES` or by a copy of another value of the document, a
+    value deleted, or a list item repeated."""
+    slots = list(_json_slots(doc))
+    container, key = draw(st.sampled_from(slots))
+    edits = ("odd", "copy", "delete", "repeat") if isinstance(container, list) else (
+        "odd", "copy", "delete")
+    edit = draw(st.sampled_from(edits))
+    if edit == "odd":
+        container[key] = copy.deepcopy(draw(st.sampled_from(ODD_JSON_VALUES)))
+    elif edit == "copy":
+        source, source_key = draw(st.sampled_from(slots))
+        container[key] = copy.deepcopy(source[source_key])
+    elif edit == "delete":
+        del container[key]
+    else:
+        container.insert(key, copy.deepcopy(container[key]))
 
 
 @pytest.fixture

@@ -69,7 +69,7 @@ def tensordot_contract(bra, psi):
         axis = next(i for i, lab in enumerate(labels) if lab.link_id == lid)
         tensor = np.tensordot(np.conj(fac.amps), tensor, axes=([0], [axis]))
         del labels[axis]
-    return LabeledVector(labels, np.ascontiguousarray(tensor).reshape(-1), _canonical=True)
+    return LabeledVector(labels, np.ascontiguousarray(tensor).reshape(-1))
 
 
 def naive_squared_norm(amps):

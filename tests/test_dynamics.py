@@ -1080,7 +1080,8 @@ def _growth_work(monkeypatch, events: int) -> dict[str, float]:
     """Work of growing seeded two-outcome chains by ``events`` admissions:
     operator applications per candidate (``apply``), and per admitted event
     the states built (``build``), contractions, tensor products, history
-    admissions (``admit``) and ``LabeledVector`` constructions (``vector``)."""
+    admissions (``admit``) and ``LabeledVector`` constructions (``vector``),
+    checked or trusted."""
     initial, steps = _qubit_chains(7, events)
     counts = dict.fromkeys(("apply", "build", "contract", "tensor_product", "admit",
                             "vector"), 0)
@@ -1096,6 +1097,8 @@ def _growth_work(monkeypatch, events: int) -> dict[str, float]:
         monkeypatch.setattr(dynamics, name, counting(key, getattr(dynamics, name)))
     monkeypatch.setattr(History, "_add_event", counting("admit", History._add_event))
     monkeypatch.setattr(LabeledVector, "__init__", counting("vector", LabeledVector.__init__))
+    monkeypatch.setattr(LabeledVector, "_trusted", classmethod(
+        counting("vector", LabeledVector.__dict__["_trusted"].__func__)))
     _, outcomes = _grow(initial, steps, dynamics.replica_rng(7))
     monkeypatch.undo()
     assert len(outcomes) == events

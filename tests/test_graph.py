@@ -387,8 +387,10 @@ def _flatten_first_amplitudes(data):
         lambda data: data.pop("links"),
         lambda data: data["links"][0].pop("space"),
         _flatten_first_amplitudes,
+        lambda data: data["events"][0]["vector"]["amps"][0].__setitem__(0, 10**400),
     ],
-    ids=["no-links", "link-without-space", "amplitudes-not-pairs"],
+    ids=["no-links", "link-without-space", "amplitudes-not-pairs",
+         "amplitude-beyond-the-float-range"],
 )
 def test_from_dict_reports_malformed_records_as_value_errors(edit):
     data = generic_figure().to_dict()
@@ -410,6 +412,14 @@ def test_from_dict_refuses_ids_that_are_not_strings(table):
     data = generic_figure().to_dict()
     data[table][0]["id"] = 7
     with pytest.raises(ValueError, match=f"{table[:-1]} id must be a string, got 7"):
+        History.from_dict(data)
+
+
+@pytest.mark.parametrize("center", [["0", 0, 0, 0], [0, True, 0, 0]], ids=["string", "bool"])
+def test_from_dict_refuses_region_values_that_are_not_numbers(center):
+    data = generic_figure().to_dict()
+    data["events"][0]["region"] = {"center": center, "extent": [1, 1, 1, 1]}
+    with pytest.raises(ValueError, match="region center must hold real numbers"):
         History.from_dict(data)
 
 

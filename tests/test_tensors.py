@@ -292,6 +292,34 @@ def test_contract_equals_the_tensordot_form_bit_for_bit(data):
     assert got.labels == want.labels and np.array_equal(got.amps, want.amps)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_kernel_outputs_equal_the_checked_constructors_vectors(data):
+    """``tensor_product``, ``scaled`` and ``contract`` build their outputs
+    without the label and size checks: for random labels in any order and
+    random amplitudes, each output equals the vector the checked constructor
+    builds from the same labels and amplitudes."""
+    ids = data.draw(st.permutations("abcdef"))
+    split, stop = sorted(data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=2)))
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=6, max_size=6))
+    labels = [lab(i, SpaceType(f"d{d}", d)) for i, d in zip(ids, dims)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    u, v = random_vector(labels[:split], rng), random_vector(labels[split:stop], rng)
+    c = complex(*rng.standard_normal(2))
+    chosen = data.draw(st.lists(st.sampled_from(u.labels), unique=True)) if u.labels else []
+    bra = ProductBra([random_unit_vector([label], rng) for label in chosen])
+    for got, want in (
+        (tensor_product(u, v),
+         LabeledVector(u.labels + v.labels, np.multiply.outer(u.amps, v.amps))),
+        (u.scaled(c), LabeledVector(u.labels, u.amps * c)),
+        (contract(bra, u), reference.tensordot_contract(bra, u)),
+    ):
+        assert got.labels == want.labels and got.label_ids == want.label_ids
+        assert np.array_equal(got.amps, want.amps)
+        assert got.amps.dtype == np.complex128 and got.amps.ndim == 1
+        assert not got.amps.flags.writeable and got.amps.flags.c_contiguous
+
+
 # -- ProductBra validation ---------------------------------------------------------
 
 
