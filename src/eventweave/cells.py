@@ -500,9 +500,6 @@ class SweepResult:
     points: list[SweepPoint]
     slope: float
 
-    def widths(self) -> np.ndarray:
-        return np.array([pt.cell_width for pt in self.points])
-
 
 #: cell counts covering two decades of width on the default sweep grid
 DEFAULT_SWEEP_CELLS = (6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 600)

@@ -41,19 +41,6 @@ from .scenario import load_scenario
 
 SCHEMA_VERSION = 1
 
-#: minimal structural contract for every report, testable with jsonschema
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "command", "config", "results", "duration_s"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "command": {"type": "string"},
-        "config": {"type": "object"},
-        "results": {"type": "object"},
-        "duration_s": {"type": "number", "minimum": 0},
-    },
-}
-
 
 class UsageError(ValueError):
     """Bad argument values; maps to exit code 2."""

@@ -304,12 +304,6 @@ def alternative_probabilities(
     return probs
 
 
-def _as_generator(rng: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _thresholds(probs: np.ndarray) -> np.ndarray:
     """Cumulative sums of the live probabilities before the last live one.
 
@@ -348,17 +342,15 @@ def _draw_counts(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sample_extension(
-    state: CutState, alts: AlternativeSet, rng: int | np.random.Generator
+    state: CutState, alts: AlternativeSet, rng: np.random.Generator
 ) -> int:
     """Draw one candidate index, weighted by event probabilities.
 
-    ``rng`` may be an integer seed (a fresh PCG64 generator is built from
-    it) or a live generator.  Exactly one uniform variate is consumed per
-    draw, so successive draws on a shared generator read one reproducible
-    stream.
+    Exactly one uniform variate of ``rng`` is consumed per draw, so
+    successive draws on a shared generator read one reproducible stream.
     """
     probs = alternative_probabilities(state, alts)
-    return int(_draw(probs, _as_generator(rng).random()))
+    return int(_draw(probs, rng.random()))
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:

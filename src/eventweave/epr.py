@@ -99,8 +99,6 @@ class EprSetup:
     refuses the link ids those realizations add.
     """
 
-    e1: Direction
-    e2: Direction
     history: History
     side1: dict[str, dynamics.CandidateEvent]
     side2: dict[str, dynamics.CandidateEvent]
@@ -149,8 +147,6 @@ def build_epr(e1: Direction, e2: Direction) -> EprSetup:
         for s1, s2 in OUTCOME_PAIRS
     ]
     return EprSetup(
-        e1=e1,
-        e2=e2,
         history=history,
         side1=side1,
         side2=side2,

@@ -56,6 +56,15 @@ def _floats(values: Iterable, what: str) -> tuple[float, ...]:
         raise ValueError(f"{what} leaves the float range: {exc}") from exc
 
 
+def _refuse_non_numbers(pairs: list, what: str) -> None:
+    """Raise ``ValueError`` unless each part of each ``(re, im)`` pair is a
+    real number and not a bool, as :func:`_floats` requires.  One set of the
+    parts' types clears a whole list of JSON floats and ints; only a list
+    holding other types is checked part by part."""
+    if not {type(x) for pair in pairs for x in pair} <= {float, int}:
+        _floats((x for pair in pairs for x in pair), what)
+
+
 @dataclass(frozen=True)
 class Region:
     """Optional space-time tag of an event: a center and extents, 4 each."""
@@ -134,12 +143,12 @@ def _refuse_used(ids: Iterable[str], links: Container[str],
 class History:
     """Mutable growing event graph with single-writer discipline.
 
-    Records are immutable; :meth:`snapshot` returns a cheap copy that is
-    safe to read from other threads while this instance keeps growing.
-    The frontier's open links are kept as events are admitted, so frontier
-    queries read them instead of walking every event and link; the frontier
-    cut, and the state :func:`eventweave.dynamics.cut_state` builds on it,
-    are kept until the next admission.
+    Records are immutable; ``History.from_dict(h.to_dict())`` is an
+    independent copy.  The frontier's open links are kept as events are
+    admitted, so frontier queries read them instead of walking every event
+    and link; the frontier cut, and the state
+    :func:`eventweave.dynamics.cut_state` builds on it, are kept until the
+    next admission.
     """
 
     def __init__(self):
@@ -283,18 +292,7 @@ class History:
         out of its events (see :func:`_readmit`), empty if none."""
         return _readmit(self.events.values(), self.links)[1]
 
-    # -- snapshots and serialization ---------------------------------------------
-
-    def snapshot(self) -> "History":
-        """Cheap read-only copy: records are shared, maps are fresh."""
-        h = History.__new__(History)
-        h.events = dict(self.events)
-        h.links = dict(self.links)
-        h._counter = self._counter
-        h._open = dict(self._open)
-        h._frontier = self._frontier
-        h._frontier_state = None  # a state's .links is the map it was cut from
-        return h
+    # -- serialization -------------------------------------------------------------
 
     def to_dict(self) -> dict:
         """JSON-ready form; amplitudes round-trip bit-exactly as (re, im)."""
@@ -343,7 +341,9 @@ class History:
             for rec in data["events"]:
                 if _record_id(rec, "event") in events:
                     raise ValueError(f"duplicate event id {rec['id']!r}")
-                re, im = rec.get("amplitude", [1.0, 0.0])
+                amplitude = rec.get("amplitude", [1.0, 0.0])
+                _refuse_non_numbers([amplitude], "an event amplitude")
+                re, im = amplitude
                 events[rec["id"]] = EventRecord(
                     id=rec["id"],
                     backward_links=tuple(rec["backward_links"]),
@@ -458,6 +458,7 @@ def vector_from_dict(data: dict) -> LabeledVector:
         FactorLabel(entry["link"], SpaceType(entry["space"], entry["dim"]))
         for entry in data["labels"]
     ]
+    _refuse_non_numbers(data["amps"], "a vector's amps")
     amps = np.array(
         [complex(re, im) for re, im in data["amps"]], dtype=np.complex128
     )

@@ -19,6 +19,9 @@ are reported, neither is silently corrected into the other.
 The lattice is :class:`eventweave.cells.MomentumGrid` (box, ``hbar``, the
 transform to momentum); a :class:`LatticeModel` adds mass and inverse
 temperature, and :func:`matched_model` gives it a default box of 40 sigma*.
+A :class:`MomentumDensity` keeps its diagonal and its off-diagonals in
+factored form, O(sites x times); nothing here builds the dense
+(sites x sites) density.
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ MAX_SIGMA_FRACTION = 1.0 / 40.0
 #: sup-norm residual above which the two momentum diagonals do not match
 MATCH_TOL = 1e-8
 
-#: largest grid whose dense (sites x sites) :attr:`MomentumDensity.matrix`
-#: is built; at 4096 sites it takes 268 MB
-MAX_DENSE_SITES = 4096
-
 
 @dataclass(frozen=True)
 class LatticeModel:
@@ -68,14 +67,12 @@ class MomentumDensity:
     A packet mixture keeps its momentum-space site-0 ``packet``, the
     translation factor ``shift`` (entry ``(i, j)`` carries
     ``shift[(i - j) % n]``) and the ``(times, n)`` free-evolution ``phases``;
-    with no ``packet`` the density is exactly diagonal.  The dense
-    :attr:`matrix` is built from them on first read.
+    with no ``packet`` the density is exactly diagonal.
     """
 
     def __init__(self, diagonal: np.ndarray, packet=None, shift=None, phases=None):
         self.diagonal = diagonal
         self.packet, self.shift, self.phases = packet, shift, phases
-        self._matrix = None
 
     def trace(self) -> float:
         return float(self.diagonal.sum())
@@ -88,25 +85,6 @@ class MomentumDensity:
             return 0.0
         peak = np.max(self.packet.real**2 + self.packet.imag**2)
         return float(np.max(np.abs(self.shift[1:])) * peak)
-
-    @property
-    def matrix(self) -> np.ndarray | None:
-        """Dense (sites x sites) density, ``None`` when exactly diagonal;
-        ``ValueError`` above :data:`MAX_DENSE_SITES` sites."""
-        n = self.diagonal.size
-        if self.packet is None or self._matrix is not None:
-            return self._matrix
-        if n > MAX_DENSE_SITES:
-            raise ValueError(f"{n} sites need a dense {n} x {n} matrix; "
-                             f"at most MAX_DENSE_SITES = {MAX_DENSE_SITES} fit")
-        waves = self.packet * self.phases
-        rho = sum(np.multiply.outer(w, w.conj()) for w in waves) / len(waves)
-        sites = np.arange(n)
-        rho *= self.shift[np.subtract.outer(sites, sites) % n]
-        # the report's diagonal, bit for bit
-        np.fill_diagonal(rho, self.diagonal)
-        self._matrix = rho
-        return rho
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,9 @@ def sample_many(state, alts, n, rng) -> np.ndarray:
     """Vector of ``n`` draws by the package's draw rule; stream-equivalent
     to ``n`` single :func:`eventweave.dynamics.sample_extension` draws."""
     probs = dynamics.alternative_probabilities(state, alts)
-    return dynamics._draw(probs, dynamics._as_generator(rng).random(n))
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    return dynamics._draw(probs, rng.random(n))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

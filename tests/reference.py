@@ -272,7 +272,8 @@ def sample_counts(state, alts, n, rng):
     if n < 1:
         raise ValueError(f"runs must be positive, got {n}")
     probs = dynamics.alternative_probabilities(state, alts)
-    rng = dynamics._as_generator(rng)
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
     counts = np.zeros(probs.size, dtype=np.int64)
     for start in range(0, n, dynamics.DRAW_CHUNK):
         u = rng.random(min(dynamics.DRAW_CHUNK, n - start))
@@ -514,6 +515,22 @@ def naive_packet_mixture_density(model, family):
             rho += np.multiply.outer(phi, np.conj(phi))
             count += 1
     return rho / count
+
+
+def density_matrix(density):
+    """Dense (sites x sites) form of a
+    :class:`eventweave.thermal.MomentumDensity`, ``None`` when it is exactly
+    diagonal: the kept packet's projector averaged over the ``phases``, times
+    the ``shift`` factor, with the density's own diagonal bit for bit."""
+    if density.packet is None:
+        return None
+    n = density.diagonal.size
+    waves = density.packet * density.phases
+    rho = sum(np.multiply.outer(w, w.conj()) for w in waves) / len(waves)
+    sites = np.arange(n)
+    rho *= density.shift[np.subtract.outer(sites, sites) % n]
+    np.fill_diagonal(rho, density.diagonal)
+    return rho
 
 
 def dense_packet_mixture_density(model, family):

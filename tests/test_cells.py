@@ -543,6 +543,27 @@ def test_spread_scales_inversely_with_cell_width():
     assert abs(sweep.slope + 1.0) < 0.05
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda grid: TKernel(grid), "provide exactly one of matrix or left/right"),
+    (lambda grid: TKernel(grid, matrix=np.eye(8), left=np.ones(8)),
+     "provide exactly one of matrix or left/right"),
+    (lambda grid: TKernel.from_matrix(grid, np.eye(4)),
+     r"kernel shape \(4, 4\), grid has 8 points"),
+    (lambda grid: TKernel.separable(grid, np.ones(4)),
+     "separable factors must match the grid size"),
+    (lambda grid: TKernel.separable(grid, np.ones(8), np.ones(7)),
+     "separable factors must match the grid size"),
+], ids=["neither-form", "both-forms", "matrix-shape", "left-size", "right-size"])
+def test_kernels_refuse_a_missing_or_doubled_form_and_shapes_off_the_grid(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(MomentumGrid(8, 1.0))
+
+
+def test_a_partition_refuses_more_cells_than_sites():
+    with pytest.raises(ValueError, match="more cells than grid sites"):
+        CellPartition.smoothed_indicators(MomentumGrid(8, 1.0), 9, 0.1)
+
+
 def test_nan_incoming_state_is_refused():
     grid = MomentumGrid(64, 1.0)
     part = CellPartition.smoothed_indicators(grid, 4, 0.1)

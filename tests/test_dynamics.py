@@ -81,6 +81,27 @@ def test_cut_state_of_the_decay_alone_is_the_singlet():
     assert distance(s.composite, singlet_vector("alpha", "beta")) < 1e-15
 
 
+def test_cut_state_takes_a_plain_list_of_event_ids():
+    h = generic_figure()
+    got = cut_state(h, ["ap1", "decay"]).composite
+    want = cut_state(h, Cut.of(["ap1", "decay"])).composite
+    assert got.labels == want.labels and np.array_equal(got.amps, want.amps)
+
+
+def test_a_past_that_never_happens_has_no_cut_state():
+    """``add_interior_event`` gates no probability, so a history may hold an
+    event whose bra is orthogonal to the vector it consumes; the source's
+    free link ``t`` then carries the zero vector."""
+    h = History()
+    h.add_initial_event(tensor_product(unit_factor("s", [1.0, 0.0]),
+                                       unit_factor("t", [1.0, 0.0])))
+    h.add_interior_event(ProductBra([unit_factor("s", [0.0, 1.0])]), 1.0,
+                         unit_factor("o", [1.0], POINTER))
+    with pytest.raises(ZeroProbabilityEvent,
+                       match=r"^cut state has squared norm 0\.0; this past never happens$"):
+        cut_state(h)
+
+
 def test_cut_state_of_the_three_initial_events_is_their_product():
     h = generic_figure()
     s = cut_state(h, Cut.of(["ap1", "ap2", "decay"]))
@@ -174,6 +195,13 @@ def test_zero_weight_candidate_has_zero_probability(rng):
     assert event_probability(cut_state(h), dead) == 0.0
 
 
+def test_realized_state_refuses_a_zero_probability_candidate():
+    e4, _ = figure_outcome_candidates()
+    dead = CandidateEvent(bra=e4.bra, c=0.0, ket=e4.ket)
+    with pytest.raises(ZeroProbabilityEvent, match=r"^candidate has probability 0\.0$"):
+        realized_state(cut_state(generic_figure()), dead)
+
+
 def test_event_probability_matches_the_index_sum_oracle(rng):
     h = generic_figure()
     e4, _ = figure_outcome_candidates(rng)
@@ -208,8 +236,8 @@ def test_joint_values_match_the_matrix_oracle():
         setup, cands = _epr_pair_candidates(theta, s1, s2)
         got = joint_probability(setup.state, cands)
         want = reference.singlet_pair_probability(
-            astuple(setup.e1), +1 if s1 == "+" else -1,
-            astuple(setup.e2), +1 if s2 == "+" else -1,
+            astuple(Direction.in_plane_deg(0.0)), +1 if s1 == "+" else -1,
+            astuple(Direction.in_plane_deg(theta)), +1 if s2 == "+" else -1,
         )
         assert abs(got - want) < 1e-12
         assert abs(got - frozen) < 1e-12
@@ -247,10 +275,15 @@ def _binary_alternatives():
     return s, AlternativeSet([up, down])
 
 
+def test_an_alternative_set_needs_a_candidate():
+    with pytest.raises(ValueError, match="an alternative set needs at least one candidate"):
+        AlternativeSet([])
+
+
 def test_certain_alternative_is_always_chosen():
     s, alts = _binary_alternatives()
     for seed in range(20):
-        assert sample_extension(s, alts, seed) == 0
+        assert sample_extension(s, alts, np.random.default_rng(seed)) == 0
 
 
 def test_sampled_frequencies_sit_in_three_sigma_bands():
@@ -287,7 +320,7 @@ def test_non_exhaustive_set_reports_the_measured_sum():
     partial = AlternativeSet([alts.candidates[0]])
     half = cut_state_of_tilted()
     with pytest.raises(NotExhaustive) as err:
-        sample_extension(half, partial, 0)
+        sample_extension(half, partial, np.random.default_rng(0))
     assert abs(err.value.total - 0.5) < 1e-12
 
 
@@ -881,13 +914,14 @@ def _spin_candidate(link_id, amps, ket):
 def _history_refusal(h, cand) -> str:
     """The message ``History`` refuses the candidate's admission with."""
     with pytest.raises(LabelCollision) as refused:
-        h.snapshot().add_interior_event(cand.bra, cand.c, cand.ket)
+        History.from_dict(h.to_dict()).add_interior_event(cand.bra, cand.c, cand.ket)
     return str(refused.value)
 
 
 _REFUSING_CALLS = {
     "event_probability": lambda h, s, cand: event_probability(s, cand),
-    "sample_extension": lambda h, s, cand: sample_extension(s, AlternativeSet([cand]), 0),
+    "sample_extension": lambda h, s, cand: sample_extension(
+        s, AlternativeSet([cand]), np.random.default_rng(0)),
     "realized_state": lambda h, s, cand: realized_state(s, cand),
     "joint_probability": lambda h, s, cand: joint_probability(s, [cand]),
     "realize": lambda h, s, cand: realize(h, None, cand),
@@ -934,7 +968,7 @@ def test_chained_states_refuse_a_link_emitted_since_the_cut():
     x1 = _spin_candidate("s", up, unit_factor("x", up))
     x2 = _spin_candidate("x", up, unit_factor("y", up))
     x3 = _spin_candidate("y", up, unit_factor("x", up))
-    grown = h.snapshot()
+    grown = History.from_dict(h.to_dict())
     realize(grown, None, x1)
     realize(grown, None, x2)
     expected = _history_refusal(grown, x3)
@@ -977,9 +1011,10 @@ def test_the_state_refuses_a_used_link_id_exactly_when_history_does(rng):
         labels += factory.fresh_labels(int(rng.integers(0, 2)), 1)
         cand = CandidateEvent(cand.bra, cand.c, random_unit_vector(labels, rng))
         by_state = refusal(lambda: event_probability(cut_state(h), cand))
-        assert by_state == refusal(lambda: realize(h.snapshot(), None, cand))
-        assert by_state == refusal(
-            lambda: h.snapshot().add_interior_event(cand.bra, cand.c, cand.ket))
+        data = h.to_dict()
+        assert by_state == refusal(lambda: realize(History.from_dict(data), None, cand))
+        assert by_state == refusal(lambda: History.from_dict(data).add_interior_event(
+            cand.bra, cand.c, cand.ket))
         assert by_state == (f"link ids already used: {sorted(reuse)}" if reuse else None)
         refused += bool(reuse)
         admitted += not reuse
@@ -1002,13 +1037,13 @@ def test_the_frontier_state_is_kept_until_the_next_admission():
     assert cut_state(h) is not after and "fresh" in cut_state(h).index
 
 
-def test_a_snapshot_cuts_its_own_frontier_state():
+def test_a_copy_cuts_its_own_frontier_state():
     h = generic_figure()
     state = cut_state(h)
-    snap = h.snapshot()
-    own = cut_state(snap)
-    assert own is not state and own.links is snap.links and state.links is h.links
-    assert cut_state(h) is state and cut_state(snap) is own
+    copied = History.from_dict(h.to_dict())
+    own = cut_state(copied)
+    assert own is not state and own.links is copied.links and state.links is h.links
+    assert cut_state(h) is state and cut_state(copied) is own
     assert [v.labels for v in own.components] == [v.labels for v in state.components]
 
 

@@ -39,6 +39,8 @@ def test_direction_must_be_unit():
         Direction(1.0, 1.0, 0.0)
     d = Direction.from_cartesian(1.0, 1.0, 0.0)
     assert abs(np.dot(astuple(d), astuple(d)) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="zero vector has no direction"):
+        Direction.from_cartesian(0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(

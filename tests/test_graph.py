@@ -199,8 +199,6 @@ def test_validate_reports_hand_built_damage():
     assert h.validate() == []
     # cycle: pretend alpha targets its own source's ancestor chain
     h.links["alpha"] = LinkRecord("alpha", SPIN, source="decay", target="decay")
-    bad = h.snapshot()
-    bad.events["decay"] = bad.events["decay"]
     problems = h.validate()
     assert any("cycle" in p or "backward" in p for p in problems)
 
@@ -328,6 +326,14 @@ def test_refused_events_leave_the_history_unchanged(case):
     assert h.add_initial_event(unit_factor("fresh", [1.0, 0.0])) == "e1"
 
 
+@pytest.mark.parametrize("center, extent", [
+    ((0.0, 1.0, 2.0), (0.5,) * 4), ((0.0,) * 4, (0.5,) * 5),
+], ids=["three-center-values", "five-extents"])
+def test_a_region_needs_four_centers_and_four_extents(center, extent):
+    with pytest.raises(ValueError, match="region needs 4 center values and 4 extents"):
+        Region(center, extent)
+
+
 def test_region_tags_round_trip():
     h = History()
     region = Region((0.0, 1.0, 2.0, 3.0), (0.5, 0.5, 0.5, 0.5))
@@ -358,6 +364,12 @@ def _double_first_vector(data):
     vec["amps"] = [[2 * re, 2 * im] for re, im in vec["amps"]]
 
 
+def _zero_amplitudes_as_false(data):
+    """JSON ``false`` for each 0 of the first vector; its norm is unchanged."""
+    vec = data["events"][0]["vector"]
+    vec["amps"] = [[x if x else False for x in pair] for pair in vec["amps"]]
+
+
 @pytest.mark.parametrize(
     "edit, problem",
     [
@@ -366,8 +378,13 @@ def _double_first_vector(data):
          "'alpha' goes backward into 'ghost', but its events admit None"),
         (lambda data: data["events"][0].update(amplitude=[float("nan"), 0.0]),
          r"'ap1': event amplitude must be finite, got \(nan"),
+        (lambda data: data["events"][0].update(amplitude=[True, False]),
+         "an event amplitude must hold real numbers, got True"),
+        (_zero_amplitudes_as_false,
+         "a vector's amps must hold real numbers, got False"),
     ],
-    ids=["norm-4-vector", "dangling-link-target", "nan-amplitude"],
+    ids=["norm-4-vector", "dangling-link-target", "nan-amplitude", "bool-amplitude",
+         "bool-vector-amps"],
 )
 def test_from_dict_refuses_invalid_histories(edit, problem):
     data = generic_figure().to_dict()
@@ -549,33 +566,24 @@ def test_validate_reports_link_space_mismatches(rng, edit):
         History.from_dict(data)
 
 
-def test_snapshot_isolation():
+def test_a_copy_keeps_its_own_events_and_open_links_both_ways():
     h = generic_figure()
-    snap = h.snapshot()
-    e4, _ = figure_outcome_candidates()
-    realize(h, None, e4, event_id="ev4")
-    assert "ev4" in h.events
-    assert "ev4" not in snap.events
-    assert snap.links["alpha"].target is None
-
-
-def test_snapshot_keeps_its_own_open_links_both_ways():
-    h = generic_figure()
-    shared = h.frontier_cut()
-    snap = h.snapshot()
+    copied = History.from_dict(h.to_dict())
     before = h.free_links()
     e4, e5 = figure_outcome_candidates()
     realize(h, None, e4, event_id="ev4")
-    assert snap.free_links() == before
-    assert snap.frontier_cut() is shared
-    assert_open_links_match_the_scan(snap)
+    assert "ev4" in h.events
+    assert "ev4" not in copied.events
+    assert copied.links["alpha"].target is None
+    assert copied.free_links() == before
+    assert_open_links_match_the_scan(copied)
     assert_open_links_match_the_scan(h)
     grown, frontier = h.free_links(), h.frontier_cut()
     assert "ev4" in frontier.past_event_ids
-    realize(snap, None, e5, event_id="ev5")
+    realize(copied, None, e5, event_id="ev5")
     assert h.free_links() == grown
     assert h.frontier_cut() is frontier
     assert_open_links_match_the_scan(h)
-    assert_open_links_match_the_scan(snap)
-    assert "ev5" in snap.frontier_cut().past_event_ids
+    assert_open_links_match_the_scan(copied)
+    assert "ev5" in copied.frontier_cut().past_event_ids
     assert "ev5" not in frontier.past_event_ids

@@ -48,6 +48,19 @@ from eventweave.tensors import FactorLabel, LabeledVector, ProductBra
 REPO = Path(__file__).resolve().parents[1]
 FIGURE = REPO / "scenarios" / "figure.json"
 
+#: minimal structural contract for every report, testable with jsonschema
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["schema_version", "command", "config", "results", "duration_s"],
+    "properties": {
+        "schema_version": {"const": cli.SCHEMA_VERSION},
+        "command": {"type": "string"},
+        "config": {"type": "object"},
+        "results": {"type": "object"},
+        "duration_s": {"type": "number", "minimum": 0},
+    },
+}
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -125,7 +138,7 @@ def test_epr_report_structure_and_zero_outcomes(capsys):
     assert code == 0
     report = json.loads(out)
     jsonschema = pytest.importorskip("jsonschema")
-    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    jsonschema.validate(report, REPORT_SCHEMA)
     res = report["results"]
     assert res["theta_deg"] == 0.0
     assert res["empirical"]["p_pp"] == 0.0
@@ -388,6 +401,40 @@ BAD_INPUTS = {
                        .__setitem__(0, 10**400)),
         "$.initial_events[0].vector: bad vector literal (int too large to convert to float)",
     ),
+    "amplitudes-bools": (
+        _figure_edited(lambda d: d["initial_events"][0]["vector"]["amps"]
+                       .__setitem__(1, [False, False])),
+        "$.initial_events[0].vector: bad vector literal (a vector's amps must hold real "
+        "numbers, got False)",
+    ),
+    "amplitude-nan-literal": (
+        _figure_edited(lambda d: d["initial_events"][0]["vector"]["amps"][1]
+                       .__setitem__(0, math.nan)),
+        "$.initial_events[0].vector: bad vector literal (amplitudes must be finite)",
+    ),
+    "amplitude-infinity-literal": (
+        _figure_edited(lambda d: d["initial_events"][0]["vector"]["amps"][1]
+                       .__setitem__(1, -math.inf)),
+        "$.initial_events[0].vector: bad vector literal (amplitudes must be finite)",
+    ),
+    "c-nan-literal": (
+        _figure_edited(lambda d: _first_candidate(d).update(c=[math.nan, 0.0])),
+        "$.stages[0].candidates[0]: candidate weight c must be finite, got (nan+0j)",
+    ),
+    "c-infinity-literal": (
+        _figure_edited(lambda d: _first_candidate(d).update(c=[1.0, math.inf])),
+        "$.stages[0].candidates[0]: candidate weight c must be finite, got (1+infj)",
+    ),
+    "bra-two-factors-on-one-link": (
+        _figure_edited(lambda d: _first_candidate(d)["bra"].append(
+            _first_candidate(d)["bra"][0])),
+        "$.stages[0].candidates[0].bra: two bra factors on link 'alpha'",
+    ),
+    "bra-factor-not-unit": (
+        _figure_edited(lambda d: _first_candidate(d)["bra"][0].update(
+            amps=[[2.0, 0.0], [0.0, 0.0]])),
+        "$.stages[0].candidates[0].bra: bra factor on 'alpha' has squared norm 4.0",
+    ),
     "region-not-numbers": (
         _figure_edited(lambda d: _first_candidate(d).update(
             region={"center": ["0", True, 0, 0], "extent": [1, 1, 1, 1]})),
@@ -634,6 +681,57 @@ def test_mutated_sample_histories_load_valid_or_raise_value_error(data, sample_h
     assert history.validate() == []
 
 
+#: option values as a shell passes them: small and edge numbers, the texts
+#: ``float`` reads as infinities and NaN, and text no option takes
+ARG_TEXTS = ("0", "1", "-1", "3", "64", "0.5", "-0.0", "2.5", "1e-320", "1e-300",
+             "1e300", "1e308", "inf", "-inf", "nan", "", "x", "4,8", "0.1,0.5", "8,0")
+
+#: per subcommand, each option with the values at its own limits: sizes up to
+#: 4096 sites, 10,000 runs and 4 replicas
+ARG_OPTIONS = {
+    "epr": {"--theta": ("180", "180.0001", "-0.0001", "37.5", "90"),
+            "--runs": ("10000", "2", "1"), "--replicas": ("4", "2", "1")},
+    "chsh": {opt: ("45", "-720", "1e20", "90") for opt in ("--a", "--ap", "--b", "--bp")},
+    "thermal-ambiguity": {"--beta": ("1e-30", "7.2e22", "2"), "--mass": ("1e-27", "1e300", "1"),
+                          "--hbar": ("1e-34", "1e300", "1"), "--sites": ("4096", "2", "257"),
+                          "--box": ("7.5", "1e-9", "40")},
+    "cells": {"--sites": ("4096", "2", "257", "1024"),
+              "--cells": ("1,2", "2,4096", "4096,4097", "6,600", "3,3", "8,16"),
+              "--cell-width": ("0.5,1", "1e-3,0.9", "1,1", "1e-300,0.5", "-0.5,0.5"),
+              "--box": ("1e-300", "1e300", "2"), "--tau-scale": ("1e-300", "1e300", "4"),
+              "--smoothing": ("1", "0", "1e300", "0.3")},
+}
+
+#: the options every subcommand takes
+COMMON_OPTIONS = {"--seed": ("18446744073709551616",), "--format": ("json", "csv")}
+
+
+@st.composite
+def argument_lists(draw) -> list[str]:
+    """A subcommand and up to four of its options, each value drawn from the
+    option's own values or from :data:`ARG_TEXTS` with equal chance."""
+    command = draw(st.sampled_from(sorted(ARG_OPTIONS)))
+    options = {**ARG_OPTIONS[command], **COMMON_OPTIONS}
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True))
+    values = (st.sampled_from(options[opt]) | st.sampled_from(ARG_TEXTS) for opt in chosen)
+    return [command, *(f"{opt}={draw(value)}" for opt, value in zip(chosen, values))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argument_lists())
+def test_random_argument_lists_exit_0_2_or_3_with_one_error_line(argv, capsys):
+    """``epr``, ``chsh``, ``thermal-ambiguity`` and ``cells`` on random
+    options run or refuse with exit 2 or 3 and one ``error:`` line, never a
+    traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    else:
+        assert err == "" and out
+
+
 # -- report writer ------------------------------------------------------------------------
 
 json_scalars = st.one_of(
@@ -737,21 +835,6 @@ def test_thermal_builds_the_packet_mixture_once(capsys, monkeypatch):
 def without_duration(report: str) -> str:
     return "".join(ln for ln in report.splitlines(keepends=True)
                    if not ln.lstrip().startswith('"duration_s":'))
-
-
-def test_thermal_dense_cap_bounds_only_the_matrix(capsys, monkeypatch):
-    code, unpatched, _ = run_cli(capsys, "thermal-ambiguity", "--sites", "128")
-    assert code == 0
-    monkeypatch.setattr(thermal, "MAX_DENSE_SITES", 64)
-    code, out, err = run_cli(capsys, "thermal-ambiguity", "--sites", "128")
-    assert (code, err) == (0, "")
-    assert without_duration(out) == without_duration(unpatched)
-    model = thermal.matched_model(128, 1.0, 2.0, 1.0)
-    mixture = thermal.packet_mixture_density(
-        model, thermal.PacketFamily.every_site(model, thermal.matching_sigma(model))
-    )
-    with pytest.raises(ValueError, match="MAX_DENSE_SITES = 64"):
-        mixture.matrix
 
 
 # the child prints the BLAS kernel it loaded, then two thermal reports
@@ -934,4 +1017,4 @@ def test_reports_validate_against_the_schema(capsys):
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        jsonschema.validate(json.loads(out), cli.REPORT_SCHEMA)
+        jsonschema.validate(json.loads(out), REPORT_SCHEMA)

@@ -111,6 +111,13 @@ def test_contract_missing_label_raises(rng):
         contract(bra, psi)
 
 
+def test_contract_refuses_a_bra_factor_in_another_space(rng):
+    psi = random_vector([lab("a"), lab("b")], rng)
+    bra = ProductBra([random_unit_vector([lab("b", SpaceType("qubit", 2))], rng)])
+    with pytest.raises(ValueError, match="space mismatch on link 'b': .*'spin'.* vs .*'qubit'"):
+        contract(bra, psi)
+
+
 def test_contract_is_linear_in_state_antilinear_in_bra(rng):
     labels = [lab("a"), lab("b", TRI)]
     psi, phi = random_vector(labels, rng), random_vector(labels, rng)
@@ -326,6 +333,11 @@ def test_kernel_outputs_equal_the_checked_constructors_vectors(data):
 def test_product_bra_requires_unit_factors():
     with pytest.raises(NonUnitVector):
         ProductBra([LabeledVector([lab("a")], [0.5, 0.0])])
+
+
+def test_product_bra_refuses_a_factor_with_two_labels(rng):
+    with pytest.raises(ValueError, match=r"exactly one label, got \('a', 'b'\)"):
+        ProductBra([random_unit_vector([lab("a"), lab("b")], rng)])
 
 
 def test_product_bra_rejects_repeated_links(rng):

@@ -119,30 +119,62 @@ ACCEPTANCE_ONLY = {
 }
 
 
+def _read(tree: ast.AST, kinds) -> set[str]:
+    """Names the code reads through nodes of ``kinds``: an ``ast.Name``
+    gives its id, an ``ast.Attribute`` its attribute name.  Assignments,
+    strings and docstrings do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)}
+
+
 def _referenced(tree: ast.AST) -> set[str]:
-    """Names and attribute names the code refers to; strings, docstrings
-    included, do not count."""
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    return _read(tree, (ast.Name, ast.Attribute))
+
+
+def _public_members(module: str, tree: ast.Module) -> list[str]:
+    """``module.name`` of each public module-level function and constant,
+    and ``module.Class.name`` of each public method and property of a
+    public class."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [f"{module}.{name}" for name in names
+            if not name.rsplit(".", 1)[-1].startswith("_")]
 
 
 def test_every_public_function_serves_the_program_or_an_acceptance_claim():
-    """A public module-level function of the package is called from the
-    package or the benchmark, or is on :data:`ACCEPTANCE_ONLY`; one that
-    only the tests call belongs in ``tests/``."""
+    """Each public module-level function and constant of the package, and
+    each public method and property of its public classes, is read in the
+    package or the benchmark, or is on :data:`ACCEPTANCE_ONLY`; what only
+    the tests read belongs in ``tests/``.
+
+    Methods and properties count only where they are read as attributes,
+    since ``cells`` has a local variable named ``widths``.  The match is by
+    name, so a member passes when another member of that name is read:
+    ``MomentumDensity.matrix`` would, because ``TKernel.matrix`` is.
+    Fields are not checked."""
     package = sorted(p for p in (REPO / "src" / "eventweave").glob("*.py")
                      if p.name != "__init__.py")
     trees = {path: ast.parse(path.read_text())
              for path in package + sorted((REPO / "bench").glob("*.py"))}
     referenced = set().union(*map(_referenced, trees.values()))
-    public = [f"{path.stem}.{node.name}" for path in package for node in trees[path].body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-    unused = [name for name in public if name.split(".")[1] not in referenced]
+    attributes = set().union(*(_read(tree, ast.Attribute) for tree in trees.values()))
+    public = [name for path in package for name in _public_members(path.stem, trees[path])]
+    unused = [name for name in public if name.split(".")[-1] not in
+              (attributes if name.count(".") == 2 else referenced)]
     stray = sorted(set(unused) - ACCEPTANCE_ONLY.keys())
-    assert not stray, f"only the tests call {stray}; move them to tests/"
+    assert not stray, f"only the tests read {stray}; move them to tests/"
     acceptance = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
     for name, number in ACCEPTANCE_ONLY.items():
         assert name in unused, f"{name} has a caller; drop it from ACCEPTANCE_ONLY"
         (test,) = [node for node in acceptance.body if isinstance(node, ast.FunctionDef)
                    and node.name.startswith(f"test_criterion_{number}_")]
-        assert name.split(".")[1] in _referenced(test), (name, test.name)
+        assert name.split(".")[-1] in _referenced(test), (name, test.name)
