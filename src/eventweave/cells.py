@@ -564,8 +564,9 @@ def width_sweep(
                 _sweep_point(grid, terms, by_offset, n_cells, smoothing_fraction)
                 for n_cells in cell_counts
             ]
-    except (OverflowError, FloatingPointError) as exc:
-        raise ValueError(f"sweep parameters leave the float range: {exc}") from None
+    except (OverflowError, FloatingPointError) as exc:  # str(OverflowError) is an errno tuple
+        why = "a float overflowed" if isinstance(exc, OverflowError) else exc
+        raise ValueError(f"sweep parameters leave the float range: {why}") from None
     bad = [pt.cell_width for pt in points if not 0.0 < pt.delta_p < math.inf]
     if bad:
         raise ValueError(f"no positive momentum-balance spread at cell widths {bad}")

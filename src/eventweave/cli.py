@@ -10,7 +10,8 @@ one uniform, so runs are reproducible and parallelizable by replica.
 Exit codes: 0 success, 2 usage, parse and file errors (bad argument
 values, malformed scenarios, unreadable inputs, unwritable ``--out``,
 arrays too large to allocate), 3 scenario or model invariant violations
-(non-exhaustive alternatives, diagonal mismatch).
+(non-exhaustive alternatives, diagonal mismatch, partition functions that
+do not sum to one, an event of probability zero).
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def cmd_epr(args) -> tuple[dict, list, Iterator[list]]:
     results = {
         "theta_deg": float(args.theta),
         **{k: float(a) for k, a in zip(keys, analytic)},
-        "E": float(analytic[0] + analytic[3] - analytic[1] - analytic[2]),
+        "E": epr.correlation(analytic),
         "empirical": {k: float(f) for k, f in zip(keys, pooled)},
         "replica_reports": per_replica,
         "max_abs_deviation": float(dev.max()),

@@ -90,39 +90,26 @@ def _unit_pointer(link_id: str) -> LabeledVector:
 class EprSetup:
     """History plus outcome candidates for a fixed pair of settings.
 
-    ``side1``/``side2`` hold the one-sided outcome candidates.
     ``alternatives`` holds the four outcome pairs as merged candidates, each
-    the product of one ``side1`` and one ``side2`` candidate: the exhaustive
-    set whose probabilities are the joints and from which sampling draws.
-    ``state`` is the frontier cut state of ``history`` as built; realizing
-    events on ``history`` does not update its components, but the state
-    refuses the link ids those realizations add.
+    with one outcome's bra factors from each side and emitting ``out1`` and
+    ``out2``: the exhaustive set whose probabilities are the joints and from
+    which sampling draws.  ``state`` is the frontier cut state of ``history``
+    as built; realizing events on ``history`` does not update its
+    components, but the state refuses the link ids those realizations add.
     """
 
     history: History
-    side1: dict[str, dynamics.CandidateEvent]
-    side2: dict[str, dynamics.CandidateEvent]
     alternatives: dynamics.AlternativeSet
     state: dynamics.CutState
 
 
-def _side_candidates(
-    side: str, e: Direction, spin_link: str, setting_link: str
-) -> dict[str, dynamics.CandidateEvent]:
-    """Analyzer ``side``'s outcomes: the ``e . sigma`` eigenvector on the spin
-    link times the unit pointer on the setting link, emitting ``out<side>``."""
-    return {
-        s: dynamics.CandidateEvent(
-            bra=ProductBra(
-                [LabeledVector([FactorLabel(spin_link, SPIN)], v),
-                 _unit_pointer(setting_link)]
-            ),
-            c=1.0,
-            ket=_unit_pointer(f"out{side}"),
-            name=f"{side}{s}",
-        )
-        for s, v in zip("+-", spin_eigenvectors(e))
-    }
+def _side_bras(e: Direction, spin_link: str, setting_link: str
+               ) -> dict[str, list[LabeledVector]]:
+    """Bra factors of one analyzer's outcomes: the ``e . sigma`` eigenvector
+    on the spin link and one shared unit pointer on the setting link."""
+    pointer = _unit_pointer(setting_link)
+    return {s: [LabeledVector([FactorLabel(spin_link, SPIN)], v), pointer]
+            for s, v in zip("+-", spin_eigenvectors(e))}
 
 
 def build_epr(e1: Direction, e2: Direction) -> EprSetup:
@@ -132,24 +119,17 @@ def build_epr(e1: Direction, e2: Direction) -> EprSetup:
     history.add_initial_event(_unit_pointer("delta"), event_id="setting2")
     history.add_initial_event(singlet_vector("alpha", "beta"), event_id="decay")
 
-    side1 = _side_candidates("1", e1, "alpha", "gamma")
-    side2 = _side_candidates("2", e2, "beta", "delta")
+    side1 = _side_bras(e1, "alpha", "gamma")
+    side2 = _side_bras(e2, "beta", "delta")
     both_out = tensor_product(_unit_pointer("out1"), _unit_pointer("out2"))
     merged = [
         dynamics.CandidateEvent(
-            bra=ProductBra(
-                [*side1[s1].bra.factors.values(), *side2[s2].bra.factors.values()]
-            ),
-            c=1.0,
-            ket=both_out,
-            name=s1 + s2,
+            bra=ProductBra(side1[s1] + side2[s2]), c=1.0, ket=both_out, name=s1 + s2
         )
         for s1, s2 in OUTCOME_PAIRS
     ]
     return EprSetup(
         history=history,
-        side1=side1,
-        side2=side2,
         alternatives=dynamics.AlternativeSet(merged),
         state=dynamics.cut_state(history),
     )
@@ -160,15 +140,15 @@ def joint_distribution(setup: EprSetup) -> np.ndarray:
     return dynamics.alternative_probabilities(setup.state, setup.alternatives)
 
 
-def correlation(setup: EprSetup) -> float:
-    """E = P(++) + P(--) - P(+-) - P(-+); equals minus e1.e2."""
-    p = joint_distribution(setup)
+def correlation(p: np.ndarray) -> float:
+    """E = P(++) + P(--) - P(+-) - P(-+) from the four joints in
+    :data:`OUTCOME_PAIRS` order; equals minus e1.e2."""
     return float(p[0] + p[3] - p[1] - p[2])
 
 
 def chsh(a: Direction, ap: Direction, b: Direction, bp: Direction) -> float:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    e = lambda x, y: correlation(build_epr(x, y))
+    e = lambda x, y: correlation(joint_distribution(build_epr(x, y)))
     return e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
 
 

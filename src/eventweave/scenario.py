@@ -27,10 +27,10 @@ SCHEMA_NAME = "eventweave-scenario/1"
 
 
 class ScenarioError(EventWeaveError):
-    """Malformed scenario content, with a location breadcrumb."""
+    """Malformed scenario content; the message opens with its location
+    breadcrumb."""
 
     def __init__(self, message: str, location: str = "$"):
-        self.location = location
         super().__init__(f"{location}: {message}")
 
 

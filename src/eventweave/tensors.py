@@ -145,9 +145,6 @@ class LabeledVector:
             and np.array_equal(self.amps, other.amps)
         )
 
-    def __hash__(self):  # pragma: no cover - vectors are not meant as keys
-        return hash((self.labels, self.amps.tobytes()))
-
     def __repr__(self) -> str:
         ids = ",".join(self.label_ids)
         return f"LabeledVector([{ids}], {self.amps.size} amps)"

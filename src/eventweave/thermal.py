@@ -19,9 +19,9 @@ are reported, neither is silently corrected into the other.
 The lattice is :class:`eventweave.cells.MomentumGrid` (box, ``hbar``, the
 transform to momentum); a :class:`LatticeModel` adds mass and inverse
 temperature, and :func:`matched_model` gives it a default box of 40 sigma*.
-A :class:`MomentumDensity` keeps its diagonal and its off-diagonals in
-factored form, O(sites x times); nothing here builds the dense
-(sites x sites) density.
+A :class:`MomentumDensity` keeps its diagonal and the O(sites) factors of
+its off-diagonals, less the time phases that the family and the model
+give; nothing here builds the dense (sites x sites) density.
 """
 
 from __future__ import annotations
@@ -61,18 +61,20 @@ class LatticeModel:
 
 
 class MomentumDensity:
-    """Diagonal weights over the lattice momenta, and the off-diagonals in
-    factored form.
+    """Diagonal weights over the lattice momenta, and factors of the
+    off-diagonals.
 
-    A packet mixture keeps its momentum-space site-0 ``packet``, the
+    A packet mixture keeps its momentum-space site-0 ``packet`` and the
     translation factor ``shift`` (entry ``(i, j)`` carries
-    ``shift[(i - j) % n]``) and the ``(times, n)`` free-evolution ``phases``;
-    with no ``packet`` the density is exactly diagonal.
+    ``shift[(i - j) % n]``).  Its off-diagonals are their product times the
+    mean over the family's times of the free-evolution phase, which the
+    family and the model give and which is not kept.  With no ``packet`` the
+    density is exactly diagonal.
     """
 
-    def __init__(self, diagonal: np.ndarray, packet=None, shift=None, phases=None):
+    def __init__(self, diagonal: np.ndarray, packet=None, shift=None):
         self.diagonal = diagonal
-        self.packet, self.shift, self.phases = packet, shift, phases
+        self.packet, self.shift = packet, shift
 
     def trace(self) -> float:
         return float(self.diagonal.sum())
@@ -159,7 +161,7 @@ def packet_mixture_density(
     phases = np.exp(-1j * np.multiply.outer(family.times, kinetic_phase_rate))
     waves = packet * phases
     diagonal = np.mean(waves.real**2 + waves.imag**2, axis=0) * shift[0].real
-    return MomentumDensity(diagonal, packet, shift, phases)
+    return MomentumDensity(diagonal, packet, shift)
 
 
 def matching_sigma(model: LatticeModel) -> float:

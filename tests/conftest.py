@@ -176,6 +176,22 @@ def momentum_to_position(grid, psi_p: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.fft.ifftshift(psi_p)) / math.sqrt(grid.n_points)
 
 
+def one_sided(setup, side: str, outcome: str) -> CandidateEvent:
+    """Analyzer ``side``'s (``"1"`` or ``"2"``) one-sided ``outcome`` event
+    of an :class:`eventweave.epr.EprSetup`: the bra factors the merged
+    candidates hold for that side (``alpha`` and ``gamma``, or ``beta`` and
+    ``delta``), emitting ``out1`` or ``out2``."""
+    links = ("alpha", "gamma") if side == "1" else ("beta", "delta")
+    merged = next(cand for cand in setup.alternatives.candidates
+                  if cand.name[int(side) - 1] == outcome)
+    return CandidateEvent(
+        bra=ProductBra([merged.bra.factor(link) for link in links]),
+        c=1.0,
+        ket=unit_factor(f"out{side}", [1.0], POINTER),
+        name=side + outcome,
+    )
+
+
 def generic_figure() -> History:
     """Three initial events: two entangled residue pairs plus a singlet."""
     h = History()

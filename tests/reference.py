@@ -517,15 +517,20 @@ def naive_packet_mixture_density(model, family):
     return rho / count
 
 
-def density_matrix(density):
+def density_matrix(density, model, family):
     """Dense (sites x sites) form of a
-    :class:`eventweave.thermal.MomentumDensity`, ``None`` when it is exactly
-    diagonal: the kept packet's projector averaged over the ``phases``, times
-    the ``shift`` factor, with the density's own diagonal bit for bit."""
+    :class:`eventweave.thermal.MomentumDensity` that
+    :func:`eventweave.thermal.packet_mixture_density` built from ``model``
+    and ``family``, ``None`` when it is exactly diagonal: the kept packet's
+    projector averaged over the family's free-evolution phases, rebuilt as
+    that function builds them, times the ``shift`` factor, with the
+    density's own diagonal bit for bit."""
     if density.packet is None:
         return None
     n = density.diagonal.size
-    waves = density.packet * density.phases
+    kinetic_phase_rate = model.grid.momenta()**2 / (2.0 * model.mass * model.grid.hbar)
+    phases = np.exp(-1j * np.multiply.outer(family.times, kinetic_phase_rate))
+    waves = density.packet * phases
     rho = sum(np.multiply.outer(w, w.conj()) for w in waves) / len(waves)
     sites = np.arange(n)
     rho *= density.shift[np.subtract.outer(sites, sites) % n]

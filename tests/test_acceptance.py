@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import reference
-from conftest import HistoryFactory, position_to_momentum, random_unit_vector
+from conftest import HistoryFactory, one_sided, position_to_momentum, random_unit_vector
 from eventweave import cli, dynamics, epr, thermal
 from eventweave.cells import (
     CellPartition,
@@ -112,8 +112,8 @@ def test_criterion_3_no_signalling():
                 epr.Direction.from_cartesian(*v1), epr.Direction.from_cartesian(*v2)
             )
             state = setup.state
-            p_plus_near = event_probability(state, setup.side1["+"])
-            p_plus_far = event_probability(state, setup.side2["+"])
+            p_plus_near = event_probability(state, one_sided(setup, "1", "+"))
+            p_plus_far = event_probability(state, one_sided(setup, "2", "+"))
             assert abs(p_plus_near - 0.5) <= 1e-12
             assert abs(p_plus_far - 0.5) <= 1e-12
 
@@ -131,11 +131,10 @@ def test_criterion_4_thermal_packet_ambiguity():
         mixture = thermal.packet_mixture_density(model, family)
         assert mixture.max_offdiagonal() < 1e-12
         times = tuple(np.linspace(0.0, 2.0, 5))
-        averaged = thermal.packet_mixture_density(
-            model, thermal.PacketFamily.every_site(model, result.sigma_star, times)
-        )
-        assert np.max(np.abs(reference.density_matrix(averaged)
-                             - reference.density_matrix(mixture))) <= 1e-12
+        over_time = thermal.PacketFamily.every_site(model, result.sigma_star, times)
+        averaged = thermal.packet_mixture_density(model, over_time)
+        assert np.max(np.abs(reference.density_matrix(averaged, model, over_time)
+                             - reference.density_matrix(mixture, model, family))) <= 1e-12
         # desk check against the quoted 2e-9 m packet scale for a proton at 1 K;
         # the 1/e amplitude radius 2*sigma* is the like-for-like width measure
         proton = thermal.proton_model()

@@ -22,6 +22,7 @@ from conftest import (
     figure_outcome_candidates,
     gap_alternatives,
     generic_figure,
+    one_sided,
     random_unit_vector,
     recording_states_and_draws,
     sample_many,
@@ -219,7 +220,7 @@ def test_event_probability_matches_the_index_sum_oracle(rng):
 
 def _epr_pair_candidates(theta_deg, s1, s2):
     setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(theta_deg))
-    return setup, [setup.side1[s1], setup.side2[s2]]
+    return setup, [one_sided(setup, "1", s1), one_sided(setup, "2", s2)]
 
 
 def test_joint_for_aligned_analyzers_never_agrees():
@@ -895,15 +896,15 @@ def test_realize_takes_only_the_frontier_cut():
     outcome out would make it look possible, so ``realize`` refuses it."""
     z = Direction.in_plane_deg(0)
     s = build_epr(z, z)
-    first = realize(s.history, None, s.side1["+"])
+    first = realize(s.history, None, one_sided(s, "1", "+"))
     before = s.history.to_dict()
     with pytest.raises(InvalidCut, match=r"leaves out \['e1'\]"):
-        realize(s.history, ["setting1", "setting2", "decay"], s.side2["+"])
+        realize(s.history, ["setting1", "setting2", "decay"], one_sided(s, "2", "+"))
     assert s.history.to_dict() == before
     with pytest.raises(ZeroProbabilityEvent):
-        realize(s.history, None, s.side2["+"])
+        realize(s.history, None, one_sided(s, "2", "+"))
     everything = sorted(s.history.events)
-    assert first == "e1" and realize(s.history, everything, s.side2["-"]) == "e2"
+    assert first == "e1" and realize(s.history, everything, one_sided(s, "2", "-")) == "e2"
     assert s.history.validate() == []
 
 

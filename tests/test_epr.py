@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import sample_many
+from conftest import one_sided, sample_many
 from eventweave import dynamics
 from eventweave.epr import (
     OUTCOME_PAIRS,
@@ -113,7 +113,8 @@ def test_merged_candidates_equal_sequential_pairs(rng):
     for e1, e2 in settings:
         setup = build_epr(e1, e2)
         sequential = np.array([
-            dynamics.joint_probability(setup.state, [setup.side1[s1], setup.side2[s2]])
+            dynamics.joint_probability(
+                setup.state, [one_sided(setup, "1", s1), one_sided(setup, "2", s2)])
             for s1, s2 in OUTCOME_PAIRS
         ])
         assert np.array_equal(joint_distribution(setup), sequential)
@@ -121,13 +122,15 @@ def test_merged_candidates_equal_sequential_pairs(rng):
 
 @pytest.mark.parametrize("theta,expected", [(0.0, -1.0), (90.0, 0.0), (60.0, -0.5)])
 def test_correlation_fixed_points(theta, expected):
-    assert abs(correlation(build_epr(plane(0.0), plane(theta))) - expected) < 1e-12
+    setup = build_epr(plane(0.0), plane(theta))
+    assert abs(correlation(joint_distribution(setup)) - expected) < 1e-12
 
 
 def test_correlation_equals_minus_dot_product(rng):
     for _ in range(20):
         e1, e2 = random_direction(rng), random_direction(rng)
-        assert abs(correlation(build_epr(e1, e2)) + np.dot(astuple(e1), astuple(e2))) < 1e-12
+        joints = joint_distribution(build_epr(e1, e2))
+        assert abs(correlation(joints) + np.dot(astuple(e1), astuple(e2))) < 1e-12
 
 
 def test_joint_distribution_is_rotation_invariant(rng):

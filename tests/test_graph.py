@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (
     POINTER, SPIN, HistoryFactory, figure_outcome_candidates, generic_figure,
-    random_unit_vector, saturated, unit_factor,
+    one_sided, random_unit_vector, saturated, unit_factor,
 )
 from eventweave.dynamics import realize
 from eventweave.epr import build_epr, Direction, singlet_vector
@@ -76,10 +76,10 @@ def test_saturation_through_the_five_event_figure():
     setup = build_epr(Direction.in_plane_deg(0), Direction.in_plane_deg(30))
     h = setup.history
     assert all(not saturated(h, e) for e in ("setting1", "setting2", "decay"))
-    realize(h, None, setup.side1["+"], event_id="ev4")
+    realize(h, None, one_sided(setup, "1", "+"), event_id="ev4")
     assert not saturated(h, "decay")  # beta still free
     assert saturated(h, "setting1")
-    realize(h, None, setup.side2["-"], event_id="ev5")
+    realize(h, None, one_sided(setup, "2", "-"), event_id="ev5")
     assert saturated(h, "decay")
     assert sorted(e for e in h.events if not saturated(h, e)) == ["ev4", "ev5"]
     assert h.validate() == []

@@ -480,8 +480,12 @@ BAD_INPUTS = {
     "cells-tau-scale-underflows": (_two_width_sweep("--tau-scale", "1e-300"), "float range"),
     "cells-infinite-tau-scale": (_two_width_sweep("--tau-scale", "inf"), "tau scale"),
     "cells-infinite-smoothing": (_two_width_sweep("--smoothing", "inf"), "smoothing"),
-    "cells-smoothing-overflows": (_two_width_sweep("--smoothing", "1e160"), "float range"),
-    "cells-tau-scale-overflows": (_two_width_sweep("--tau-scale", "1e300"), "float range"),
+    "cells-smoothing-overflows": (
+        _two_width_sweep("--smoothing", "1e160"), "float range: a float overflowed"
+    ),
+    "cells-tau-scale-overflows": (
+        _two_width_sweep("--tau-scale", "1e300"), "float range: a float overflowed"
+    ),
     "cells-box-overflows": (_two_width_sweep("--box", "1e300"), "float range"),
     "chsh-nan-angle": (lambda tmp: ["chsh", "--a", "nan"], "--a "),
     "chsh-infinite-angle": (lambda tmp: ["chsh", "--b", "inf"], "--b "),
@@ -494,6 +498,10 @@ BAD_INPUTS = {
     ),
     "epr-zero-replicas": (
         lambda tmp: ["epr", "--replicas", "0"], "replicas must be positive, got 0"
+    ),
+    "epr-replica-counts-too-large-to-allocate": (
+        lambda tmp: ["epr", "--runs", "10", "--replicas", "1000000000000"],
+        "out of memory: Unable to allocate 29.1 TiB",
     ),
     "epr-negative-seed": (
         lambda tmp: ["epr", "--seed", "-1"], "--seed must be non-negative, got -1"

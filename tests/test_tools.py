@@ -132,9 +132,28 @@ def _referenced(tree: ast.AST) -> set[str]:
     return _read(tree, (ast.Name, ast.Attribute))
 
 
+def _fields(cls: ast.ClassDef) -> list[str]:
+    """Fields of ``cls``: its class-body annotations (a dataclass's fields),
+    the ``self.x`` stores of its ``__init__``, one per target of a tuple
+    store ``self.a, self.b = ...``, and the names it sets with
+    ``object.__setattr__(self, "x", ...)``."""
+    inits = [item for item in cls.body
+             if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+    names = [item.target.id for item in cls.body
+             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    names += [node.attr for init in inits for node in ast.walk(init)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    names += [node.args[1].value for node in ast.walk(cls)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+              and len(node.args) == 3 and ast.unparse(node.args[0]) == "self"
+              and isinstance(node.args[1], ast.Constant)]
+    return list(dict.fromkeys(names))
+
+
 def _public_members(module: str, tree: ast.Module) -> list[str]:
     """``module.name`` of each public module-level function and constant,
-    and ``module.Class.name`` of each public method and property of a
+    and ``module.Class.name`` of each public method, property and field of a
     public class."""
     names = []
     for node in tree.body:
@@ -144,32 +163,40 @@ def _public_members(module: str, tree: ast.Module) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            names += [f"{node.name}.{item.name}" for item in node.body
-                      if isinstance(item, ast.FunctionDef)]
+            members = [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+            names += [f"{node.name}.{name}" for name in members + _fields(node)]
     return [f"{module}.{name}" for name in names
             if not name.rsplit(".", 1)[-1].startswith("_")]
 
 
+def _unread(package: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """The public members of the ``package`` modules that no code in
+    ``readers`` reads.  Class members count only where they are read as
+    attributes."""
+    referenced = set().union(*map(_referenced, readers))
+    attributes = set().union(*(_read(tree, ast.Attribute) for tree in readers))
+    public = [name for module, tree in package.items()
+              for name in _public_members(module, tree)]
+    return [name for name in public if name.split(".")[-1] not in
+            (attributes if name.count(".") == 2 else referenced)]
+
+
 def test_every_public_function_serves_the_program_or_an_acceptance_claim():
     """Each public module-level function and constant of the package, and
-    each public method and property of its public classes, is read in the
-    package or the benchmark, or is on :data:`ACCEPTANCE_ONLY`; what only
-    the tests read belongs in ``tests/``.
+    each public method, property and field of its public classes, is read
+    in the package or the benchmark, or is on :data:`ACCEPTANCE_ONLY`; what
+    only the tests read belongs in ``tests/``.
 
-    Methods and properties count only where they are read as attributes,
-    since ``cells`` has a local variable named ``widths``.  The match is by
-    name, so a member passes when another member of that name is read:
-    ``MomentumDensity.matrix`` would, because ``TKernel.matrix`` is.
-    Fields are not checked."""
-    package = sorted(p for p in (REPO / "src" / "eventweave").glob("*.py")
-                     if p.name != "__init__.py")
-    trees = {path: ast.parse(path.read_text())
-             for path in package + sorted((REPO / "bench").glob("*.py"))}
-    referenced = set().union(*map(_referenced, trees.values()))
-    attributes = set().union(*(_read(tree, ast.Attribute) for tree in trees.values()))
-    public = [name for path in package for name in _public_members(path.stem, trees[path])]
-    unused = [name for name in public if name.split(".")[-1] not in
-              (attributes if name.count(".") == 2 else referenced)]
+    Class members count only where they are read as attributes, since
+    ``cells`` has a local variable named ``widths``; a field's own stores
+    are no reads.  The match is by name, so a member passes when another
+    member of that name is read: a field that only the tests read would
+    pass while a method of the same name has a caller."""
+    package = {path.stem: ast.parse(path.read_text())
+               for path in sorted((REPO / "src" / "eventweave").glob("*.py"))
+               if path.name != "__init__.py"}
+    bench = [ast.parse(path.read_text()) for path in sorted((REPO / "bench").glob("*.py"))]
+    unused = _unread(package, [*package.values(), *bench])
     stray = sorted(set(unused) - ACCEPTANCE_ONLY.keys())
     assert not stray, f"only the tests read {stray}; move them to tests/"
     acceptance = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
@@ -178,3 +205,31 @@ def test_every_public_function_serves_the_program_or_an_acceptance_claim():
         (test,) = [node for node in acceptance.body if isinstance(node, ast.FunctionDef)
                    and node.name.startswith(f"test_criterion_{number}_")]
         assert name.split(".")[-1] in _referenced(test), (name, test.name)
+
+
+#: one class per form of field the guard collects; ``_use`` reads the
+#: fields named in ``{reads}``
+FIELD_SOURCE = '''
+from dataclasses import dataclass
+
+@dataclass
+class Point:
+    x: float
+
+class Pair:
+    def __init__(self, a, b):
+        self.left, self.right = a, b
+        object.__setattr__(self, "tag", None)
+
+def _use(point, pair):
+    return {reads}
+'''
+
+
+@pytest.mark.parametrize("unread", ["x", "left", "right", "tag"])
+def test_the_guard_reports_exactly_the_field_nothing_reads(unread):
+    fields = {"x": "point.x", "left": "pair.left", "right": "pair.right", "tag": "pair.tag"}
+    reads = " + ".join(read for field, read in fields.items() if field != unread)
+    tree = ast.parse(FIELD_SOURCE.format(reads=reads))
+    owner = "Point" if unread == "x" else "Pair"
+    assert _unread({"mod": tree}, [tree]) == [f"mod.{owner}.{unread}"]
