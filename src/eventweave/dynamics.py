@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    DuplicateLabel,
     EventWeaveError,
     InvalidCut,
     LabelCollision,
@@ -37,7 +38,16 @@ from .errors import (
     ZeroProbabilityEvent,
 )
 from .graph import EVENT_VECTOR_TOL, Cut, History, LinkRecord, Region, _refuse_used
-from .tensors import LabeledVector, ProductBra, contract, tensor_product
+from .tensors import (
+    MAX_AMPLITUDES,
+    LabeledVector,
+    Parts,
+    ProductBra,
+    _contracted,
+    _outer,
+    contract,
+    tensor_product,
+)
 
 #: alternative sets must cover probability one within this tolerance
 EXHAUSTIVE_TOL = 1e-9
@@ -147,7 +157,9 @@ def cut_state(history: History, cut: Cut | Iterable[str] | None = None) -> CutSt
     refused with :class:`LabelCollision` for every link id the history
     uses, also ids that events realized after this call add.  The frontier
     state (``cut=None``) is built once per admission: the history keeps it,
-    and every call until its next admission returns that one object.
+    and every call until its next admission returns that one object.  It
+    is cut on ``history.frontier_cut()``, whose free links are the kept open
+    ones, so no event id is read.
     """
     frontier = cut is None
     if frontier:
@@ -187,16 +199,17 @@ def _unit(vec: LabeledVector, total: float | None = None) -> LabeledVector:
     return vec
 
 
-def _apply(
-    state: CutState, cand: CandidateEvent
-) -> tuple[list[int], LabeledVector, LabeledVector]:
+def _apply(state: CutState, cand: CandidateEvent) -> tuple[list[int], Parts, Parts]:
     """The candidate's operator on the components its bra names.
 
     ``psi`` is the tensor product of those components (one of them as is,
     several merged in order).  Returns their positions, the residual
     ``c <bra|psi>`` and the rank-1 operator ``c |ket><bra|`` applied,
     ``|ket> (x)`` that residual, whose squared norm is the candidate's
-    probability.  A ket that re-emits a used link id raises
+    probability.  Both come as raw parts from the kernels under
+    ``contract`` and ``tensor_product``, and their amplitudes are not yet
+    checked to be finite: :func:`_squared_norm` and ``LabeledVector._trusted``
+    check them.  A ket that re-emits a used link id raises
     :class:`LabelCollision`, as ``History`` would.
     """
     index = state.index
@@ -212,8 +225,28 @@ def _apply(
         if psi is None:
             psi = reduce(tensor_product, (state.components[k] for k in touched))
             state.merged[tuple(touched)] = psi
-    residual = contract(cand.bra, psi).scaled(cand.c)
-    return touched, residual, tensor_product(cand.ket, residual)
+    labels, ids, amps = _contracted(cand.bra, (psi.labels, psi.label_ids, psi.amps))
+    residual = labels, ids, amps * cand.c
+    ket = cand.ket
+    try:
+        return touched, residual, _outer((ket.labels, ket.label_ids, ket.amps), residual)
+    except (DuplicateLabel, ValueError):
+        # as when the residual was a checked vector, one that is not finite
+        # is refused before the product's own checks
+        LabeledVector._trusted(*residual)
+        raise
+
+
+def _squared_norm(parts: Parts) -> float:
+    """Squared norm of an applied operator's parts.  A finite value means
+    every amplitude is finite (and so was every residual it came from);
+    otherwise the vector check runs, and raises ``ValueError`` unless the
+    amplitudes are finite and only their squares overflowed."""
+    amps = parts[2]
+    p = float(np.vdot(amps, amps).real)
+    if not math.isfinite(p):
+        LabeledVector._trusted(*parts)
+    return p
 
 
 def _replaced(state: CutState, touched: list[int], new: Iterable[LabeledVector],
@@ -228,14 +261,17 @@ def _replaced(state: CutState, touched: list[int], new: Iterable[LabeledVector],
 def event_probability(state: CutState, cand: CandidateEvent) -> float:
     """Squared norm of the candidate's operator applied to the state.
 
-    It is computed once per state and candidate and kept on the state; the
-    used-link check runs on every call, since the state's history may have
-    used the ket's links since."""
+    It is ``np.vdot(v, v).real`` of the raw amplitudes ``v`` that
+    :func:`_apply` returns, with no vector built; as with vectors,
+    ``ValueError`` is raised unless they are all finite.  It is computed
+    once per state and candidate and kept on the state; the used-link check
+    runs on every call, since the state's history may have used the ket's
+    links since."""
     kept = state.probabilities.get(id(cand))
     if kept is not None and kept[0] is cand:
         _refuse_used(cand.ket.label_ids, state.links, state.emitted)
         return kept[1]
-    p = _apply(state, cand)[2].squared_norm()
+    p = _squared_norm(_apply(state, cand)[2])
     state.probabilities[id(cand)] = (cand, p)
     return p
 
@@ -263,8 +299,8 @@ def joint_probability(state: CutState, cands: Sequence[CandidateEvent]) -> float
 def _applied(state: CutState, cand: CandidateEvent) -> CutState:
     """Unnormalized state after the candidate: the components it touches
     become one, ``c |ket> (x) <bra|psi>``."""
-    touched, _, vec = _apply(state, cand)
-    return _replaced(state, touched, [vec], cand)
+    touched, _, applied = _apply(state, cand)
+    return _replaced(state, touched, [LabeledVector._trusted(*applied)], cand)
 
 
 def _squared_norm_since(applied: CutState, root: CutState) -> float:
@@ -282,8 +318,9 @@ def realized_state(state: CutState, cand: CandidateEvent) -> tuple[float, CutSta
     and the unit ket, each kept only if it has labels: one without labels
     is a number, a global phase once normalized.
     """
-    touched, residual, vec = _apply(state, cand)
-    p = vec.squared_norm()
+    touched, residual, applied = _apply(state, cand)
+    residual = LabeledVector._trusted(*residual)
+    p = _squared_norm(applied)
     if p <= ZERO_PROBABILITY_EPS:
         raise ZeroProbabilityEvent(f"candidate has probability {p!r}")
     new = [_unit(v) for v in (residual, cand.ket) if v.labels]
@@ -304,24 +341,28 @@ def alternative_probabilities(
     return probs
 
 
-def _thresholds(probs: np.ndarray) -> np.ndarray:
-    """Cumulative sums of the live probabilities before the last live one.
+def _thresholds(probs: np.ndarray) -> list[float]:
+    """Cumulative sums of the live probabilities before the last live one,
+    as Python floats.
 
     Probabilities at or below :data:`PRUNED_BRANCH_PROBABILITY` count as 0.
     ``probs`` sum to 1 within :data:`EXHAUSTIVE_TOL`, so some candidate is
     live.  A uniform picks as many candidates past the first as it reaches
     thresholds: the first candidate whose cumulative probability exceeds
     it, or the last live one for a uniform past the sum.  The sums never
-    decrease, so the thresholds a uniform reaches are a prefix.
+    decrease, so the thresholds a uniform reaches are a prefix.  The sums
+    run left to right, one addition per candidate: the bits of
+    ``np.cumsum``.
     """
-    live = np.where(probs > PRUNED_BRANCH_PROBABILITY, probs, 0.0)
-    return np.cumsum(live[:np.flatnonzero(live)[-1]])
+    live = [p if p > PRUNED_BRANCH_PROBABILITY else 0.0 for p in probs.tolist()]
+    last = max(k for k, p in enumerate(live) if p)
+    return list(itertools.accumulate(live[:last]))
 
 
-def _draw(probs: np.ndarray, u):
-    """Candidate index selected by each uniform in ``u`` (scalar or array):
-    the number of :func:`_thresholds` it reaches."""
-    pick = np.zeros(np.shape(u), dtype=np.intp)
+def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Candidate index selected by each uniform of the array ``u``: the
+    number of :func:`_thresholds` it reaches."""
+    pick = np.zeros(u.shape, dtype=np.intp)
     for c in _thresholds(probs):
         pick += u >= c
     return pick
@@ -348,9 +389,12 @@ def sample_extension(
 
     Exactly one uniform variate of ``rng`` is consumed per draw, so
     successive draws on a shared generator read one reproducible stream.
+    The pick is the number of :func:`_thresholds` the uniform reaches, the
+    rule :func:`_draw` applies to arrays.
     """
     probs = alternative_probabilities(state, alts)
-    return int(_draw(probs, rng.random()))
+    u = rng.random()
+    return sum(1 for c in _thresholds(probs) if u >= c)
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
@@ -540,8 +584,12 @@ def sample_outcome_tree(
     counts its runs.  Runs draw by :func:`_draw`'s rule, so no run enters a
     pruned subtree and every count off a live path is 0.
     Raises :class:`TooManyOutcomePaths` before any state is built when the
-    path count exceeds :data:`MAX_OUTCOME_PATHS`, and :class:`LabelCollision`
-    when a stage emits a link id already used by the history or an earlier one.
+    path count exceeds :data:`MAX_OUTCOME_PATHS`, ``ValueError`` when the
+    table of replica counts, replicas x paths, would exceed
+    :data:`~eventweave.tensors.MAX_AMPLITUDES` cells, and
+    :class:`LabelCollision` when a stage emits a link id already used by the
+    history or an earlier one.  ``runs`` is not bounded: it is drawn in
+    blocks, at a cost linear in it.
     """
     for name, value in (("runs", runs), ("replicas", replicas)):
         if value < 1:
@@ -552,6 +600,11 @@ def sample_outcome_tree(
         raise TooManyOutcomePaths(
             f"scenario has {total} outcome paths (product of candidate counts "
             f"per stage); at most {MAX_OUTCOME_PATHS} can be enumerated"
+        )
+    if replicas * total > MAX_AMPLITUDES:
+        raise ValueError(
+            f"{replicas} replicas x {total} outcome paths make {replicas * total} "
+            f"replica counts; at most MAX_AMPLITUDES = {MAX_AMPLITUDES} are kept"
         )
     used: set[str] = set()  # emitted by earlier stages
     for d, alts in enumerate(stages):

@@ -21,10 +21,12 @@ optional space-time :class:`Region` tag, and the tag is inert here.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Container, Iterable
 
 import numpy as np
@@ -116,9 +118,10 @@ class EventRecord:
     region: Region | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cut:
-    """A past-closed set of event ids (a spacelike surface's past)."""
+    """A past-closed set of event ids (a spacelike surface's past).  Cuts
+    with the same ids are equal, a history's frontier cut among them."""
 
     past_event_ids: frozenset[str]
 
@@ -128,6 +131,26 @@ class Cut:
             raise TypeError(f"a cut takes an iterable of event ids, not the "
                             f"string {ids!r}; use [{ids!r}]")
         return cls(frozenset(ids))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Cut) and self.past_event_ids == other.past_event_ids
+
+    def __hash__(self) -> int:
+        return hash(self.past_event_ids)
+
+
+class _FrontierCut(Cut):
+    """The cut holding the first ``n`` events of a history's ``events``.
+    That dict only grows, in insertion order, so the first ``n`` stay the
+    same events; their id set is built on first read."""
+
+    def __init__(self, events: dict[str, EventRecord], n: int):
+        object.__setattr__(self, "_first", (events, n))
+
+    @cached_property
+    def past_event_ids(self) -> frozenset[str]:
+        events, n = self._first
+        return frozenset(itertools.islice(events, n))
 
 
 def _refuse_used(ids: Iterable[str], links: Container[str],
@@ -241,9 +264,12 @@ class History:
     # -- queries ---------------------------------------------------------------
 
     def frontier_cut(self) -> Cut:
-        """The cut containing every realized event (built once per admission)."""
+        """The cut containing every realized event, kept until the next
+        admission.  It builds its id set only when a caller reads
+        ``past_event_ids``: :meth:`validate_cut` and :meth:`free_links`
+        know the kept cut by identity and never read it."""
         if self._frontier is None:
-            self._frontier = Cut.of(self.events)
+            self._frontier = _FrontierCut(self.events, len(self.events))
         return self._frontier
 
     def validate_cut(self, cut: Cut) -> None:

@@ -6,8 +6,9 @@ done by name rather than by axis position.  Internally the factor order is
 canonical (sorted by link id); vectors built with the same factors in any
 order compare equal.  Amplitudes are dense ``complex128`` arrays, flat in
 lexicographic index order over the canonical label order.  The rank-1
-event operators of :mod:`.dynamics` act through :func:`contract` and
-:func:`tensor_product`.
+event operators of :mod:`.dynamics` act through the kernels under
+:func:`contract` and :func:`tensor_product`: ``_contracted`` and ``_outer``
+work on raw parts (labels, link ids, flat amplitudes) and build no vector.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .errors import DuplicateLabel, MissingLabel, NonUnitVector
 UNIT_TOL = 1e-12
 
 #: largest dense vector :func:`tensor_product` builds: 2**24 complex128
-#: amplitudes take 268 MB, and a label re-sort needs a second copy
+#: amplitudes take 268 MB, and a label re-sort needs a second copy; the
+#: outcome tree's table of replica counts has the same cap
 MAX_AMPLITUDES = 2**24
 
 
@@ -112,10 +114,6 @@ class LabeledVector:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(lab.dim for lab in self.labels)
-
     def __complex__(self) -> complex:
         if self.labels:
             raise ValueError("only an empty-label vector converts to a scalar")
@@ -150,8 +148,13 @@ class LabeledVector:
         return f"LabeledVector([{ids}], {self.amps.size} amps)"
 
 
+#: a vector's raw parts: labels in canonical order, their link ids, and the
+#: flat ``complex128`` amplitudes
+Parts = tuple[tuple[FactorLabel, ...], tuple[str, ...], np.ndarray]
+
+
 def _by_link_id(labels: tuple[FactorLabel, ...], ids: tuple[str, ...], arr: np.ndarray
-                ) -> tuple[tuple[FactorLabel, ...], tuple[str, ...], np.ndarray]:
+                ) -> Parts:
     """``labels`` and their link ``ids`` in canonical order (sorted by link
     id), and the flat amplitudes ``arr`` with their axes permuted to match."""
     if list(ids) == sorted(ids):
@@ -167,10 +170,10 @@ class ProductBra:
 
     Each factor must carry exactly one label and be normalized to
     ``UNIT_TOL``; the conjugation implied by the bra happens inside
-    :func:`contract`.
+    :func:`contract`, on rows conjugated once, on first use, and kept.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_rows")
 
     def __init__(self, factors: Iterable[LabeledVector]):
         table: dict[str, LabeledVector] = {}
@@ -189,9 +192,20 @@ class ProductBra:
                 raise DuplicateLabel(f"two bra factors on link {lid!r}")
             table[lid] = fac
         object.__setattr__(self, "factors", dict(sorted(table.items())))
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ProductBra is immutable")
+
+    def _conj_rows(self) -> tuple[tuple[str, SpaceType, np.ndarray], ...]:
+        """Each factor's link id, space and conjugated amplitudes as a
+        ``(1, d)`` row, in link-id order; built on first use (``np.conj`` is
+        exact, so a kept row has the bits of a fresh one)."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(
+                (lid, fac.labels[0].space, np.conj(fac.amps).reshape(1, -1))
+                for lid, fac in self.factors.items()))
+        return self._rows
 
     @property
     def label_ids(self) -> tuple[str, ...]:
@@ -207,24 +221,61 @@ class ProductBra:
         return f"ProductBra({','.join(self.factors)})"
 
 
-def tensor_product(u: LabeledVector, v: LabeledVector) -> LabeledVector:
-    """Outer product of two vectors with disjoint label sets.
+def _outer(u: Parts, v: Parts) -> Parts:
+    """The outer product of two raw parts with disjoint link ids, labels in
+    canonical order: the kernel of :func:`tensor_product`.
 
-    Raises ``ValueError`` before allocating a product of more than
-    :data:`MAX_AMPLITUDES` amplitudes.
+    Raises :class:`DuplicateLabel` on a shared link id, and ``ValueError``
+    before allocating more than :data:`MAX_AMPLITUDES` amplitudes.
     """
-    overlap = set(u.label_ids) & set(v.label_ids)
+    (u_labels, u_ids, u_amps), (v_labels, v_ids, v_amps) = u, v
+    overlap = set(u_ids) & set(v_ids)
     if overlap:
         raise DuplicateLabel(f"labels present on both factors: {sorted(overlap)}")
-    size = u.amps.size * v.amps.size
+    size = u_amps.size * v_amps.size
     if size > MAX_AMPLITUDES:
         raise ValueError(
             f"a tensor product of {size} amplitudes exceeds MAX_AMPLITUDES = "
             f"{MAX_AMPLITUDES}"
         )
-    amps = np.multiply.outer(u.amps, v.amps).reshape(-1)
-    return LabeledVector._trusted(
-        *_by_link_id(u.labels + v.labels, u.label_ids + v.label_ids, amps))
+    amps = np.multiply.outer(u_amps, v_amps).reshape(-1)
+    return _by_link_id(u_labels + v_labels, u_ids + v_ids, amps)
+
+
+def _contracted(bra: ProductBra, psi: Parts) -> Parts:
+    """``<bra|psi`` on raw parts whose link ids include every bra link: the
+    kernel of :func:`contract`.
+
+    Each factor is one ``np.dot`` of its conjugated ``(1, d)`` row with the
+    tensor's axis moved to the front and reshaped to ``(d, rest)``: the
+    product, operands and layout of ``np.tensordot(conj(factor), tensor,
+    axes=([0], [axis]))``, without its argument handling.  Raises
+    ``ValueError`` when a factor's space differs from the label's.
+    """
+    labels, ids, amps = list(psi[0]), list(psi[1]), psi[2]
+    tensor = amps.reshape([lab.dim for lab in labels]) if labels else amps
+    for lid, space, row in bra._conj_rows():
+        axis = ids.index(lid)
+        if labels[axis].space != space:
+            raise ValueError(
+                f"space mismatch on link {lid!r}: {labels[axis].space} vs {space}"
+            )
+        shape, others = tensor.shape, [k for k in range(tensor.ndim) if k != axis]
+        front = tensor.transpose([axis, *others]).reshape(shape[axis], -1)
+        tensor = np.dot(row, front).reshape([shape[k] for k in others])
+        del labels[axis], ids[axis]
+    return tuple(labels), tuple(ids), np.ascontiguousarray(tensor).reshape(-1)
+
+
+def tensor_product(u: LabeledVector, v: LabeledVector) -> LabeledVector:
+    """Outer product of two vectors with disjoint label sets.
+
+    Raises ``ValueError`` before allocating a product of more than
+    :data:`MAX_AMPLITUDES` amplitudes.  The arithmetic is ``_outer``'s, on
+    the vectors' parts.
+    """
+    return LabeledVector._trusted(*_outer((u.labels, u.label_ids, u.amps),
+                                          (v.labels, v.label_ids, v.amps)))
 
 
 def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
@@ -232,30 +283,12 @@ def contract(bra: ProductBra, psi: LabeledVector) -> LabeledVector:
 
     The result keeps psi's remaining labels; contracting every label yields
     an empty-label scalar.  Amplitudes are ``sum conj(bra) * psi`` over the
-    contracted indices.  Each factor is one ``np.dot`` of the conjugated
-    factor as a ``(1, d)`` row with the tensor's axis moved to the front
-    and reshaped to ``(d, rest)``: the product, operands and layout of
-    ``np.tensordot(conj(factor), tensor, axes=([0], [axis]))``, without its
-    argument handling.
+    contracted indices, computed by ``_contracted`` (one ``np.dot`` per bra
+    factor) on the vector's parts.  Raises :class:`MissingLabel` when psi
+    carries no factor for some bra link.
     """
     have = set(psi.label_ids)
     missing = [lid for lid in bra.label_ids if lid not in have]
     if missing:
         raise MissingLabel(f"state carries no factor for links {missing}")
-    labels, ids = list(psi.labels), list(psi.label_ids)
-    tensor = psi.amps.reshape(psi.dims) if labels else psi.amps
-    for lid, fac in bra.factors.items():
-        axis = ids.index(lid)
-        if labels[axis].space != fac.labels[0].space:
-            raise ValueError(
-                f"space mismatch on link {lid!r}: "
-                f"{labels[axis].space} vs {fac.labels[0].space}"
-            )
-        shape, others = tensor.shape, [k for k in range(tensor.ndim) if k != axis]
-        front = tensor.transpose([axis, *others]).reshape(shape[axis], -1)
-        tensor = np.dot(np.conj(fac.amps).reshape(1, -1), front).reshape(
-            [shape[k] for k in others])
-        del labels[axis], ids[axis]
-    return LabeledVector._trusted(tuple(labels), tuple(ids),
-                                  np.ascontiguousarray(tensor).reshape(-1))
-
+    return LabeledVector._trusted(*_contracted(bra, (psi.labels, psi.label_ids, psi.amps)))

@@ -64,7 +64,7 @@ def tensordot_contract(bra, psi):
     from eventweave.tensors import LabeledVector
 
     labels = list(psi.labels)
-    tensor = psi.amps.reshape(psi.dims) if labels else psi.amps
+    tensor = psi.amps.reshape([lab.dim for lab in labels]) if labels else psi.amps
     for lid, fac in bra.factors.items():
         axis = next(i for i, lab in enumerate(labels) if lab.link_id == lid)
         tensor = np.tensordot(np.conj(fac.amps), tensor, axes=([0], [axis]))
@@ -312,12 +312,19 @@ def naive_grow(initial, steps, rng):
     :func:`searchsorted_draw` with one ``rng.random()``, then cuts another
     fresh state and applies the drawn candidate again to gate its
     admission.  A cut passed explicitly is never the kept frontier state.
+    A probability is ``c |ket><bra|`` applied to the components the bra
+    names by the public vector operations, not by ``dynamics``' kernels.
     """
-    from eventweave import dynamics
+    from functools import reduce
+
+    from eventweave import dynamics, tensors
     from eventweave.graph import History
 
     def probability(state, cand):
-        return dynamics._apply(state, cand)[2].squared_norm()
+        touched = sorted({state.index[lid] for lid in cand.bra.label_ids})
+        psi = reduce(tensors.tensor_product, (state.components[k] for k in touched))
+        residual = tensors.contract(cand.bra, psi).scaled(cand.c)
+        return tensors.tensor_product(cand.ket, residual).squared_norm()
 
     history = History()
     for c, vec in enumerate(initial):

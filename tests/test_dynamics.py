@@ -31,7 +31,7 @@ from conftest import (
     unit_factor,
     zero_branch_scenario,
 )
-from eventweave import dynamics
+from eventweave import dynamics, graph, tensors
 from eventweave.dynamics import (
     ZERO_PROBABILITY_EPS,
     AlternativeSet,
@@ -426,6 +426,22 @@ def test_outcome_tree_refuses_fewer_than_one_run_or_replica(n):
             sample_outcome_tree(h, [alts], *args)
 
 
+def test_outcome_tree_refuses_replica_tables_above_the_dense_cap(monkeypatch):
+    """replicas x paths cells of counts are kept up to ``MAX_AMPLITUDES``;
+    past it the tree is refused before any state is cut."""
+    h, alts = _plus_history(), _pruned_tail_alternatives()
+    monkeypatch.setattr(dynamics, "MAX_AMPLITUDES", 6)
+    assert sample_outcome_tree(h, [alts], 10, 0, 2).replica_counts.shape == (2, 3)
+
+    def no_state(*_):
+        raise AssertionError("a state was cut")
+
+    monkeypatch.setattr(dynamics, "cut_state", no_state)
+    with pytest.raises(ValueError, match=r"^3 replicas x 3 outcome paths make 9 replica "
+                                         r"counts; at most MAX_AMPLITUDES = 6 are kept$"):
+        sample_outcome_tree(h, [alts], 10, 0, 3)
+
+
 # -- threshold-count draw against the binary search -----------------------------
 
 PRUNED = dynamics.PRUNED_BRANCH_PROBABILITY
@@ -464,8 +480,36 @@ def test_threshold_draw_equals_the_binary_search_at_boundaries(probs):
     assert got.dtype == np.intp
     assert np.array_equal(got, reference.searchsorted_draw(probs, u))
     assert all(probs[got] > PRUNED)
-    for x in u:
-        assert int(dynamics._draw(probs, float(x))) == int(reference.searchsorted_draw(probs, x))
+
+
+#: rows whose sum falls 1e-9 short of one (the most ``EXHAUSTIVE_TOL`` lets
+#: through), with pruned candidates first, in the middle and last
+SHORT_ROWS = [
+    [0.5, 0.5 - 1e-9],
+    [1e-16, 0.5, PRUNED, 0.5 - 1e-9, 0.0],
+    [0.2, 0.0, 0.3, 1e-16, 0.5 - 1e-9, PRUNED, 0.0],
+    [1.0 - 1e-9, 1e-16],
+]
+
+
+@pytest.mark.parametrize("probs", BOUNDARY_ROWS + SHORT_ROWS)
+def test_scalar_draw_equals_the_binary_search_at_boundaries(probs, monkeypatch):
+    """``sample_extension``'s one uniform against the binary search: at each
+    threshold and one ulp either side, inside each pruned candidate's
+    sliver of the raw cumulative sum, and past the sum."""
+    probs = np.array(probs)
+    raw = np.cumsum(probs)
+    slivers = [np.nextafter(raw[i - 1], 1.0) for i in range(1, probs.size)
+               if 0.0 < probs[i] <= PRUNED]
+    total = float(np.sum(probs))
+    past = [np.nextafter(total, 1.0), (total + 1.0) / 2, np.nextafter(1.0, 0.0)]
+    uniforms = [float(x) for x in (*_boundary_uniforms(probs), *slivers, *past)]
+    assert len(slivers) == sum(0.0 < p <= PRUNED for p in probs[1:])
+    monkeypatch.setattr(dynamics, "alternative_probabilities", lambda *_: probs)
+    for x in uniforms:
+        pick = sample_extension(None, None, _fixed_generator(x))
+        assert type(pick) is int
+        assert pick == int(reference.searchsorted_draw(probs, x)), x
 
 
 def _random_tables(rng) -> list[np.ndarray]:
@@ -646,15 +690,17 @@ def test_a_leaf_below_the_threshold_is_not_checked():
 
 
 def _counting_applications(monkeypatch) -> list:
-    """Operator applications, one ``contract`` each (these roots contract none)."""
+    """Operator applications, one call each of the contraction kernel that
+    ``dynamics`` applies operators with (cut states contract through
+    ``contract``, which these calls do not count)."""
     calls = []
-    original = dynamics.contract
+    original = dynamics._contracted
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(dynamics, "contract", counting)
+    monkeypatch.setattr(dynamics, "_contracted", counting)
     return calls
 
 
@@ -1115,12 +1161,15 @@ def test_growth_equals_the_loop_that_cut_every_state_afresh(seed):
 def _growth_work(monkeypatch, events: int) -> dict[str, float]:
     """Work of growing seeded two-outcome chains by ``events`` admissions:
     operator applications per candidate (``apply``), and per admitted event
-    the states built (``build``), contractions, tensor products, history
-    admissions (``admit``) and ``LabeledVector`` constructions (``vector``),
-    checked or trusted."""
+    the states built (``build``), calls of the contraction and
+    outer-product kernels (``contracted``, ``outer``, by ``contract`` and
+    ``tensor_product`` too), history admissions (``admit``),
+    ``LabeledVector`` constructions (``vector``), checked or trusted, and
+    frontier cut ids read (``frontier_ids``).  ``walked`` counts the ids
+    that validating the grown history's frontier cut reads."""
     initial, steps = _qubit_chains(7, events)
-    counts = dict.fromkeys(("apply", "build", "contract", "tensor_product", "admit",
-                            "vector"), 0)
+    counts = dict.fromkeys(("apply", "build", "contracted", "outer", "admit", "vector",
+                            "frontier_ids"), 0)
 
     def counting(key, original):
         def counted(*args, **kwargs):
@@ -1128,19 +1177,34 @@ def _growth_work(monkeypatch, events: int) -> dict[str, float]:
             return original(*args, **kwargs)
         return counted
 
-    for key, name in (("apply", "_apply"), ("build", "CutState"),
-                      ("contract", "contract"), ("tensor_product", "tensor_product")):
+    for key, name in (("apply", "_apply"), ("build", "CutState")):
         monkeypatch.setattr(dynamics, name, counting(key, getattr(dynamics, name)))
+    for key, name in (("contracted", "_contracted"), ("outer", "_outer")):
+        counted = counting(key, getattr(tensors, name))
+        monkeypatch.setattr(tensors, name, counted)
+        monkeypatch.setattr(dynamics, name, counted)
     monkeypatch.setattr(History, "_add_event", counting("admit", History._add_event))
     monkeypatch.setattr(LabeledVector, "__init__", counting("vector", LabeledVector.__init__))
     monkeypatch.setattr(LabeledVector, "_trusted", classmethod(
         counting("vector", LabeledVector.__dict__["_trusted"].__func__)))
-    _, outcomes = _grow(initial, steps, dynamics.replica_rng(7))
+    build_ids = graph._FrontierCut.__dict__["past_event_ids"].func
+
+    def frontier_ids(cut):
+        ids = build_ids(cut)
+        counts["frontier_ids"] += len(ids)
+        return ids
+
+    monkeypatch.setattr(graph._FrontierCut, "past_event_ids", property(frontier_ids))
+    h, outcomes = _grow(initial, steps, dynamics.replica_rng(7))
+    grown = counts["frontier_ids"]
+    h.validate_cut(h.frontier_cut())
+    walked = counts.pop("frontier_ids") - grown
     monkeypatch.undo()
     assert len(outcomes) == events
     candidates = sum(len(alts.candidates) for alts in steps)
-    return {key: count / (candidates if key == "apply" else events)
+    work = {key: count / (candidates if key == "apply" else events)
             for key, count in counts.items()}
+    return {**work, "frontier_ids": grown / events, "walked": walked}
 
 
 def test_growth_applies_each_candidate_once_and_cuts_one_state_per_step(monkeypatch):
@@ -1155,18 +1219,58 @@ def test_growth_applies_each_candidate_once_and_cuts_one_state_per_step(monkeypa
 
 
 def test_growth_work_per_event_does_not_grow_with_the_history(monkeypatch):
-    """Per admitted event of two candidates, at N and 2N events: at most one
-    contraction and one tensor product per candidate, three vectors per
-    candidate (the residual, its scaled copy and the product), and one
-    admission besides the four sources'; none of them grows from N to 2N."""
+    """Per admitted event of two candidates, at N and 2N events: one call
+    of each kernel per candidate, no vector (a probability is the squared
+    norm of the kernels' raw arrays, and a chain's frontier state is its
+    sources' unit kets), one admission besides the four sources', and no
+    frontier id set, neither while growing nor when the frontier cut is
+    validated; none of them grows from N to 2N."""
     sizes = (40, 80)
     small, large = (_growth_work(monkeypatch, events) for events in sizes)
     for work, events in zip((small, large), sizes):
-        assert work["contract"] <= 2.0 and work["tensor_product"] <= 2.0
-        assert work["vector"] <= 6.0
+        assert work["contracted"] == work["outer"] == 2.0
+        assert work["vector"] == 0.0
         assert work["admit"] <= 1.0 + 4 / events
-    for key in ("contract", "tensor_product", "admit", "vector"):
+        assert work["frontier_ids"] == work["walked"] == 0
+    for key in ("contracted", "outer", "admit", "vector"):
         assert large[key] <= small[key], key
+
+
+#: weights that send the residual (1 + 1j) / sqrt(2) of a |+> spin under the
+#: bra below past the float range, and that overflow only the probability
+RESIDUAL_OVERFLOW = 1.5e308 - 1.5e308j
+SQUARE_OVERFLOW = 1e200
+
+
+def _tilted(c: complex, ket: LabeledVector) -> CandidateEvent:
+    bra = ProductBra([unit_factor("s", [(1 - 1j) / 2, (1 - 1j) / 2])])
+    return CandidateEvent(bra=bra, c=c, ket=ket)
+
+
+def test_probabilities_past_the_float_range_fail_as_vectors_do(monkeypatch):
+    """An operator whose residual leaves the float range raises the vector
+    check's ``ValueError`` on every route, also where the product would be
+    refused as too large; when only the squares overflow, the probability is
+    the vector's own squared norm, not finite.  (numpy warns of each
+    overflow; the warnings are silenced here.)"""
+    out = unit_factor("out", [1.0], POINTER)
+    two = unit_factor("out2", [SQRT_HALF, SQRT_HALF])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for route in (event_probability, realized_state,
+                      lambda s, c: joint_probability(s, [c])):
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                route(_plus_state(), _tilted(RESIDUAL_OVERFLOW, out))
+        state, big = _plus_state(), _tilted(SQUARE_OVERFLOW, out)
+        vector = tensors.tensor_product(
+            out, tensors.contract(big.bra, state.components[0]).scaled(big.c))
+        want = vector.squared_norm()
+        assert not math.isfinite(want)
+        assert np.array_equal(event_probability(state, big), want, equal_nan=True)
+        monkeypatch.setattr(tensors, "MAX_AMPLITUDES", 1)
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            event_probability(_plus_state(), _tilted(RESIDUAL_OVERFLOW, two))
+        with pytest.raises(ValueError, match="exceeds MAX_AMPLITUDES = 1$"):
+            event_probability(_plus_state(), _tilted(1.0, two))
 
 
 # -- structural probability properties ----------------------------------------------

@@ -200,15 +200,15 @@ def test_24_pairs_never_build_a_product_above_16_amplitudes(monkeypatch):
     with pytest.raises(ValueError, match="MAX_AMPLITUDES"):
         reference.dense_cut_state(scen.build_history())
     sizes = []
-    original = tensors.tensor_product
+    original = tensors._outer
 
     def counting(u, v):
         out = original(u, v)
-        sizes.append(out.amps.size)
+        sizes.append(out[2].size)
         return out
 
-    monkeypatch.setattr(tensors, "tensor_product", counting)
-    monkeypatch.setattr(dynamics, "tensor_product", counting)
+    monkeypatch.setattr(tensors, "_outer", counting)  # under tensor_product
+    monkeypatch.setattr(dynamics, "_outer", counting)
     tree = sample_outcome_tree(scen.build_history(), stages, 2000, 0, 2)
     assert sizes and max(sizes) <= 16
     assert sorted(tree.analytic) == pytest.approx([0.0] * 12 + [0.25] * 4, abs=1e-15)
@@ -238,16 +238,18 @@ def test_blocked_draws_equal_one_block(monkeypatch):
 def test_candidates_spanning_the_same_components_merge_them_once(monkeypatch):
     """Every EPR outcome spans the singlet and both setting pointers: the
     three components are multiplied out once (two products) for the four
-    candidates, into exactly the dense composite."""
+    candidates, into exactly the dense composite.  The outer-product kernel
+    counts both the merges (under ``tensor_product``) and the ket products."""
     setup = epr.build_epr(epr.Direction.in_plane_deg(0.0), epr.Direction.in_plane_deg(40.0))
     calls = []
-    original = dynamics.tensor_product
+    original = tensors._outer
 
     def counting(u, v):
         calls.append((u, v))
         return original(u, v)
 
-    monkeypatch.setattr(dynamics, "tensor_product", counting)
+    monkeypatch.setattr(tensors, "_outer", counting)
+    monkeypatch.setattr(dynamics, "_outer", counting)
     dynamics.alternative_probabilities(setup.state, setup.alternatives)
     assert len(calls) == 2 + 4  # one merge, then one ket product per candidate
     assert len(setup.state.components) == 3

@@ -328,23 +328,29 @@ def test_dense_states_beyond_the_amplitude_cap_are_refused(tmp_path, capsys, mon
     assert err.startswith("error: ") and "MAX_AMPLITUDES = 256" in err
 
 
-class ExhaustedGenerator(np.random.Generator):
-    """Generator whose uniforms never fit in memory."""
-
-    def __init__(self, *_args):
-        super().__init__(np.random.PCG64(0))
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        raise MemoryError(f"Unable to allocate uniforms of shape {size}")
-
-
-@pytest.mark.parametrize("argv", [["epr"], ["simulate", str(FIGURE)]])
-def test_draws_that_cannot_be_allocated_exit_2(argv, capsys, monkeypatch):
-    monkeypatch.setattr(dynamics, "replica_rng", ExhaustedGenerator)
-    code, out, err = run_cli(capsys, *argv, "--runs", "1000000000000")
+@pytest.mark.parametrize("argv, paths", [(["epr"], 4), (["simulate", str(FIGURE)], 16)])
+def test_replica_tables_too_large_to_keep_exit_2(argv, paths, capsys):
+    """10**12 replicas are refused before any state or count table is built,
+    also on a host that would hand out the memory."""
+    code, out, err = run_cli(capsys, *argv, "--replicas", "1000000000000")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: out of memory: Unable to allocate uniforms")
+    assert err == (f"error: 1000000000000 replicas x {paths} outcome paths make "
+                   f"{paths}000000000000 replica counts; at most MAX_AMPLITUDES = "
+                   f"16777216 are kept\n")
+
+
+def test_arrays_that_cannot_be_allocated_exit_2(capsys, monkeypatch):
+    """``cells --sites 100000000000`` asks numpy for 745 GiB, which this
+    stands in for: a host that overcommits memory would hand it out."""
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type int64")
+
+    monkeypatch.setattr(cells, "width_sweep", exhausted)
+    code, out, err = run_cli(capsys, "cells", "--sites", "100000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: Unable to allocate 745. GiB")
 
 
 def test_simulate_missing_file(capsys):
@@ -501,7 +507,7 @@ BAD_INPUTS = {
     ),
     "epr-replica-counts-too-large-to-allocate": (
         lambda tmp: ["epr", "--runs", "10", "--replicas", "1000000000000"],
-        "out of memory: Unable to allocate 29.1 TiB",
+        "4000000000000 replica counts; at most MAX_AMPLITUDES = 16777216 are kept",
     ),
     "epr-negative-seed": (
         lambda tmp: ["epr", "--seed", "-1"], "--seed must be non-negative, got -1"
