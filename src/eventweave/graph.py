@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable
+from typing import Container, Iterable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     NonUnitVector,
     UnknownEvent,
 )
-from .tensors import FactorLabel, LabeledVector, ProductBra, SpaceType
+from .tensors import FactorLabel, LabeledVector, ProductBra, SpaceType, _refuse_non_finite
 
 #: absolute tolerance on squared norms of emitted vectors
 EVENT_VECTOR_TOL = 1e-9
@@ -224,7 +224,7 @@ class History:
         """Admit one event (``bra is None``: a source event) under every rule
         a history obeys; every check runs before the first write, so a
         refused event changes nothing."""
-        consumed = () if bra is None else bra.label_ids
+        consumed = () if bra is None else tuple(bra.factors)
         if bra is not None and not consumed:
             raise ValueError("an interior event needs at least one backward link")
         if not ket.is_unit(EVENT_VECTOR_TOL):
@@ -233,32 +233,33 @@ class History:
             raise ValueError(f"event amplitude must be finite, got {c!r}")
         if bra is None and c != 1:
             raise ValueError(f"a source event has weight 1, got {c!r}")
+        links = self.links
         for lid in consumed:
-            link = self.links.get(lid)
+            link = links.get(lid)
             if link is None:
                 raise UnknownEvent(f"no link {lid!r} in this history")
             if link.established:
                 raise ValueError(f"link {lid!r} is already established")
-            space = bra.factor(lid).labels[0].space
-            if link.space != space:
+            space = bra.factors[lid].labels[0].space
+            if link.space is not space and link.space != space:
                 raise ValueError(f"bra factor on {lid!r} lives in {space}, "
                                  f"link carries {link.space}")
         emitted = ket.label_ids
-        _refuse_used(emitted, self.links)
+        for lid in emitted:
+            if lid in links:
+                _refuse_used(emitted, links)
         if event_id in self.events:
             raise ValueError(f"event id {event_id!r} already exists")
         eid = event_id if event_id is not None else self._fresh_event_id()
         for lid in consumed:
-            link = self.links[lid]
-            self.links[lid] = LinkRecord(lid, link.space, link.source, eid)
+            link = links[lid]
+            links[lid] = LinkRecord(lid, link.space, link.source, eid)
             del self._open[lid]
         for lab in ket.labels:
-            self.links[lab.link_id] = LinkRecord(lab.link_id, lab.space, source=eid)
+            links[lab.link_id] = LinkRecord(lab.link_id, lab.space, eid)
             self._open[lab.link_id] = None
         self._frontier = self._frontier_state = None
-        self.events[eid] = EventRecord(
-            eid, consumed, emitted, ket, amplitude=complex(c), bra=bra, region=region
-        )
+        self.events[eid] = EventRecord(eid, consumed, emitted, ket, complex(c), bra, region)
         return eid
 
     # -- queries ---------------------------------------------------------------
@@ -316,7 +317,8 @@ class History:
     def validate(self) -> list[str]:
         """Every way this history differs from one that admission builds
         out of its events (see :func:`_readmit`), empty if none."""
-        return _readmit(self.events.values(), self.links)[1]
+        return _readmit(self.events.values(), {lid: (ln.space, ln.source, ln.target)
+                                               for lid, ln in self.links.items()})[1]
 
     # -- serialization -------------------------------------------------------------
 
@@ -353,38 +355,34 @@ class History:
 
     @classmethod
     def from_dict(cls, data: dict) -> "History":
-        """Inverse of :meth:`to_dict`: the recorded events admitted again.
-        Raises ``ValueError`` on a malformed record, a repeated id, or any
-        problem that :meth:`validate` would report."""
-        events: dict[str, EventRecord] = {}
-        links: dict[str, LinkRecord] = {}
+        """Inverse of :meth:`to_dict`: the recorded events admitted again,
+        each once, in causal order.
+
+        The input is untrusted.  Every record is checked as it is read: ids
+        are distinct strings, amplitudes are ``[re, im]`` pairs of real
+        numbers (not bools) inside the float range, and vectors and bra
+        factors are well-formed vector literals (:func:`vector_from_dict`).
+        The amplitude pairs of the whole document are converted by one
+        float array, whose values are ``complex(re, im)``'s bits, and each
+        vector is a slice of it; if any of this fails, the records are read
+        again one literal at a time, so the refusal is the first fault in
+        record order.  Raises ``ValueError`` on a malformed record, a
+        repeated id, or any problem that :meth:`validate` would report.
+        """
         try:
+            links: dict[str, tuple] = {}
+            spaces: dict[tuple, SpaceType] = {}
             for rec in data["links"]:
                 if _record_id(rec, "link") in links:
                     raise ValueError(f"duplicate link id {rec['id']!r}")
-                space = SpaceType(rec["space"]["name"], rec["space"]["dim"])
-                links[rec["id"]] = LinkRecord(rec["id"], space, rec["source"], rec.get("target"))
-            for rec in data["events"]:
-                if _record_id(rec, "event") in events:
-                    raise ValueError(f"duplicate event id {rec['id']!r}")
-                amplitude = rec.get("amplitude", [1.0, 0.0])
-                _refuse_non_numbers([amplitude], "an event amplitude")
-                re, im = amplitude
-                events[rec["id"]] = EventRecord(
-                    id=rec["id"],
-                    backward_links=tuple(rec["backward_links"]),
-                    forward_links=tuple(rec["forward_links"]),
-                    emitted_vector=vector_from_dict(rec["vector"]),
-                    amplitude=complex(re, im),
-                    bra=None if rec.get("bra") is None
-                    else ProductBra([vector_from_dict(f) for f in rec["bra"]]),
-                    region=region_from_dict(rec.get("region")),
-                )
+                space = _space(rec["space"]["name"], rec["space"]["dim"], spaces)
+                links[rec["id"]] = (space, rec["source"], rec.get("target"))
+            events = _events_from_dicts(data["events"], spaces)
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed history record: {exc!r}") from exc
         except EventWeaveError as exc:  # a non-unit bra factor or a repeated label
             raise ValueError(f"invalid history: {exc}") from exc
-        h, problems = _readmit(events.values(), links)
+        h, problems = _readmit(events, links)
         if problems:
             raise ValueError(f"invalid history: {'; '.join(problems[:3])}")
         h._counter = len(events)
@@ -406,22 +404,88 @@ def _record_id(rec: dict, kind: str) -> str:
     return rid
 
 
-def _readmit(events: Iterable[EventRecord],
-             links: dict[str, LinkRecord]) -> tuple[History, list[str]]:
+class _Loaded(NamedTuple):
+    """An event as a history document records it, not yet admitted; its
+    fields are named as :class:`EventRecord`'s."""
+
+    id: str
+    backward_links: tuple[str, ...]
+    forward_links: tuple[str, ...]
+    emitted_vector: LabeledVector
+    amplitude: complex
+    bra: ProductBra | None
+    region: Region | None
+
+
+def _read_events(records: Iterable[dict], vector, bra) -> list[tuple]:
+    """The fields of each event record, in the order of :class:`_Loaded`,
+    checked in record order.  ``vector`` reads a vector literal and ``bra``
+    makes a bra of a list of them: :func:`vector_from_dict` and
+    :class:`ProductBra` parse and check them as they come, while a batch
+    read keeps the literals' places and parses them later."""
+    seen, read = set(), []
+    for rec in records:
+        eid = _record_id(rec, "event")
+        if eid in seen:
+            raise ValueError(f"duplicate event id {eid!r}")
+        seen.add(eid)
+        amplitude = rec.get("amplitude", [1.0, 0.0])
+        _refuse_non_numbers([amplitude], "an event amplitude")
+        if len(amplitude) != 2:
+            raise TypeError(f"an event amplitude must be an [re, im] pair, got {amplitude!r}")
+        re, im = amplitude
+        backward, forward = tuple(rec["backward_links"]), tuple(rec["forward_links"])
+        ket = vector(rec["vector"])
+        factors = rec.get("bra")
+        read.append((eid, backward, forward, ket, complex(re, im),
+                     None if factors is None else bra([vector(f) for f in factors]),
+                     region_from_dict(rec.get("region"))))
+    return read
+
+
+def _events_from_dicts(records: Iterable[dict], spaces: dict[tuple, SpaceType]
+                       ) -> list[_Loaded]:
+    """The event records of a history document, read with all their vector
+    literals parsed at once by :func:`_vectors`.  On any fault the records
+    are read again with each literal parsed as it comes, which raises the
+    first fault in record order."""
+    try:
+        literals: list[dict] = []
+
+        def index(data: dict) -> int:
+            literals.append(data)
+            return len(literals) - 1
+
+        read = _read_events(records, index, tuple)
+        vectors = _vectors(literals, spaces)
+        return [_Loaded(eid, backward, forward, vectors[ket], c,
+                        None if bra is None else ProductBra([vectors[k] for k in bra]),
+                        region)
+                for eid, backward, forward, ket, c, bra, region in read]
+    except (EventWeaveError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        fault = exc  # raised below unless the slower read raises first
+    _read_events(records, vector_from_dict, ProductBra)
+    raise fault
+
+
+def _readmit(events: Iterable[EventRecord | _Loaded], links: dict[str, tuple]
+             ) -> tuple[History, list[str]]:
     """A fresh history holding ``events`` admitted again in causal order
     (Kahn's: an event waits for the emitters of its bra's links), and each
     refusal, derived field, unreached event (a cycle) or link record that
-    differs from the records, as one problem."""
+    differs from the records, as one problem.  ``links`` holds each
+    recorded link's ``(space, source, target)`` by id."""
     by_id = {ev.id: ev for ev in events}
     emitter = {lid: ev.id for ev in by_id.values() for lid in ev.emitted_vector.label_ids}
-    waiting = {eid: 0 for eid in by_id}  # emitters not yet admitted
+    waiting = dict.fromkeys(by_id, 0)  # emitters not yet admitted
     unblocks: dict[str, list[str]] = {}
     for ev in by_id.values():
-        for src in {emitter.get(lid) for lid in (ev.bra.label_ids if ev.bra else ())} - {None}:
-            waiting[ev.id] += 1
-            unblocks.setdefault(src, []).append(ev.id)
+        if ev.bra is not None:
+            for src in {emitter.get(lid) for lid in ev.bra.factors} - {None}:
+                waiting[ev.id] += 1
+                unblocks.setdefault(src, []).append(ev.id)
     h, problems = History(), []
-    ready = [ev for ev in by_id.values() if waiting[ev.id] == 0]
+    ready = [ev for ev in by_id.values() if not waiting[ev.id]]
     for ev in ready:  # grows as admissions unblock events
         try:
             got = h.events[h._add_event(ev.bra, ev.amplitude, ev.emitted_vector,
@@ -429,27 +493,32 @@ def _readmit(events: Iterable[EventRecord],
         except (EventWeaveError, ValueError) as exc:
             problems.append(f"event {ev.id!r}: {exc}")
         else:
-            problems += [f"event {ev.id!r}: {f} {getattr(ev, f)!r}, but its bra and "
-                         f"vector admit {getattr(got, f)!r}"
-                         for f in ("backward_links", "forward_links", "amplitude")
-                         if getattr(ev, f) != getattr(got, f)]
+            if (ev.backward_links != got.backward_links or ev.forward_links != got.forward_links
+                    or ev.amplitude != got.amplitude):
+                problems += [f"event {ev.id!r}: {f} {getattr(ev, f)!r}, but its bra and "
+                             f"vector admit {getattr(got, f)!r}"
+                             for f in ("backward_links", "forward_links", "amplitude")
+                             if getattr(ev, f) != getattr(got, f)]
         for nxt in unblocks.get(ev.id, ()):
             waiting[nxt] -= 1
-            if waiting[nxt] == 0:
+            if not waiting[nxt]:
                 ready.append(by_id[nxt])
     if stuck := sorted(eid for eid, n in waiting.items() if n):
         problems.append(f"causal cycle through events {stuck}")
-    for lid in sorted(links.keys() | h.links.keys()):
-        rec, got = links.get(lid), h.links.get(lid)
+    admitted = h.links
+    for lid in sorted([lid for lid, ln in admitted.items()
+                       if links.get(lid) != (ln.space, ln.source, ln.target)]
+                      + [lid for lid in links if lid not in admitted]):
+        rec, got = links.get(lid), admitted.get(lid)
         if rec is None or got is None:
-            problems.append(f"link {lid!r} from {(rec or got).source!r}: " + (
-                "no admitted event emits it" if got is None else "missing from the links"))
-        elif rec != got:
-            problems += [f"link {lid!r} {says} {getattr(rec, f)!r}, but its events admit "
-                         f"{getattr(got, f)!r}" for f, says in (
-                             ("space", "carries"), ("source", "comes from"),
-                             ("target", "goes backward into"))
-                         if getattr(rec, f) != getattr(got, f)]
+            problems.append(f"link {lid!r} from {(rec[1] if got is None else got.source)!r}: "
+                            + ("no admitted event emits it" if got is None
+                               else "missing from the links"))
+        else:
+            problems += [f"link {lid!r} {says} {r!r}, but its events admit {g!r}"
+                         for says, r, g in zip(("carries", "comes from", "goes backward into"),
+                                               rec, (got.space, got.source, got.target))
+                         if r != g]
     return h, problems
 
 
@@ -479,13 +548,71 @@ def vector_to_dict(vec: LabeledVector) -> dict:
 
 
 def vector_from_dict(data: dict) -> LabeledVector:
-    """Parse a vector literal; amps are lexicographic over the listed labels."""
-    labels = [
-        FactorLabel(entry["link"], SpaceType(entry["space"], entry["dim"]))
-        for entry in data["labels"]
-    ]
-    _refuse_non_numbers(data["amps"], "a vector's amps")
-    amps = np.array(
-        [complex(re, im) for re, im in data["amps"]], dtype=np.complex128
-    )
-    return LabeledVector(labels, amps)
+    """Parse a vector literal: ``{"labels": [{"link", "space", "dim"},
+    ...], "amps": [[re, im], ...]}``, amplitudes lexicographic over the
+    listed labels.  The literal is parsed as a batch of one by
+    :func:`_vectors`, so each amplitude has the bits of ``complex(re,
+    im)``.  Raises ``TypeError`` when amps are not ``[re, im]`` pairs,
+    ``OverflowError`` past the float range, :class:`DuplicateLabel` on a
+    repeated link id and ``ValueError`` on any other fault."""
+    return _vectors([data], {})[0]
+
+
+def _space(name, dim, spaces: dict[tuple, SpaceType]) -> SpaceType:
+    """``SpaceType(name, dim)``, kept in ``spaces`` so that a document
+    builds one object per distinct space; the key holds the values' types,
+    so ``2.0`` or ``true`` never finds the space of dimension 2 or 1."""
+    key = (type(name), name, type(dim), dim)
+    try:
+        space = spaces.get(key)
+    except TypeError:  # not hashable, so SpaceType refuses it below
+        space = None
+    if space is None:
+        space = spaces[key] = SpaceType(name, dim)
+    return space
+
+
+def _vectors(literals: list[dict], spaces: dict[tuple, SpaceType]) -> list[LabeledVector]:
+    """Parse vector literals together.  Each literal's labels and
+    amplitude types are checked as it is read; then every amplitude pair
+    becomes one row of one float array, which is checked for its shape,
+    and each vector is a slice of it, checked as the constructor checks
+    (distinct link ids, one amplitude per basis state) and put in
+    canonical order.  Finiteness is checked last, once for all.  The
+    vectors share the array, which is read-only."""
+    labels_of, starts, pairs = [], [], []
+    for data in literals:
+        labels_of.append([FactorLabel(entry["link"], _space(entry["space"], entry["dim"], spaces))
+                          for entry in data["labels"]])
+        amps = data["amps"]
+        _refuse_non_numbers(amps, "a vector's amps")
+        starts.append(len(pairs))
+        pairs += amps
+    starts.append(len(pairs))
+    flat = _pair_array(pairs)
+    flat.setflags(write=False)
+    amps = flat.view(np.complex128).reshape(-1)
+    vectors = [LabeledVector._checked(labels, amps[start:stop])
+               for labels, start, stop in zip(labels_of, starts, starts[1:])]
+    _refuse_non_finite(flat)
+    return vectors
+
+
+def _pair_array(pairs: list) -> np.ndarray:
+    """The amplitude ``pairs`` as an ``(n, 2)`` float array whose rows have
+    the bits of ``complex(re, im)``, ints past 2**53 rounded alike.  Raises
+    ``TypeError`` unless each pair holds two values, and then
+    ``OverflowError`` for a value past the float range."""
+    if not pairs:
+        return np.empty((0, 2))
+    try:
+        flat = np.array(pairs, dtype=np.float64)
+    except OverflowError:
+        if all(len(pair) == 2 for pair in pairs):
+            raise
+        flat = None
+    except ValueError:  # pairs of different lengths
+        flat = None
+    if flat is None or flat.shape != (len(pairs), 2):
+        raise TypeError("a vector's amps must be [re, im] pairs")
+    return flat

@@ -67,27 +67,32 @@ class LabeledVector:
     immutable; the amplitude buffer is marked read-only, so sharing across
     threads is safe.  The constructor checks its input (distinct link ids,
     one amplitude per basis state, finite amplitudes) and puts the labels in
-    canonical order.  The kernels below build their outputs with
-    ``_trusted``, which checks finiteness only: their construction already
-    guarantees the rest.
+    canonical order.  Two shortcuts build vectors without a step their
+    callers already took: the kernels below build their outputs with
+    ``_trusted``, which checks finiteness only, and the vector-literal
+    parser builds its vectors with ``_checked``, which checks everything
+    but finiteness, having checked it for a whole document at once.
     """
 
     __slots__ = ("labels", "amps", "label_ids")
 
     def __init__(self, labels: Iterable[FactorLabel], amps):
         labels = tuple(labels)
-        ids = tuple(lab.link_id for lab in labels)
-        if len(set(ids)) != len(ids):
-            raise DuplicateLabel(f"repeated link ids among labels: {sorted(ids)}")
+        ids = _distinct_link_ids(labels)
         arr = np.ascontiguousarray(amps, dtype=np.complex128).reshape(-1)
-        expected = 1
-        for lab in labels:
-            expected *= lab.dim
-        if arr.size != expected:
-            raise ValueError(
-                f"{arr.size} amplitudes for labels with total dimension {expected}"
-            )
-        self._fill(*_by_link_id(labels, ids, arr))
+        parts = _canonical(labels, ids, arr)
+        _refuse_non_finite(parts[2])
+        self._fill(*parts)
+
+    @classmethod
+    def _checked(cls, labels: Iterable[FactorLabel], amps: np.ndarray) -> "LabeledVector":
+        """A parsed vector literal: the constructor's checks and canonical
+        order, on ``amps`` that are already a flat contiguous ``complex128``
+        array, except finiteness, which the caller checks."""
+        labels = tuple(labels)
+        vec = cls.__new__(cls)
+        vec._fill(*_canonical(labels, _distinct_link_ids(labels), amps))
+        return vec
 
     @classmethod
     def _trusted(cls, labels: tuple[FactorLabel, ...], ids: tuple[str, ...],
@@ -96,15 +101,15 @@ class LabeledVector:
         order, ``ids`` their link ids, ``amps`` a flat contiguous
         ``complex128`` array of their total size.  Only finiteness is
         checked."""
+        _refuse_non_finite(amps)
         vec = cls.__new__(cls)
         vec._fill(labels, ids, amps)
         return vec
 
     def _fill(self, labels: tuple[FactorLabel, ...], ids: tuple[str, ...],
               arr: np.ndarray) -> None:
-        if not np.isfinite(arr).all():
-            raise ValueError("amplitudes must be finite")
-        arr.setflags(write=False)
+        if arr.flags.writeable:
+            arr.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "label_ids", ids)
         object.__setattr__(self, "amps", arr)
@@ -153,11 +158,37 @@ class LabeledVector:
 Parts = tuple[tuple[FactorLabel, ...], tuple[str, ...], np.ndarray]
 
 
+def _distinct_link_ids(labels: tuple[FactorLabel, ...]) -> tuple[str, ...]:
+    """The link ids of ``labels``; raises :class:`DuplicateLabel` on a repeat."""
+    ids = tuple([lab.link_id for lab in labels])
+    if len(ids) > 1 and len(set(ids)) != len(ids):
+        raise DuplicateLabel(f"repeated link ids among labels: {sorted(ids)}")
+    return ids
+
+
+def _refuse_non_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError("amplitudes must be finite")
+
+
+def _canonical(labels: tuple[FactorLabel, ...], ids: tuple[str, ...], arr: np.ndarray
+               ) -> Parts:
+    """The parts of a vector over ``labels`` (link ids ``ids``) with flat
+    amplitudes ``arr``, in canonical order; raises ``ValueError`` unless
+    there is one amplitude per basis state."""
+    expected = 1
+    for lab in labels:
+        expected *= lab.space.dim
+    if arr.size != expected:
+        raise ValueError(f"{arr.size} amplitudes for labels with total dimension {expected}")
+    return _by_link_id(labels, ids, arr)
+
+
 def _by_link_id(labels: tuple[FactorLabel, ...], ids: tuple[str, ...], arr: np.ndarray
                 ) -> Parts:
     """``labels`` and their link ``ids`` in canonical order (sorted by link
     id), and the flat amplitudes ``arr`` with their axes permuted to match."""
-    if list(ids) == sorted(ids):
+    if len(ids) < 2 or list(ids) == sorted(ids):
         return labels, ids, arr
     order = sorted(range(len(ids)), key=ids.__getitem__)
     dims = tuple(lab.dim for lab in labels)
@@ -191,7 +222,9 @@ class ProductBra:
             if lid in table:
                 raise DuplicateLabel(f"two bra factors on link {lid!r}")
             table[lid] = fac
-        object.__setattr__(self, "factors", dict(sorted(table.items())))
+        if len(table) > 1:
+            table = dict(sorted(table.items()))
+        object.__setattr__(self, "factors", table)
         object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard

@@ -192,6 +192,34 @@ def one_sided(setup, side: str, outcome: str) -> CandidateEvent:
     )
 
 
+def assert_round_trip_is_bit_exact(h: History) -> History:
+    """Load ``h.to_json()`` and check that the copy is ``h`` bit for bit: the
+    same JSON bytes, every emitted vector and bra factor with the same
+    labels and amplitude bytes, the same amplitudes, open links and fresh
+    frontier state, and no problem for ``validate``.  Returns the copy."""
+    text = h.to_json()
+    back = History.from_json(text)
+    assert back.to_json() == text
+    assert back.validate() == []
+    assert back.events.keys() == h.events.keys()
+    for eid, ev in h.events.items():
+        got = back.events[eid]
+        pairs = [(got.emitted_vector, ev.emitted_vector)]
+        assert (got.bra is None) == (ev.bra is None)
+        if ev.bra is not None:
+            assert list(got.bra.factors) == list(ev.bra.factors)
+            pairs += [(got.bra.factors[lid], fac) for lid, fac in ev.bra.factors.items()]
+        for vec, want in pairs:
+            assert vec.labels == want.labels
+            assert vec.amps.dtype == want.amps.dtype and vec.amps.tobytes() == want.amps.tobytes()
+        assert np.array(got.amplitude).tobytes() == np.array(ev.amplitude).tobytes()
+    assert back.free_links() == h.free_links()
+    fresh = (dynamics.cut_state(back, back.events), dynamics.cut_state(h, h.events))
+    for vec, want in zip(*(state.components for state in fresh), strict=True):
+        assert vec.labels == want.labels and vec.amps.tobytes() == want.amps.tobytes()
+    return back
+
+
 def generic_figure() -> History:
     """Three initial events: two entangled residue pairs plus a singlet."""
     h = History()

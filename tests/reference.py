@@ -177,6 +177,66 @@ def dense_cut_state(history, cut=None):
     return dynamics.CutState((composite,), history.links)
 
 
+# -- history documents (one record and one amplitude at a time) ---------------
+
+
+def load_history(data):
+    """``History.from_dict`` as it read a document before its amplitudes
+    were converted in one array: one record at a time, each vector literal
+    by its own ``LabeledVector`` of ``complex(re, im)`` per pair, each event
+    built as an ``EventRecord`` and then admitted by ``graph._readmit``.
+    Pairs that do not hold two values are refused as ``[re, im]`` pairs
+    before any of a literal's values is converted."""
+    from eventweave import graph
+    from eventweave.errors import EventWeaveError
+    from eventweave.tensors import FactorLabel, LabeledVector, ProductBra, SpaceType
+
+    def vector(literal):
+        labels = [FactorLabel(entry["link"], SpaceType(entry["space"], entry["dim"]))
+                  for entry in literal["labels"]]
+        graph._refuse_non_numbers(literal["amps"], "a vector's amps")
+        if any(len(pair) != 2 for pair in literal["amps"]):
+            raise TypeError("a vector's amps must be [re, im] pairs")
+        amps = [complex(re, im) for re, im in literal["amps"]]
+        return LabeledVector(labels, np.array(amps, dtype=np.complex128))
+
+    events, links = {}, {}
+    try:
+        for rec in data["links"]:
+            if graph._record_id(rec, "link") in links:
+                raise ValueError(f"duplicate link id {rec['id']!r}")
+            space = SpaceType(rec["space"]["name"], rec["space"]["dim"])
+            links[rec["id"]] = (space, rec["source"], rec.get("target"))
+        for rec in data["events"]:
+            if graph._record_id(rec, "event") in events:
+                raise ValueError(f"duplicate event id {rec['id']!r}")
+            amplitude = rec.get("amplitude", [1.0, 0.0])
+            graph._refuse_non_numbers([amplitude], "an event amplitude")
+            if len(amplitude) != 2:
+                raise TypeError(f"an event amplitude must be an [re, im] pair, "
+                                f"got {amplitude!r}")
+            re, im = amplitude
+            events[rec["id"]] = graph.EventRecord(
+                id=rec["id"],
+                backward_links=tuple(rec["backward_links"]),
+                forward_links=tuple(rec["forward_links"]),
+                emitted_vector=vector(rec["vector"]),
+                amplitude=complex(re, im),
+                bra=None if rec.get("bra") is None
+                else ProductBra([vector(f) for f in rec["bra"]]),
+                region=graph.region_from_dict(rec.get("region")),
+            )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed history record: {exc!r}") from exc
+    except EventWeaveError as exc:
+        raise ValueError(f"invalid history: {exc}") from exc
+    h, problems = graph._readmit(events.values(), links)
+    if problems:
+        raise ValueError(f"invalid history: {'; '.join(problems[:3])}")
+    h._counter = len(events)
+    return h
+
+
 # -- staged sampling (one uniform per draw) ------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Probability law: cut states, joints, sampling, realization, properties."""
 
 import gc
+import json
 import math
 import tracemalloc
 import weakref
@@ -17,6 +18,7 @@ from conftest import (
     SQRT_HALF,
     HistoryFactory,
     StuckGenerator,
+    assert_round_trip_is_bit_exact,
     bell_pair,
     distance,
     figure_outcome_candidates,
@@ -1234,6 +1236,74 @@ def test_growth_work_per_event_does_not_grow_with_the_history(monkeypatch):
         assert work["frontier_ids"] == work["walked"] == 0
     for key in ("contracted", "outer", "admit", "vector"):
         assert large[key] <= small[key], key
+
+
+@pytest.mark.parametrize("seed, events", [*((seed, 60) for seed in range(10)), (1, 600)])
+def test_grown_chains_round_trip_bit_exactly(seed, events):
+    """A grown history loads to the same JSON bytes, the same amplitude
+    bytes in every vector and bra, the same open links and the same
+    frontier state; grown on by the same draws, the copy realizes the same
+    outcomes with the same vectors."""
+    initial, steps = _qubit_chains(seed, events + 8)
+    h, _ = _grow(initial, steps[:events], dynamics.replica_rng(seed))
+    back = assert_round_trip_is_bit_exact(h)
+    grown = [_grow_on(copy, steps[events:], dynamics.replica_rng(seed, 1))
+             for copy in (h, back)]
+    assert grown[0] == grown[1]
+
+
+def _grow_on(h, steps, rng) -> list:
+    """Each step's outcome and the bytes of the frontier state it left."""
+    out = []
+    for alts in steps:
+        idx = sample_extension(cut_state(h), alts, rng)
+        realize(h, None, alts.candidates[idx])
+        out.append((idx, [vec.amps.tobytes() for vec in cut_state(h).components]))
+    return out
+
+
+def _load_work(monkeypatch, events: int) -> tuple[dict[str, int], int]:
+    """Calls made by loading the JSON of seeded qubit chains grown by
+    ``events`` admissions: admissions (``admit``), ``EventRecord``
+    constructions (``record``) and ``LabeledVector`` constructions
+    (``vector``), checked, trusted or parsed; and the number of vector
+    literals in the document."""
+    initial, steps = _qubit_chains(7, events)
+    data = json.loads(_grow(initial, steps, dynamics.replica_rng(7))[0].to_json())
+    counts = dict.fromkeys(("admit", "record", "vector"), 0)
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(History, "_add_event", counting("admit", History._add_event))
+    monkeypatch.setattr(graph.EventRecord, "__init__",
+                        counting("record", graph.EventRecord.__init__))
+    monkeypatch.setattr(LabeledVector, "__init__", counting("vector", LabeledVector.__init__))
+    for name in ("_checked", "_trusted"):
+        monkeypatch.setattr(LabeledVector, name, classmethod(
+            counting("vector", LabeledVector.__dict__[name].__func__)))
+    loaded = History.from_dict(data)
+    monkeypatch.undo()
+    assert len(loaded.events) == len(data["events"])
+    return counts, sum(1 + len(ev["bra"] or ()) for ev in data["events"])
+
+
+def test_loading_admits_each_record_once_and_builds_each_vector_once(monkeypatch):
+    """Loading n events admits n events and builds n event records: no
+    record is built to be admitted again.  Each vector literal gives one
+    vector, so each loaded step costs two (its ket and its bra factor) at
+    60 events and at 600."""
+    per_step = []
+    for events in (60, 600):
+        counts, literals = _load_work(monkeypatch, events)
+        sources = literals - 2 * events
+        assert counts["admit"] == counts["record"] == events + sources
+        assert counts["vector"] == literals
+        per_step.append((counts["vector"] - sources) / events)
+    assert per_step == [2.0, 2.0]
 
 
 #: weights that send the residual (1 + 1j) / sqrt(2) of a |+> spin under the

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    POINTER, SPIN, HistoryFactory, figure_outcome_candidates, generic_figure,
-    one_sided, random_unit_vector, saturated, unit_factor,
+    POINTER, SPIN, HistoryFactory, assert_round_trip_is_bit_exact, figure_outcome_candidates,
+    generic_figure, one_sided, random_unit_vector, saturated, unit_factor,
 )
 from eventweave.dynamics import realize
 from eventweave.epr import build_epr, Direction, singlet_vector
@@ -17,7 +17,7 @@ from eventweave.errors import (
     NonUnitVector,
     UnknownEvent,
 )
-from eventweave.graph import Cut, EventRecord, History, LinkRecord, Region
+from eventweave.graph import Cut, EventRecord, History, LinkRecord, Region, vector_from_dict
 from eventweave.tensors import FactorLabel, LabeledVector, ProductBra, SpaceType
 
 
@@ -393,6 +393,14 @@ def test_from_dict_refuses_invalid_histories(edit, problem):
         History.from_dict(data)
 
 
+def _first_amplitudes_as(pair):
+    """An edit writing ``pair(re, im)`` for each amplitude of the first vector."""
+    def edit(data):
+        vec = data["events"][0]["vector"]
+        vec["amps"] = [pair(re, im) for re, im in vec["amps"]]
+    return edit
+
+
 def _flatten_first_amplitudes(data):
     vec = data["events"][0]["vector"]
     vec["amps"] = [x for pair in vec["amps"] for x in pair]
@@ -405,14 +413,118 @@ def _flatten_first_amplitudes(data):
         lambda data: data["links"][0].pop("space"),
         _flatten_first_amplitudes,
         lambda data: data["events"][0]["vector"]["amps"][0].__setitem__(0, 10**400),
+        _first_amplitudes_as(lambda re, im: [re, im, 0.0]),
+        _first_amplitudes_as(lambda re, im: [re]),
+        lambda data: data["events"][0].update(amplitude=[1.0, 0.0, 0.0]),
     ],
     ids=["no-links", "link-without-space", "amplitudes-not-pairs",
-         "amplitude-beyond-the-float-range"],
+         "amplitude-beyond-the-float-range", "amplitude-triples", "amplitude-singles",
+         "event-amplitude-triple"],
 )
 def test_from_dict_reports_malformed_records_as_value_errors(edit):
     data = generic_figure().to_dict()
     edit(data)
     with pytest.raises(ValueError, match="malformed history record"):
+        History.from_dict(data)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_first_amplitudes_as(lambda re, im: [re, im, 0.0]),
+     "TypeError(\"a vector's amps must be [re, im] pairs\")"),
+    (_first_amplitudes_as(lambda re, im: [re]),
+     "TypeError(\"a vector's amps must be [re, im] pairs\")"),
+    (lambda data: data["events"][0]["vector"]["amps"][1].append(0.0),
+     "TypeError(\"a vector's amps must be [re, im] pairs\")"),
+    (lambda data: data["events"][0]["vector"]["amps"][0].extend([10**400, 0]),
+     "TypeError(\"a vector's amps must be [re, im] pairs\")"),
+    (_first_amplitudes_as(lambda re, im: [re, im, 10**400]),
+     "TypeError(\"a vector's amps must be [re, im] pairs\")"),
+    (lambda data: data["events"][0].update(amplitude=[1.0, 0.0, 0.0]),
+     "TypeError('an event amplitude must be an [re, im] pair, got [1.0, 0.0, 0.0]')"),
+    (lambda data: data["events"][0].update(amplitude=[1.0]),
+     "TypeError('an event amplitude must be an [re, im] pair, got [1.0]')"),
+], ids=["triples", "singles", "ragged", "ragged-beyond-the-float-range",
+        "triples-beyond-the-float-range", "event-amplitude-triple", "event-amplitude-single"])
+def test_amplitudes_that_are_not_pairs_are_malformed_records(edit, message):
+    """A pair of another length is refused as a pair, before any value of
+    its list is converted, and not by Python's unpacking message."""
+    data = generic_figure().to_dict()
+    edit(data)
+    with pytest.raises(ValueError) as caught:
+        History.from_dict(data)
+    assert str(caught.value) == f"malformed history record: {message}"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_factory_histories_round_trip_bit_exactly(seed):
+    """Random histories of labels in any order, dims 1 to 4 and scalar kets
+    load to the same bytes, amplitudes, open links and frontier state."""
+    factory = HistoryFactory(np.random.default_rng([seed, 38]))
+    for _ in range(5):
+        assert_round_trip_is_bit_exact(factory.random_history(max_events=8))
+
+
+def _with_first_amplitudes(values):
+    """The figure's dict with the amplitudes of its first vector (``ap1``,
+    4 amplitudes) replaced by ``values``, two per pair, zeros after them."""
+    data = generic_figure().to_dict()
+    vec = data["events"][0]["vector"]
+    values = list(values) + [0] * (8 - len(values))
+    vec["amps"] = [values[i:i + 2] for i in range(0, 8, 2)]
+    return data, vec
+
+
+@pytest.mark.parametrize("values", [
+    [2**53 + 1, -(2**64 + 3), 2**63, -(2**63) - 1, 2**53 + 3, 1],
+    [2**64 - 1, 3, -(2**1023), 2**1023 + 2**970, 2**1024 - 2**971, -7],
+    [10**300, -0.0, 5e-324, -(2**53) - 3, 0, -0],
+], ids=["past-2-53", "int64-and-float-edges", "mixed-with-floats"])
+def test_int_amplitudes_load_to_the_bits_of_complex(values):
+    """JSON ints, however large, become the floats ``complex(re, im)``
+    makes of them; the norm is left as it is, so the load reports it."""
+    data, vec = _with_first_amplitudes(values)
+    want = np.array([complex(re, im) for re, im in vec["amps"]])
+    with pytest.raises(ValueError, match="'ap1': emitted vector has squared norm"):
+        History.from_dict(data)
+    got = vector_from_dict(vec)
+    assert got.amps.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("values, message", [
+    (["1", 0, 0, 0], "a vector's amps must hold real numbers, got '1'"),
+    ([0.6, None, 0.8, 0], "a vector's amps must hold real numbers, got None"),
+    ([True, 0, 0, 0], "a vector's amps must hold real numbers, got True"),
+    ([10**400, 0, 1, 0], "malformed history record: OverflowError('int too large to "
+                         "convert to float')"),
+    ([1, 0, -(10**400), 0], "malformed history record: OverflowError('int too large to "
+                            "convert to float')"),
+    ([0.6, float("nan"), 0.8, 0], "amplitudes must be finite"),
+    ([0.6, 0, float("-inf"), 0], "amplitudes must be finite"),
+], ids=["string", "null", "bool", "beyond-the-float-range", "below-the-float-range",
+        "nan", "infinity"])
+def test_amplitudes_that_are_not_floats_are_refused_as_before(values, message):
+    data, _ = _with_first_amplitudes(values)
+    with pytest.raises(ValueError) as caught:
+        History.from_dict(data)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("dim", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("where", ["link", "label"])
+def test_dims_equal_to_an_int_are_refused_next_to_that_int(dim, where):
+    """A dim of ``2.0`` or ``true`` is refused even where the same space
+    with the int dim (2, 1) was read before it."""
+    data = _realized_figure().to_dict()
+    space = "spin" if dim == 2 else "pointer"
+    if where == "link":
+        target = [ln["space"] for ln in data["links"] if ln["space"]["name"] == space][-1]
+        target["dim"] = dim
+    else:
+        labels = [lab for ev in data["events"] for lab in ev["vector"]["labels"]
+                  if lab["space"] == space]
+        labels[-1]["dim"] = dim
+    with pytest.raises(ValueError, match=rf"space '{space}' has dimension {dim!r}; need an "
+                                         "integer >= 1"):
         History.from_dict(data)
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import (
     POINTER,
     SPIN,
@@ -32,7 +33,7 @@ from conftest import (
     unit_factor,
     zero_branch_scenario,
 )
-from eventweave import cells, cli, dynamics, tensors, thermal
+from eventweave import cells, cli, dynamics, graph, scenario, tensors, thermal
 from eventweave.dynamics import AlternativeSet, CandidateEvent
 from eventweave.errors import NotExhaustive
 from eventweave.graph import History, vector_from_dict, vector_to_dict
@@ -112,6 +113,38 @@ def test_scenario_round_trip():
     scen = load_scenario(FIGURE)
     again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scen))))
     assert scenario_to_dict(again) == scenario_to_dict(scen)
+
+
+@pytest.mark.parametrize("name", ["figure.json", "three_stage.json", "pairs24.json"])
+def test_scenario_vectors_are_parsed_in_one_batch_to_the_same_bits(name, monkeypatch):
+    """A well-formed scenario's vector literals go through one batch of the
+    vector-literal parser, none through ``vector_from_dict`` alone, and give
+    the vectors that parsing each literal alone gives, bit for bit."""
+    data = json.loads((REPO / "scenarios" / name).read_text())
+    calls = {"batches": 0, "alone": 0}
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(scenario, "_vectors", counting("batches", graph._vectors))
+    monkeypatch.setattr(scenario, "vector_from_dict",
+                        counting("alone", graph.vector_from_dict))
+    scen = scenario_from_dict(data)
+    monkeypatch.undo()
+    assert calls == {"batches": 1, "alone": 0}
+    pairs = [(vec, entry["vector"]) for (_, vec, _), entry
+             in zip(scen.initial_events, data["initial_events"], strict=True)]
+    for stage, entry in zip(scen.stages, data["stages"], strict=True):
+        for cand, literal in zip(stage.alternatives.candidates, entry["candidates"], strict=True):
+            pairs.append((cand.ket, literal["ket"]))
+            pairs += zip(cand.bra.factors.values(), sorted(
+                literal["bra"], key=lambda f: f["labels"][0]["link"]), strict=True)
+    for vec, literal in pairs:
+        alone = vector_from_dict(literal)
+        assert vec.labels == alone.labels and vec.amps.tobytes() == alone.amps.tobytes()
 
 
 def test_shipped_three_stage_scenario_is_the_zero_branch_scenario():
@@ -413,6 +446,22 @@ BAD_INPUTS = {
         "$.initial_events[0].vector: bad vector literal (a vector's amps must hold real "
         "numbers, got False)",
     ),
+    "amplitudes-triples": (
+        _figure_edited(lambda d: d["initial_events"][0]["vector"].update(
+            amps=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+        "$.initial_events[0].vector: bad vector literal (a vector's amps must be [re, im] "
+        "pairs)",
+    ),
+    "amplitudes-singles": (
+        _figure_edited(lambda d: d["initial_events"][0]["vector"].update(amps=[[1.0], [0.0]])),
+        "$.initial_events[0].vector: bad vector literal (a vector's amps must be [re, im] "
+        "pairs)",
+    ),
+    "bra-amplitudes-ragged": (
+        _figure_edited(lambda d: _first_candidate(d)["bra"][0]["amps"][0].append(0.0)),
+        "$.stages[0].candidates[0].bra[0]: bad vector literal (a vector's amps must be "
+        "[re, im] pairs)",
+    ),
     "amplitude-nan-literal": (
         _figure_edited(lambda d: d["initial_events"][0]["vector"]["amps"][1]
                        .__setitem__(0, math.nan)),
@@ -693,6 +742,25 @@ def test_mutated_sample_histories_load_valid_or_raise_value_error(data, sample_h
     except ValueError:
         return
     assert history.validate() == []
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_sample_histories_load_as_one_record_at_a_time(data, sample_histories):
+    """One or two random edits of a sample history: ``History.from_dict``,
+    whose amplitudes are converted in one array, admits the same history
+    as :func:`reference.load_history`, which reads one record and one
+    amplitude at a time, or raises the same error with the same message."""
+    record = copy.deepcopy(data.draw(st.sampled_from(sample_histories)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        mutate_json(record, data.draw)
+    outcomes = []
+    for load in (History.from_dict, reference.load_history):
+        try:
+            outcomes.append(load(copy.deepcopy(record)).to_json())
+        except Exception as exc:  # noqa: BLE001 - compared below
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 #: option values as a shell passes them: small and edge numbers, the texts
