@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, NamedTuple
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -224,7 +224,7 @@ class History:
         """Admit one event (``bra is None``: a source event) under every rule
         a history obeys; every check runs before the first write, so a
         refused event changes nothing."""
-        consumed = () if bra is None else tuple(bra.factors)
+        consumed = () if bra is None else bra.label_ids
         if bra is not None and not consumed:
             raise ValueError("an interior event needs at least one backward link")
         if not ket.is_unit(EVENT_VECTOR_TOL):
@@ -233,33 +233,32 @@ class History:
             raise ValueError(f"event amplitude must be finite, got {c!r}")
         if bra is None and c != 1:
             raise ValueError(f"a source event has weight 1, got {c!r}")
-        links = self.links
         for lid in consumed:
-            link = links.get(lid)
+            link = self.links.get(lid)
             if link is None:
                 raise UnknownEvent(f"no link {lid!r} in this history")
             if link.established:
                 raise ValueError(f"link {lid!r} is already established")
-            space = bra.factors[lid].labels[0].space
-            if link.space is not space and link.space != space:
+            space = bra.factor(lid).labels[0].space
+            if link.space != space:
                 raise ValueError(f"bra factor on {lid!r} lives in {space}, "
                                  f"link carries {link.space}")
         emitted = ket.label_ids
-        for lid in emitted:
-            if lid in links:
-                _refuse_used(emitted, links)
+        _refuse_used(emitted, self.links)
         if event_id in self.events:
             raise ValueError(f"event id {event_id!r} already exists")
         eid = event_id if event_id is not None else self._fresh_event_id()
         for lid in consumed:
-            link = links[lid]
-            links[lid] = LinkRecord(lid, link.space, link.source, eid)
+            link = self.links[lid]
+            self.links[lid] = LinkRecord(lid, link.space, link.source, eid)
             del self._open[lid]
         for lab in ket.labels:
-            links[lab.link_id] = LinkRecord(lab.link_id, lab.space, eid)
+            self.links[lab.link_id] = LinkRecord(lab.link_id, lab.space, source=eid)
             self._open[lab.link_id] = None
         self._frontier = self._frontier_state = None
-        self.events[eid] = EventRecord(eid, consumed, emitted, ket, complex(c), bra, region)
+        self.events[eid] = EventRecord(
+            eid, consumed, emitted, ket, amplitude=complex(c), bra=bra, region=region
+        )
         return eid
 
     # -- queries ---------------------------------------------------------------
@@ -404,25 +403,13 @@ def _record_id(rec: dict, kind: str) -> str:
     return rid
 
 
-class _Loaded(NamedTuple):
-    """An event as a history document records it, not yet admitted; its
-    fields are named as :class:`EventRecord`'s."""
-
-    id: str
-    backward_links: tuple[str, ...]
-    forward_links: tuple[str, ...]
-    emitted_vector: LabeledVector
-    amplitude: complex
-    bra: ProductBra | None
-    region: Region | None
-
-
 def _read_events(records: Iterable[dict], vector, bra) -> list[tuple]:
-    """The fields of each event record, in the order of :class:`_Loaded`,
-    checked in record order.  ``vector`` reads a vector literal and ``bra``
-    makes a bra of a list of them: :func:`vector_from_dict` and
-    :class:`ProductBra` parse and check them as they come, while a batch
-    read keeps the literals' places and parses them later."""
+    """The fields of each event record, in the order of
+    :class:`EventRecord`'s, checked in record order.  ``vector`` reads a
+    vector literal and ``bra`` makes a bra of a list of them:
+    :func:`vector_from_dict` and :class:`ProductBra` parse and check them
+    as they come, while a batch read keeps the literals' places and parses
+    them later."""
     seen, read = set(), []
     for rec in records:
         eid = _record_id(rec, "event")
@@ -444,7 +431,7 @@ def _read_events(records: Iterable[dict], vector, bra) -> list[tuple]:
 
 
 def _events_from_dicts(records: Iterable[dict], spaces: dict[tuple, SpaceType]
-                       ) -> list[_Loaded]:
+                       ) -> list[EventRecord]:
     """The event records of a history document, read with all their vector
     literals parsed at once by :func:`_vectors`.  On any fault the records
     are read again with each literal parsed as it comes, which raises the
@@ -458,9 +445,9 @@ def _events_from_dicts(records: Iterable[dict], spaces: dict[tuple, SpaceType]
 
         read = _read_events(records, index, tuple)
         vectors = _vectors(literals, spaces)
-        return [_Loaded(eid, backward, forward, vectors[ket], c,
-                        None if bra is None else ProductBra([vectors[k] for k in bra]),
-                        region)
+        return [EventRecord(eid, backward, forward, vectors[ket], c,
+                            None if bra is None else ProductBra([vectors[k] for k in bra]),
+                            region)
                 for eid, backward, forward, ket, c, bra, region in read]
     except (EventWeaveError, KeyError, TypeError, ValueError, OverflowError) as exc:
         fault = exc  # raised below unless the slower read raises first
@@ -468,7 +455,7 @@ def _events_from_dicts(records: Iterable[dict], spaces: dict[tuple, SpaceType]
     raise fault
 
 
-def _readmit(events: Iterable[EventRecord | _Loaded], links: dict[str, tuple]
+def _readmit(events: Iterable[EventRecord], links: dict[str, tuple]
              ) -> tuple[History, list[str]]:
     """A fresh history holding ``events`` admitted again in causal order
     (Kahn's: an event waits for the emitters of its bra's links), and each
@@ -477,15 +464,14 @@ def _readmit(events: Iterable[EventRecord | _Loaded], links: dict[str, tuple]
     recorded link's ``(space, source, target)`` by id."""
     by_id = {ev.id: ev for ev in events}
     emitter = {lid: ev.id for ev in by_id.values() for lid in ev.emitted_vector.label_ids}
-    waiting = dict.fromkeys(by_id, 0)  # emitters not yet admitted
+    waiting = {eid: 0 for eid in by_id}  # emitters not yet admitted
     unblocks: dict[str, list[str]] = {}
     for ev in by_id.values():
-        if ev.bra is not None:
-            for src in {emitter.get(lid) for lid in ev.bra.factors} - {None}:
-                waiting[ev.id] += 1
-                unblocks.setdefault(src, []).append(ev.id)
+        for src in {emitter.get(lid) for lid in (ev.bra.label_ids if ev.bra else ())} - {None}:
+            waiting[ev.id] += 1
+            unblocks.setdefault(src, []).append(ev.id)
     h, problems = History(), []
-    ready = [ev for ev in by_id.values() if not waiting[ev.id]]
+    ready = [ev for ev in by_id.values() if waiting[ev.id] == 0]
     for ev in ready:  # grows as admissions unblock events
         try:
             got = h.events[h._add_event(ev.bra, ev.amplitude, ev.emitted_vector,
@@ -493,15 +479,13 @@ def _readmit(events: Iterable[EventRecord | _Loaded], links: dict[str, tuple]
         except (EventWeaveError, ValueError) as exc:
             problems.append(f"event {ev.id!r}: {exc}")
         else:
-            if (ev.backward_links != got.backward_links or ev.forward_links != got.forward_links
-                    or ev.amplitude != got.amplitude):
-                problems += [f"event {ev.id!r}: {f} {getattr(ev, f)!r}, but its bra and "
-                             f"vector admit {getattr(got, f)!r}"
-                             for f in ("backward_links", "forward_links", "amplitude")
-                             if getattr(ev, f) != getattr(got, f)]
+            problems += [f"event {ev.id!r}: {f} {getattr(ev, f)!r}, but its bra and "
+                         f"vector admit {getattr(got, f)!r}"
+                         for f in ("backward_links", "forward_links", "amplitude")
+                         if getattr(ev, f) != getattr(got, f)]
         for nxt in unblocks.get(ev.id, ()):
             waiting[nxt] -= 1
-            if not waiting[nxt]:
+            if waiting[nxt] == 0:
                 ready.append(by_id[nxt])
     if stuck := sorted(eid for eid, n in waiting.items() if n):
         problems.append(f"causal cycle through events {stuck}")

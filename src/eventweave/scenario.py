@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .dynamics import AlternativeSet, CandidateEvent
 from .errors import EventWeaveError
-from .graph import History, Region, _floats, _vectors, region_from_dict, vector_from_dict
+from .graph import History, Region, _floats, region_from_dict, vector_from_dict
 from .tensors import LabeledVector, ProductBra
 
 SCHEMA_NAME = "eventweave-scenario/1"
@@ -73,27 +73,10 @@ def _expect(data, key, kind, loc):
     return value
 
 
-def _parsed_literals(data: dict) -> dict[int, LabeledVector]:
-    """Every vector literal of the scenario ``data``, parsed together by
-    :func:`eventweave.graph._vectors`, keyed by the literal's ``id``; empty
-    if any literal fails, so that each is parsed where it is read and
-    refused with its location."""
-    try:
-        literals = [entry["vector"] for entry in data["initial_events"]]
-        for stage in data.get("stages", []):
-            for cand in stage["candidates"]:
-                literals += [*cand["bra"], cand["ket"]]
-        return dict(zip(map(id, literals), _vectors(literals, {})))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, EventWeaveError):
-        return {}
-
-
-def _parse_vector(data, loc, parsed: dict[int, LabeledVector]) -> LabeledVector:
+def _parse_vector(data, loc) -> LabeledVector:
     _object(data, "vector literal", loc)
     _expect(data, "labels", list, loc)
     _expect(data, "amps", list, loc)
-    if id(data) in parsed:
-        return parsed[id(data)]
     try:
         return vector_from_dict(data)
     except (KeyError, TypeError, ValueError, OverflowError, EventWeaveError) as exc:
@@ -116,7 +99,7 @@ def _parse_complex(data, loc) -> complex:
         raise ScenarioError(f"bad complex value ({exc})", loc) from exc
 
 
-def _parse_candidate(data, loc, parsed: dict[int, LabeledVector]) -> CandidateEvent:
+def _parse_candidate(data, loc) -> CandidateEvent:
     _object(data, "candidate", loc)
     name = data.get("name")
     if name is not None and not isinstance(name, str):
@@ -127,7 +110,7 @@ def _parse_candidate(data, loc, parsed: dict[int, LabeledVector]) -> CandidateEv
         raise ScenarioError("candidate needs at least one bra factor", loc)
     factors = []
     for i, entry in enumerate(bra_entries):
-        vec = _parse_vector(entry, f"{loc}.bra[{i}]", parsed)
+        vec = _parse_vector(entry, f"{loc}.bra[{i}]")
         if len(vec.labels) != 1:
             raise ScenarioError("bra factors carry exactly one label", f"{loc}.bra[{i}]")
         factors.append(vec)
@@ -135,7 +118,7 @@ def _parse_candidate(data, loc, parsed: dict[int, LabeledVector]) -> CandidateEv
         bra = ProductBra(factors)
     except EventWeaveError as exc:
         raise ScenarioError(str(exc), f"{loc}.bra") from exc
-    ket = _parse_vector(_expect(data, "ket", dict, loc), f"{loc}.ket", parsed)
+    ket = _parse_vector(_expect(data, "ket", dict, loc), f"{loc}.ket")
     region = _parse_region(data.get("region"), f"{loc}.region")
     try:
         return CandidateEvent(bra=bra, c=c, ket=ket, region=region, name=name)
@@ -148,13 +131,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     schema = data.get("schema")
     if schema != SCHEMA_NAME:
         raise ScenarioError(f"unknown schema {schema!r}; expected {SCHEMA_NAME!r}")
-    parsed = _parsed_literals(data)
     initial = []
     for i, entry in enumerate(_expect(data, "initial_events", list, "$")):
         loc = f"$.initial_events[{i}]"
         _object(entry, "initial event", loc)
         eid = _expect(entry, "id", str, loc)
-        vec = _parse_vector(_expect(entry, "vector", dict, loc), f"{loc}.vector", parsed)
+        vec = _parse_vector(_expect(entry, "vector", dict, loc), f"{loc}.vector")
         region = _parse_region(entry.get("region"), f"{loc}.region")
         initial.append((eid, vec, region))
     if not initial:
@@ -172,7 +154,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not cand_entries:
             raise ScenarioError("stage needs candidates", loc)
         cands = [
-            _parse_candidate(c, f"{loc}.candidates[{j}]", parsed)
+            _parse_candidate(c, f"{loc}.candidates[{j}]")
             for j, c in enumerate(cand_entries)
         ]
         stages.append(Stage(name, AlternativeSet(cands)))

@@ -108,8 +108,7 @@ class LabeledVector:
 
     def _fill(self, labels: tuple[FactorLabel, ...], ids: tuple[str, ...],
               arr: np.ndarray) -> None:
-        if arr.flags.writeable:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "label_ids", ids)
         object.__setattr__(self, "amps", arr)
@@ -160,8 +159,8 @@ Parts = tuple[tuple[FactorLabel, ...], tuple[str, ...], np.ndarray]
 
 def _distinct_link_ids(labels: tuple[FactorLabel, ...]) -> tuple[str, ...]:
     """The link ids of ``labels``; raises :class:`DuplicateLabel` on a repeat."""
-    ids = tuple([lab.link_id for lab in labels])
-    if len(ids) > 1 and len(set(ids)) != len(ids):
+    ids = tuple(lab.link_id for lab in labels)
+    if len(set(ids)) != len(ids):
         raise DuplicateLabel(f"repeated link ids among labels: {sorted(ids)}")
     return ids
 
@@ -178,7 +177,7 @@ def _canonical(labels: tuple[FactorLabel, ...], ids: tuple[str, ...], arr: np.nd
     there is one amplitude per basis state."""
     expected = 1
     for lab in labels:
-        expected *= lab.space.dim
+        expected *= lab.dim
     if arr.size != expected:
         raise ValueError(f"{arr.size} amplitudes for labels with total dimension {expected}")
     return _by_link_id(labels, ids, arr)
@@ -188,7 +187,7 @@ def _by_link_id(labels: tuple[FactorLabel, ...], ids: tuple[str, ...], arr: np.n
                 ) -> Parts:
     """``labels`` and their link ``ids`` in canonical order (sorted by link
     id), and the flat amplitudes ``arr`` with their axes permuted to match."""
-    if len(ids) < 2 or list(ids) == sorted(ids):
+    if list(ids) == sorted(ids):
         return labels, ids, arr
     order = sorted(range(len(ids)), key=ids.__getitem__)
     dims = tuple(lab.dim for lab in labels)
@@ -222,9 +221,7 @@ class ProductBra:
             if lid in table:
                 raise DuplicateLabel(f"two bra factors on link {lid!r}")
             table[lid] = fac
-        if len(table) > 1:
-            table = dict(sorted(table.items()))
-        object.__setattr__(self, "factors", table)
+        object.__setattr__(self, "factors", dict(sorted(table.items())))
         object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard

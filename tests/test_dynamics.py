@@ -1264,13 +1264,12 @@ def _grow_on(h, steps, rng) -> list:
 
 def _load_work(monkeypatch, events: int) -> tuple[dict[str, int], int]:
     """Calls made by loading the JSON of seeded qubit chains grown by
-    ``events`` admissions: admissions (``admit``), ``EventRecord``
-    constructions (``record``) and ``LabeledVector`` constructions
-    (``vector``), checked, trusted or parsed; and the number of vector
-    literals in the document."""
+    ``events`` admissions: admissions (``admit``) and ``LabeledVector``
+    constructions (``vector``), checked, trusted or parsed; and the number
+    of vector literals in the document."""
     initial, steps = _qubit_chains(7, events)
     data = json.loads(_grow(initial, steps, dynamics.replica_rng(7))[0].to_json())
-    counts = dict.fromkeys(("admit", "record", "vector"), 0)
+    counts = dict.fromkeys(("admit", "vector"), 0)
 
     def counting(key, original):
         def counted(*args, **kwargs):
@@ -1279,8 +1278,6 @@ def _load_work(monkeypatch, events: int) -> tuple[dict[str, int], int]:
         return counted
 
     monkeypatch.setattr(History, "_add_event", counting("admit", History._add_event))
-    monkeypatch.setattr(graph.EventRecord, "__init__",
-                        counting("record", graph.EventRecord.__init__))
     monkeypatch.setattr(LabeledVector, "__init__", counting("vector", LabeledVector.__init__))
     for name in ("_checked", "_trusted"):
         monkeypatch.setattr(LabeledVector, name, classmethod(
@@ -1292,15 +1289,14 @@ def _load_work(monkeypatch, events: int) -> tuple[dict[str, int], int]:
 
 
 def test_loading_admits_each_record_once_and_builds_each_vector_once(monkeypatch):
-    """Loading n events admits n events and builds n event records: no
-    record is built to be admitted again.  Each vector literal gives one
-    vector, so each loaded step costs two (its ket and its bra factor) at
-    60 events and at 600."""
+    """Loading n events admits n events: no record is admitted twice.  Each
+    vector literal gives one vector, so each loaded step costs two (its ket
+    and its bra factor) at 60 events and at 600."""
     per_step = []
     for events in (60, 600):
         counts, literals = _load_work(monkeypatch, events)
         sources = literals - 2 * events
-        assert counts["admit"] == counts["record"] == events + sources
+        assert counts["admit"] == events + sources
         assert counts["vector"] == literals
         per_step.append((counts["vector"] - sources) / events)
     assert per_step == [2.0, 2.0]

@@ -33,7 +33,7 @@ from conftest import (
     unit_factor,
     zero_branch_scenario,
 )
-from eventweave import cells, cli, dynamics, graph, scenario, tensors, thermal
+from eventweave import cells, cli, dynamics, tensors, thermal
 from eventweave.dynamics import AlternativeSet, CandidateEvent
 from eventweave.errors import NotExhaustive
 from eventweave.graph import History, vector_from_dict, vector_to_dict
@@ -113,38 +113,6 @@ def test_scenario_round_trip():
     scen = load_scenario(FIGURE)
     again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scen))))
     assert scenario_to_dict(again) == scenario_to_dict(scen)
-
-
-@pytest.mark.parametrize("name", ["figure.json", "three_stage.json", "pairs24.json"])
-def test_scenario_vectors_are_parsed_in_one_batch_to_the_same_bits(name, monkeypatch):
-    """A well-formed scenario's vector literals go through one batch of the
-    vector-literal parser, none through ``vector_from_dict`` alone, and give
-    the vectors that parsing each literal alone gives, bit for bit."""
-    data = json.loads((REPO / "scenarios" / name).read_text())
-    calls = {"batches": 0, "alone": 0}
-
-    def counting(key, original):
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(scenario, "_vectors", counting("batches", graph._vectors))
-    monkeypatch.setattr(scenario, "vector_from_dict",
-                        counting("alone", graph.vector_from_dict))
-    scen = scenario_from_dict(data)
-    monkeypatch.undo()
-    assert calls == {"batches": 1, "alone": 0}
-    pairs = [(vec, entry["vector"]) for (_, vec, _), entry
-             in zip(scen.initial_events, data["initial_events"], strict=True)]
-    for stage, entry in zip(scen.stages, data["stages"], strict=True):
-        for cand, literal in zip(stage.alternatives.candidates, entry["candidates"], strict=True):
-            pairs.append((cand.ket, literal["ket"]))
-            pairs += zip(cand.bra.factors.values(), sorted(
-                literal["bra"], key=lambda f: f["labels"][0]["link"]), strict=True)
-    for vec, literal in pairs:
-        alone = vector_from_dict(literal)
-        assert vec.labels == alone.labels and vec.amps.tobytes() == alone.amps.tobytes()
 
 
 def test_shipped_three_stage_scenario_is_the_zero_branch_scenario():
