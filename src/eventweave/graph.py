@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable
@@ -245,6 +246,8 @@ class History:
                                  f"link carries {link.space}")
         emitted = ket.label_ids
         _refuse_used(emitted, self.links)
+        if event_id is not None and not isinstance(event_id, str):
+            raise ValueError(f"event id must be a string, got {event_id!r}")
         if event_id in self.events:
             raise ValueError(f"event id {event_id!r} already exists")
         eid = event_id if event_id is not None else self._fresh_event_id()
@@ -322,7 +325,8 @@ class History:
     # -- serialization -------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-ready form; amplitudes round-trip bit-exactly as (re, im)."""
+        """JSON-ready form; amplitudes round-trip bit-exactly as (re, im).
+        :meth:`to_json` writes this form's JSON text without building it."""
         events = []
         for eid in sorted(self.events):
             ev = self.events[eid]
@@ -367,6 +371,12 @@ class History:
         again one literal at a time, so the refusal is the first fault in
         record order.  Raises ``ValueError`` on a malformed record, a
         repeated id, or any problem that :meth:`validate` would report.
+
+        The copy's counter of fresh event ids goes on from the largest id
+        ``f"e{n}"`` it holds, so the copy names the events it admits
+        without an id as the original does whenever the original's
+        ``e<n>`` ids came from that counter; ids it was given by hand can
+        make the two differ.
         """
         try:
             links: dict[str, tuple] = {}
@@ -384,11 +394,21 @@ class History:
         h, problems = _readmit(events, links)
         if problems:
             raise ValueError(f"invalid history: {'; '.join(problems[:3])}")
-        h._counter = len(events)
+        h._counter = _counter_after(h.events)
         return h
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """``json.dumps(self.to_dict())``, byte for byte, written without
+        building the dict tree: the records in :meth:`to_dict`'s key order,
+        events and links sorted by id, strings through ``json``'s own ASCII
+        escaper, floats through ``float.__repr__`` and dims through
+        ``int.__repr__``.  A history holds finite floats only (amplitudes,
+        event weights and regions are checked where they are made), so no
+        float needs ``json``'s ``NaN``/``Infinity`` forms."""
+        events, links = self.events, self.links
+        return ('{"events": [' + ", ".join([_event_text(events[eid]) for eid in sorted(events)])
+                + '], "links": [' + ", ".join([_link_text(links[lid]) for lid in sorted(links)])
+                + "]}")
 
     @classmethod
     def from_json(cls, text: str) -> "History":
@@ -504,6 +524,53 @@ def _readmit(events: Iterable[EventRecord], links: dict[str, tuple]
                                                rec, (got.space, got.source, got.target))
                          if r != g]
     return h, problems
+
+
+#: an event id the fresh-id counter can have named: ``e`` and at most 18
+#: digits, with no leading zero
+_FRESH_ID = re.compile(r"e([1-9][0-9]{0,17})")
+
+
+def _counter_after(ids: Iterable[str]) -> int:
+    """The largest ``n`` whose ``f"e{n}"`` is among ``ids``, 0 if none: the
+    count a history's counter had reached once it named them.  An id of
+    more digits is passed over, as no counter gets that far."""
+    return max((int(m[1]) for eid in ids if (m := _FRESH_ID.fullmatch(eid))), default=0)
+
+
+# :meth:`History.to_json`'s pieces.  Each writes what ``json.dumps`` writes
+# for the matching piece of :meth:`History.to_dict`: a list of floats prints
+# alike under ``list.__repr__``, which is each float's ``float.__repr__``
+# joined by ", ".
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _event_text(ev: EventRecord) -> str:
+    bra = ("null" if ev.bra is None
+           else "[" + ", ".join(map(_vector_text, ev.bra.factors.values())) + "]")
+    region = ("null" if ev.region is None
+              else (f'{{"center": {list.__repr__(list(ev.region.center))}, '
+                    f'"extent": {list.__repr__(list(ev.region.extent))}}}'))
+    return (f'{{"id": {_quoted(ev.id)}, '
+            f'"backward_links": [{", ".join(map(_quoted, ev.backward_links))}], '
+            f'"forward_links": [{", ".join(map(_quoted, ev.forward_links))}], '
+            f'"vector": {_vector_text(ev.emitted_vector)}, '
+            f'"amplitude": {list.__repr__([ev.amplitude.real, ev.amplitude.imag])}, '
+            f'"bra": {bra}, "region": {region}}}')
+
+
+def _link_text(ln: LinkRecord) -> str:
+    space, target = ln.space, ln.target
+    return (f'{{"id": {_quoted(ln.id)}, "space": {{"name": {_quoted(space.name)}, '
+            f'"dim": {int.__repr__(space.dim)}}}, "source": {_quoted(ln.source)}, '
+            f'"target": {"null" if target is None else _quoted(target)}}}')
+
+
+def _vector_text(vec: LabeledVector) -> str:
+    labels = ", ".join([f'{{"link": {_quoted(lab.link_id)}, "space": {_quoted(lab.space.name)}, '
+                        f'"dim": {int.__repr__(lab.space.dim)}}}' for lab in vec.labels])
+    return (f'{{"labels": [{labels}], '
+            f'"amps": {list.__repr__(vec.amps.view(np.float64).reshape(-1, 2).tolist())}}}')
 
 
 def region_to_dict(region: Region | None) -> dict | None:

@@ -233,7 +233,10 @@ def load_history(data):
     h, problems = graph._readmit(events.values(), links)
     if problems:
         raise ValueError(f"invalid history: {'; '.join(problems[:3])}")
-    h._counter = len(events)
+    # the counter goes on from the largest id that reads f"e{n}"; no counter
+    # reaches a number of more than 18 digits
+    h._counter = max((n for eid in h.events if eid[1:].isdecimal() and len(eid) <= 19
+                      and eid == f"e{(n := int(eid[1:]))}"), default=0)
     return h
 
 

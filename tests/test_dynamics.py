@@ -1243,13 +1243,14 @@ def test_grown_chains_round_trip_bit_exactly(seed, events):
     """A grown history loads to the same JSON bytes, the same amplitude
     bytes in every vector and bra, the same open links and the same
     frontier state; grown on by the same draws, the copy realizes the same
-    outcomes with the same vectors."""
+    outcomes with the same vectors, under the same event ids."""
     initial, steps = _qubit_chains(seed, events + 8)
     h, _ = _grow(initial, steps[:events], dynamics.replica_rng(seed))
     back = assert_round_trip_is_bit_exact(h)
     grown = [_grow_on(copy, steps[events:], dynamics.replica_rng(seed, 1))
              for copy in (h, back)]
     assert grown[0] == grown[1]
+    assert back.to_json() == h.to_json()
 
 
 def _grow_on(h, steps, rng) -> list:

@@ -1,5 +1,7 @@
 """Event graph structure: growth, saturation, cuts, validation, round trips."""
 
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from conftest import (
     POINTER, SPIN, HistoryFactory, assert_round_trip_is_bit_exact, figure_outcome_candidates,
     generic_figure, one_sided, random_unit_vector, saturated, unit_factor,
 )
+from eventweave import graph
 from eventweave.dynamics import realize
 from eventweave.epr import build_epr, Direction, singlet_vector
 from eventweave.errors import (
@@ -309,6 +312,10 @@ ADMISSION_REFUSALS = {
         None, lambda h: h.add_initial_event(_OUT, event_id="ap1"),
         ValueError, "event id 'ap1' already exists",
     ),
+    "event-id-not-a-string": (
+        None, lambda h: h.add_initial_event(_OUT, event_id=5),
+        ValueError, "event id must be a string, got 5",
+    ),
 }
 
 
@@ -462,6 +469,91 @@ def test_factory_histories_round_trip_bit_exactly(seed):
     factory = HistoryFactory(np.random.default_rng([seed, 38]))
     for _ in range(5):
         assert_round_trip_is_bit_exact(factory.random_history(max_events=8))
+
+
+def _factory_histories_with_regions(seed: int) -> list[History]:
+    """Five factory histories; every other event of the first, third and
+    fifth carries a random region."""
+    rng = np.random.default_rng([seed, 39])
+    factory = HistoryFactory(rng)
+    histories = [factory.random_history(max_events=8) for _ in range(5)]
+    for h in histories[::2]:
+        for eid in list(h.events)[::2]:
+            region = Region(rng.normal(size=4), rng.exponential(size=4))
+            h.events[eid] = replace(h.events[eid], region=region)
+    return histories
+
+
+#: names the writer must escape as ``json`` does: non-ASCII, astral,
+#: quote, backslash, control characters, a line separator and a lone surrogate
+ODD = 'é\U0001f600"\\\x00\x1f\x7f\u2028\ud800'
+
+
+def _odd_history() -> History:
+    """Odd ids and space names, edge floats in amplitudes, weights and
+    regions, a multi-label ket, a multi-factor bra and empty-label kets."""
+    h, space = History(), SpaceType(f"space {ODD}", 2)
+    a, b = f"a{ODD}", f"b{ODD}"
+    ket = LabeledVector(
+        [FactorLabel(a, space), FactorLabel(b, space), FactorLabel(f"c{ODD}", POINTER)],
+        [complex(0.1, -0.0), complex(-0.0, 5e-324), 1e-16, math.sqrt(0.99)])
+    edges = (-0.0, 5e-324, 1.7976931348623157e308, 1e16)
+    h.add_initial_event(ket, Region(edges, (0.1, 0.0, 1.0, 2.5)), event_id=f"src{ODD}")
+    h.add_initial_event(LabeledVector.scalar(complex(-0.0, 1.0)), event_id="")
+    bra = ProductBra([unit_factor(a, [0.1, math.sqrt(0.99)], space),
+                      unit_factor(b, [-0.0, 1.0], space)])
+    h.add_interior_event(bra, complex(1.7976931348623157e308, -0.0), LabeledVector.scalar(),
+                         event_id=ODD)
+    h.add_interior_event(ProductBra([unit_factor(f"c{ODD}", [1.0], POINTER)]),
+                         complex(1e16, 0.1), unit_factor("d", [5e-324, 1.0]))
+    return h
+
+
+WRITER_CASES = {
+    **{f"factory-{seed}": lambda seed=seed: _factory_histories_with_regions(seed)
+       for seed in range(10)},
+    "figure": lambda: [generic_figure()],
+    "odd-names-and-floats": lambda: [_odd_history()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_to_json_writes_the_bytes_json_dumps_writes_of_to_dict(case):
+    """The direct writer and ``json.dumps(to_dict())`` are two routes to one
+    format; the text also loads back to itself."""
+    for h in WRITER_CASES[case]():
+        text = h.to_json()
+        assert text == json.dumps(h.to_dict())
+        assert History.from_json(text).to_json() == text
+
+
+def test_to_json_builds_no_tree(monkeypatch):
+    """``to_json`` writes its text without ``to_dict``'s tree and without
+    ``json.dumps``: with all of them refusing, it writes the same bytes."""
+    histories = [_odd_history(), *_factory_histories_with_regions(0)]
+    recorded = [json.dumps(h.to_dict()) for h in histories]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_json built a tree")
+
+    monkeypatch.setattr(History, "to_dict", refuse)
+    monkeypatch.setattr(graph, "vector_to_dict", refuse)
+    monkeypatch.setattr(graph, "region_to_dict", refuse)
+    monkeypatch.setattr(graph.json, "dumps", refuse)
+    assert [h.to_json() for h in histories] == recorded
+
+
+def test_a_copy_names_fresh_events_after_its_largest_counter_id():
+    """Only ids that read ``f"e{n}"`` set a copy's counter: no leading zero,
+    sign, underscore, non-ASCII digit or other prefix, and no number a
+    counter cannot reach.  Ids given by hand are where a copy and its
+    original can differ: the original's counter never moved."""
+    h = History()
+    for k, eid in enumerate(["e2", "e010", "e\u0663", "e+5", "e1_0", "x9", "e", "e" + "9" * 19]):
+        h.add_initial_event(unit_factor(f"L{k}", [1.0, 0.0]), event_id=eid)
+    copy = History.from_dict(h.to_dict())
+    assert copy.add_initial_event(unit_factor("M", [1.0], POINTER)) == "e3"
+    assert h.add_initial_event(unit_factor("M", [1.0], POINTER)) == "e1"
 
 
 def _with_first_amplitudes(values):

@@ -710,6 +710,7 @@ def test_mutated_sample_histories_load_valid_or_raise_value_error(data, sample_h
     except ValueError:
         return
     assert history.validate() == []
+    assert history.to_json() == json.dumps(history.to_dict())
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -725,7 +726,8 @@ def test_mutated_sample_histories_load_as_one_record_at_a_time(data, sample_hist
     outcomes = []
     for load in (History.from_dict, reference.load_history):
         try:
-            outcomes.append(load(copy.deepcopy(record)).to_json())
+            loaded = load(copy.deepcopy(record))
+            outcomes.append((loaded.to_json(), loaded._counter))
         except Exception as exc:  # noqa: BLE001 - compared below
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
