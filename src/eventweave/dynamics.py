@@ -342,8 +342,8 @@ def alternative_probabilities(
 
 
 def _thresholds(probs: np.ndarray) -> list[float]:
-    """Cumulative sums of the live probabilities before the last live one,
-    as Python floats.
+    """The draw rule: cumulative sums of the live probabilities before the
+    last live one, as Python floats.
 
     Probabilities at or below :data:`PRUNED_BRANCH_PROBABILITY` count as 0.
     ``probs`` sum to 1 within :data:`EXHAUSTIVE_TOL`, so some candidate is
@@ -352,34 +352,24 @@ def _thresholds(probs: np.ndarray) -> list[float]:
     it, or the last live one for a uniform past the sum.  The sums never
     decrease, so the thresholds a uniform reaches are a prefix.  The sums
     run left to right, one addition per candidate: the bits of
-    ``np.cumsum``.
+    ``np.cumsum``.  Every draw reads them: :func:`sample_extension` for
+    one uniform, and the outcome tree, whose tables :func:`_expand` fills
+    with them, for arrays of uniforms.
     """
     live = [p if p > PRUNED_BRANCH_PROBABILITY else 0.0 for p in probs.tolist()]
     last = max(k for k, p in enumerate(live) if p)
     return list(itertools.accumulate(live[:last]))
 
 
-def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Candidate index selected by each uniform of the array ``u``: the
-    number of :func:`_thresholds` it reaches."""
-    pick = np.zeros(u.shape, dtype=np.intp)
-    for c in _thresholds(probs):
-        pick += u >= c
-    return pick
-
-
-def _draw_counts(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Number of the uniforms ``u`` that :func:`_draw` sends to each candidate,
-    counted without a per-uniform pick.
+def _draw_counts(row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Number of the uniforms ``u`` that a stored threshold row sends to
+    each candidate, counted without a per-uniform pick.
 
     The thresholds a uniform reaches are a prefix, so candidate ``k`` gets
     the uniforms that reach its threshold ``k - 1`` (all of them for
     ``k = 0``) less those that reach threshold ``k`` (none past the last).
     """
-    reached = [u.size, *(np.count_nonzero(u >= c) for c in _thresholds(probs)), 0]
-    counts = np.zeros(probs.size, dtype=np.int64)
-    counts[:len(reached) - 1] = np.subtract(reached[:-1], reached[1:])
-    return counts
+    return -np.diff([u.size, *(np.count_nonzero(u >= c) for c in row), 0])
 
 
 def sample_extension(
@@ -389,8 +379,7 @@ def sample_extension(
 
     Exactly one uniform variate of ``rng`` is consumed per draw, so
     successive draws on a shared generator read one reproducible stream.
-    The pick is the number of :func:`_thresholds` the uniform reaches, the
-    rule :func:`_draw` applies to arrays.
+    The pick is the number of :func:`_thresholds` the uniform reaches.
     """
     probs = alternative_probabilities(state, alts)
     u = rng.random()
@@ -480,13 +469,15 @@ def _expand(
 ) -> tuple[int, float]:
     """Expand the live outcome tree depth first; fill the tables in place.
 
-    Row ``prefix`` of ``tables[d]`` gets the conditional probabilities at the
-    node reached by the length-``d`` path prefix of lexicographic index
-    ``prefix``.  A child whose conditional probability is at or below
-    :data:`PRUNED_BRANCH_PROBABILITY` is not expanded, so its rows stay zero
-    and every path through it keeps ``analytic`` 0; a last-stage child gets
-    the product of the conditionals along its path.  Only the states of
-    nodes still waiting to be expanded are held, never the whole tree's.
+    Row ``prefix`` of ``tables[d]`` starts with the :func:`_thresholds` of
+    the conditional probabilities at the node reached by the length-``d``
+    path prefix of lexicographic index ``prefix``; the rest of the row
+    keeps the ``inf`` it was allocated with.  A child whose conditional
+    probability is at or below :data:`PRUNED_BRANCH_PROBABILITY` is not
+    expanded, so its rows stay ``inf`` and every path through it keeps
+    ``analytic`` 0; a last-stage child gets the product of the conditionals
+    along its path.  Only the states of nodes still waiting to be expanded
+    are held, never the whole tree's.
     A node also carries the root with its path's operators applied, not
     renormalized; a last-stage child above the threshold compares that
     squared norm (its :func:`joint_probability`) with its analytic value,
@@ -508,12 +499,14 @@ def _expand(
             _, state = realized_state(state, cand)
             applied = _applied(applied, cand)
         try:
-            probs = tables[depth][prefix] = alternative_probabilities(state, stages[depth])
+            probs = alternative_probabilities(state, stages[depth])
         except (EventWeaveError, ValueError) as exc:  # name the stage and the path
             names = "/".join(outcome_names(stages, path))
             where = f"$.stages[{depth}]" + (f" after {names}" if path else "")
             exc.args = (f"{where}: {exc}",)
             raise
+        row = _thresholds(probs)
+        tables[depth][prefix, :len(row)] = row
         prefix *= len(probs)
         if depth == len(stages) - 1:
             joints = analytic[prefix:prefix + len(probs)] = prob * probs
@@ -532,26 +525,20 @@ def _sample_paths(tables: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     """Path index (lexicographic) of each row of uniforms ``u``.
 
     Row ``r`` walks the tree from the root, consuming ``u[r, d]`` at depth
-    ``d`` by :func:`_draw`'s rule over the row of the stage's table its path
-    prefix reached.  Each depth draws every row in one pass: it counts the
-    cumulative sums of the reached table rows that the uniforms pass, up to
-    the last live column of any row, and clips each pick to its row's last
-    live candidate.  No pick is a pruned child, so every row ends on a live
-    path, and the all-zero table rows no run reaches decide no pick.
+    ``d``: its pick is the number of thresholds it reaches in the row of
+    ``tables[d]`` that its path prefix reached.  Each depth draws every row
+    in one pass, one comparison per column.  A pruned candidate's threshold
+    equals the one before it, so no uniform stops on it, and no uniform
+    reaches the ``inf`` past a row's last live candidate, so every run ends
+    on a live path.
     """
     path = np.zeros(u.shape[0], dtype=np.intp)
     for depth, table in enumerate(tables):
-        if len(table) == 1:  # every prefix is 0
-            path = _draw(table[0], u[:, depth])
-            continue
-        live = table > PRUNED_BRANCH_PROBABILITY
-        cum = np.cumsum(np.where(live, table, 0.0), axis=1)
-        last = (live * np.arange(table.shape[1])).max(axis=1)
         ud = u[:, depth]
         pick = np.zeros_like(path)
-        for j in range(last.max()):
-            pick += ud >= cum[:, j].take(path)
-        path = path * table.shape[1] + np.minimum(pick, last.take(path))
+        for column in table.T:
+            pick += ud >= column.take(path)
+        path = path * (table.shape[1] + 1) + pick
     return path
 
 
@@ -560,8 +547,8 @@ def _path_counts(tables: list[np.ndarray], u: np.ndarray, total: int) -> np.ndar
 
     When the last stage's table has one row, every earlier stage has one
     candidate and a run's path is its last draw, so the runs are counted by
-    :func:`_draw_counts` with no per-run array; otherwise each run walks
-    the tree by :func:`_sample_paths`.
+    :func:`_draw_counts` on that row with no per-run array; otherwise each
+    run walks the tree by :func:`_sample_paths`.
     """
     if tables and len(tables[-1]) == 1:
         return _draw_counts(tables[-1][0], u[:, -1])
@@ -581,8 +568,9 @@ def sample_outcome_tree(
     before it.  Replica ``r`` draws ``replica_rng(seed, r).random((runs,
     len(stages)))`` in blocks of :data:`DRAW_CHUNK` rows: the same stream as
     one uniform per draw, run by run, and row ``r`` of ``replica_counts``
-    counts its runs.  Runs draw by :func:`_draw`'s rule, so no run enters a
-    pruned subtree and every count off a live path is 0.
+    counts its runs.  Each stage keeps a table of :func:`_thresholds`, one
+    row per path prefix, and runs draw by them, so no run enters a pruned
+    subtree and every count off a live path is 0.
     Raises :class:`TooManyOutcomePaths` before any state is built when the
     path count exceeds :data:`MAX_OUTCOME_PATHS`, ``ValueError`` when the
     table of replica counts, replicas x paths, would exceed
@@ -617,7 +605,7 @@ def sample_outcome_tree(
         used |= emitted
     root = cut_state(history)
     analytic = np.zeros(total)
-    tables = [np.zeros((math.prod(radix[:d]), n)) for d, n in enumerate(radix)]
+    tables = [np.full((math.prod(radix[:d]), n - 1), np.inf) for d, n in enumerate(radix)]
     checked, max_dev = _expand(root, stages, tables, analytic)
     paths = list(itertools.product(*(range(n) for n in radix)))
 
@@ -627,7 +615,7 @@ def sample_outcome_tree(
         for start in range(0, runs, DRAW_CHUNK):
             u = rng.random((min(DRAW_CHUNK, runs - start), len(stages)))
             if replica == 0 and start == 0:
-                first = int(np.flatnonzero(_path_counts(tables, u[:1], total))[0])
+                first = int(_sample_paths(tables, u[:1])[0])
             counts[replica] += _path_counts(tables, u, total)
     return OutcomeTree(
         paths=paths,

@@ -45,13 +45,28 @@ def apply_event_operator(c, bra, ket, psi) -> LabeledVector:
     return tensor_product(ket, contract(bra, psi).scaled(c))
 
 
+def threshold_tables(tables) -> list[np.ndarray]:
+    """The threshold tables the outcome tree draws by, built from tables of
+    conditional probabilities: each row's :func:`eventweave.dynamics._thresholds`,
+    padded with ``inf``, and ``inf`` throughout a row with no live candidate."""
+    stored = []
+    for table in tables:
+        out = np.full((table.shape[0], table.shape[1] - 1), np.inf)
+        for row, probs in zip(out, table):
+            if np.any(probs > dynamics.PRUNED_BRANCH_PROBABILITY):
+                cuts = dynamics._thresholds(probs)
+                row[:len(cuts)] = cuts
+        stored.append(out)
+    return stored
+
+
 def sample_many(state, alts, n, rng) -> np.ndarray:
     """Vector of ``n`` draws by the package's draw rule; stream-equivalent
     to ``n`` single :func:`eventweave.dynamics.sample_extension` draws."""
     probs = dynamics.alternative_probabilities(state, alts)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return dynamics._draw(probs, rng.random(n))
+    return dynamics._sample_paths(threshold_tables([probs[None, :]]), rng.random((n, 1)))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

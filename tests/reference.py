@@ -247,9 +247,9 @@ def searchsorted_draw(probs, u):
     """Candidate index selected by each uniform in ``u`` (scalar or array),
     by binary search over the cumulative sums of the live probabilities.
 
-    This is the draw :func:`eventweave.dynamics._draw` replaced with a
-    threshold count: probabilities at or below 1e-15 count as 0, a uniform
-    picks the first candidate whose cumulative probability exceeds it, and a
+    This is the draw that counting :func:`eventweave.dynamics._thresholds`
+    replaced: probabilities at or below 1e-15 count as 0, a uniform picks
+    the first candidate whose cumulative probability exceeds it, and a
     uniform past the sum goes to the last live candidate.
     """
     from eventweave import dynamics
@@ -265,7 +265,8 @@ def grouped_sample_paths(tables, u):
 
     This is the walk :func:`eventweave.dynamics._sample_paths` replaced:
     rows are sorted by their path prefix and split into groups, and each
-    group draws over its own row of the stage's table.
+    group draws over its own row of the stage's table.  ``tables`` hold
+    conditional probabilities, not the thresholds the package stores.
     """
     path = np.zeros(u.shape[0], dtype=np.intp)
     for depth, table in enumerate(tables):

@@ -30,6 +30,7 @@ from conftest import (
     sample_many,
     saturated,
     spin_alternatives,
+    threshold_tables,
     unit_factor,
     zero_branch_scenario,
 )
@@ -478,7 +479,7 @@ def _boundary_uniforms(probs) -> np.ndarray:
 def test_threshold_draw_equals_the_binary_search_at_boundaries(probs):
     probs = np.array(probs)
     u = _boundary_uniforms(probs)
-    got = dynamics._draw(probs, u)
+    got = dynamics._sample_paths(threshold_tables([probs[None, :]]), u[:, None])
     assert got.dtype == np.intp
     assert np.array_equal(got, reference.searchsorted_draw(probs, u))
     assert all(probs[got] > PRUNED)
@@ -517,7 +518,8 @@ def test_scalar_draw_equals_the_binary_search_at_boundaries(probs, monkeypatch):
 def _random_tables(rng) -> list[np.ndarray]:
     """1-4 depths of 2-6 candidates; some entries pruned (0, 1e-16 or the
     threshold), some rows 1e-12 short of one, and every row no path reaches
-    all zero, as ``_expand`` leaves them."""
+    all zero, which :func:`threshold_tables` makes ``inf``, as ``_expand``
+    leaves it."""
     tables, reached = [], np.ones(1, dtype=bool)
     for n in rng.integers(2, 7, size=rng.integers(1, 5)):
         table = rng.random((reached.size, n)) * (rng.random((reached.size, n)) < 0.7)
@@ -542,12 +544,13 @@ def test_depth_pass_equals_the_grouped_walk_on_random_tables(seed):
         pool = np.concatenate([_boundary_uniforms(row) for row in table])
         hit = rng.random(runs) < 0.5
         u[hit, d] = rng.choice(pool, size=hit.sum())
-    got = dynamics._sample_paths(tables, u)
+    stored = threshold_tables(tables)
+    got = dynamics._sample_paths(stored, u)
     want = reference.grouped_sample_paths(tables, u)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.all(np.prod([table.shape[1] for table in tables]) > got)
     for r in range(0, runs, 97):
-        assert int(dynamics._sample_paths(tables, u[r:r + 1])[0]) == want[r]
+        assert int(dynamics._sample_paths(stored, u[r:r + 1])[0]) == want[r]
 
 
 #: one-row tables 1e-9 short of one, with pruned candidates before the last live one
@@ -570,11 +573,12 @@ def test_threshold_counts_equal_the_grouped_walk_on_one_row_tables(probs, earlie
                            rng.random(200)])
     u = np.hstack([rng.random((last.size, earlier)), last[:, None]])
     want = reference.grouped_sample_paths(tables, u)
-    got = dynamics._path_counts(tables, u, probs.size)
+    stored = threshold_tables(tables)
+    got = dynamics._path_counts(stored, u, probs.size)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.bincount(want, minlength=probs.size))
     for r in range(len(u)):
-        one = dynamics._path_counts(tables, u[r:r + 1], probs.size)
+        one = dynamics._path_counts(stored, u[r:r + 1], probs.size)
         assert np.array_equal(np.flatnonzero(one), [want[r]])
 
 
@@ -584,7 +588,7 @@ def test_path_counts_equal_the_grouped_walk_on_random_tables(seed):
     tables = _random_tables(rng)
     total = math.prod(table.shape[1] for table in tables)
     u = rng.random((4000, len(tables)))
-    got = dynamics._path_counts(tables, u, total)
+    got = dynamics._path_counts(threshold_tables(tables), u, total)
     want = np.bincount(reference.grouped_sample_paths(tables, u), minlength=total)
     assert np.array_equal(got, want)
 
@@ -619,11 +623,28 @@ def leaf_boundary_scenario() -> Scenario:
     )
 
 
+def one_candidate_middle_scenario() -> Scenario:
+    """Three stages whose middle one has a single candidate of probability
+    1, so its threshold table has zero columns."""
+    certain = CandidateEvent(bra=ProductBra([unit_factor("t", [1.0, 0.0])]), c=1.0,
+                             ket=unit_factor("o_t", [1.0], POINTER), name="only")
+    tilt = [math.sqrt(0.3), math.sqrt(0.7)]
+    return Scenario(
+        initial_events=[("s", unit_factor("s", [SQRT_HALF, SQRT_HALF]), None),
+                        ("t", unit_factor("t", [1.0, 0.0]), None),
+                        ("u", unit_factor("u", tilt), None)],
+        stages=[Stage("first", spin_alternatives("s", "o_s")),
+                Stage("middle", AlternativeSet([certain])),
+                Stage("last", spin_alternatives("u", "o_u"))],
+    )
+
+
 OUTCOME_SCENARIOS = {
     "figure": lambda: load_scenario(FIGURE),
     "zero-branch": zero_branch_scenario,
     "no-stages": lambda: Scenario(zero_branch_scenario().initial_events, []),
     "leaf-boundary": leaf_boundary_scenario,
+    "one-candidate-middle": one_candidate_middle_scenario,
 }
 
 
@@ -650,8 +671,8 @@ SHIPPED = sorted(FIGURE.parent.glob("*.json"))
 
 @pytest.mark.parametrize("seed", range(10))
 def test_first_path_is_the_first_run_of_the_per_draw_loop(seed):
-    """``first_path`` is read from the counts of the first run when the last
-    stage is counted by thresholds (``epr``), from its walk otherwise."""
+    """``first_path`` is the walk of the first run, also where the runs are
+    counted by thresholds (``epr``)."""
     setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(37.5))
     cases = [(setup.history, [setup.alternatives])]
     for path in SHIPPED:
@@ -660,6 +681,28 @@ def test_first_path_is_the_first_run_of_the_per_draw_loop(seed):
     for history, stages in cases:
         tree = sample_outcome_tree(history, stages, 3, seed)
         assert tree.first_path == reference.naive_simulate_counts(history, stages, 1, seed)[1]
+
+
+@pytest.mark.parametrize("case", ["figure", "epr"])
+def test_every_draw_reads_the_one_rule(case, monkeypatch):
+    """With ``_thresholds`` swapped for a rule that sends every uniform to
+    the last live candidate, every run of the figure's two-stage tree and
+    of the one-stage ``epr`` tree, and a single draw at the root, land
+    there: no draw builds the rule on its own."""
+    if case == "figure":
+        scen = load_scenario(FIGURE)
+        history, stages = scen.build_history(), [st.alternatives for st in scen.stages]
+    else:
+        setup = build_epr(Direction.in_plane_deg(0.0), Direction.in_plane_deg(37.5))
+        history, stages = setup.history, [setup.alternatives]
+    monkeypatch.setattr(dynamics, "_thresholds",
+                        lambda probs: [0.0] * int(np.flatnonzero(probs > PRUNED)[-1]))
+    tree = sample_outcome_tree(history, stages, 500, 0, 2)
+    chosen = max(path for path, p in zip(tree.paths, tree.analytic) if p > PRUNED)
+    assert tree.first_path == chosen
+    assert tree.counts == [1000 if path == chosen else 0 for path in tree.paths]
+    rng = np.random.default_rng(0)
+    assert sample_extension(cut_state(history), stages[0], rng) == chosen[0]
 
 
 def test_outcome_tree_counts_equal_the_per_draw_loop_on_gap_uniforms(monkeypatch):
